@@ -39,6 +39,7 @@ from .models import (
     MixtureModel,
     OccluderModel,
     classify,
+    crop_evidence,
     likelihood_maps,
     segment_single,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "MixtureModel",
     "OccluderModel",
     "classify",
+    "crop_evidence",
     "likelihood_maps",
     "segment_single",
     "OrderEdge",

@@ -1,126 +1,28 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Exact shifted-logsumexp mixture log-likelihoods.
 
-The only genuinely hot loops in the package are the per-position mixture
-log-likelihood reductions: for every lattice position i we need
+For every lattice position i these compute
 
     out[i] = log sum_k exp( sigma[k] * cos[i, k] - log_z[k] + log w[i, k] )
 
-evaluated for three coefficient grids per candidate model. The cosine table
-comes out of a BLAS matmul either way (numba cannot beat a GEMM); the win of
-the compiled path is fusing the scale/shift/logsumexp so no (P, K) temporary
-is materialised per map.
-
-Engine selection, via the COMPSEG_NUMBA environment variable:
-  "0"   force the pure-numpy path
-  "1"   require numba (raises at import if unavailable)
-  unset use numba when importable, numpy otherwise
+shifted by the row maximum of the summed scores, so they stay finite for any
+finite row with at least one nonzero weight. `models.likelihood_maps`
+evaluates the same quantity in factored form, from per-crop terms every
+mixture shares; it calls these only for the rows where the factored sum is
+not a normal float, which is where that form loses precision or reaches
+log(0).
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-# No fastmath: reductions must keep a fixed evaluation order so decisions
-# made on the resulting maps are reproducible run to run.
-_NJIT_OPTS = dict(cache=True, nogil=True)
-
-_FLAG = os.environ.get("COMPSEG_NUMBA", "").strip()
-if _FLAG == "0":
-    _USE_NUMBA = False
-elif _FLAG == "1":
-    if not HAS_NUMBA:
-        raise ImportError("COMPSEG_NUMBA=1 but numba is not importable")
-    _USE_NUMBA = True
-else:
-    _USE_NUMBA = HAS_NUMBA
+def _as_f64(*arrays) -> list[np.ndarray]:
+    return [np.asarray(a, dtype=np.float64) for a in arrays]
 
 
-def engine() -> str:
-    """Name of the active kernel engine, "numba" or "numpy"."""
-    return "numba" if _USE_NUMBA else "numpy"
-
-
-def _as_f64(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# numpy reference path
-
-
-def mixture_loglik_numpy(cos, sigma, log_z, log_coeffs):
-    scores = cos * sigma[None, :] - log_z[None, :] + log_coeffs
+def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
     peak = np.max(scores, axis=1)
     return peak + np.log(np.sum(np.exp(scores - peak[:, None]), axis=1))
-
-
-def shared_mixture_loglik_numpy(cos, sigma, log_z, log_coeffs):
-    scores = cos * sigma[None, :] - log_z[None, :] + log_coeffs[None, :]
-    peak = np.max(scores, axis=1)
-    return peak + np.log(np.sum(np.exp(scores - peak[:, None]), axis=1))
-
-
-# ---------------------------------------------------------------------------
-# numba path
-
-
-if HAS_NUMBA:
-
-    @njit(**_NJIT_OPTS)
-    def _mixture_loglik_nb(cos, sigma, log_z, log_coeffs, out):
-        p, k = cos.shape
-        for i in range(p):
-            peak = -np.inf
-            for j in range(k):
-                s = sigma[j] * cos[i, j] - log_z[j] + log_coeffs[i, j]
-                if s > peak:
-                    peak = s
-            acc = 0.0
-            for j in range(k):
-                s = sigma[j] * cos[i, j] - log_z[j] + log_coeffs[i, j]
-                acc += np.exp(s - peak)
-            out[i] = peak + np.log(acc)
-        return out
-
-    @njit(**_NJIT_OPTS)
-    def _shared_mixture_loglik_nb(cos, sigma, log_z, log_coeffs, out):
-        p, k = cos.shape
-        for i in range(p):
-            peak = -np.inf
-            for j in range(k):
-                s = sigma[j] * cos[i, j] - log_z[j] + log_coeffs[j]
-                if s > peak:
-                    peak = s
-            acc = 0.0
-            for j in range(k):
-                s = sigma[j] * cos[i, j] - log_z[j] + log_coeffs[j]
-                acc += np.exp(s - peak)
-            out[i] = peak + np.log(acc)
-        return out
-
-    def mixture_loglik_numba(cos, sigma, log_z, log_coeffs):
-        out = np.empty(cos.shape[0])
-        return _mixture_loglik_nb(cos, sigma, log_z, log_coeffs, out)
-
-    def shared_mixture_loglik_numba(cos, sigma, log_z, log_coeffs):
-        out = np.empty(cos.shape[0])
-        return _shared_mixture_loglik_nb(cos, sigma, log_z, log_coeffs, out)
-
-else:
-    mixture_loglik_numba = None
-    shared_mixture_loglik_numba = None
-
-
-# ---------------------------------------------------------------------------
-# public dispatch
 
 
 def mixture_loglik(cos, sigma, log_z, log_coeffs):
@@ -131,21 +33,11 @@ def mixture_loglik(cos, sigma, log_z, log_coeffs):
     log_coeffs: (P, K) log mixture coefficients per position.
     Returns (P,) float64.
     """
-    cos = _as_f64(cos)
-    sigma = _as_f64(sigma)
-    log_z = _as_f64(log_z)
-    log_coeffs = _as_f64(log_coeffs)
-    if _USE_NUMBA:
-        return mixture_loglik_numba(cos, sigma, log_z, log_coeffs)
-    return mixture_loglik_numpy(cos, sigma, log_z, log_coeffs)
+    cos, sigma, log_z, log_coeffs = _as_f64(cos, sigma, log_z, log_coeffs)
+    return _logsumexp_rows(cos * sigma[None, :] - log_z[None, :] + log_coeffs)
 
 
 def shared_mixture_loglik(cos, sigma, log_z, log_coeffs):
     """Like mixture_loglik but with one (K,) coefficient row for all positions."""
-    cos = _as_f64(cos)
-    sigma = _as_f64(sigma)
-    log_z = _as_f64(log_z)
-    log_coeffs = _as_f64(log_coeffs)
-    if _USE_NUMBA:
-        return shared_mixture_loglik_numba(cos, sigma, log_z, log_coeffs)
-    return shared_mixture_loglik_numpy(cos, sigma, log_z, log_coeffs)
+    cos, sigma, log_z, log_coeffs = _as_f64(cos, sigma, log_z, log_coeffs)
+    return _logsumexp_rows(cos * sigma[None, :] - log_z[None, :] + log_coeffs[None, :])

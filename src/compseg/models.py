@@ -12,9 +12,24 @@ All map math happens in the log domain. The three per-pixel maps are
     occ[i] = log p(i) + log sum_k b[k] pdf_k(f_i)
 
 with the prior clamped away from {0, 1} so both logs stay finite.
+
+They are evaluated in factored form. With the component log densities
+s[i,k] = sigma_k cos(f_i, mu_k) - log Z_k and peak[i] = max_k s[i,k],
+
+    log sum_k a[i,k] pdf_k(f_i) = peak[i] + log sum_k a[i,k] E[i,k],
+    E = exp(s - peak)
+
+None of s, peak and E depends on the mixture, so `crop_evidence` computes
+them once per crop, together with the occluder sum (one matrix-vector
+product). `likelihood_maps` then builds a mixture's fg and ctx maps with one
+multiply-reduce each, with no exp. The peak component has E = 1, so a sum is
+small only where the coefficients put (almost) no weight on it; a row whose
+sum is below the smallest normal float is recomputed by the exact shifted
+logsumexp of `_kernels`.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +42,8 @@ from .vmf import VmfDictionary
 
 PRIOR_CLAMP = 1e-6
 SIMPLEX_TOL = 1e-6
+# Below this a factored mixture sum has lost precision (or is 0).
+_TINY = np.finfo(np.float64).tiny
 
 # Per-pixel segmentation labels.
 LABEL_FG = 0
@@ -71,9 +88,6 @@ class MixtureModel:
         if fg.shape[2] != ctx.shape[2]:
             raise ValidationError("fg and ctx coefficient grids disagree on K")
         clamped = np.clip(prior, PRIOR_CLAMP, 1.0 - PRIOR_CLAMP)
-        with np.errstate(divide="ignore"):
-            log_fg = np.log(fg)
-            log_ctx = np.log(ctx)
         for name, arr in (
             ("fg_prior", prior), ("fg_coeffs", fg), ("ctx_coeffs", ctx),
         ):
@@ -81,8 +95,6 @@ class MixtureModel:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_log_p", np.log(clamped))
         object.__setattr__(self, "_log_1mp", np.log1p(-clamped))
-        object.__setattr__(self, "_log_fg", log_fg)
-        object.__setattr__(self, "_log_ctx", log_ctx)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -167,48 +179,6 @@ def _check_k(dictionary: VmfDictionary, k: int, what: str) -> None:
         )
 
 
-def fg_loglik(
-    f: np.ndarray, mixture: MixtureModel, pos: tuple[int, int], dictionary: VmfDictionary
-) -> float:
-    """Foreground mixture log-likelihood of one vector at one canonical position."""
-    _check_k(dictionary, mixture.n_components, "mixture")
-    r, c = pos
-    cos = np.asarray(f, dtype=np.float64)[None, :] @ dictionary.means.T
-    out = _kernels.mixture_loglik(
-        cos,
-        dictionary.concentrations,
-        dictionary.log_normalizers,
-        mixture._log_fg[r, c][None, :],
-    )
-    return float(out[0])
-
-
-def ctx_loglik(
-    f: np.ndarray, mixture: MixtureModel, pos: tuple[int, int], dictionary: VmfDictionary
-) -> float:
-    """Context mixture log-likelihood of one vector at one canonical position."""
-    _check_k(dictionary, mixture.n_components, "mixture")
-    r, c = pos
-    cos = np.asarray(f, dtype=np.float64)[None, :] @ dictionary.means.T
-    out = _kernels.mixture_loglik(
-        cos,
-        dictionary.concentrations,
-        dictionary.log_normalizers,
-        mixture._log_ctx[r, c][None, :],
-    )
-    return float(out[0])
-
-
-def occ_loglik(f: np.ndarray, occluder: OccluderModel, dictionary: VmfDictionary) -> float:
-    """Occluder log-likelihood of one vector (position-independent)."""
-    _check_k(dictionary, occluder.n_components, "occluder")
-    cos = np.asarray(f, dtype=np.float64)[None, :] @ dictionary.means.T
-    out = _kernels.shared_mixture_loglik(
-        cos, dictionary.concentrations, dictionary.log_normalizers, occluder._log_coeffs
-    )
-    return float(out[0])
-
-
 def _crop_cosines(crop: FeatureMap, shape: tuple[int, int], dictionary: VmfDictionary) -> np.ndarray:
     if crop.dim != dictionary.dim:
         raise ValidationError(
@@ -219,51 +189,105 @@ def _crop_cosines(crop: FeatureMap, shape: tuple[int, int], dictionary: VmfDicti
     return flat @ dictionary.means.T
 
 
-def likelihood_maps(
+@dataclass(frozen=True)
+class CropEvidence:
+    """The mixture-independent terms of one crop on one evaluation lattice.
+
+    Per position i: `peak` = max_k s[i,k], `scaled` = exp(s - peak) and `occ`
+    the occluder log-likelihood without its prior term. `cos` is kept for
+    the exact fallback.
+    """
+
+    shape: tuple[int, int]
+    dictionary: VmfDictionary
+    cos: np.ndarray     # (P, K)
+    peak: np.ndarray    # (P,)
+    scaled: np.ndarray  # (P, K)
+    occ: np.ndarray     # (P,)
+
+
+def _factored_loglik(peak: np.ndarray, total: np.ndarray, exact) -> np.ndarray:
+    """peak + log(total); rows whose total is not a normal float come from exact(rows)."""
+    if total.min() >= _TINY:
+        return peak + np.log(total)
+    low = np.flatnonzero(total < _TINY)
+    out = peak + np.log(np.maximum(total, _TINY))
+    out[low] = exact(low)
+    return out
+
+
+def crop_evidence(
     crop: FeatureMap,
-    mixture: MixtureModel,
     dictionary: VmfDictionary,
     occluder: OccluderModel,
     shape: tuple[int, int] | None = None,
-) -> LikelihoodMaps:
-    """The three log maps for one crop under one mixture.
+) -> CropEvidence:
+    """Per-crop terms that the maps of every mixture share.
 
-    `shape` picks the evaluation lattice and defaults to the mixture's
-    canonical one, where the crop is aligned by nearest neighbour. Passing
-    the crop's own shape instead aligns the coefficient planes to the data
-    (one nearest-neighbour step in total rather than one on the way in and
-    one on the way back out, which matters once part layouts vary at a
+    `shape` picks the evaluation lattice and defaults to the crop's own; the
+    crop is aligned to it by nearest neighbour. Scoring every mixture on
+    the crop's lattice aligns the coefficient planes to the data (one
+    nearest-neighbour step in total rather than one on the way in and one
+    on the way back out, which matters once part layouts vary at a
     few-pixel scale).
     """
-    _check_k(dictionary, mixture.n_components, "mixture")
     _check_k(dictionary, occluder.n_components, "occluder")
+    shape = crop.shape if shape is None else tuple(shape)
     sig = dictionary.concentrations
     lz = dictionary.log_normalizers
-    k = dictionary.size
+    cos = _crop_cosines(crop, shape, dictionary)
+    s = cos * sig - lz
+    peak = np.max(s, axis=1)
+    scaled = np.exp(s - peak[:, None])
+    occ = _factored_loglik(
+        peak,
+        scaled @ occluder.coeffs,
+        lambda rows: _kernels.shared_mixture_loglik(cos[rows], sig, lz, occluder._log_coeffs),
+    )
+    return CropEvidence(shape, dictionary, cos, peak, scaled, occ)
 
-    if shape is None or tuple(shape) == mixture.shape:
-        h, w = mixture.shape
-        cos = _crop_cosines(crop, (h, w), dictionary)
-        log_fg = mixture._log_fg.reshape(-1, k)
-        log_ctx = mixture._log_ctx.reshape(-1, k)
-        log_p = mixture._log_p.reshape(-1)
-        log_1mp = mixture._log_1mp.reshape(-1)
-    else:
-        h, w = shape
-        cos = _crop_cosines(crop, (h, w), dictionary)
-        log_fg = resample_nearest(mixture._log_fg, (h, w)).reshape(-1, k)
-        log_ctx = resample_nearest(mixture._log_ctx, (h, w)).reshape(-1, k)
-        log_p = resample_nearest(mixture._log_p, (h, w)).reshape(-1)
-        log_1mp = resample_nearest(mixture._log_1mp, (h, w)).reshape(-1)
 
-    fg_ll = _kernels.mixture_loglik(cos, sig, lz, log_fg)
-    ctx_ll = _kernels.mixture_loglik(cos, sig, lz, log_ctx)
-    occ_ll = _kernels.shared_mixture_loglik(cos, sig, lz, occluder._log_coeffs)
+def _mixture_loglik(evidence: CropEvidence, coeffs: np.ndarray) -> np.ndarray:
+    """Per-position log-likelihood under (P, K) linear coefficients."""
 
+    def exact(rows):
+        with np.errstate(divide="ignore"):
+            log_coeffs = np.log(coeffs[rows])
+        d = evidence.dictionary
+        return _kernels.mixture_loglik(
+            evidence.cos[rows], d.concentrations, d.log_normalizers, log_coeffs
+        )
+
+    total = np.einsum("ik,ik->i", coeffs, evidence.scaled)
+    return _factored_loglik(evidence.peak, total, exact)
+
+
+@functools.lru_cache(maxsize=1024)
+def _plane_index(src: tuple[int, int], dst: tuple[int, int]) -> np.ndarray:
+    """Flat `src`-plane index of the position `resample_nearest` puts at each `dst` one."""
+    idx = resample_nearest(np.arange(src[0] * src[1]).reshape(src), dst).reshape(-1)
+    idx.setflags(write=False)
+    return idx
+
+
+def likelihood_maps(evidence: CropEvidence, mixture: MixtureModel) -> LikelihoodMaps:
+    """The three log maps of one mixture on the evidence's lattice.
+
+    The mixture's planes are aligned to that lattice by nearest neighbour,
+    as `resample_nearest` would, through one flat index into each plane.
+    """
+    _check_k(evidence.dictionary, mixture.n_components, "mixture")
+    h, w = evidence.shape
+    k = mixture.n_components
+    idx = _plane_index(mixture.shape, evidence.shape)
+    log_p = mixture._log_p.reshape(-1)[idx]
+    log_1mp = mixture._log_1mp.reshape(-1)[idx]
+    fg_ll = _mixture_loglik(evidence, mixture.fg_coeffs.reshape(-1, k)[idx])
+    ctx_ll = _mixture_loglik(evidence, mixture.ctx_coeffs.reshape(-1, k)[idx])
     return LikelihoodMaps(
         (log_p + fg_ll).reshape(h, w),
         (log_1mp + ctx_ll).reshape(h, w),
-        (log_p + occ_ll).reshape(h, w),
+        (log_p + evidence.occ).reshape(h, w),
     )
 
 
@@ -304,6 +328,7 @@ class ClassifyResult:
     mixture_index: int
     score: float
     scores: tuple[np.ndarray, ...]  # per class, (M_y,) totals
+    maps: LikelihoodMaps            # the winner's maps on the crop lattice
 
 
 def classify(
@@ -317,8 +342,9 @@ def classify(
     """Best (class, mixture) for a crop; ties break to the lowest indices.
 
     Every candidate is scored on the crop's own lattice, so totals stay
-    comparable across mixtures whose canonical shapes differ. A visibility
-    grid, when given, is in crop coordinates.
+    comparable across mixtures whose canonical shapes differ; the crop's
+    evidence is computed once and shared by all of them. A visibility grid,
+    when given, is in crop coordinates.
     """
     if not classes:
         raise ValidationError("classify needs at least one class model")
@@ -329,18 +355,20 @@ def classify(
             raise ValidationError(
                 f"visibility shape {z.shape} does not match crop {crop.shape}"
             )
-    best = (-np.inf, 0, 0)
+    evidence = crop_evidence(crop, dictionary, occluder)
+    best = None
     all_scores = []
     for ci, cls in enumerate(classes):
         row = np.empty(len(cls.mixtures))
         for mi, mixture in enumerate(cls.mixtures):
-            maps = likelihood_maps(crop, mixture, dictionary, occluder, shape=crop.shape)
+            maps = likelihood_maps(evidence, mixture)
             score = image_loglik(maps, visibility=z, score_mode=score_mode)
             row[mi] = score
-            if score > best[0]:
-                best = (score, ci, mi)
+            if best is None or score > best[0]:
+                best = (score, ci, mi, maps)
         all_scores.append(row)
-    return ClassifyResult(best[1], best[2], best[0], tuple(all_scores))
+    score, ci, mi, maps = best
+    return ClassifyResult(ci, mi, score, tuple(all_scores), maps)
 
 
 def segment_single(maps: LikelihoodMaps) -> np.ndarray:

@@ -141,7 +141,7 @@ def perpixel_maps_reference(
 
     features (H, W, D) unit rows, coefficients per position or shared for the
     occluder. Densities are accumulated in linear space with fsum, so this
-    checks the shifted-logsumexp kernels against the direct definition.
+    checks the factored maps against the direct definition.
     """
     h, w, d = features.shape
     k = means.shape[0]
@@ -163,31 +163,6 @@ def perpixel_maps_reference(
             ctx[y, x] = math.log(1.0 - p) + math.log(ctx_mix)
             occ[y, x] = math.log(p) + math.log(occ_mix)
     return fg, ctx, occ
-
-
-def best_order_reference(obj_a, obj_b, conflict: np.ndarray, owners: np.ndarray, outlier_id: int) -> int:
-    """Pick the pairwise order by total scene likelihood, not votes.
-
-    Applies the all-or-nothing reassignment both ways, derives each object's
-    visibility grid, and scores both objects' maps under their grids. Used
-    only for report diagnostics comparing the vote rule against an
-    exhaustive likelihood decision; ties fall to -1 like the vote rule.
-    """
-    from .models import image_loglik
-
-    def total_for(front_first: bool) -> float:
-        trial = owners.copy()
-        take = conflict & (trial != outlier_id)
-        trial[take] = 0 if front_first else 1
-        score = 0.0
-        for idx, obj in ((0, obj_a), (1, obj_b)):
-            window = trial[obj.box.slices]
-            lost = (window >= 0) & (window != idx)
-            vis = (~lost).astype(np.int8)
-            score += image_loglik(obj.maps, visibility=vis)
-        return score
-
-    return 1 if total_for(True) > total_for(False) else -1
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +370,15 @@ def check_monte_carlo_mass(
 
 
 def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, int]:
-    """Vectorized map kernels vs the scalar fsum recomputation."""
+    """Factored maps vs the scalar fsum recomputation."""
     from .fmap import FeatureMap
-    from .models import LikelihoodMaps, MixtureModel, OccluderModel, likelihood_maps
+    from .models import (
+        LikelihoodMaps,
+        MixtureModel,
+        OccluderModel,
+        crop_evidence,
+        likelihood_maps,
+    )
     from .vmf import VmfDictionary, sample_uniform_sphere
 
     def simplex(shape) -> np.ndarray:
@@ -421,7 +402,7 @@ def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, in
         occluder = OccluderModel(coeffs=simplex(k))
         grid = sample_uniform_sphere(rng, h * w, d).reshape(h, w, d)
         fm = FeatureMap(grid.astype(np.float32))
-        got: LikelihoodMaps = likelihood_maps(fm, mixture, dictionary, occluder)
+        got: LikelihoodMaps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
         want = perpixel_maps_reference(
             fm.data.astype(np.float64),
             mixture.fg_prior,

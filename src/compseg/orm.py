@@ -1,7 +1,8 @@
 """Occlusion reasoning over multi-object scenes.
 
-Pipeline per scene: classify each boxed object independently, build its three
-likelihood maps in scene coordinates, then resolve the scene jointly:
+Pipeline per scene: classify each boxed object independently, keep the
+winner's three likelihood maps in scene coordinates, then resolve the scene
+jointly:
 
   1. conflict sets: pixels two overlapping objects both claim, where an
      object claims the pixels it labels foreground inside its predicted
@@ -17,8 +18,9 @@ likelihood maps in scene coordinates, then resolve the scene jointly:
   5. per-object visibility grids; objects whose visibility changed are
      re-scored with the occluder branch forced at pixels they lost
 
-Steps 1-5 repeat for the requested iteration count; maps of relabelled
-objects are rebuilt so later passes reason over corrected predictions.
+Steps 1-5 repeat for the requested iteration count; relabelled objects take
+the maps of their new mixture from the re-scoring, so later passes reason
+over corrected predictions.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from .models import (
     LikelihoodMaps,
     amodal_mask,
     classify,
-    likelihood_maps,
+    likelihood_maps,  # noqa: F401  unused; perfbench/test_perfbench.py deletes orm.likelihood_maps
     segment_single,
 )
 
@@ -361,9 +363,6 @@ def feed_forward(
             patch, bundle.classes, bundle.dictionary, bundle.occluder, score_mode=score_mode
         )
         mixture = bundle.classes[result.class_index].mixtures[result.mixture_index]
-        maps = likelihood_maps(
-            patch, mixture, bundle.dictionary, bundle.occluder, shape=box.shape
-        )
         objects.append(
             SceneObject(
                 oid=oid,
@@ -371,8 +370,8 @@ def feed_forward(
                 class_index=result.class_index,
                 mixture_index=result.mixture_index,
                 score=result.score,
-                maps=maps,
-                labels=segment_single(maps),
+                maps=result.maps,
+                labels=segment_single(result.maps),
                 amodal=amodal_mask(mixture, box),
             )
         )
@@ -412,8 +411,9 @@ def segment_scene(
 
     iters=0 returns the independent per-object baseline. Each pass recomputes
     ownership and order from the current maps, then re-scores exactly the
-    objects whose visibility grid changed (the occluded ones), rebuilding
-    maps when a label flips so the next pass sees corrected predictions.
+    objects whose visibility grid changed (the occluded ones), taking the
+    new mixture's maps when a label flips so the next pass sees corrected
+    predictions.
     """
     if iters < 0:
         raise ValidationError(f"iteration count must be non-negative, got {iters}")
@@ -449,9 +449,7 @@ def segment_scene(
             obj.score = result.score
             if relabelled:
                 mixture = bundle.classes[result.class_index].mixtures[result.mixture_index]
-                obj.maps = likelihood_maps(
-                    patch, mixture, bundle.dictionary, bundle.occluder, shape=obj.box.shape
-                )
+                obj.maps = result.maps
                 obj.labels = segment_single(obj.maps)
                 obj.amodal = amodal_mask(mixture, obj.box)
         trace.append(

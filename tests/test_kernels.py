@@ -1,13 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import compseg
 from compseg import _kernels
 
 # log(0.7*exp(-1) + 0.3*exp(-3)), frozen from scalar math.fsum arithmetic
@@ -26,29 +19,6 @@ def test_mixture_loglik_frozen_value():
     assert shared[0] == pytest.approx(MIX_07_03, abs=1e-12)
 
 
-def _random_inputs(rng, p, k):
-    cos = rng.uniform(-1.0, 1.0, size=(p, k))
-    sigma = rng.uniform(0.0, 40.0, size=k)
-    log_z = rng.uniform(0.5, 25.0, size=k)
-    w = rng.uniform(1e-6, 1.0, size=(p, k))
-    w /= w.sum(axis=1, keepdims=True)
-    return cos, sigma, log_z, np.log(w)
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
-@given(st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 9))
-@settings(max_examples=50, deadline=None)
-def test_engines_agree(seed, p, k):
-    rng = np.random.default_rng(seed)
-    cos, sigma, log_z, log_coeffs = _random_inputs(rng, p, k)
-    a = _kernels.mixture_loglik_numpy(cos, sigma, log_z, log_coeffs)
-    b = _kernels.mixture_loglik_numba(cos, sigma, log_z, log_coeffs)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-    c = _kernels.shared_mixture_loglik_numpy(cos, sigma, log_z, log_coeffs[0])
-    d = _kernels.shared_mixture_loglik_numba(cos, sigma, log_z, log_coeffs[0])
-    assert np.allclose(c, d, rtol=1e-12, atol=1e-12)
-
-
 def test_extreme_magnitudes_stay_finite():
     cos = np.array([[1.0, -1.0], [0.0, 0.5]])
     sigma = np.array([700.0, 700.0])
@@ -57,25 +27,3 @@ def test_extreme_magnitudes_stay_finite():
     out = _kernels.mixture_loglik(cos, sigma, log_z, log_coeffs)
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(700.0 - 1.0 + np.log(0.5), abs=1e-9)
-
-
-def _engine_in_subprocess(flag: str) -> str:
-    # The child gets a bare environment so only the flag varies, plus the
-    # directory this compseg was imported from, so it imports the same code.
-    code = "import compseg._kernels as k; print(k.engine())"
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(compseg.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "COMPSEG_NUMBA": flag},
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
-def test_engine_flag_plumbing():
-    assert _engine_in_subprocess("0") == "numpy"
-    if _kernels.HAS_NUMBA:
-        assert _engine_in_subprocess("1") == "numba"
-        assert _engine_in_subprocess("") == "numba"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from compseg import _kernels
 from compseg.errors import ValidationError
-from compseg.fmap import BoundingBox, FeatureMap
+from compseg.fmap import BoundingBox, FeatureMap, resample_nearest
 from compseg.models import (
     LABEL_CTX,
     LABEL_FG,
@@ -14,13 +15,12 @@ from compseg.models import (
     OccluderModel,
     amodal_mask,
     classify,
-    ctx_loglik,
-    fg_loglik,
+    crop_evidence,
     image_loglik,
     likelihood_maps,
-    occ_loglik,
     segment_single,
 )
+from compseg.oracle import perpixel_maps_reference
 from compseg.vmf import VmfDictionary, log_pdf, sample_uniform_sphere
 
 
@@ -106,37 +106,90 @@ def test_likelihood_maps_shape_checks():
 
 def test_maps_decompose_into_prior_and_pointwise_logliks():
     _, dictionary, mixture, occluder, fm = tiny_setup()
-    maps = likelihood_maps(fm, mixture, dictionary, occluder)
+    maps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
     h, w = mixture.shape
     for r in range(h):
         for c in range(w):
             f = fm.data[r, c].astype(np.float64)
+            dens = np.array([log_pdf(f, comp) for comp in dictionary.components])
+
+            def mix(weights):
+                return float(np.log(np.sum(weights * np.exp(dens))))
+
             p = float(np.clip(mixture.fg_prior[r, c], PRIOR_CLAMP, 1 - PRIOR_CLAMP))
-            fg = np.log(p) + fg_loglik(f, mixture, (r, c), dictionary)
-            ctx = np.log1p(-p) + ctx_loglik(f, mixture, (r, c), dictionary)
-            occ = np.log(p) + occ_loglik(f, occluder, dictionary)
+            fg = np.log(p) + mix(mixture.fg_coeffs[r, c])
+            ctx = np.log1p(-p) + mix(mixture.ctx_coeffs[r, c])
+            occ = np.log(p) + mix(occluder.coeffs)
             assert maps.fg[r, c] == pytest.approx(fg, abs=1e-10)
             assert maps.ctx[r, c] == pytest.approx(ctx, abs=1e-10)
             assert maps.occ[r, c] == pytest.approx(occ, abs=1e-10)
 
 
-def test_single_vector_logliks_match_manual_logsumexp():
+def _reference_maps(fm, mixture, occluder, dictionary, shape):
+    return perpixel_maps_reference(
+        resample_nearest(fm.data, shape).astype(np.float64),
+        resample_nearest(mixture.fg_prior, shape),
+        resample_nearest(mixture.fg_coeffs, shape),
+        resample_nearest(mixture.ctx_coeffs, shape),
+        occluder.coeffs,
+        dictionary.means,
+        dictionary.concentrations,
+    )
+
+
+def test_maps_match_perpixel_reference():
     _, dictionary, mixture, occluder, fm = tiny_setup(seed=4)
-    f = fm.data[1, 2].astype(np.float64)
-    dens = np.array([log_pdf(f, comp) for comp in dictionary.components])
+    maps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
+    want = _reference_maps(fm, mixture, occluder, dictionary, mixture.shape)
+    for got_map, want_map in zip((maps.fg, maps.ctx, maps.occ), want):
+        np.testing.assert_allclose(got_map, want_map, rtol=0, atol=1e-10)
 
-    def mix(weights):
-        return float(np.log(np.sum(weights * np.exp(dens))))
 
-    assert fg_loglik(f, mixture, (1, 2), dictionary) == pytest.approx(
-        mix(mixture.fg_coeffs[1, 2]), abs=1e-10
-    )
-    assert ctx_loglik(f, mixture, (1, 2), dictionary) == pytest.approx(
-        mix(mixture.ctx_coeffs[1, 2]), abs=1e-10
-    )
-    assert occ_loglik(f, occluder, dictionary) == pytest.approx(
-        mix(occluder.coeffs), abs=1e-10
-    )
+@pytest.mark.parametrize("shape", [(5, 7), (2, 2), (3, 9)])
+def test_maps_on_another_lattice_resample_crop_and_planes(shape):
+    # crop and mixture planes both land on the evaluation lattice the way
+    # resample_nearest puts them there
+    _, dictionary, mixture, occluder, fm = tiny_setup(seed=8, h=3, w=4)
+    maps = likelihood_maps(crop_evidence(fm, dictionary, occluder, shape=shape), mixture)
+    assert maps.shape == shape
+    want = _reference_maps(fm, mixture, occluder, dictionary, shape)
+    for got_map, want_map in zip((maps.fg, maps.ctx, maps.occ), want):
+        np.testing.assert_allclose(got_map, want_map, rtol=0, atol=1e-10)
+
+
+def test_underflowing_factored_sums_fall_back_to_exact_logsumexp():
+    # Antipodal components with sigma=700: at a feature on the first mean the
+    # second component's scaled density exp(-1400) is 0, and position 0's
+    # fg, ctx and occluder weights are all on the second component, so the
+    # factored sum there is exactly 0. Position 1 sits on the second mean.
+    means = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    dictionary = VmfDictionary(means, np.full(2, 700.0))
+    off_peak = np.array([0.0, 1.0])
+    coeffs = np.array([[off_peak, [0.5, 0.5]]])
+    mixture = MixtureModel(np.full((1, 2), 0.5), coeffs, coeffs.copy())
+    occluder = OccluderModel(off_peak)
+    fm = FeatureMap(np.array([[means[0], means[1]]], dtype=np.float32))
+    evidence = crop_evidence(fm, dictionary, occluder)
+    assert evidence.scaled[0] @ off_peak == 0.0
+    maps = likelihood_maps(evidence, mixture)
+    for arr in (maps.fg, maps.ctx, maps.occ):
+        assert np.all(np.isfinite(arr))
+
+    cos = fm.data.reshape(2, 3).astype(np.float64) @ means.T
+    sig, lz = dictionary.concentrations, dictionary.log_normalizers
+    with np.errstate(divide="ignore"):
+        log_coeffs = np.log(coeffs.reshape(2, 2))
+        log_occ = np.log(off_peak)
+    log_half = np.log(0.5)
+    exact = _kernels.mixture_loglik(cos, sig, lz, log_coeffs)
+    exact_occ = _kernels.shared_mixture_loglik(cos, sig, lz, log_occ)
+    assert maps.fg[0, 0] == log_half + exact[0]
+    assert maps.ctx[0, 0] == np.log1p(-0.5) + exact[0]
+    assert maps.occ[0, 0] == log_half + exact_occ[0]
+    assert maps.fg[0, 0] == pytest.approx(log_half - 700.0 - lz[1], abs=1e-9)
+    # the rows that did not underflow keep the factored value
+    assert maps.fg[0, 1] == pytest.approx(log_half + exact[1], abs=1e-10)
+    assert maps.occ[0, 1] == pytest.approx(log_half + exact_occ[1], abs=1e-10)
 
 
 def test_prior_clamp_keeps_extreme_priors_finite():
@@ -147,7 +200,7 @@ def test_prior_clamp_keeps_extreme_priors_finite():
     mixture = MixtureModel(prior, simplex(rng, (1, 2, k)), simplex(rng, (1, 2, k)))
     occluder = OccluderModel(simplex(rng, (k,)))
     fm = FeatureMap(sample_uniform_sphere(rng, 2, d).reshape(1, 2, d).astype(np.float32))
-    maps = likelihood_maps(fm, mixture, dictionary, occluder)
+    maps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
     assert np.all(np.isfinite(maps.fg))
     assert np.all(np.isfinite(maps.ctx))
     assert np.all(np.isfinite(maps.occ))
@@ -212,6 +265,36 @@ def test_classify_prefers_matching_component_mixture():
     # alone, so the tie breaks to the first class and mixture
     blind = classify(crop, classes, dictionary, occluder, visibility=np.zeros((h, w)))
     assert (blind.class_index, blind.mixture_index) == (0, 0)
+
+
+def test_classify_returns_the_winners_maps():
+    rng, dictionary, _, occluder, _ = tiny_setup(seed=9, k=4, d=5)
+    k = dictionary.size
+
+    def mixture(h, w):
+        return MixtureModel(
+            rng.uniform(0.05, 0.95, size=(h, w)),
+            simplex(rng, (h, w, k)),
+            simplex(rng, (h, w, k)),
+        )
+
+    classes = [
+        ClassModel("a", (mixture(3, 4), mixture(5, 5))),
+        ClassModel("b", (mixture(4, 3), mixture(2, 6))),
+    ]
+    crop = FeatureMap(
+        sample_uniform_sphere(rng, 4 * 6, 5).reshape(4, 6, 5).astype(np.float32)
+    )
+    evidence = crop_evidence(crop, dictionary, occluder)
+    for visibility in (None, rng.integers(0, 2, size=(4, 6))):
+        got = classify(crop, classes, dictionary, occluder, visibility=visibility)
+        winner = classes[got.class_index].mixtures[got.mixture_index]
+        want = likelihood_maps(evidence, winner)
+        for got_map, want_map in zip(
+            (got.maps.fg, got.maps.ctx, got.maps.occ), (want.fg, want.ctx, want.occ)
+        ):
+            assert np.array_equal(got_map, want_map)
+        assert got.score == image_loglik(want, visibility=visibility)
 
 
 def test_segment_single_tie_preferences():
