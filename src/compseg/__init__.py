@@ -27,7 +27,6 @@ from .metrics import (
     MiouTable,
     dataset_order_accuracy,
     full_graph_accuracy,
-    mask_iou,
     miou_by_level,
     order_accuracy,
     predict_scene,
@@ -47,7 +46,6 @@ from .orm import (
     OrderEdge,
     SceneResult,
     VisibilityAssignment,
-    build_order_graph,
     feed_forward,
     recover_order,
     segment_scene,
@@ -84,7 +82,6 @@ __all__ = [
     "MiouTable",
     "dataset_order_accuracy",
     "full_graph_accuracy",
-    "mask_iou",
     "miou_by_level",
     "order_accuracy",
     "predict_scene",
@@ -100,7 +97,6 @@ __all__ = [
     "OrderEdge",
     "SceneResult",
     "VisibilityAssignment",
-    "build_order_graph",
     "feed_forward",
     "recover_order",
     "segment_scene",

@@ -183,7 +183,6 @@ def _cmd_segment(args) -> int:
         bundle,
         iters=args.iters,
         no_order=args.no_order,
-        occ_merge=args.occ_merge,
     )
     os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, f"{ann.scene_id}.json")
@@ -379,7 +378,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--scene", required=True, help=".fmap file; boxes come from its annotation")
     p.add_argument("--iters", type=int, choices=(0, 1, 2), default=1)
     p.add_argument("--no-order", action="store_true")
-    p.add_argument("--occ-merge", choices=("max", "per-object"), default="max")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_segment)
 

@@ -161,7 +161,10 @@ def load_model(path: str) -> ModelBundle:
     classes = []
     for _ in range(n_classes):
         (label_len,) = r.unpack("<H")
-        label = r.take(label_len).decode("utf-8")
+        try:
+            label = r.take(label_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: class label is not UTF-8: {exc}") from exc
         (m,) = r.unpack("<I")
         mixtures = []
         for _ in range(m):
@@ -207,6 +210,8 @@ def encode_rle(mask: np.ndarray) -> str:
 
 
 def decode_rle(text: str, shape: tuple[int, int]) -> np.ndarray:
+    if not isinstance(text, str):
+        raise FormatError(f"RLE must be a string, got {type(text).__name__}")
     try:
         runs = [int(tok) for tok in text.split()]
     except ValueError as exc:

@@ -1,10 +1,11 @@
 """Segmentation metrics and the variant-comparison driver.
 
 Objects are scored by mask IoU and bucketed by their ground-truth occlusion
-fraction; the bucket edges live in `synth.LEVEL_EDGES` so the generator and
-the scorer can never drift apart. Objects hidden beyond the last bucket are
-excluded from every row. The Mean row averages over objects, not over level
-rows, so sparsely populated buckets do not get outsized weight.
+fraction with `synth.level_of`, the generator's own bucketing, so the
+generator and the scorer can never drift apart. Objects hidden beyond the
+last bucket (`synth.OVER_LIMIT`) are excluded from every row. The Mean row
+averages over objects, not over level rows, so sparsely populated buckets
+do not get outsized weight.
 """
 
 from __future__ import annotations
@@ -20,18 +21,17 @@ from .errors import ValidationError
 from .fmap import FeatureMap, iou
 from .formats import ModelBundle, ObjectRecord, SceneAnnotation
 from .orm import SceneResult, segment_scene
-from .synth import LEVEL_EDGES, LEVELS
+from .synth import LEVELS, OVER_LIMIT, level_of
 
 __all__ = [
     "MiouTable",
     "miou_by_level",
-    "mask_iou",
-    "level_of",
     "order_accuracy",
     "dataset_order_accuracy",
     "full_graph_accuracy",
     "predict_scene",
     "run_ablation",
+    "tabulate",
     "AblationReport",
     "unknown_outlier_stats",
     "format_level_table",
@@ -42,19 +42,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # per-object scoring
-
-
-def mask_iou(pred: np.ndarray, truth: np.ndarray) -> float:
-    return iou(pred, truth)
-
-
-def level_of(occlusion: float) -> str | None:
-    """Bucket name for a ground-truth occlusion fraction, None if excluded."""
-    for name in LEVELS:
-        lo, hi = LEVEL_EDGES[name]
-        if lo <= occlusion < hi:
-            return name
-    return None
 
 
 @dataclass(frozen=True)
@@ -104,16 +91,16 @@ def miou_by_level(
         scene_pred = pred.get(ann.scene_id, {})
         for rec in ann.objects:
             name = level_of(rec.occlusion)
-            if name is None:
+            if name == OVER_LIMIT:
                 continue
             match = scene_pred.get(rec.oid)
             if match is None:
-                iou = 0.0
+                score = 0.0
             else:
                 want = rec.modal if mode == "modal" else rec.amodal
                 got = match.modal if mode == "modal" else match.amodal
-                iou = mask_iou(got, want)
-            sums[name] += iou
+                score = iou(got, want)
+            sums[name] += score
             counts[name] += 1
 
     rows = {
@@ -189,8 +176,6 @@ def predict_scene(
     bundle: ModelBundle,
     iters: int = 1,
     no_order: bool = False,
-    occ_merge: str = "max",
-    score_mode: str = "max",
 ) -> tuple[SceneAnnotation, SceneResult]:
     """Segment one scene with ground-truth boxes and package the prediction.
 
@@ -199,11 +184,7 @@ def predict_scene(
     decision, and the recovered order edges describe the output.
     """
     boxes = [(rec.oid, rec.box) for rec in truth.objects]
-    result = segment_scene(
-        fm, boxes, bundle,
-        iters=iters, no_order=no_order,
-        occ_merge=occ_merge, score_mode=score_mode,
-    )
+    result = segment_scene(fm, boxes, bundle, iters=iters, no_order=no_order)
     objects = []
     for idx, rec in enumerate(truth.objects):
         obj = result.objects[idx]
@@ -257,37 +238,46 @@ class AblationReport:
     scenario: str = ""
 
 
+def tabulate(
+    predicted: Sequence[Sequence[SceneAnnotation]],
+    truths: Sequence[SceneAnnotation],
+    variants: Sequence[tuple[str, dict]] = VARIANTS,
+    scenario: str = "",
+) -> AblationReport:
+    """Modal/amodal mIoU and order accuracy, one prediction list per variant.
+
+    `predicted[v]` holds variant v's annotations in `truths` order. A variant
+    that runs no reasoning pass (iters=0) recovers no order and reads NaN.
+    """
+    modal: dict[str, MiouTable] = {}
+    amodal: dict[str, MiouTable] = {}
+    order: dict[str, float] = {}
+    for (name, kwargs), preds in zip(variants, predicted, strict=True):
+        modal[name] = miou_by_level(preds, truths, "modal")
+        amodal[name] = miou_by_level(preds, truths, "amodal")
+        if kwargs.get("iters", 1) == 0:
+            order[name] = math.nan
+        else:
+            order[name] = dataset_order_accuracy(zip(preds, truths))
+    return AblationReport(modal=modal, amodal=amodal, order=order, scenario=scenario)
+
+
 def run_ablation(
     pairs: Sequence[tuple[FeatureMap, SceneAnnotation]],
     bundle: ModelBundle,
     variants: Sequence[tuple[str, dict]] = VARIANTS,
-    occ_merge: str = "max",
-    score_mode: str = "max",
     jobs: int = 1,
     scenario: str = "",
 ) -> AblationReport:
     """Segment every scene under each variant and tabulate modal/amodal mIoU."""
-    modal: dict[str, MiouTable] = {}
-    amodal: dict[str, MiouTable] = {}
-    order: dict[str, float] = {}
-    truths = [truth for _, truth in pairs]
-
-    for name, kwargs in variants:
+    predicted = []
+    for _, kwargs in variants:
         def one(pair, kwargs=kwargs):
             fm, truth = pair
-            ann, _ = predict_scene(
-                fm, truth, bundle,
-                occ_merge=occ_merge, score_mode=score_mode, **kwargs,
-            )
-            return ann
-        predicted = _map_ordered(one, pairs, jobs)
-        modal[name] = miou_by_level(predicted, truths, "modal")
-        amodal[name] = miou_by_level(predicted, truths, "amodal")
-        if kwargs.get("iters", 1) == 0:
-            order[name] = math.nan
-        else:
-            order[name] = dataset_order_accuracy(zip(predicted, truths))
-    return AblationReport(modal=modal, amodal=amodal, order=order, scenario=scenario)
+            return predict_scene(fm, truth, bundle, **kwargs)[0]
+        predicted.append(_map_ordered(one, pairs, jobs))
+    truths = [truth for _, truth in pairs]
+    return tabulate(predicted, truths, variants, scenario)
 
 
 def _map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:

@@ -291,17 +291,12 @@ def likelihood_maps(evidence: CropEvidence, mixture: MixtureModel) -> Likelihood
     )
 
 
-def image_loglik(
-    maps: LikelihoodMaps,
-    visibility: np.ndarray | None = None,
-    score_mode: str = "max",
-) -> float:
+def image_loglik(maps: LikelihoodMaps, visibility: np.ndarray | None = None) -> float:
     """Total log-likelihood of a crop from its maps.
 
-    Without a visibility grid every pixel takes its best branch ("max" mode)
-    or the additive foreground/context composition against the occluder
-    branch ("additive" mode). With a binary visibility grid, 1 selects the
-    foreground map value and 0 the occluder map value.
+    Without a visibility grid every pixel takes its best branch. With a
+    binary visibility grid, 1 selects the foreground map value and 0 the
+    occluder map value.
     """
     if visibility is not None:
         z = np.asarray(visibility)
@@ -313,13 +308,7 @@ def image_loglik(
             raise ValidationError("visibility grid must be binary")
         zf = z.astype(np.float64)
         return float(np.sum(zf * maps.fg + (1.0 - zf) * maps.occ))
-    if score_mode == "max":
-        per_pixel = np.maximum(np.maximum(maps.fg, maps.ctx), maps.occ)
-    elif score_mode == "additive":
-        per_pixel = np.maximum(np.logaddexp(maps.fg, maps.ctx), maps.occ)
-    else:
-        raise ValidationError(f"unknown score mode {score_mode!r}")
-    return float(np.sum(per_pixel))
+    return float(np.sum(np.maximum(np.maximum(maps.fg, maps.ctx), maps.occ)))
 
 
 @dataclass(frozen=True)
@@ -337,7 +326,6 @@ def classify(
     dictionary: VmfDictionary,
     occluder: OccluderModel,
     visibility: np.ndarray | None = None,
-    score_mode: str = "max",
 ) -> ClassifyResult:
     """Best (class, mixture) for a crop; ties break to the lowest indices.
 
@@ -362,7 +350,7 @@ def classify(
         row = np.empty(len(cls.mixtures))
         for mi, mixture in enumerate(cls.mixtures):
             maps = likelihood_maps(evidence, mixture)
-            score = image_loglik(maps, visibility=z, score_mode=score_mode)
+            score = image_loglik(maps, visibility=z)
             row[mi] = score
             if best is None or score > best[0]:
                 best = (score, ci, mi, maps)

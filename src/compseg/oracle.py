@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -247,12 +248,18 @@ def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int,
     """orm_pass edges and reassigned owners vs scalar recomputations.
 
     Random tables as in the competition suite, two to five objects, each
-    with a random amodal mask so claims outside it occur. Edges are
-    recounted pair by pair over the pixels both objects claim; owners come
-    from `reassignment_reference` under those edges. Returns (mismatching
-    cases, cases): a case mismatches when any edge or any owner differs.
+    on a random sub-box of the lattice with its maps cropped to it and a
+    random amodal mask, so box offsets and claims outside the amodal mask
+    both occur. A pixel outside an object's box is not that object's: it
+    neither competes nor claims there, and a pixel outside every box is
+    `OWNER_OUTSIDE`. Edges are recounted pair by pair over the pixels both
+    objects claim; owners come from `reassignment_reference` under those
+    edges. Returns (mismatching cases, cases): a case mismatches when any
+    edge or any owner differs.
     """
-    from .orm import orm_pass
+    from .fmap import BoundingBox
+    from .models import LikelihoodMaps
+    from .orm import OWNER_OUTSIDE, orm_pass
 
     mismatches = 0
     for _ in range(cases):
@@ -261,11 +268,31 @@ def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int,
         n = int(rng.integers(2, 6))
         table = _random_table(rng, h * w, n)
         amodal = rng.random((n, h * w)) < 0.75
-        objects = table_objects(table, (h, w))
-        for obj, mask in zip(objects, amodal):
-            obj.amodal = mask.reshape(h, w)
+        inside = np.zeros((n, h * w), dtype=np.bool_)
+        objects = []
+        for k, obj in enumerate(table_objects(table, (h, w))):
+            y0 = int(rng.integers(0, h))
+            x0 = int(rng.integers(0, w))
+            y1 = int(rng.integers(y0 + 1, h + 1))
+            x1 = int(rng.integers(x0 + 1, w + 1))
+            box = BoundingBox(x0, y0, x1, y1)
+            sl = box.slices
+            maps = LikelihoodMaps(obj.maps.fg[sl], obj.maps.ctx[sl], obj.maps.occ[sl])
+            objects.append(replace(
+                obj, box=box, maps=maps, labels=obj.labels[sl],
+                amodal=amodal[k].reshape(h, w)[sl],
+            ))
+            inside[k].reshape(h, w)[sl] = True
+        boxed = [
+            [table[p, k] if inside[k, p] else -math.inf for k in range(n)] + [table[p, n]]
+            for p in range(h * w)
+        ]
+        competition = [
+            owner if inside[:, p].any() else OWNER_OUTSIDE
+            for p, owner in enumerate(perpixel_owner_reference(boxed))
+        ]
         claimants = [
-            [k for k in range(n) if amodal[k, p] and table[p, k] >= table[p, n]]
+            [k for k in range(n) if inside[k, p] and amodal[k, p] and table[p, k] >= table[p, n]]
             for p in range(h * w)
         ]
         edges = []
@@ -284,7 +311,7 @@ def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int,
                 else:
                     edges.append((b, a, votes_b, votes_a, len(rows)))
         want = reassignment_reference(
-            perpixel_owner_reference(table), claimants, [e[:4] for e in edges], n
+            competition, claimants, [e[:4] for e in edges], n
         )
         assignment, got_edges = orm_pass(objects, (h, w))
         same_edges = sorted(e.as_tuple() for e in got_edges) == sorted(edges)

@@ -2,25 +2,28 @@
 
 Pipeline per scene: classify each boxed object independently, keep the
 winner's three likelihood maps in scene coordinates, then resolve the scene
-jointly:
+jointly. `orm_pass` lays every object's foreground and occluder maps, its F
+labels and its claims on the scene lattice once, as one plane per object
+(-inf or False outside the box), and runs steps 1-3 from those planes:
 
-  1. conflict sets: pixels two overlapping objects both claim, where an
-     object claims the pixels it labels foreground inside its predicted
-     amodal mask (a modal mask is amodal ∩ owned, so a foreground pixel
-     outside the amodal mask can never be modal for that object)
-  2. pixel competition: per contested pixel, the best foreground likelihood
-     against the merged occluder value (ties: outlier first, then lower id)
-  3. pairwise order recovery from competition vote counts
-  4. reassignment: every pixel two or more objects claim, and the outlier
+  1. pixel competition: per covered pixel some object labels foreground,
+     the best of those foreground likelihoods against the occluder value
+     merged over the covering models (ties: outlier first, then lower id)
+  2. pairwise order recovery: a pair's conflict set is the pixels both
+     claim, an object claiming the pixels it labels foreground inside its
+     predicted amodal mask (a modal mask is amodal ∩ owned, so a foreground
+     pixel outside the amodal mask can never be modal for that object); the
+     pair competes there, and its vote counts give the edge
+  3. reassignment: every pixel two or more objects claim, and the outlier
      does not hold, goes to the claimant the recovered order puts in front
      of every other claimant there; a tied vote puts neither object in
      front, and a pixel without such a claimant keeps its competition owner
-  5. per-object visibility grids; objects whose visibility changed are
+  4. per-object visibility grids; objects whose visibility changed are
      re-scored with the occluder branch forced at pixels they lost
 
-Steps 1-5 repeat for the requested iteration count; relabelled objects take
-the maps of their new mixture from the re-scoring, so later passes reason
-over corrected predictions.
+Steps 1-4 repeat for the requested iteration count; re-scored objects take
+the maps of their (possibly new) mixture from the re-scoring, so later
+passes reason over corrected predictions.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .formats import ModelBundle
 from .models import (
     LABEL_FG,
     LABEL_OCC,
+    ClassifyResult,
     LikelihoodMaps,
     amodal_mask,
     classify,
@@ -106,21 +110,12 @@ class OrderEdge:
 
 
 @dataclass
-class IterationRecord:
-    assignments: np.ndarray
-    edges: tuple[OrderEdge, ...]
-    labels: tuple[tuple[int, int], ...]
-    scores: tuple[float, ...]
-
-
-@dataclass
 class SceneResult:
     objects: list[SceneObject]
     assignment: VisibilityAssignment | None
     edges: tuple[OrderEdge, ...]
     amodal: list[np.ndarray]   # full-lattice masks, one per object
     modal: list[np.ndarray]
-    trace: list[IterationRecord]
 
 
 def compete_pixels(fg_values: np.ndarray, occ_values: np.ndarray) -> np.ndarray:
@@ -142,197 +137,99 @@ def compete_pixels(fg_values: np.ndarray, occ_values: np.ndarray) -> np.ndarray:
     return np.where(idx == 0, fg.shape[1], idx - 1)
 
 
-def detect_conflicts(a: SceneObject, b: SceneObject, scene_shape: tuple[int, int]) -> np.ndarray:
-    """Full-lattice mask of pixels both objects claim (`SceneObject.claims`).
-
-    A pixel one object labels foreground outside its predicted amodal mask
-    can never be modal for it, so it is no evidence of occlusion: it casts
-    no vote and is never reassigned.
-    """
-    out = np.zeros(scene_shape, dtype=np.bool_)
-    inter = a.box.intersection(b.box)
-    if inter is None:
-        return out
-    ay, ax = inter.y0 - a.box.y0, inter.x0 - a.box.x0
-    by, bx = inter.y0 - b.box.y0, inter.x0 - b.box.x0
-    h, w = inter.shape
-    a_claim = a.claims()[ay : ay + h, ax : ax + w]
-    b_claim = b.claims()[by : by + h, bx : bx + w]
-    out[inter.slices] = a_claim & b_claim
-    return out
-
-
-def _pair_tables(a: SceneObject, b: SceneObject, conflict: np.ndarray, occ_merge: str):
-    """Per-conflict-pixel (fg_a, fg_b, occ) columns for the pairwise rule."""
-    ys, xs = np.nonzero(conflict)
-    fa = a.maps.fg[ys - a.box.y0, xs - a.box.x0]
-    fb = b.maps.fg[ys - b.box.y0, xs - b.box.x0]
-    oa = a.maps.occ[ys - a.box.y0, xs - a.box.x0]
-    ob = b.maps.occ[ys - b.box.y0, xs - b.box.x0]
-    if occ_merge == "max":
-        fg = np.stack([fa, fb], axis=1)
-        occ = np.maximum(oa, ob)
-    elif occ_merge == "per-object":
-        # Each claim must beat the claimant's own occluder value; a claim
-        # that fails is withdrawn before the joint argmax.
-        fg = np.stack(
-            [np.where(fa > oa, fa, -np.inf), np.where(fb > ob, fb, -np.inf)], axis=1
-        )
-        occ = np.maximum(oa, ob)
-    else:
-        raise ValidationError(f"unknown occ merge mode {occ_merge!r}")
-    return ys, xs, fg, occ
-
-
-def pixel_competition(
-    a: SceneObject,
-    b: SceneObject,
-    pixel: tuple[int, int],
-    scene_shape: tuple[int, int],
-    occ_merge: str = "max",
-) -> int:
-    """Owner of one conflict pixel: a.oid, b.oid, or the outlier (-1 here)."""
-    conflict = np.zeros(scene_shape, dtype=np.bool_)
-    conflict[pixel] = True
-    _, _, fg, occ = _pair_tables(a, b, conflict, occ_merge)
-    winner = int(compete_pixels(fg, occ)[0])
-    return {0: a.oid, 1: b.oid}.get(winner, -1)
-
-
 def recover_order(votes_a: int, votes_b: int) -> int:
     """+1 when the first object is in front, else -1 (ties fall to -1)."""
     return 1 if votes_a > votes_b else -1
 
 
-def _conflict_pairs(objects: Sequence[SceneObject], scene_shape, occ_merge):
-    """All overlapping pairs with nonempty conflicts, ordered for processing.
-
-    Descending conflict size, then ascending (id, id). Votes come from the
-    pairwise competition on the pair's own maps.
-    """
-    pairs = []
-    for i in range(len(objects)):
-        for j in range(i + 1, len(objects)):
-            a, b = objects[i], objects[j]
-            if not a.box.overlaps(b.box):
-                continue
-            conflict = detect_conflicts(a, b, scene_shape)
-            csize = int(conflict.sum())
-            if csize == 0:
-                continue
-            ys, xs, fg, occ = _pair_tables(a, b, conflict, occ_merge)
-            winners = compete_pixels(fg, occ)
-            votes_a = int(np.sum(winners == 0))
-            votes_b = int(np.sum(winners == 1))
-            pairs.append((csize, a.oid, b.oid, i, j, conflict, votes_a, votes_b))
-    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-    return pairs
-
-
-def _competition_ownership(
-    objects: Sequence[SceneObject], scene_shape: tuple[int, int], occ_merge: str
-) -> np.ndarray:
-    """Scene ownership before any order reassignment.
-
-    Every covered pixel runs the competition: the foreground claims standing
-    there (pixels the claimant labels F) against the occluder value merged
-    over all models covering the pixel. Claims of one object and claims of
-    several are treated identically, so the rule matches the brute-force
-    per-pixel MAP table exactly. Covered pixels nobody claims go to the
-    outlier when some covering model labels them occluder, otherwise stay
-    unowned (context matter).
-    """
-    n = len(objects)
-    owners = np.full(scene_shape, OWNER_OUTSIDE, dtype=np.int16)
-    claim = np.zeros((n,) + scene_shape, dtype=np.bool_)
-    occ_label = np.zeros(scene_shape, dtype=np.bool_)
-    fg_val = np.full((n,) + scene_shape, -np.inf)
-    occ_val = np.full((n,) + scene_shape, -np.inf)
-
-    for idx, obj in enumerate(objects):
-        sl = obj.box.slices
-        owners[sl] = np.where(owners[sl] == OWNER_OUTSIDE, OWNER_NONE, owners[sl])
-        claim[idx][sl] = obj.labels == LABEL_FG
-        occ_label[sl] |= obj.labels == LABEL_OCC
-        fg_val[idx][sl] = obj.maps.fg
-        occ_val[idx][sl] = obj.maps.occ
-
-    claimed = claim.any(axis=0)
-    if np.any(claimed):
-        ys, xs = np.nonzero(claimed)
-        fg = np.where(claim[:, ys, xs], fg_val[:, ys, xs], -np.inf).T
-        occ = np.max(occ_val[:, ys, xs], axis=0)
-        if occ_merge == "per-object":
-            own_occ = occ_val[:, ys, xs]
-            fg = np.where(fg > own_occ.T, fg, -np.inf)
-        owners[ys, xs] = compete_pixels(fg, occ)
-
-    unclaimed_occ = ~claimed & occ_label
-    owners[unclaimed_occ] = n
-    return owners
-
-
-def reassign(
-    owners: np.ndarray, conflict: np.ndarray, front_index: int, outlier_id: int
-) -> np.ndarray:
-    """All-or-nothing: conflict pixels not held by the outlier go to the front."""
-    take = conflict & (owners != outlier_id)
-    owners[take] = front_index
-    return owners
-
-
 def orm_pass(
     objects: Sequence[SceneObject],
     scene_shape: tuple[int, int],
-    occ_merge: str = "max",
     no_order: bool = False,
 ) -> tuple[VisibilityAssignment, tuple[OrderEdge, ...]]:
     """One competition + order-recovery + reassignment sweep over a scene.
 
-    Each pair with a nonempty conflict set gets the edge `recover_order`
-    reads from its votes, ties included. Reassignment then works per pixel,
-    not per pair, so at a pixel three or more objects claim no pair can
-    overwrite another's decision: a pixel two or more objects claim, and the
-    outlier does not hold, goes to the claimant that the edges put in front
-    of every other claimant there. A tied vote is a coin flip on ids, so a
-    tied pair puts neither object in front; a pixel without a claimant in
-    front of all the others keeps its competition owner. With two claimants
-    this is the all-or-nothing reassignment of the pair's conflict set.
+    Each object's maps, F labels and claims (`SceneObject.claims`) are laid
+    on the scene lattice once, -inf and False outside its box, and all three
+    steps read those planes.
+
+    Competition: every covered pixel some object labels F goes to the best
+    of those foreground values against the occluder value merged over all
+    models covering the pixel. Claims of one object and of several are
+    treated alike, so the rule matches the brute-force per-pixel MAP table
+    exactly. Covered pixels nobody labels F go to the outlier when some
+    covering model labels them occluder, otherwise stay unowned (context).
+
+    Votes: each pair's conflict set is the pixels both objects claim; there
+    the pair competes on its own two foreground maps against the larger of
+    its two occluder maps, and the pair gets the edge `recover_order` reads
+    from the vote counts, ties included. Edges come in descending conflict
+    size, then ascending (id, id).
+
+    Reassignment works per pixel, not per pair, so at a pixel three or more
+    objects claim no pair can overwrite another's decision: a pixel two or
+    more objects claim, and the outlier does not hold, goes to the claimant
+    that the edges put in front of every other claimant there. A tied vote
+    is a coin flip on ids, so a tied pair puts neither object in front; a
+    pixel without a claimant in front of all the others keeps its
+    competition owner. With two claimants this is the all-or-nothing
+    reassignment of the pair's conflict set.
     """
     n = len(objects)
-    owners = _competition_ownership(objects, scene_shape, occ_merge)
-    pairs = _conflict_pairs(objects, scene_shape, occ_merge)
+    planes = (n, *scene_shape)
+    fg = np.full(planes, -np.inf)
+    occ = np.full(planes, -np.inf)
+    labels_fg = np.zeros(planes, dtype=np.bool_)
+    claims = np.zeros(planes, dtype=np.bool_)
+    labels_occ = np.zeros(scene_shape, dtype=np.bool_)
+    owners = np.full(scene_shape, OWNER_OUTSIDE, dtype=np.int16)
+    for idx, obj in enumerate(objects):
+        sl = obj.box.slices
+        fg[idx][sl] = obj.maps.fg
+        occ[idx][sl] = obj.maps.occ
+        labels_fg[idx][sl] = obj.labels == LABEL_FG
+        claims[idx][sl] = obj.claims()
+        labels_occ[sl] |= obj.labels == LABEL_OCC
+        owners[sl] = OWNER_NONE
+
+    claimed = labels_fg.any(axis=0)
+    if claimed.any():
+        table = np.where(labels_fg[:, claimed], fg[:, claimed], -np.inf).T
+        owners[claimed] = compete_pixels(table, occ[:, claimed].max(axis=0))
+    owners[~claimed & labels_occ] = n
+
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            conflict = claims[i] & claims[j]
+            if not conflict.any():
+                continue
+            winners = compete_pixels(
+                np.stack([fg[i][conflict], fg[j][conflict]], axis=1),
+                np.maximum(occ[i][conflict], occ[j][conflict]),
+            )
+            votes = (int(np.sum(winners == 0)), int(np.sum(winners == 1)))
+            pairs.append((int(conflict.sum()), objects[i].oid, objects[j].oid, i, j, votes))
+    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
     edges = []
     ahead = set()
-    for csize, oid_a, oid_b, i, j, conflict, votes_a, votes_b in pairs:
+    for size, oid_a, oid_b, i, j, (votes_a, votes_b) in pairs:
         if recover_order(votes_a, votes_b) == 1:
-            edges.append(OrderEdge(oid_a, oid_b, votes_a, votes_b, csize))
+            edges.append(OrderEdge(oid_a, oid_b, votes_a, votes_b, size))
         else:
-            edges.append(OrderEdge(oid_b, oid_a, votes_b, votes_a, csize))
+            edges.append(OrderEdge(oid_b, oid_a, votes_b, votes_a, size))
         if votes_a != votes_b:
             ahead.add((i, j) if votes_a > votes_b else (j, i))
+
     if not no_order:
-        claims = np.zeros((n,) + scene_shape, dtype=np.bool_)
-        for idx, obj in enumerate(objects):
-            claims[idx][obj.box.slices] = obj.claims()
-        contested = claims.sum(axis=0) >= 2
+        movable = (claims.sum(axis=0) >= 2) & (owners != n)
         for front in range(n):
-            take = contested & claims[front]
+            take = movable & claims[front]
             for other in range(n):
                 if other != front and (front, other) not in ahead:
                     take &= ~claims[other]
-            owners = reassign(owners, take, front, n)
+            owners[take] = front
     return VisibilityAssignment(owners, n), tuple(edges)
-
-
-def build_order_graph(
-    objects: Sequence[SceneObject],
-    scene_shape: tuple[int, int],
-    occ_merge: str = "max",
-) -> tuple[OrderEdge, ...]:
-    """Directed pairwise order edges from the objects' current maps."""
-    _, edges = orm_pass(objects, scene_shape, occ_merge=occ_merge, no_order=True)
-    return edges
 
 
 def _visibility_from_owners(obj_index: int, obj: SceneObject, owners: np.ndarray) -> np.ndarray:
@@ -347,34 +244,35 @@ def _self_visibility(obj: SceneObject) -> np.ndarray:
     return (obj.labels != LABEL_OCC).astype(np.int8)
 
 
+def _scene_object(
+    oid: int, box: BoundingBox, result: ClassifyResult, bundle: ModelBundle
+) -> SceneObject:
+    """The object as `classify` decided it: its winner's maps, labels and amodal mask."""
+    mixture = bundle.classes[result.class_index].mixtures[result.mixture_index]
+    return SceneObject(
+        oid=oid,
+        box=box,
+        class_index=result.class_index,
+        mixture_index=result.mixture_index,
+        score=result.score,
+        maps=result.maps,
+        labels=segment_single(result.maps),
+        amodal=amodal_mask(mixture, box),
+    )
+
+
 def feed_forward(
     scene: FeatureMap,
     boxes: Sequence[tuple[int, BoundingBox]],
     bundle: ModelBundle,
-    score_mode: str = "max",
 ) -> list[SceneObject]:
     """Independent per-object classification and scene-aligned maps."""
     objects = []
     for oid, box in boxes:
         if not box.fits_in(scene.height, scene.width):
             raise ValidationError(f"object {oid}: box {box.as_tuple()} outside scene")
-        patch = crop(scene, box)
-        result = classify(
-            patch, bundle.classes, bundle.dictionary, bundle.occluder, score_mode=score_mode
-        )
-        mixture = bundle.classes[result.class_index].mixtures[result.mixture_index]
-        objects.append(
-            SceneObject(
-                oid=oid,
-                box=box,
-                class_index=result.class_index,
-                mixture_index=result.mixture_index,
-                score=result.score,
-                maps=result.maps,
-                labels=segment_single(result.maps),
-                amodal=amodal_mask(mixture, box),
-            )
-        )
+        result = classify(crop(scene, box), bundle.classes, bundle.dictionary, bundle.occluder)
+        objects.append(_scene_object(oid, box, result, bundle))
     return objects
 
 
@@ -404,62 +302,38 @@ def segment_scene(
     bundle: ModelBundle,
     iters: int = 1,
     no_order: bool = False,
-    occ_merge: str = "max",
-    score_mode: str = "max",
 ) -> SceneResult:
     """Full scene inference: feed-forward, then `iters` reasoning passes.
 
     iters=0 returns the independent per-object baseline. Each pass recomputes
     ownership and order from the current maps, then re-scores exactly the
-    objects whose visibility grid changed (the occluded ones), taking the
-    new mixture's maps when a label flips so the next pass sees corrected
-    predictions.
+    objects whose visibility grid changed (the occluded ones); a re-scored
+    object takes the maps of the mixture it now wins, so after a label flip
+    the next pass sees corrected predictions.
     """
     if iters < 0:
         raise ValidationError(f"iteration count must be non-negative, got {iters}")
-    objects = feed_forward(scene, boxes, bundle, score_mode=score_mode)
+    objects = feed_forward(scene, boxes, bundle)
     scene_shape = scene.shape
-    trace: list[IterationRecord] = []
     assignment: VisibilityAssignment | None = None
     edges: tuple[OrderEdge, ...] = ()
 
     prev_vis = [_self_visibility(o) for o in objects]
     for _ in range(iters):
-        assignment, edges = orm_pass(objects, scene_shape, occ_merge, no_order)
+        assignment, edges = orm_pass(objects, scene_shape, no_order)
         for idx, obj in enumerate(objects):
             vis = _visibility_from_owners(idx, obj, assignment.owners)
             if np.array_equal(vis, prev_vis[idx]):
                 continue
             prev_vis[idx] = vis
-            patch = crop(scene, obj.box)
             result = classify(
-                patch,
+                crop(scene, obj.box),
                 bundle.classes,
                 bundle.dictionary,
                 bundle.occluder,
                 visibility=vis,
-                score_mode=score_mode,
             )
-            relabelled = (result.class_index, result.mixture_index) != (
-                obj.class_index,
-                obj.mixture_index,
-            )
-            obj.class_index = result.class_index
-            obj.mixture_index = result.mixture_index
-            obj.score = result.score
-            if relabelled:
-                mixture = bundle.classes[result.class_index].mixtures[result.mixture_index]
-                obj.maps = result.maps
-                obj.labels = segment_single(obj.maps)
-                obj.amodal = amodal_mask(mixture, obj.box)
-        trace.append(
-            IterationRecord(
-                assignments=assignment.owners.copy(),
-                edges=edges,
-                labels=tuple((o.class_index, o.mixture_index) for o in objects),
-                scores=tuple(o.score for o in objects),
-            )
-        )
+            objects[idx] = _scene_object(obj.oid, obj.box, result, bundle)
 
     owners = assignment.owners if assignment is not None else None
     amodal_out, modal_out = _masks(objects, scene_shape, owners)
@@ -469,5 +343,4 @@ def segment_scene(
         edges=edges,
         amodal=amodal_out,
         modal=modal_out,
-        trace=trace,
     )

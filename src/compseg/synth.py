@@ -316,10 +316,6 @@ def build_templates(grid: int = 24) -> dict[str, list[ClassTemplate]]:
     return out
 
 
-def scale_part_grid(tpl: ClassTemplate, shape: tuple[int, int]) -> np.ndarray:
-    return tpl.painter(shape)
-
-
 # --------------------------------------------------------------------------
 # Placement
 
@@ -444,7 +440,17 @@ def _pick_template(rng, templates, class_index: int | None = None):
 
 
 def _place(box: BoundingBox, ci: int, label: str, tpl: ClassTemplate) -> PlacedObject:
-    return PlacedObject(label, ci, tpl.template_id, scale_part_grid(tpl, box.shape), box)
+    return PlacedObject(label, ci, tpl.template_id, tpl.painter(box.shape), box)
+
+
+def _disjoint_box(rng, shape, mask, taken: np.ndarray, tries: int, margin: int = 0):
+    """A random box where the placed `mask` misses `taken`; None after `tries` draws."""
+    h, w = mask.shape
+    for _ in range(tries):
+        cand = _random_fit_box(rng, shape, h, w, margin)
+        if not np.any(_placed_at(shape, mask, cand.y0, cand.x0) & taken):
+            return cand
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -574,44 +580,37 @@ def _notice(scenario: str, level: str) -> str:
     return f"{scenario} scene at {level}: placement search exhausted"
 
 
+def _plant_pair(rng, templates, cfg: ChallengeConfig, shape, level: str, what: str):
+    """Two placed objects, the second behind the first at `level`.
+
+    At L0 the masks stay disjoint: a graze of one or two pixels would plant
+    an order edge no amount of evidence could recover.
+    """
+    ci_a, label_a, tpl_a = _pick_template(rng, templates)
+    ci_b = ci_a if rng.random() < cfg.same_class_prob else 1 - ci_a
+    ci_b, label_b, tpl_b = _pick_template(rng, templates, class_index=ci_b)
+    ha, wa = _scaled_shape(rng, cfg.grid)
+    hb, wb = _scaled_shape(rng, cfg.grid)
+    mask_a = tpl_a.painter((ha, wa)) >= 0
+    mask_b = tpl_b.painter((hb, wb)) >= 0
+
+    box_a = _random_fit_box(rng, shape, ha, wa, margin=1)
+    front = _placed_at(shape, mask_a, box_a.y0, box_a.x0)
+    if level == "L0":
+        box_b = _disjoint_box(rng, shape, mask_b, front, tries=200, margin=1)
+    else:
+        anchor = ((box_a.y0 + box_a.y1) / 2.0, (box_a.x0 + box_a.x1) / 2.0)
+        box_b = _approach_search(rng, shape, mask_b, front, anchor, LEVEL_EDGES[level])
+    if box_b is None:
+        raise ValidationError(_notice(what, level))
+    return [_place(box_a, ci_a, label_a, tpl_a), _place(box_b, ci_b, label_b, tpl_b)]
+
+
 def make_two_scene(
     rng, space, templates, cfg: ChallengeConfig, level: str, scene_id: str, split="test"
 ) -> tuple[FeatureMap, SceneAnnotation]:
     shape = (cfg.two_size, cfg.two_size)
-    ci_a, label_a, tpl_a = _pick_template(rng, templates)
-    if rng.random() < cfg.same_class_prob:
-        ci_b, label_b, tpl_b = _pick_template(rng, templates, class_index=ci_a)
-    else:
-        ci_b, label_b, tpl_b = _pick_template(rng, templates, class_index=1 - ci_a)
-
-    ha, wa = _scaled_shape(rng, cfg.grid)
-    hb, wb = _scaled_shape(rng, cfg.grid)
-    mask_a = scale_part_grid(tpl_a, (ha, wa)) >= 0
-    mask_b = scale_part_grid(tpl_b, (hb, wb)) >= 0
-
-    box_a = _random_fit_box(rng, shape, ha, wa, margin=1)
-    front = _placed_at(shape, mask_a, box_a.y0, box_a.x0)
-    anchor = ((box_a.y0 + box_a.y1) / 2.0, (box_a.x0 + box_a.x1) / 2.0)
-
-    if level == "L0":
-        # Mask-disjoint placement: a graze of one or two pixels would plant
-        # an order edge no amount of evidence could recover.
-        box_b = None
-        for _ in range(200):
-            cand = _random_fit_box(rng, shape, hb, wb, margin=1)
-            placed_b = _placed_at(shape, mask_b, cand.y0, cand.x0)
-            if placed_b is not None and not np.any(placed_b & front):
-                box_b = cand
-                break
-    else:
-        box_b = _approach_search(rng, shape, mask_b, front, anchor, LEVEL_EDGES[level])
-    if box_b is None:
-        raise ValidationError(_notice("two-object", level))
-
-    placed = [
-        _place(box_a, ci_a, label_a, tpl_a),
-        _place(box_b, ci_b, label_b, tpl_b),
-    ]
+    placed = _plant_pair(rng, templates, cfg, shape, level, "two-object")
     fm, owner = render_composition(shape, placed, None, space, cfg.sigma_gen, rng)
     gt = _ground_truth(shape, placed, owner)
     ann = _assemble(scene_id, "two", split, shape, placed, None, gt, rng)
@@ -632,18 +631,12 @@ def make_four_scene(
     for _ in range(3):
         ci, label, tpl = _pick_template(rng, templates)
         h, w = _scaled_shape(rng, cfg.grid)
-        mask = scale_part_grid(tpl, (h, w)) >= 0
+        mask = tpl.painter((h, w)) >= 0
         union = np.zeros(shape, dtype=np.bool_)
         for p in placed:
             union |= p.lattice_mask(shape)
         if level == "L0":
-            box = None
-            for _ in range(300):
-                cand = _random_fit_box(rng, shape, h, w, margin=1)
-                pm = _placed_at(shape, mask, cand.y0, cand.x0)
-                if pm is not None and not np.any(pm & union):
-                    box = cand
-                    break
+            box = _disjoint_box(rng, shape, mask, union, tries=300, margin=1)
         else:
             prev = placed[-1].box
             anchor = ((prev.y0 + prev.y1) / 2.0, (prev.x0 + prev.x1) / 2.0)
@@ -689,57 +682,21 @@ def make_unknown_scene(
     the scene's level names the planted pair bucket alone.
     """
     shape = (cfg.two_size, cfg.two_size)
-    ci_a, label_a, tpl_a = _pick_template(rng, templates)
-    if rng.random() < cfg.same_class_prob:
-        ci_b, label_b, tpl_b = _pick_template(rng, templates, class_index=ci_a)
-    else:
-        ci_b, label_b, tpl_b = _pick_template(rng, templates, class_index=1 - ci_a)
-    ha, wa = _scaled_shape(rng, cfg.grid)
-    hb, wb = _scaled_shape(rng, cfg.grid)
-    mask_a = scale_part_grid(tpl_a, (ha, wa)) >= 0
-    mask_b = scale_part_grid(tpl_b, (hb, wb)) >= 0
-
-    box_a = _random_fit_box(rng, shape, ha, wa, margin=1)
-    front = _placed_at(shape, mask_a, box_a.y0, box_a.x0)
-    anchor = ((box_a.y0 + box_a.y1) / 2.0, (box_a.x0 + box_a.x1) / 2.0)
-
-    if level == "L0":
-        box_b = None
-        for _ in range(200):
-            cand = _random_fit_box(rng, shape, hb, wb, margin=1)
-            placed_b = _placed_at(shape, mask_b, cand.y0, cand.x0)
-            if placed_b is not None and not np.any(placed_b & front):
-                box_b = cand
-                break
-    else:
-        box_b = _approach_search(rng, shape, mask_b, front, anchor, LEVEL_EDGES[level])
-    if box_b is None:
-        raise ValidationError(_notice("two-plus-unknown", level))
-
-    placed = [
-        _place(box_a, ci_a, label_a, tpl_a),
-        _place(box_b, ci_b, label_b, tpl_b),
-    ]
+    placed = _plant_pair(rng, templates, cfg, shape, level, "two-plus-unknown")
     amodal_a = placed[0].lattice_mask(shape)
     amodal_b = placed[1].lattice_mask(shape)
     zone = amodal_a & amodal_b
-    blob = _ellipse_blob(rng, box_a)
+    blob = _ellipse_blob(rng, placed[0].box)
 
     def overcovers(pm: np.ndarray) -> bool:
         # Totals must stay inside measurable buckets for both objects.
         if _coverage(amodal_a, pm) >= OCCLUSION_CAP:
             return True
-        hidden_b = (amodal_b & front) | (amodal_b & pm)
+        hidden_b = (amodal_b & amodal_a) | (amodal_b & pm)
         return hidden_b.sum() / amodal_b.sum() >= OCCLUSION_CAP
 
     if level == "L0":
-        blob_box = None
-        for _ in range(200):
-            cand = _random_fit_box(rng, shape, blob.shape[0], blob.shape[1])
-            pm = _placed_at(shape, blob, cand.y0, cand.x0)
-            if pm is not None and not np.any(pm & (amodal_a | amodal_b)):
-                blob_box = cand
-                break
+        blob_box = _disjoint_box(rng, shape, blob, amodal_a | amodal_b, tries=200)
     else:
         ys, xs = np.nonzero(zone)
         mid = (float(ys.mean()), float(xs.mean()))

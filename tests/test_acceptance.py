@@ -5,7 +5,6 @@ line. The module builds the complete challenge (300 test scenes per
 scenario, 300 training scenes), trains the shipping-size model, and runs
 every reasoning variant over every test scene, so expect a few minutes.
 """
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,12 +16,11 @@ from compseg.formats import annotation_to_json, load_scene
 from compseg.learning import TrainConfig, train
 from compseg.metrics import (
     VARIANTS,
-    AblationReport,
     dataset_order_accuracy,
     format_ablation_report,
     full_graph_accuracy,
-    miou_by_level,
     predict_scene,
+    tabulate,
     unknown_outlier_stats,
 )
 from compseg.models import SIMPLEX_TOL, classify
@@ -103,17 +101,9 @@ def predictions(desk_challenge, desk_bundle):
 def tables(predictions):
     reports = {}
     for scenario, by_variant in predictions.items():
-        modal, amodal, order = {}, {}, {}
-        for name, triples in by_variant.items():
-            preds = [p for p, _, _ in triples]
-            truths = [t for _, t, _ in triples]
-            modal[name] = miou_by_level(preds, truths, "modal")
-            amodal[name] = miou_by_level(preds, truths, "amodal")
-            if name == "independent":
-                order[name] = math.nan
-            else:
-                order[name] = dataset_order_accuracy(zip(preds, truths))
-        reports[scenario] = AblationReport(modal, amodal, order, scenario=scenario)
+        predicted = [[p for p, _, _ in by_variant[name]] for name, _ in VARIANTS]
+        truths = [t for _, t, _ in by_variant["ordered-1"]]
+        reports[scenario] = tabulate(predicted, truths, scenario=scenario)
     return reports
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -125,6 +126,18 @@ def test_annotation_bad_json():
         annotation_from_json(json.dumps({"scene_id": "x"}))
 
 
+def test_annotation_rejects_non_string_rle():
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    for key in ("amodal_rle", "modal_rle", "unknown_rle"):
+        bad = json.loads(json.dumps(doc))
+        if key == "unknown_rle":
+            bad[key] = 5
+        else:
+            bad["objects"][0][key] = 5
+        with pytest.raises(FormatError):
+            annotation_from_json(json.dumps(bad))
+
+
 def test_order_graph_roundtrip():
     edges = [(0, 1, 12, 3, 15), (2, 0, 5, 5, 10)]
     text = order_graph_lines(edges)
@@ -176,6 +189,17 @@ def test_model_corrupt_rejects(tiny_bundle, tmp_path):
         load_model_bytes(tmp_path, raw[: len(raw) // 2])
     with pytest.raises(FormatError):
         load_model_bytes(tmp_path, b"")
+
+
+def test_model_rejects_non_utf8_label(tiny_bundle, tmp_path):
+    path = str(tmp_path / "model.bin")
+    save_model(tiny_bundle, path)
+    raw = open(path, "rb").read()
+    label = tiny_bundle.classes[0].label.encode("utf-8")
+    field = struct.pack("<H", len(label)) + label
+    assert raw.count(field) == 1
+    with pytest.raises(FormatError):
+        load_model_bytes(tmp_path, raw.replace(field, field[:2] + b"\xff" * len(label)))
 
 
 def load_model_bytes(tmp_path, blob):

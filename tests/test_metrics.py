@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from compseg.errors import ValidationError
-from compseg.fmap import BoundingBox
+from compseg.fmap import BoundingBox, iou
 from compseg.formats import ObjectRecord, SceneAnnotation
 from compseg.metrics import (
     VARIANTS,
@@ -14,8 +14,6 @@ from compseg.metrics import (
     format_ablation_report,
     format_level_table,
     full_graph_accuracy,
-    level_of,
-    mask_iou,
     miou_by_level,
     order_accuracy,
     run_ablation,
@@ -56,22 +54,6 @@ def _ann(scene_id, objects, edges=()):
         objects=objects,
         order_edges=list(edges),
     )
-
-
-def test_level_of_excludes_heavy():
-    assert level_of(0.0) == "L0"
-    assert level_of(0.45) == "L2"
-    assert level_of(0.89) == "L3"
-    assert level_of(0.90) is None
-    assert level_of(1.0) is None
-
-
-def test_mask_iou_values():
-    a = _mask((0, 0, 4))
-    b = _mask((0, 2, 6))
-    assert mask_iou(a, b) == pytest.approx(2.0 / 6.0)
-    assert mask_iou(a, a) == 1.0
-    assert mask_iou(np.zeros(SHAPE, np.bool_), np.zeros(SHAPE, np.bool_)) == 1.0
 
 
 def test_perfect_predictions_score_100():
@@ -118,7 +100,11 @@ def test_single_object_half_iou():
 
 def test_over_ninety_objects_excluded():
     truth = [
-        _ann("s0", [_rec(0, 0.95, _mask((0, 0, 3))), _rec(1, 0.2, _mask((1, 0, 3)))])
+        _ann("s0", [
+            _rec(0, 0.95, _mask((0, 0, 3))),
+            _rec(1, 0.2, _mask((1, 0, 3))),
+            _rec(2, 0.90, _mask((2, 0, 3))),
+        ])
     ]
     table = miou_by_level([], truth)
     assert table.total == 1
@@ -145,7 +131,7 @@ def test_mean_is_object_weighted():
             occ = float(rng.uniform(0.0, 0.89))
             t_objs.append(_rec(oid, occ, t))
             p_objs.append(_rec(oid, -1.0, p))
-            ious.append(mask_iou(p, t))
+            ious.append(iou(p, t))
         truths.append(_ann(f"s{s}", t_objs))
         preds.append(_ann(f"s{s}", p_objs))
     table = miou_by_level(preds, truths)

@@ -221,9 +221,6 @@ def test_image_loglik_modes_and_visibility():
     want_max = 0.0 + -1.0 + 0.0 + -1.0
     assert image_loglik(maps) == pytest.approx(want_max)
 
-    add = np.maximum(np.logaddexp(fg, ctx), occ).sum()
-    assert image_loglik(maps, score_mode="additive") == pytest.approx(add)
-
     vis = np.array([[1, 0], [1, 0]])
     want_vis = fg[0, 0] + occ[0, 1] + fg[1, 0] + occ[1, 1]
     assert image_loglik(maps, visibility=vis) == pytest.approx(want_vis)
@@ -232,8 +229,6 @@ def test_image_loglik_modes_and_visibility():
         image_loglik(maps, visibility=np.array([[2, 0], [1, 0]]))
     with pytest.raises(ValidationError):
         image_loglik(maps, visibility=np.ones((1, 2)))
-    with pytest.raises(ValidationError):
-        image_loglik(maps, score_mode="best")
 
 
 def test_classify_prefers_matching_component_mixture():

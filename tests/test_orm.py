@@ -10,12 +10,8 @@ from compseg.orm import (
     OWNER_NONE,
     OWNER_OUTSIDE,
     SceneObject,
-    build_order_graph,
     compete_pixels,
-    detect_conflicts,
     orm_pass,
-    pixel_competition,
-    reassign,
     recover_order,
     segment_scene,
 )
@@ -69,30 +65,42 @@ def _two_object_scene(outlier_pixel=False):
 
 
 def test_detect_conflicts_geometry():
+    # the conflict set is the box overlap, found at each box's own offset:
+    # the 2x2 block of two 3x3 boxes, and nothing for boxes that only touch
     a, b = _two_object_scene()
-    conflict = detect_conflicts(a, b, (4, 4))
-    want = np.zeros((4, 4), dtype=np.bool_)
-    want[1:3, 1:3] = True
-    assert np.array_equal(conflict, want)
+    _, edges = orm_pass([a, b], (4, 4), no_order=True)
+    assert [e.conflict_size for e in edges] == [4]
 
     far = _object(2, BoundingBox(0, 0, 2, 2), np.full((2, 2), -1.0))
     far2 = _object(3, BoundingBox(2, 2, 4, 4), np.full((2, 2), -1.0))
-    assert not detect_conflicts(far, far2, (4, 4)).any()
+    assert orm_pass([far, far2], (4, 4), no_order=True)[1] == ()
 
 
 def test_pixel_competition_hand_values():
     a, b = _two_object_scene()
-    assert pixel_competition(a, b, (1, 1), (4, 4)) == 0
-    assert pixel_competition(a, b, (2, 2), (4, 4)) == 1
+    free, _ = orm_pass([a, b], (4, 4), no_order=True)
+    assert free.owners[1, 1] == 0
+    assert free.owners[2, 2] == 1
     a2, b2 = _two_object_scene(outlier_pixel=True)
-    assert pixel_competition(a2, b2, (1, 1), (4, 4)) == -1
+    free, _ = orm_pass([a2, b2], (4, 4), no_order=True)
+    assert free.owners[1, 1] == free.outlier_id
 
 
 def test_reassign_all_or_nothing():
-    owners = np.array([[0, 1], [2, 1]], dtype=np.int16)
-    conflict = np.array([[True, True], [True, False]])
-    out = reassign(owners, conflict, front_index=0, outlier_id=2)
-    assert out.tolist() == [[0, 0], [2, 1]]
+    # both objects claim scene (1,1) at exactly the occluder value, so the
+    # outlier wins it on the tie; A is in front (2 votes to 1), and every
+    # other conflict pixel goes to A, B's won pixel included
+    a_fg = np.full((3, 3), -1.0)
+    b_fg = np.full((3, 3), -2.0)
+    a_fg[1, 1] = b_fg[0, 0] = -10.0     # scene (1,1)
+    b_fg[1, 1] = -0.5                   # scene (2,2)
+    a = _object(0, BoundingBox(0, 0, 3, 3), a_fg)
+    b = _object(1, BoundingBox(1, 1, 4, 4), b_fg)
+    free, _ = orm_pass([a, b], (4, 4), no_order=True)
+    assert free.owners[1:3, 1:3].tolist() == [[2, 0], [0, 1]]
+    assignment, edges = orm_pass([a, b], (4, 4))
+    assert [e.as_tuple() for e in edges] == [(0, 1, 2, 1, 4)]
+    assert assignment.owners[1:3, 1:3].tolist() == [[2, 0], [0, 0]]
 
 
 def test_orm_pass_hand_case():
@@ -163,9 +171,6 @@ def test_conflict_outside_amodal_neither_votes_nor_moves():
     a = _object(0, BoundingBox(0, 0, 3, 3), a_fg, amodal=a_amodal)
     b = _object(1, BoundingBox(1, 1, 4, 4), b_fg)
 
-    conflict = detect_conflicts(a, b, (4, 4))
-    assert conflict[1:3, 1:3].tolist() == [[True, True], [True, False]]
-    assert conflict.sum() == 3
     assignment, edges = orm_pass([a, b], (4, 4))
     assert [e.as_tuple() for e in edges] == [(0, 1, 3, 0, 3)]
     assert assignment.owners[2, 2] == 1
@@ -186,13 +191,6 @@ def test_tied_pair_reassigns_nothing():
     free, _ = orm_pass([a, b], (4, 4), no_order=True)
     assert np.array_equal(assignment.owners, free.owners)
     assert assignment.owners[1:3, 1:3].tolist() == [[0, 0], [1, 1]]
-
-
-def test_build_order_graph_matches_free_pass():
-    a, b = _two_object_scene()
-    edges = build_order_graph([a, b], (4, 4))
-    _, ref = orm_pass([a, b], (4, 4), no_order=True)
-    assert edges == ref
 
 
 def test_context_pixels_stay_unowned():
@@ -262,7 +260,6 @@ def test_iters_zero_is_feed_forward(tiny_challenge, tiny_bundle):
     result = segment_scene(fm, boxes, tiny_bundle, iters=0)
     assert result.assignment is None
     assert result.edges == ()
-    assert result.trace == []
     for idx, obj in enumerate(result.objects):
         visible = obj.labels == LABEL_FG
         inside = result.modal[idx][obj.box.slices]
