@@ -10,6 +10,7 @@ nonzero exit, and all randomness flows from explicit --seed flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from .formats import (
     load_model,
     load_scene,
     order_graph_lines,
+    read_text,
     save_model,
 )
 from .learning import TrainConfig, train
@@ -101,23 +103,8 @@ def _filter_classes(pairs, wanted: set[str]):
     kept = []
     for fm, ann in pairs:
         objects = [rec for rec in ann.objects if rec.label in wanted]
-        if not objects:
-            continue
-        kept.append(
-            (
-                fm,
-                SceneAnnotation(
-                    scene_id=ann.scene_id,
-                    scenario=ann.scenario,
-                    split=ann.split,
-                    shape=ann.shape,
-                    objects=objects,
-                    order_edges=ann.order_edges,
-                    unknown=ann.unknown,
-                    extra=ann.extra,
-                ),
-            )
-        )
+        if objects:
+            kept.append((fm, dataclasses.replace(ann, objects=objects)))
     return kept
 
 
@@ -171,8 +158,7 @@ def _annotation_path_for(scene_path: str) -> str:
 def _cmd_segment(args) -> int:
     bundle = load_model(args.model)
     fm = load_feature_map(args.scene)
-    with open(_annotation_path_for(args.scene), "r", encoding="utf-8") as fh:
-        truth = annotation_from_json(fh.read())
+    truth = annotation_from_json(read_text(_annotation_path_for(args.scene)))
     if truth.shape != fm.shape:
         raise ValidationError(
             f"annotation lattice {truth.shape} != feature map {fm.shape}"
@@ -207,8 +193,7 @@ def _load_annotation_dir(path: str) -> dict[str, SceneAnnotation]:
     for name in sorted(os.listdir(path)):
         if not name.endswith(".json") or name == "manifest.json":
             continue
-        with open(os.path.join(path, name), "r", encoding="utf-8") as fh:
-            ann = annotation_from_json(fh.read())
+        ann = annotation_from_json(read_text(os.path.join(path, name)))
         out[ann.scene_id] = ann
     if not out:
         raise ValidationError(f"no annotation files under {path}")

@@ -26,6 +26,15 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def read_text(path: str) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise FormatError."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # model bundle
 
@@ -292,6 +301,12 @@ def annotation_to_json(ann: SceneAnnotation) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
+def _order_edge(edge) -> tuple:
+    if not (isinstance(edge, list) and len(edge) in (2, 5) and all(type(v) is int for v in edge)):
+        raise FormatError(f"order edge must be 2 or 5 integers, got {edge!r}")
+    return tuple(edge)
+
+
 def annotation_from_json(text: str) -> SceneAnnotation:
     try:
         doc = json.loads(text)
@@ -325,7 +340,7 @@ def annotation_from_json(text: str) -> SceneAnnotation:
             split=str(doc["split"]),
             shape=shape,
             objects=objects,
-            order_edges=[tuple(e) for e in doc.get("order_edges", [])],
+            order_edges=[_order_edge(e) for e in doc.get("order_edges", [])],
             unknown=unknown,
             extra=dict(doc.get("extra", {})),
         )
@@ -382,12 +397,12 @@ def save_manifest(manifest: Manifest, path: str) -> None:
 
 
 def load_manifest(path: str) -> Manifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: bad manifest JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != 1:
         raise FormatError(f"{path}: unsupported manifest version {doc.get('version')}")
     entries = []
@@ -403,15 +418,15 @@ def load_manifest(path: str) -> Manifest:
                     level=str(s["level"]),
                 )
             )
-    except (KeyError, TypeError) as exc:
+        config = dict(doc.get("config", {}))
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad manifest entry: {exc}") from exc
-    return Manifest(os.path.dirname(os.path.abspath(path)), entries, dict(doc.get("config", {})))
+    return Manifest(os.path.dirname(os.path.abspath(path)), entries, config)
 
 
 def load_scene(manifest: Manifest, entry: ManifestEntry) -> tuple[FeatureMap, SceneAnnotation]:
     fmap = load_feature_map(os.path.join(manifest.root, entry.fmap_path))
-    with open(os.path.join(manifest.root, entry.annotation_path), "r", encoding="utf-8") as fh:
-        ann = annotation_from_json(fh.read())
+    ann = annotation_from_json(read_text(os.path.join(manifest.root, entry.annotation_path)))
     if ann.shape != fmap.shape:
         raise FormatError(
             f"{entry.scene_id}: annotation lattice {ann.shape} != feature map {fmap.shape}"

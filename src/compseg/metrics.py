@@ -202,17 +202,13 @@ def predict_scene(
                 score=obj.score,
             )
         )
-    edges = [
-        (e.front, e.back, e.votes_front, e.votes_back, e.conflict_size)
-        for e in result.edges
-    ]
     ann = SceneAnnotation(
         scene_id=truth.scene_id,
         scenario=truth.scenario,
         split=truth.split,
         shape=truth.shape,
         objects=objects,
-        order_edges=edges,
+        order_edges=[e.as_tuple() for e in result.edges],
     )
     return ann, result
 

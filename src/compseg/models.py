@@ -26,6 +26,11 @@ multiply-reduce each, with no exp. The peak component has E = 1, so a sum is
 small only where the coefficients put (almost) no weight on it; a row whose
 sum is below the smallest normal float is recomputed by the exact shifted
 logsumexp of `_kernels`.
+
+Classification is split in two. `classify` builds every (class, mixture)
+candidate's maps for a crop once and picks the best; `rescore` re-picks over
+those same candidates under a visibility grid, as the ORM does for an
+occluded object, without touching the crop again.
 """
 from __future__ import annotations
 
@@ -163,13 +168,6 @@ class LikelihoodMaps:
     @property
     def shape(self) -> tuple[int, int]:
         return self.fg.shape
-
-    def resampled(self, shape: tuple[int, int]) -> "LikelihoodMaps":
-        return LikelihoodMaps(
-            resample_nearest(self.fg, shape),
-            resample_nearest(self.ctx, shape),
-            resample_nearest(self.occ, shape),
-        )
 
 
 def _check_k(dictionary: VmfDictionary, k: int, what: str) -> None:
@@ -318,6 +316,7 @@ class ClassifyResult:
     score: float
     scores: tuple[np.ndarray, ...]  # per class, (M_y,) totals
     maps: LikelihoodMaps            # the winner's maps on the crop lattice
+    candidates: tuple[tuple[LikelihoodMaps, ...], ...]  # per class, per mixture
 
 
 def classify(
@@ -325,38 +324,44 @@ def classify(
     classes: Sequence[ClassModel],
     dictionary: VmfDictionary,
     occluder: OccluderModel,
+) -> ClassifyResult:
+    """Best (class, mixture) for a crop, picked by `rescore` from its candidate maps.
+
+    Every candidate is mapped on the crop's own lattice, so totals stay
+    comparable across mixtures whose canonical shapes differ; the crop's
+    evidence is computed once and shared by all of them.
+    """
+    evidence = crop_evidence(crop, dictionary, occluder)
+    candidates = tuple(
+        tuple(likelihood_maps(evidence, mixture) for mixture in cls.mixtures)
+        for cls in classes
+    )
+    return rescore(candidates)
+
+
+def rescore(
+    candidates: tuple[tuple[LikelihoodMaps, ...], ...],
     visibility: np.ndarray | None = None,
 ) -> ClassifyResult:
-    """Best (class, mixture) for a crop; ties break to the lowest indices.
+    """Best of `classify`'s candidate maps under `image_loglik`; ties go to the lowest indices.
 
-    Every candidate is scored on the crop's own lattice, so totals stay
-    comparable across mixtures whose canonical shapes differ; the crop's
-    evidence is computed once and shared by all of them. A visibility grid,
-    when given, is in crop coordinates.
+    A visibility grid is in crop coordinates. The maps do not depend on it,
+    so re-scoring an occluded object needs neither its crop nor new maps.
     """
-    if not classes:
+    if not candidates:
         raise ValidationError("classify needs at least one class model")
-    z = None
-    if visibility is not None:
-        z = np.asarray(visibility)
-        if z.shape != crop.shape:
-            raise ValidationError(
-                f"visibility shape {z.shape} does not match crop {crop.shape}"
-            )
-    evidence = crop_evidence(crop, dictionary, occluder)
     best = None
     all_scores = []
-    for ci, cls in enumerate(classes):
-        row = np.empty(len(cls.mixtures))
-        for mi, mixture in enumerate(cls.mixtures):
-            maps = likelihood_maps(evidence, mixture)
-            score = image_loglik(maps, visibility=z)
+    for ci, row_maps in enumerate(candidates):
+        row = np.empty(len(row_maps))
+        for mi, maps in enumerate(row_maps):
+            score = image_loglik(maps, visibility)
             row[mi] = score
             if best is None or score > best[0]:
                 best = (score, ci, mi, maps)
         all_scores.append(row)
     score, ci, mi, maps = best
-    return ClassifyResult(ci, mi, score, tuple(all_scores), maps)
+    return ClassifyResult(ci, mi, score, tuple(all_scores), maps, candidates)
 
 
 def segment_single(maps: LikelihoodMaps) -> np.ndarray:

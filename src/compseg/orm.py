@@ -19,10 +19,12 @@ labels and its claims on the scene lattice once, as one plane per object
      of every other claimant there; a tied vote puts neither object in
      front, and a pixel without such a claimant keeps its competition owner
   4. per-object visibility grids; objects whose visibility changed are
-     re-scored with the occluder branch forced at pixels they lost
+     re-scored with the occluder branch forced at pixels they lost, a
+     re-pick (`rescore`) over the candidate maps feed-forward built, with
+     no new crop or map
 
 Steps 1-4 repeat for the requested iteration count; re-scored objects take
-the maps of their (possibly new) mixture from the re-scoring, so later
+the maps of their (possibly new) mixture from those candidates, so later
 passes reason over corrected predictions.
 """
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .models import (
     amodal_mask,
     classify,
     likelihood_maps,  # noqa: F401  unused; perfbench/test_perfbench.py deletes orm.likelihood_maps
+    rescore,
     segment_single,
 )
 
@@ -65,6 +68,7 @@ class SceneObject:
     maps: LikelihoodMaps      # box-shaped, scene coordinates
     labels: np.ndarray        # box-shaped int8 per-pixel F/C/O
     amodal: np.ndarray        # box-shaped bool, the current mixture's amodal mask
+    candidates: tuple[tuple[LikelihoodMaps, ...], ...] = ()  # per class, per mixture
 
     def __post_init__(self):
         if self.maps.shape != self.box.shape:
@@ -92,9 +96,6 @@ class VisibilityAssignment:
     @property
     def outlier_id(self) -> int:
         return self.n_objects
-
-    def covered(self) -> np.ndarray:
-        return self.owners != OWNER_OUTSIDE
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,7 @@ def _self_visibility(obj: SceneObject) -> np.ndarray:
 def _scene_object(
     oid: int, box: BoundingBox, result: ClassifyResult, bundle: ModelBundle
 ) -> SceneObject:
-    """The object as `classify` decided it: its winner's maps, labels and amodal mask."""
+    """The object as `classify` or `rescore` decided it, with its candidate maps."""
     mixture = bundle.classes[result.class_index].mixtures[result.mixture_index]
     return SceneObject(
         oid=oid,
@@ -258,6 +259,7 @@ def _scene_object(
         maps=result.maps,
         labels=segment_single(result.maps),
         amodal=amodal_mask(mixture, box),
+        candidates=result.candidates,
     )
 
 
@@ -307,9 +309,10 @@ def segment_scene(
 
     iters=0 returns the independent per-object baseline. Each pass recomputes
     ownership and order from the current maps, then re-scores exactly the
-    objects whose visibility grid changed (the occluded ones); a re-scored
-    object takes the maps of the mixture it now wins, so after a label flip
-    the next pass sees corrected predictions.
+    objects whose visibility grid changed (the occluded ones) by re-picking
+    over the candidate maps feed-forward built; a re-scored object takes the
+    maps of the mixture it now wins, so after a label flip the next pass sees
+    corrected predictions.
     """
     if iters < 0:
         raise ValidationError(f"iteration count must be non-negative, got {iters}")
@@ -326,14 +329,7 @@ def segment_scene(
             if np.array_equal(vis, prev_vis[idx]):
                 continue
             prev_vis[idx] = vis
-            result = classify(
-                crop(scene, obj.box),
-                bundle.classes,
-                bundle.dictionary,
-                bundle.occluder,
-                visibility=vis,
-            )
-            objects[idx] = _scene_object(obj.oid, obj.box, result, bundle)
+            objects[idx] = _scene_object(obj.oid, obj.box, rescore(obj.candidates, vis), bundle)
 
     owners = assignment.owners if assignment is not None else None
     amodal_out, modal_out = _masks(objects, scene_shape, owners)

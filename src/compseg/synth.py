@@ -226,10 +226,6 @@ class ClassTemplate:
         if not np.any(self.part_grid >= 0):
             raise ValidationError(f"template {self.label}:{self.template_id} has empty mask")
 
-    @property
-    def mask(self) -> np.ndarray:
-        return self.part_grid >= 0
-
 
 def _pattern_painter(
     grid: int,

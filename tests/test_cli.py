@@ -166,3 +166,37 @@ def test_errors_are_single_parsable_lines(pipeline, tmp_path):
                 "--classes", "dragon", "--k", 8, "--out", tmp_path / "m.bin")
     assert r.returncode == 2
     assert r.stderr.startswith("compseg: error code=INVALID msg=")
+
+
+def _assert_format_error(r):
+    assert r.returncode == 2
+    lines = [ln for ln in r.stderr.splitlines() if ln]
+    assert len(lines) == 1 and lines[0].startswith("compseg: error code=FORMAT msg=")
+    assert "Traceback" not in r.stderr
+
+
+def test_text_that_is_not_utf8_is_a_format_error(pipeline, tmp_path):
+    root, data, model = pipeline
+    bad = b"\xff\xfe" + (data / "manifest.json").read_bytes()
+
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(bad)
+    _assert_format_error(run_cli("train", "--manifest", manifest, "--out", tmp_path / "m.bin"))
+    _assert_format_error(run_cli("ablate", "--model", model, "--manifest", manifest,
+                                 "--out", tmp_path / "a.txt"))
+
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    sid = "two-L0-0000"
+    (preds / f"{sid}.json").write_bytes(
+        b"\xff\xfe" + (data / "annotations" / f"{sid}.json").read_bytes()
+    )
+    _assert_format_error(run_cli("evaluate", "--pred", preds, "--truth", data / "annotations",
+                                 "--out", tmp_path / "e.txt"))
+
+    scene = tmp_path / "solo"
+    scene.mkdir()
+    shutil.copy(data / "scenes" / f"{sid}.fmap", scene / f"{sid}.fmap")
+    shutil.copy(preds / f"{sid}.json", scene / f"{sid}.json")
+    _assert_format_error(run_cli("segment", "--model", model, "--scene", scene / f"{sid}.fmap",
+                                 "--out", tmp_path / "seg"))

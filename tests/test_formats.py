@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -19,6 +20,7 @@ from compseg.formats import (
     encode_rle,
     load_manifest,
     load_model,
+    load_scene,
     order_graph_lines,
     parse_order_graph,
     quantize_bundle,
@@ -138,6 +140,26 @@ def test_annotation_rejects_non_string_rle():
             annotation_from_json(json.dumps(bad))
 
 
+def test_annotation_rejects_malformed_order_edges():
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    for edges in ([[1]], [["a", "b", 1, 1, 1]], [[1, 2, 3]], [[0, 1.0]], [[0, True]], [7]):
+        doc["order_edges"] = edges
+        with pytest.raises(FormatError):
+            annotation_from_json(json.dumps(doc))
+    doc["order_edges"] = [[1, 0], [0, 1, 9, 2, 11]]
+    assert annotation_from_json(json.dumps(doc)).order_edges == [(1, 0), (0, 1, 9, 2, 11)]
+
+
+def test_generated_order_edges_load_unchanged(tiny_challenge):
+    for entry in tiny_challenge.select(split="test"):
+        path = os.path.join(tiny_challenge.root, entry.annotation_path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        ann = annotation_from_json(text)
+        assert ann.order_edges == [tuple(e) for e in json.loads(text)["order_edges"]]
+        assert annotation_to_json(ann) == text
+
+
 def test_order_graph_roundtrip():
     edges = [(0, 1, 12, 3, 15), (2, 0, 5, 5, 10)]
     text = order_graph_lines(edges)
@@ -242,6 +264,29 @@ def test_manifest_roundtrip(tiny_challenge):
     for e in man.entries[:10]:
         assert os.path.exists(os.path.join(man.root, e.fmap_path))
         assert os.path.exists(os.path.join(man.root, e.annotation_path))
+
+
+def test_manifest_must_be_a_json_object(tmp_path):
+    p = str(tmp_path / "manifest.json")
+    for doc in ([1, 2], "x", 3, None, {"version": 1, "scenes": [], "config": [1]}):
+        with open(p, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(FormatError):
+            load_manifest(p)
+
+
+def test_text_that_is_not_utf8_is_a_format_error(tiny_challenge, tmp_path):
+    entry = tiny_challenge.select(split="test")[0]
+    manifest = load_manifest(os.path.join(tiny_challenge.root, "manifest.json"))
+    with open(os.path.join(tiny_challenge.root, "manifest.json"), "rb") as fh:
+        raw = fh.read()
+    (tmp_path / "manifest.json").write_bytes(b"\xff\xfe" + raw)
+    with pytest.raises(FormatError):
+        load_manifest(str(tmp_path / "manifest.json"))
+    (tmp_path / "bad.json").write_bytes(b"{\"scene_id\": \"\xff\"}")
+    moved = dataclasses.replace(entry, annotation_path=str(tmp_path / "bad.json"))
+    with pytest.raises(FormatError):
+        load_scene(manifest, moved)
 
 
 def test_manifest_bad_version(tmp_path):

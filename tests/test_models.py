@@ -18,6 +18,7 @@ from compseg.models import (
     crop_evidence,
     image_loglik,
     likelihood_maps,
+    rescore,
     segment_single,
 )
 from compseg.oracle import perpixel_maps_reference
@@ -95,9 +96,7 @@ def test_likelihood_maps_shape_checks():
     with pytest.raises(ValidationError):
         LikelihoodMaps(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)))
     maps = LikelihoodMaps(np.zeros((2, 2)), np.ones((2, 2)), np.full((2, 2), 2.0))
-    out = maps.resampled((4, 4))
-    assert out.shape == (4, 4)
-    assert np.all(out.occ == 2.0)
+    assert maps.shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +257,11 @@ def test_classify_prefers_matching_component_mixture():
 
     # fully occluded visibility makes every candidate score by the occluder
     # alone, so the tie breaks to the first class and mixture
-    blind = classify(crop, classes, dictionary, occluder, visibility=np.zeros((h, w)))
+    blind = rescore(got.candidates, np.zeros((h, w)))
     assert (blind.class_index, blind.mixture_index) == (0, 0)
 
 
-def test_classify_returns_the_winners_maps():
-    rng, dictionary, _, occluder, _ = tiny_setup(seed=9, k=4, d=5)
-    k = dictionary.size
-
+def _random_classes(rng, k):
     def mixture(h, w):
         return MixtureModel(
             rng.uniform(0.05, 0.95, size=(h, w)),
@@ -273,16 +269,72 @@ def test_classify_returns_the_winners_maps():
             simplex(rng, (h, w, k)),
         )
 
-    classes = [
+    return [
         ClassModel("a", (mixture(3, 4), mixture(5, 5))),
         ClassModel("b", (mixture(4, 3), mixture(2, 6))),
     ]
+
+
+def test_rescore_matches_per_candidate_image_loglik():
+    rng, dictionary, _, occluder, _ = tiny_setup(seed=12, k=4, d=5)
+    classes = _random_classes(rng, dictionary.size)
+    for h, w in ((4, 6), (3, 3), (7, 2)):
+        crop = FeatureMap(
+            sample_uniform_sphere(rng, h * w, 5).reshape(h, w, 5).astype(np.float32)
+        )
+        candidates = classify(crop, classes, dictionary, occluder).candidates
+        evidence = crop_evidence(crop, dictionary, occluder)
+        grids = [np.zeros((h, w), dtype=np.int8), np.ones((h, w), dtype=np.int8)]
+        grids += [rng.integers(0, 2, size=(h, w)) for _ in range(4)]
+        for vis in grids:
+            got = rescore(candidates, vis)
+            want = [
+                np.array([
+                    image_loglik(likelihood_maps(evidence, m), vis) for m in cls.mixtures
+                ])
+                for cls in classes
+            ]
+            for got_row, want_row in zip(got.scores, want, strict=True):
+                assert np.array_equal(got_row, want_row)
+            flat = np.concatenate(want)
+            first = int(np.flatnonzero(flat == flat.max())[0])
+            assert (got.class_index, got.mixture_index) == divmod(first, 2)
+            assert got.score == flat.max()
+            assert got.candidates is candidates
+
+
+def test_rescore_ties_go_to_the_lowest_indices():
+    occ = np.full((2, 2), -1.0)
+    low = LikelihoodMaps(np.full((2, 2), -9.0), np.zeros((2, 2)), occ)
+    high = LikelihoodMaps(np.array([[-9.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2)), occ)
+    twin = LikelihoodMaps(np.array([[-5.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2)), occ)
+    candidates = ((low, high), (twin,))
+    # (0, 1) and (1, 0) differ only where the object is hidden: a tie
+    vis = np.array([[0, 1], [1, 1]])
+    got = rescore(candidates, vis)
+    assert got.scores[0][1] == got.scores[1][0] == -1.0
+    assert (got.class_index, got.mixture_index) == (0, 1)
+    assert got.maps is high
+    # fully hidden, all three tie on the occluder value
+    got = rescore(candidates, np.zeros((2, 2)))
+    assert (got.class_index, got.mixture_index) == (0, 0)
+    # fully visible, the twin's -5 beats the -9
+    got = rescore(candidates, np.ones((2, 2)))
+    assert (got.class_index, got.mixture_index) == (1, 0)
+    with pytest.raises(ValidationError):
+        rescore((), vis)
+
+
+def test_classify_returns_the_winners_maps():
+    rng, dictionary, _, occluder, _ = tiny_setup(seed=9, k=4, d=5)
+    classes = _random_classes(rng, dictionary.size)
     crop = FeatureMap(
         sample_uniform_sphere(rng, 4 * 6, 5).reshape(4, 6, 5).astype(np.float32)
     )
     evidence = crop_evidence(crop, dictionary, occluder)
+    fed = classify(crop, classes, dictionary, occluder)
     for visibility in (None, rng.integers(0, 2, size=(4, 6))):
-        got = classify(crop, classes, dictionary, occluder, visibility=visibility)
+        got = rescore(fed.candidates, visibility)
         winner = classes[got.class_index].mixtures[got.mixture_index]
         want = likelihood_maps(evidence, winner)
         for got_map, want_map in zip(

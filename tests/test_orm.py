@@ -271,17 +271,19 @@ def test_iters_zero_is_feed_forward(tiny_challenge, tiny_bundle):
 def test_reclassification_skipped_when_visibility_static(
     tiny_challenge, tiny_bundle, monkeypatch
 ):
-    # single object: the ownership pass reproduces its own labels, so no
-    # second classify call may happen after feed-forward
+    # single object: the ownership pass reproduces its own labels, so it is
+    # never re-scored after feed-forward
     fm, ann = _scene_pairs(tiny_challenge, "two", 1)[0]
-    rec = ann.objects[0]
     calls = []
-    real = orm.classify
+    real = orm.rescore
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(orm, "classify", counting)
-    segment_scene(fm, [(0, rec.box)], tiny_bundle, iters=2)
-    assert len(calls) == 1
+    monkeypatch.setattr(orm, "rescore", counting)
+    segment_scene(fm, [(0, ann.objects[0].box)], tiny_bundle, iters=2)
+    assert calls == []
+    # the counter does see re-scoring: with both objects one loses pixels
+    segment_scene(fm, [(rec.oid, rec.box) for rec in ann.objects], tiny_bundle, iters=1)
+    assert calls
