@@ -131,9 +131,11 @@ def _cmd_train(args) -> int:
     bundle, report = train(pairs, backgrounds, config)
     save_model(bundle, args.out)
     objective = report.dictionary_objective[-1]
+    hit = " (max reached)" if report.dictionary_hit_max_iter else ""
     print(
         f"trained {len(seen)} classes ({','.join(seen)}) on {len(pairs)} scenes: "
-        f"K={args.k} M={args.m} final dictionary objective {objective:.4f} -> {args.out}"
+        f"K={args.k} M={args.m} dictionary {report.dictionary_iterations}/{config.max_iter} "
+        f"iterations{hit}, final dictionary objective {objective:.4f} -> {args.out}"
     )
     return 0
 

@@ -43,6 +43,8 @@ class TrainReport:
     """Side-channel diagnostics; the model bundle never depends on these."""
 
     dictionary_objective: list[float] = field(default_factory=list)
+    dictionary_iterations: int = 0
+    dictionary_hit_max_iter: bool = False
     crop_index: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
     mixture_groups: dict[str, list[int]] = field(default_factory=dict)
     group_shapes: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
@@ -250,6 +252,8 @@ def train(
             max_iter=config.max_iter,
         )
         report.dictionary_objective = trace["objective"]
+        report.dictionary_iterations = trace["iterations"]
+        report.dictionary_hit_max_iter = trace["iterations"] >= config.max_iter
     except (ValidationError, ValueError) as exc:
         raise TrainingError("dictionary", str(exc)) from exc
 

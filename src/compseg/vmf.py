@@ -3,6 +3,9 @@
 Directions live on the unit sphere in R^D. A dictionary is a bank of K
 components sharing one feature dimensionality; all likelihood math runs in
 float64 and is pure, so a fitted dictionary can be shared across threads.
+
+The k-means fit assigns in row blocks, sums cluster members with one scatter
+per dimension and reads its objective, sum_j ||r_j|| / n, off those sums.
 """
 from __future__ import annotations
 
@@ -211,6 +214,19 @@ def _kmeanspp_init(feats: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
+_ASSIGN_BLOCK = 2048  # rows per cosine tile: a (2048, K) block stays in cache
+
+
+def _nearest(feats: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest center and its cosine for every row, one row block at a time."""
+    assign, own = np.empty(len(feats), dtype=np.int64), np.empty(len(feats))
+    for s in range(0, len(feats), _ASSIGN_BLOCK):
+        cos = feats[s : s + _ASSIGN_BLOCK] @ centers.T
+        assign[s : s + _ASSIGN_BLOCK] = best = np.argmax(cos, axis=1)
+        own[s : s + _ASSIGN_BLOCK] = cos[np.arange(best.size), best]
+    return assign, own
+
+
 def fit_dictionary_traced(
     features: np.ndarray,
     k: int,
@@ -220,9 +236,11 @@ def fit_dictionary_traced(
 ) -> tuple[VmfDictionary, dict]:
     """Spherical k-means with hard assignments; returns (dictionary, trace).
 
-    The trace records the mean-cosine objective after every iteration (it is
-    non-decreasing), the iteration count, final assignments, and the raw
-    per-cluster concentration estimates before the shared override.
+    Assignment runs in row blocks and member sums are one `bincount` scatter
+    per dimension. The trace records the objective after every iteration,
+    sum_j ||r_j|| / n over the resultants r_j (the mean cosine to the updated
+    centers, non-decreasing), then the final mean cosine; the iteration count;
+    final assignments; and the raw concentrations before the shared override.
     """
     feats = np.ascontiguousarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -232,20 +250,21 @@ def fit_dictionary_traced(
         raise ValidationError(f"component count must be >= 1, got {k}")
     if n < k:
         raise ValidationError(f"need at least k={k} feature vectors, got {n}")
+    if shared_concentration is not None and not 0 <= shared_concentration < np.inf:
+        raise ValidationError("concentrations must be finite and >= 0")
     norms = np.linalg.norm(feats, axis=1)
     if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
         raise ValidationError("features must be unit-norm")
 
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(feats, k, rng)
+    cols = np.ascontiguousarray(feats.T)
     assign = np.full(n, -1, dtype=np.int64)
     objective: list[float] = []
     n_iter = 0
 
     for n_iter in range(1, max_iter + 1):
-        cosines = feats @ centers.T
-        new_assign = np.argmax(cosines, axis=1)
-        own = cosines[np.arange(n), new_assign]
+        new_assign, own = _nearest(feats, centers)
 
         # Reseed empty clusters from the point currently farthest from its
         # center; each repair claims a distinct point.
@@ -258,34 +277,29 @@ def fit_dictionary_traced(
         converged = bool(np.array_equal(new_assign, assign))
         assign = new_assign
 
-        for j in range(k):
-            members = feats[assign == j]
-            resultant = members.sum(axis=0)
-            length = float(np.linalg.norm(resultant))
-            if length < 1e-12:
-                far = int(np.argmin(feats @ centers[j]))
-                centers[j] = feats[far]
-            else:
-                centers[j] = resultant / length
+        # Resultants, added in row order as `feats[assign == j].sum(axis=0)` does.
+        sums = np.stack([np.bincount(assign, weights=c, minlength=k) for c in cols], axis=1)
+        lengths = np.array([np.linalg.norm(r) for r in sums])  # norm(axis=1) rounds apart
+        for j in np.flatnonzero(lengths < 1e-12):
+            centers[j] = feats[int(np.argmin(feats @ centers[j]))]
+        live = lengths >= 1e-12
+        centers[live] = sums[live] / lengths[live, None]
 
-        # Objective against the updated centers: non-decreasing by the usual
-        # two-step argument (argmax assignment, then mean-direction update).
-        objective.append(float(np.mean(np.einsum("nd,nd->n", feats, centers[assign]))))
+        # Mean cosine to the updated centers, sum_j r_j . r_j / ||r_j|| / n:
+        # non-decreasing by the usual two-step argument.
+        objective.append(float(lengths.sum() / n))
         if converged:
             break
 
     # Final assignment against the final centers for the statistics below.
-    cosines = feats @ centers.T
-    assign = np.argmax(cosines, axis=1)
-    objective.append(float(np.mean(cosines[np.arange(n), assign])))
+    assign, own = _nearest(feats, centers)
+    objective.append(float(np.mean(own)))
 
-    raw_conc = np.empty(k)
-    for j in range(k):
-        members = feats[assign == j]
-        if members.shape[0] == 0:
-            raw_conc[j] = 0.0
-            continue
-        rbar = min(float(np.linalg.norm(members.mean(axis=0))), 1.0)
+    counts = np.bincount(assign, minlength=k)
+    sums = np.stack([np.bincount(assign, weights=c, minlength=k) for c in cols], axis=1)
+    raw_conc = np.zeros(k)
+    for j in np.flatnonzero(counts):
+        rbar = min(float(np.linalg.norm(sums[j] / counts[j])), 1.0)
         raw_conc[j] = estimate_concentration(rbar, dim)
 
     conc = raw_conc if shared_concentration is None else np.full(k, float(shared_concentration))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -35,6 +36,7 @@ def pipeline(tmp_path_factory):
     )
     assert r.returncode == 0, r.stderr
     assert "trained 2 classes" in r.stdout
+    assert re.search(r"dictionary \d+/100 iterations", r.stdout), r.stdout
     return root, data, model
 
 
@@ -166,6 +168,13 @@ def test_errors_are_single_parsable_lines(pipeline, tmp_path):
                 "--classes", "dragon", "--k", 8, "--out", tmp_path / "m.bin")
     assert r.returncode == 2
     assert r.stderr.startswith("compseg: error code=INVALID msg=")
+
+    for sigma in ("-1", "nan", "inf"):
+        r = run_cli("train", "--manifest", data / "manifest.json",
+                    "--sigma", sigma, "--k", 8, "--out", tmp_path / "m.bin")
+        assert r.returncode == 2
+        assert r.stderr == ("compseg: error code=TRAIN msg=stage=dictionary: "
+                            "concentrations must be finite and >= 0\n")
 
 
 def _assert_format_error(r):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,11 @@ def test_train_report_structure(tiny_train_pairs, tiny_backgrounds):
         assert set(report.mixture_groups[label]) == set(range(cfg.m))
         assert len(report.group_shapes[label]) == cfg.m
     assert report.dictionary_objective
+    assert 1 <= report.dictionary_iterations <= cfg.max_iter
+    assert len(report.dictionary_objective) == report.dictionary_iterations + 1
+    assert report.dictionary_hit_max_iter == (report.dictionary_iterations == cfg.max_iter)
+    _, capped = train(pairs, tiny_backgrounds[:3], replace(cfg, max_iter=2))
+    assert (capped.dictionary_iterations, capped.dictionary_hit_max_iter) == (2, True)
     assert bundle.dictionary.size == cfg.k
     for cls in bundle.classes:
         assert len(cls.mixtures) == cfg.m

@@ -6,6 +6,7 @@ from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compseg import vmf
 from compseg.errors import ValidationError
 from compseg.oracle import closed_form_log_normalizer_3d
 from compseg.vmf import (
@@ -185,3 +186,94 @@ def test_fit_dictionary_rejects_bad_k():
         fit_dictionary(feats, 0, seed=0)
     with pytest.raises(ValidationError):
         fit_dictionary(feats, 11, seed=0)
+
+
+def test_fit_dictionary_rejects_bad_shared_concentration_before_fitting(monkeypatch):
+    def seeding_must_not_run(*args):
+        raise AssertionError("the fit started before the concentration was checked")
+
+    monkeypatch.setattr(vmf, "_kmeanspp_init", seeding_must_not_run)
+    feats = sample_uniform_sphere(np.random.default_rng(12), 10, 4)
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="concentrations must be finite and >= 0"):
+            fit_dictionary_traced(feats, 3, seed=0, shared_concentration=sigma)
+
+
+def straightforward_fit(feats, k, seed, shared_concentration, max_iter=100):
+    """The plain loop: full cosine table, boolean-mask sums, einsum objective.
+
+    Also counts how often the empty-cluster reseed and the zero-resultant
+    repair ran, so a test can show its input reaches both.
+    """
+    n, dim = feats.shape
+    centers = vmf._kmeanspp_init(feats, k, np.random.default_rng(seed))
+    assign = np.full(n, -1, dtype=np.int64)
+    objective, hits = [], {"reseed": 0, "zero": 0}
+    for n_iter in range(1, max_iter + 1):
+        cosines = feats @ centers.T
+        new_assign = np.argmax(cosines, axis=1)
+        own = cosines[np.arange(n), new_assign]
+        for empty in np.flatnonzero(np.bincount(new_assign, minlength=k) == 0):
+            hits["reseed"] += 1
+            far = int(np.argmin(own))
+            new_assign[far] = empty
+            centers[empty] = feats[far]
+            own[far] = 1.0
+        converged = bool(np.array_equal(new_assign, assign))
+        assign = new_assign
+        for j in range(k):
+            resultant = feats[assign == j].sum(axis=0)
+            length = float(np.linalg.norm(resultant))
+            if length < 1e-12:
+                hits["zero"] += 1
+                centers[j] = feats[int(np.argmin(feats @ centers[j]))]
+            else:
+                centers[j] = resultant / length
+        objective.append(float(np.mean(np.einsum("nd,nd->n", feats, centers[assign]))))
+        if converged:
+            break
+    cosines = feats @ centers.T
+    assign = np.argmax(cosines, axis=1)
+    objective.append(float(np.mean(cosines[np.arange(n), assign])))
+    raw = np.zeros(k)
+    for j in range(k):
+        members = feats[assign == j]
+        if members.shape[0]:
+            rbar = min(float(np.linalg.norm(members.mean(axis=0))), 1.0)
+            raw[j] = estimate_concentration(rbar, dim)
+    conc = raw if shared_concentration is None else np.full(k, float(shared_concentration))
+    trace = {"objective": objective, "iterations": n_iter, "assignments": assign,
+             "raw_concentrations": raw}
+    return VmfDictionary(centers, conc), trace, hits
+
+
+def _circle(angles):
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "feats, k, seed, sigma, branches",
+    [
+        # more rows than two assignment blocks, and not a multiple of one
+        (planted_features(np.random.default_rng(13), 5, 6, 827)[1], 5, 2, 30.0, ()),
+        (sample_uniform_sphere(np.random.default_rng(14), 2 * 2048 + 37, 5), 7, 4, None, ()),
+        # three points repeated: k-means++ runs out of distinct points and
+        # picks at random, and the duplicate centers leave clusters empty,
+        # two at a time, each reseeded from its own point
+        (np.repeat(_circle([0.3, 2.0, 4.1]), [3, 2, 3], axis=0), 5, 0, None, ("reseed",)),
+        # u and -u in one cluster: a zero resultant
+        (np.tile([0.6, 0.8, -0.6, -0.8], (3, 1)).reshape(6, 2), 4, 89, None, ("reseed", "zero")),
+    ],
+)
+def test_fit_matches_the_straightforward_loop_bit_for_bit(feats, k, seed, sigma, branches):
+    want_dict, want, hits = straightforward_fit(feats, k, seed, sigma)
+    got_dict, got = fit_dictionary_traced(feats, k, seed, shared_concentration=sigma)
+    assert all(hits[b] > 0 for b in branches), hits
+    assert got_dict.means.tobytes() == want_dict.means.tobytes()
+    assert got_dict.concentrations.tobytes() == want_dict.concentrations.tobytes()
+    assert np.array_equal(got["assignments"], want["assignments"])
+    assert got["raw_concentrations"].tobytes() == want["raw_concentrations"].tobytes()
+    assert got["iterations"] == want["iterations"]
+    assert got["objective"][-1] == want["objective"][-1]
+    assert len(got["objective"]) == len(want["objective"])
+    assert np.allclose(got["objective"][:-1], want["objective"][:-1], rtol=0, atol=1e-12)
