@@ -277,9 +277,9 @@ def fit_dictionary_traced(
         converged = bool(np.array_equal(new_assign, assign))
         assign = new_assign
 
-        # Resultants, added in row order as `feats[assign == j].sum(axis=0)` does.
+        # bincount adds in row order, as `feats[assign == j].sum(axis=0)` does: same bits.
         sums = np.stack([np.bincount(assign, weights=c, minlength=k) for c in cols], axis=1)
-        lengths = np.array([np.linalg.norm(r) for r in sums])  # norm(axis=1) rounds apart
+        lengths = np.array([np.linalg.norm(r) for r in sums])  # axis=1 would round differently
         for j in np.flatnonzero(lengths < 1e-12):
             centers[j] = feats[int(np.argmin(feats @ centers[j]))]
         live = lengths >= 1e-12
