@@ -135,6 +135,19 @@ class FeatureMap:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
+    @classmethod
+    def _trusted(cls, data: np.ndarray) -> "FeatureMap":
+        """A map over a slice of an already-validated map's data.
+
+        Its rows passed `_normalize_rows` when that map was built, so this
+        only makes the slice contiguous and read-only.
+        """
+        arr = np.ascontiguousarray(data)
+        arr.setflags(write=False)
+        fm = object.__new__(cls)
+        object.__setattr__(fm, "data", arr)
+        return fm
+
     @property
     def height(self) -> int:
         return self.data.shape[0]
@@ -162,7 +175,7 @@ def crop(fm: FeatureMap, box: BoundingBox) -> FeatureMap:
         raise ValidationError(
             f"box {box.as_tuple()} does not fit map of shape {fm.shape}"
         )
-    return FeatureMap(fm.data[box.slices])
+    return FeatureMap._trusted(fm.data[box.slices])
 
 
 def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:

@@ -314,7 +314,6 @@ class ClassifyResult:
     class_index: int
     mixture_index: int
     score: float
-    scores: tuple[np.ndarray, ...]  # per class, (M_y,) totals
     maps: LikelihoodMaps            # the winner's maps on the crop lattice
     candidates: tuple[tuple[LikelihoodMaps, ...], ...]  # per class, per mixture
 
@@ -351,17 +350,13 @@ def rescore(
     if not candidates:
         raise ValidationError("classify needs at least one class model")
     best = None
-    all_scores = []
     for ci, row_maps in enumerate(candidates):
-        row = np.empty(len(row_maps))
         for mi, maps in enumerate(row_maps):
             score = image_loglik(maps, visibility)
-            row[mi] = score
             if best is None or score > best[0]:
                 best = (score, ci, mi, maps)
-        all_scores.append(row)
     score, ci, mi, maps = best
-    return ClassifyResult(ci, mi, score, tuple(all_scores), maps, candidates)
+    return ClassifyResult(ci, mi, score, maps, candidates)
 
 
 def segment_single(maps: LikelihoodMaps) -> np.ndarray:

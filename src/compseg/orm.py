@@ -29,7 +29,7 @@ passes reason over corrected predictions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -312,7 +312,8 @@ def segment_scene(
     objects whose visibility grid changed (the occluded ones) by re-picking
     over the candidate maps feed-forward built; a re-scored object takes the
     maps of the mixture it now wins, so after a label flip the next pass sees
-    corrected predictions.
+    corrected predictions. One that keeps its pick keeps its maps, labels and
+    amodal mask and takes only the new score.
     """
     if iters < 0:
         raise ValidationError(f"iteration count must be non-negative, got {iters}")
@@ -329,7 +330,12 @@ def segment_scene(
             if np.array_equal(vis, prev_vis[idx]):
                 continue
             prev_vis[idx] = vis
-            objects[idx] = _scene_object(obj.oid, obj.box, rescore(obj.candidates, vis), bundle)
+            result = rescore(obj.candidates, vis)
+            if (result.class_index, result.mixture_index) == (obj.class_index, obj.mixture_index):
+                # Same pick: same maps, labels and amodal mask; only the score moves.
+                objects[idx] = replace(obj, score=result.score)
+            else:
+                objects[idx] = _scene_object(obj.oid, obj.box, result, bundle)
 
     owners = assignment.owners if assignment is not None else None
     amodal_out, modal_out = _masks(objects, scene_shape, owners)

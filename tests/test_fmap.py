@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compseg import fmap
 from compseg.errors import FormatError, ValidationError
 from compseg.fmap import (
     BoundingBox,
@@ -109,6 +110,23 @@ def test_crop_matches_slices():
     assert np.array_equal(patch.data, fm.data[1:6, 3:7])
     with pytest.raises(ValidationError):
         crop(fm, BoundingBox(6, 0, 10, 4))
+
+
+def test_crop_copies_the_slice_without_renormalising(monkeypatch):
+    rng = np.random.default_rng(3)
+    fm = FeatureMap(unit_grid(rng, 8, 9, 4))
+
+    def must_not_run(data):
+        raise AssertionError("crop renormalised rows of an already-validated map")
+
+    monkeypatch.setattr(fmap, "_normalize_rows", must_not_run)
+    # an inner box (a strided slice) and a full-width box (a contiguous one)
+    for box in (BoundingBox(3, 1, 7, 6), BoundingBox(0, 2, 9, 5)):
+        patch = crop(fm, box)
+        want = fm.data[box.slices]
+        assert patch.data.dtype == want.dtype and patch.data.shape == want.shape
+        assert patch.data.tobytes() == want.tobytes()
+        assert patch.data.flags.c_contiguous and not patch.data.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,8 @@ def test_classify_prefers_matching_component_mixture():
     got = classify(crop, classes, dictionary, occluder)
     assert got.class_index == 1
     assert got.mixture_index == 0
-    assert len(got.scores) == 2
-    assert got.scores[1][0] == pytest.approx(got.score)
+    assert len(got.candidates) == 2
+    assert image_loglik(got.candidates[1][0]) == got.score
 
     # fully occluded visibility makes every candidate score by the occluder
     # alone, so the tie breaks to the first class and mixture
@@ -294,8 +294,8 @@ def test_rescore_matches_per_candidate_image_loglik():
                 ])
                 for cls in classes
             ]
-            for got_row, want_row in zip(got.scores, want, strict=True):
-                assert np.array_equal(got_row, want_row)
+            for got_row, want_row in zip(got.candidates, want, strict=True):
+                assert np.array_equal([image_loglik(m, vis) for m in got_row], want_row)
             flat = np.concatenate(want)
             first = int(np.flatnonzero(flat == flat.max())[0])
             assert (got.class_index, got.mixture_index) == divmod(first, 2)
@@ -312,7 +312,7 @@ def test_rescore_ties_go_to_the_lowest_indices():
     # (0, 1) and (1, 0) differ only where the object is hidden: a tie
     vis = np.array([[0, 1], [1, 1]])
     got = rescore(candidates, vis)
-    assert got.scores[0][1] == got.scores[1][0] == -1.0
+    assert image_loglik(high, vis) == image_loglik(twin, vis) == got.score == -1.0
     assert (got.class_index, got.mixture_index) == (0, 1)
     assert got.maps is high
     # fully hidden, all three tie on the occluder value

@@ -5,7 +5,7 @@ import compseg.orm as orm
 from compseg.errors import ValidationError
 from compseg.fmap import BoundingBox
 from compseg.formats import load_scene
-from compseg.models import LABEL_FG, LikelihoodMaps, segment_single
+from compseg.models import LABEL_FG, LikelihoodMaps, amodal_mask, segment_single
 from compseg.orm import (
     OWNER_NONE,
     OWNER_OUTSIDE,
@@ -287,3 +287,38 @@ def test_reclassification_skipped_when_visibility_static(
     # the counter does see re-scoring: with both objects one loses pixels
     segment_scene(fm, [(rec.oid, rec.box) for rec in ann.objects], tiny_bundle, iters=1)
     assert calls
+
+
+def test_rescore_rebuilds_an_object_only_when_its_pick_changes(
+    tiny_challenge, tiny_bundle, monkeypatch
+):
+    # A re-score that keeps its (class, mixture) updates the score alone; the
+    # maps, labels and amodal mask it keeps are what a rebuild would give.
+    picks, scores, built, changed = {}, {}, [], []
+    real_build, real_rescore = orm._scene_object, orm.rescore
+
+    def build(oid, box, result, bundle):
+        built.append(oid)
+        picks[id(result.candidates)] = (result.class_index, result.mixture_index)
+        return real_build(oid, box, result, bundle)
+
+    def rescore(candidates, visibility=None):
+        result = real_rescore(candidates, visibility)
+        changed.append((result.class_index, result.mixture_index) != picks[id(candidates)])
+        scores[id(candidates)] = result.score
+        return result
+
+    monkeypatch.setattr(orm, "_scene_object", build)
+    monkeypatch.setattr(orm, "rescore", rescore)
+    n_objects = 0
+    for fm, ann in _scene_pairs(tiny_challenge, "four", 2):
+        result = segment_scene(fm, [(rec.oid, rec.box) for rec in ann.objects], tiny_bundle, iters=2)
+        n_objects += len(ann.objects)
+        for obj in result.objects:
+            mixture = tiny_bundle.classes[obj.class_index].mixtures[obj.mixture_index]
+            assert obj.maps is obj.candidates[obj.class_index][obj.mixture_index]
+            assert np.array_equal(obj.labels, segment_single(obj.maps))
+            assert np.array_equal(obj.amodal, amodal_mask(mixture, obj.box))
+            assert obj.score == scores.get(id(obj.candidates), obj.score)
+    assert changed.count(False) > 0
+    assert len(built) == n_objects + changed.count(True)
