@@ -24,7 +24,7 @@ from .errors import TrainingError, ValidationError
 from .fmap import FeatureMap, crop, resample_nearest
 from .formats import ModelBundle, SceneAnnotation, quantize_bundle
 from .models import ClassModel, MixtureModel, OccluderModel
-from .vmf import VmfDictionary, fit_dictionary_traced, responsibilities
+from .vmf import STOP_MAX_ITER, VmfDictionary, fit_dictionary_traced, responsibilities
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,14 @@ class TrainReport:
 
     dictionary_objective: list[float] = field(default_factory=list)
     dictionary_iterations: int = 0
-    dictionary_hit_max_iter: bool = False
+    dictionary_stop: str = ""  # which rule ended the fit, a `vmf.STOP_*` string
     crop_index: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
     mixture_groups: dict[str, list[int]] = field(default_factory=dict)
     group_shapes: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
+
+    @property
+    def dictionary_hit_max_iter(self) -> bool:
+        return self.dictionary_stop == STOP_MAX_ITER
 
 
 def inner_box_mask(shape: tuple[int, int], shrink: float = 0.10) -> np.ndarray:
@@ -253,7 +257,7 @@ def train(
         )
         report.dictionary_objective = trace["objective"]
         report.dictionary_iterations = trace["iterations"]
-        report.dictionary_hit_max_iter = trace["iterations"] >= config.max_iter
+        report.dictionary_stop = trace["stop"]
     except (ValidationError, ValueError) as exc:
         raise TrainingError("dictionary", str(exc)) from exc
 

@@ -5,7 +5,12 @@ components sharing one feature dimensionality; all likelihood math runs in
 float64 and is pure, so a fitted dictionary can be shared across threads.
 
 The k-means fit assigns in row blocks, sums cluster members with one scatter
-per dimension and reads its objective, sum_j ||r_j|| / n, off those sums.
+per dimension and reads its objective, sum_j ||r_j|| / n, off those sums. It
+stops at the first iteration whose objective gain is below the standard error
+of the objective, std(own) / sqrt(n) over the iteration's assignment cosines:
+the objective is a mean over a sample of feature vectors (training fits a
+random subsample of its feature pool), so a smaller gain cannot be told apart
+from redrawing that sample. No tolerance constant is involved.
 """
 from __future__ import annotations
 
@@ -214,6 +219,10 @@ def _kmeanspp_init(feats: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
+STOP_MAX_ITER = "max_iter reached"
+STOP_UNCHANGED = "assignments unchanged"
+STOP_GAIN = "gain below standard error"
+
 _ASSIGN_BLOCK = 2048  # rows per cosine tile: a (2048, K) block stays in cache
 
 
@@ -237,10 +246,18 @@ def fit_dictionary_traced(
     """Spherical k-means with hard assignments; returns (dictionary, trace).
 
     Assignment runs in row blocks and member sums are one `bincount` scatter
-    per dimension. The trace records the objective after every iteration,
-    sum_j ||r_j|| / n over the resultants r_j (the mean cosine to the updated
-    centers, non-decreasing), then the final mean cosine; the iteration count;
-    final assignments; and the raw concentrations before the shared override.
+    per dimension. The loop ends at the first of: assignments unchanged; an
+    objective gain below the standard error std(own) / sqrt(n) of the mean
+    cosine, own being that iteration's assignment cosines (the objective is a
+    sample mean, so a smaller gain is within its sampling noise); `max_iter`
+    iterations.
+
+    The trace records the objective after every iteration, sum_j ||r_j|| / n
+    over the resultants r_j (the mean cosine to the updated centers,
+    non-decreasing), then the final mean cosine; each iteration's standard
+    error; the iteration count; which rule ended the loop (`stop`, one of the
+    `STOP_*` strings); final assignments; and the raw concentrations before
+    the shared override.
     """
     feats = np.ascontiguousarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -261,7 +278,8 @@ def fit_dictionary_traced(
     cols = np.ascontiguousarray(feats.T)
     assign = np.full(n, -1, dtype=np.int64)
     objective: list[float] = []
-    n_iter = 0
+    standard_error: list[float] = []
+    n_iter, stop = 0, STOP_MAX_ITER
 
     for n_iter in range(1, max_iter + 1):
         new_assign, own = _nearest(feats, centers)
@@ -288,7 +306,12 @@ def fit_dictionary_traced(
         # Mean cosine to the updated centers, sum_j r_j . r_j / ||r_j|| / n:
         # non-decreasing by the usual two-step argument.
         objective.append(float(lengths.sum() / n))
+        standard_error.append(float(np.std(own) / np.sqrt(n)))
         if converged:
+            stop = STOP_UNCHANGED
+            break
+        if n_iter > 1 and objective[-1] - objective[-2] < standard_error[-1]:
+            stop = STOP_GAIN
             break
 
     # Final assignment against the final centers for the statistics below.
@@ -306,7 +329,9 @@ def fit_dictionary_traced(
     dictionary = VmfDictionary(centers, conc)
     trace = {
         "objective": objective,
+        "standard_error": standard_error,
         "iterations": n_iter,
+        "stop": stop,
         "assignments": assign,
         "raw_concentrations": raw_conc,
     }

@@ -36,7 +36,9 @@ def pipeline(tmp_path_factory):
     )
     assert r.returncode == 0, r.stderr
     assert "trained 2 classes" in r.stdout
-    assert re.search(r"dictionary \d+/100 iterations", r.stdout), r.stdout
+    stop = re.search(r"dictionary (\d+)/100 iterations \((.+?)\),", r.stdout)
+    assert stop, r.stdout
+    assert int(stop[1]) < 100 and stop[2] in ("assignments unchanged", "gain below standard error")
     return root, data, model
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compseg import vmf
 from compseg.errors import TrainingError, ValidationError
 from compseg.fmap import FeatureMap
 from compseg.learning import (
@@ -195,9 +196,13 @@ def test_train_report_structure(tiny_train_pairs, tiny_backgrounds):
     assert report.dictionary_objective
     assert 1 <= report.dictionary_iterations <= cfg.max_iter
     assert len(report.dictionary_objective) == report.dictionary_iterations + 1
-    assert report.dictionary_hit_max_iter == (report.dictionary_iterations == cfg.max_iter)
+    # the fit ends on its own rule well before the cap
+    assert report.dictionary_stop in (vmf.STOP_UNCHANGED, vmf.STOP_GAIN)
+    assert report.dictionary_iterations < cfg.max_iter
+    assert not report.dictionary_hit_max_iter
     _, capped = train(pairs, tiny_backgrounds[:3], replace(cfg, max_iter=2))
     assert (capped.dictionary_iterations, capped.dictionary_hit_max_iter) == (2, True)
+    assert capped.dictionary_stop == vmf.STOP_MAX_ITER
     assert bundle.dictionary.size == cfg.k
     for cls in bundle.classes:
         assert len(cls.mixtures) == cfg.m

@@ -202,13 +202,16 @@ def test_fit_dictionary_rejects_bad_shared_concentration_before_fitting(monkeypa
 def straightforward_fit(feats, k, seed, shared_concentration, max_iter=100):
     """The plain loop: full cosine table, boolean-mask sums, einsum objective.
 
-    Also counts how often the empty-cluster reseed and the zero-resultant
-    repair ran, so a test can show its input reaches both.
+    It stops when assignments are unchanged, when an iteration's objective
+    gain is below np.std of its full-table assignment cosines over sqrt(n),
+    or after max_iter iterations. Also counts how often the empty-cluster
+    reseed and the zero-resultant repair ran, so a test can show its input
+    reaches both.
     """
     n, dim = feats.shape
     centers = vmf._kmeanspp_init(feats, k, np.random.default_rng(seed))
     assign = np.full(n, -1, dtype=np.int64)
-    objective, hits = [], {"reseed": 0, "zero": 0}
+    objective, hits, stop = [], {"reseed": 0, "zero": 0}, "max_iter reached"
     for n_iter in range(1, max_iter + 1):
         cosines = feats @ centers.T
         new_assign = np.argmax(cosines, axis=1)
@@ -231,6 +234,10 @@ def straightforward_fit(feats, k, seed, shared_concentration, max_iter=100):
                 centers[j] = resultant / length
         objective.append(float(np.mean(np.einsum("nd,nd->n", feats, centers[assign]))))
         if converged:
+            stop = "assignments unchanged"
+            break
+        if n_iter > 1 and objective[-1] - objective[-2] < np.std(own) / math.sqrt(n):
+            stop = "gain below standard error"
             break
     cosines = feats @ centers.T
     assign = np.argmax(cosines, axis=1)
@@ -242,8 +249,8 @@ def straightforward_fit(feats, k, seed, shared_concentration, max_iter=100):
             rbar = min(float(np.linalg.norm(members.mean(axis=0))), 1.0)
             raw[j] = estimate_concentration(rbar, dim)
     conc = raw if shared_concentration is None else np.full(k, float(shared_concentration))
-    trace = {"objective": objective, "iterations": n_iter, "assignments": assign,
-             "raw_concentrations": raw}
+    trace = {"objective": objective, "iterations": n_iter, "stop": stop,
+             "assignments": assign, "raw_concentrations": raw}
     return VmfDictionary(centers, conc), trace, hits
 
 
@@ -251,29 +258,57 @@ def _circle(angles):
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
+def _first_gain_below_standard_error(trace):
+    """1-based iteration whose objective gain first falls below its standard error."""
+    obj, se = trace["objective"][:-1], trace["standard_error"]
+    return next((i + 1 for i in range(1, len(obj)) if obj[i] - obj[i - 1] < se[i]), None)
+
+
+_UNIFORM = sample_uniform_sphere(np.random.default_rng(14), 2 * 2048 + 37, 5)
+
+
 @pytest.mark.parametrize(
-    "feats, k, seed, sigma, branches",
+    "feats, k, seed, sigma, max_iter, branches, stop, iterations",
     [
         # more rows than two assignment blocks, and not a multiple of one
-        (planted_features(np.random.default_rng(13), 5, 6, 827)[1], 5, 2, 30.0, ()),
-        (sample_uniform_sphere(np.random.default_rng(14), 2 * 2048 + 37, 5), 7, 4, None, ()),
+        (planted_features(np.random.default_rng(13), 5, 6, 827)[1], 5, 2, 30.0, 100, (),
+         vmf.STOP_UNCHANGED, 3),
+        # the gain rule ends the fit well before the cap...
+        (_UNIFORM, 7, 4, None, 100, (), vmf.STOP_GAIN, 4),
+        # ...and the cap comes first when it is lower
+        (_UNIFORM, 7, 4, None, 3, (), vmf.STOP_MAX_ITER, 3),
         # three points repeated: k-means++ runs out of distinct points and
         # picks at random, and the duplicate centers leave clusters empty,
         # two at a time, each reseeded from its own point
-        (np.repeat(_circle([0.3, 2.0, 4.1]), [3, 2, 3], axis=0), 5, 0, None, ("reseed",)),
+        (np.repeat(_circle([0.3, 2.0, 4.1]), [3, 2, 3], axis=0), 5, 0, None, 100, ("reseed",),
+         vmf.STOP_GAIN, 2),
         # u and -u in one cluster: a zero resultant
-        (np.tile([0.6, 0.8, -0.6, -0.8], (3, 1)).reshape(6, 2), 4, 89, None, ("reseed", "zero")),
+        (np.tile([0.6, 0.8, -0.6, -0.8], (3, 1)).reshape(6, 2), 4, 89, None, 100,
+         ("reseed", "zero"), vmf.STOP_UNCHANGED, 2),
     ],
 )
-def test_fit_matches_the_straightforward_loop_bit_for_bit(feats, k, seed, sigma, branches):
-    want_dict, want, hits = straightforward_fit(feats, k, seed, sigma)
-    got_dict, got = fit_dictionary_traced(feats, k, seed, shared_concentration=sigma)
+def test_fit_matches_the_straightforward_loop_bit_for_bit(
+    feats, k, seed, sigma, max_iter, branches, stop, iterations
+):
+    want_dict, want, hits = straightforward_fit(feats, k, seed, sigma, max_iter)
+    got_dict, got = fit_dictionary_traced(
+        feats, k, seed, shared_concentration=sigma, max_iter=max_iter
+    )
     assert all(hits[b] > 0 for b in branches), hits
+    assert (want["stop"], want["iterations"]) == (stop, iterations)
     assert got_dict.means.tobytes() == want_dict.means.tobytes()
     assert got_dict.concentrations.tobytes() == want_dict.concentrations.tobytes()
     assert np.array_equal(got["assignments"], want["assignments"])
     assert got["raw_concentrations"].tobytes() == want["raw_concentrations"].tobytes()
-    assert got["iterations"] == want["iterations"]
+    assert (got["stop"], got["iterations"]) == (stop, iterations)
     assert got["objective"][-1] == want["objective"][-1]
     assert len(got["objective"]) == len(want["objective"])
     assert np.allclose(got["objective"][:-1], want["objective"][:-1], rtol=0, atol=1e-12)
+
+    # The trace alone shows why the loop ended where it did.
+    assert len(got["standard_error"]) == got["iterations"]
+    first = _first_gain_below_standard_error(got)
+    if stop == vmf.STOP_GAIN:
+        assert first == got["iterations"]
+    else:
+        assert first is None or (stop == vmf.STOP_UNCHANGED and first == got["iterations"])
