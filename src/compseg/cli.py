@@ -134,7 +134,8 @@ def _cmd_train(args) -> int:
     print(
         f"trained {len(seen)} classes ({','.join(seen)}) on {len(pairs)} scenes: "
         f"K={args.k} M={args.m} dictionary {report.dictionary_iterations}/{config.max_iter} "
-        f"iterations ({report.dictionary_stop}), final dictionary objective {objective:.4f} -> {args.out}"
+        f"iterations ({report.dictionary_stop}), final dictionary objective {objective:.4f} "
+        f"-> {args.out}"
     )
     return 0
 

@@ -312,7 +312,8 @@ def test_rescore_rebuilds_an_object_only_when_its_pick_changes(
     monkeypatch.setattr(orm, "rescore", rescore)
     n_objects = 0
     for fm, ann in _scene_pairs(tiny_challenge, "four", 2):
-        result = segment_scene(fm, [(rec.oid, rec.box) for rec in ann.objects], tiny_bundle, iters=2)
+        boxes = [(rec.oid, rec.box) for rec in ann.objects]
+        result = segment_scene(fm, boxes, tiny_bundle, iters=2)
         n_objects += len(ann.objects)
         for obj in result.objects:
             mixture = tiny_bundle.classes[obj.class_index].mixtures[obj.mixture_index]

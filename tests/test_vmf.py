@@ -264,43 +264,17 @@ def _first_gain_below_standard_error(trace):
     return next((i + 1 for i in range(1, len(obj)) if obj[i] - obj[i - 1] < se[i]), None)
 
 
-_UNIFORM = sample_uniform_sphere(np.random.default_rng(14), 2 * 2048 + 37, 5)
-
-
-@pytest.mark.parametrize(
-    "feats, k, seed, sigma, max_iter, branches, stop, iterations",
-    [
-        # more rows than two assignment blocks, and not a multiple of one
-        (planted_features(np.random.default_rng(13), 5, 6, 827)[1], 5, 2, 30.0, 100, (),
-         vmf.STOP_UNCHANGED, 3),
-        # the gain rule ends the fit well before the cap...
-        (_UNIFORM, 7, 4, None, 100, (), vmf.STOP_GAIN, 4),
-        # ...and the cap comes first when it is lower
-        (_UNIFORM, 7, 4, None, 3, (), vmf.STOP_MAX_ITER, 3),
-        # three points repeated: k-means++ runs out of distinct points and
-        # picks at random, and the duplicate centers leave clusters empty,
-        # two at a time, each reseeded from its own point
-        (np.repeat(_circle([0.3, 2.0, 4.1]), [3, 2, 3], axis=0), 5, 0, None, 100, ("reseed",),
-         vmf.STOP_GAIN, 2),
-        # u and -u in one cluster: a zero resultant
-        (np.tile([0.6, 0.8, -0.6, -0.8], (3, 1)).reshape(6, 2), 4, 89, None, 100,
-         ("reseed", "zero"), vmf.STOP_UNCHANGED, 2),
-    ],
-)
-def test_fit_matches_the_straightforward_loop_bit_for_bit(
-    feats, k, seed, sigma, max_iter, branches, stop, iterations
-):
+def _fit_matches_reference(feats, k, seed, sigma, max_iter=100):
+    """Fit both ways, check they agree bit for bit; return (trace, reference hits)."""
     want_dict, want, hits = straightforward_fit(feats, k, seed, sigma, max_iter)
     got_dict, got = fit_dictionary_traced(
         feats, k, seed, shared_concentration=sigma, max_iter=max_iter
     )
-    assert all(hits[b] > 0 for b in branches), hits
-    assert (want["stop"], want["iterations"]) == (stop, iterations)
     assert got_dict.means.tobytes() == want_dict.means.tobytes()
     assert got_dict.concentrations.tobytes() == want_dict.concentrations.tobytes()
     assert np.array_equal(got["assignments"], want["assignments"])
     assert got["raw_concentrations"].tobytes() == want["raw_concentrations"].tobytes()
-    assert (got["stop"], got["iterations"]) == (stop, iterations)
+    assert (got["stop"], got["iterations"]) == (want["stop"], want["iterations"])
     assert got["objective"][-1] == want["objective"][-1]
     assert len(got["objective"]) == len(want["objective"])
     assert np.allclose(got["objective"][:-1], want["objective"][:-1], rtol=0, atol=1e-12)
@@ -308,7 +282,46 @@ def test_fit_matches_the_straightforward_loop_bit_for_bit(
     # The trace alone shows why the loop ended where it did.
     assert len(got["standard_error"]) == got["iterations"]
     first = _first_gain_below_standard_error(got)
-    if stop == vmf.STOP_GAIN:
+    if got["stop"] == vmf.STOP_GAIN:
         assert first == got["iterations"]
     else:
-        assert first is None or (stop == vmf.STOP_UNCHANGED and first == got["iterations"])
+        assert first is None or (got["stop"] == vmf.STOP_UNCHANGED and first == got["iterations"])
+    return got, hits
+
+
+@pytest.mark.parametrize(
+    "feats, k, seed, sigma, branches",
+    [
+        # more rows than two assignment blocks, and not a multiple of one
+        (planted_features(np.random.default_rng(13), 5, 6, 827)[1], 5, 2, 30.0, ()),
+        (sample_uniform_sphere(np.random.default_rng(14), 2 * 2048 + 37, 5), 7, 4, None, ()),
+        # three points repeated: k-means++ runs out of distinct points and
+        # picks at random, and the duplicate centers leave clusters empty,
+        # two at a time, each reseeded from its own point
+        (np.repeat(_circle([0.3, 2.0, 4.1]), [3, 2, 3], axis=0), 5, 0, None, ("reseed",)),
+        # u and -u in one cluster: a zero resultant
+        (np.tile([0.6, 0.8, -0.6, -0.8], (3, 1)).reshape(6, 2), 4, 89, None, ("reseed", "zero")),
+    ],
+)
+def test_fit_matches_the_straightforward_loop_bit_for_bit(feats, k, seed, sigma, branches):
+    _, hits = _fit_matches_reference(feats, k, seed, sigma)
+    assert all(hits[b] > 0 for b in branches), hits
+
+
+@pytest.mark.parametrize(
+    "max_iter, stop, iterations",
+    [
+        # the gain rule ends the fit well before the cap...
+        (100, vmf.STOP_GAIN, 4),
+        # ...and the cap comes first when it is lower
+        (3, vmf.STOP_MAX_ITER, 3),
+    ],
+)
+def test_fit_stops_at_the_first_rule_that_holds(max_iter, stop, iterations):
+    feats = sample_uniform_sphere(np.random.default_rng(14), 2 * 2048 + 37, 5)
+    got, _ = _fit_matches_reference(feats, 7, 4, None, max_iter)
+    assert (got["stop"], got["iterations"]) == (stop, iterations)
+    # the planted components are separated: assignments settle first
+    planted = planted_features(np.random.default_rng(13), 5, 6, 827)[1]
+    got, _ = _fit_matches_reference(planted, 5, 2, 30.0, max_iter)
+    assert (got["stop"], got["iterations"]) == (vmf.STOP_UNCHANGED, 3)
