@@ -51,7 +51,7 @@ from .orm import (
     segment_scene,
 )
 from .synth import ChallengeConfig, generate_challenge
-from .vmf import VmfComponent, VmfDictionary, fit_dictionary, log_normalizer
+from .vmf import VmfDictionary, log_normalizer
 
 __version__ = "0.1.0"
 
@@ -102,9 +102,7 @@ __all__ = [
     "segment_scene",
     "ChallengeConfig",
     "generate_challenge",
-    "VmfComponent",
     "VmfDictionary",
-    "fit_dictionary",
     "log_normalizer",
     "__version__",
 ]

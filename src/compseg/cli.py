@@ -353,10 +353,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="fit a model bundle from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--classes", default="", help="comma list; default all present")
-    p.add_argument("--k", type=int, default=64)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--sigma", type=float, default=30.0)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = TrainConfig()
+    p.add_argument("--k", type=int, default=defaults.k)
+    p.add_argument("--m", type=int, default=defaults.m)
+    p.add_argument("--sigma", type=float, default=defaults.shared_concentration)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 

@@ -70,10 +70,6 @@ class BoundingBox:
         return (self.height, self.width)
 
     @property
-    def area(self) -> int:
-        return self.width * self.height
-
-    @property
     def slices(self) -> tuple[slice, slice]:
         return (slice(self.y0, self.y1), slice(self.x0, self.x1))
 
@@ -83,16 +79,6 @@ class BoundingBox:
             and other.x0 < self.x1
             and self.y0 < other.y1
             and other.y0 < self.y1
-        )
-
-    def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
-        if not self.overlaps(other):
-            return None
-        return BoundingBox(
-            max(self.x0, other.x0),
-            max(self.y0, other.y0),
-            min(self.x1, other.x1),
-            min(self.y1, other.y1),
         )
 
     def fits_in(self, height: int, width: int) -> bool:

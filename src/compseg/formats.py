@@ -49,6 +49,8 @@ class ModelBundle:
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
+        if not self.classes:
+            raise ValidationError("model has no classes")
         k = self.dictionary.size
         if self.occluder.n_components != k:
             raise ValidationError("occluder K does not match dictionary")
@@ -167,7 +169,7 @@ def load_model(path: str) -> ModelBundle:
         (conc[j],) = r.unpack("<d")
     beta = r.array("<f8", k)
     (n_classes,) = r.unpack("<I")
-    classes = []
+    classes = []  # (label, [(prior, fg, ctx) per mixture]), validated below
     for _ in range(n_classes):
         (label_len,) = r.unpack("<H")
         try:
@@ -183,17 +185,18 @@ def load_model(path: str) -> ModelBundle:
             prior = r.array("<f4", h * w).astype(np.float64).reshape(h, w)
             fg = r.array("<f4", h * w * k).astype(np.float64).reshape(h, w, k)
             ctx = r.array("<f4", h * w * k).astype(np.float64).reshape(h, w, k)
-            try:
-                mixtures.append(MixtureModel(prior, fg, ctx))
-            except ValidationError as exc:
-                raise FormatError(f"{path}: invalid mixture: {exc}") from exc
-        classes.append(ClassModel(label, tuple(mixtures)))
+            mixtures.append((prior, fg, ctx))
+        classes.append((label, mixtures))
     if r.pos != len(blob):
         raise FormatError(f"{path}: {len(blob) - r.pos} trailing bytes")
     try:
         dictionary = VmfDictionary(means, conc)
         occluder = OccluderModel(beta)
-        return ModelBundle(dictionary, tuple(classes), occluder)
+        models = tuple(
+            ClassModel(label, tuple(MixtureModel(*planes) for planes in mixtures))
+            for label, mixtures in classes
+        )
+        return ModelBundle(dictionary, models, occluder)
     except ValidationError as exc:
         raise FormatError(f"{path}: invalid model: {exc}") from exc
 
@@ -445,21 +448,3 @@ def order_graph_lines(edges) -> str:
         for (front, back, votes_front, votes_back, csize) in edges
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_order_graph(text: str):
-    edges = []
-    for ln, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 6 or parts[1] != "->":
-            raise FormatError(f"order graph line {ln} malformed: {line!r}")
-        try:
-            edges.append(
-                (int(parts[0]), int(parts[2]), int(parts[3]), int(parts[4]), int(parts[5]))
-            )
-        except ValueError as exc:
-            raise FormatError(f"order graph line {ln}: {exc}") from exc
-    return edges

@@ -54,7 +54,7 @@ class TrainReport:
         return self.dictionary_stop == STOP_MAX_ITER
 
 
-def inner_box_mask(shape: tuple[int, int], shrink: float = 0.10) -> np.ndarray:
+def inner_box_mask(shape: tuple[int, int], shrink: float) -> np.ndarray:
     """Central region of a crop after shrinking the box by `shrink`.
 
     The complement (the ring) approximates context pixels: matter inside the
@@ -93,7 +93,7 @@ def pooled_responsibility(fm: FeatureMap, dictionary: VmfDictionary) -> np.ndarr
     return resp.mean(axis=0)
 
 
-def estimate_fg_prior(resps: Sequence[np.ndarray], shrink: float = 0.10) -> np.ndarray:
+def estimate_fg_prior(resps: Sequence[np.ndarray], shrink: float) -> np.ndarray:
     """Per-position probability that a position carries object matter.
 
     Two pooled profiles summarize what object pixels and ring (context)
@@ -124,7 +124,7 @@ def estimate_coeffs(resps: Sequence[np.ndarray]) -> np.ndarray:
     return mean / mean.sum(axis=-1, keepdims=True)
 
 
-def estimate_context_coeffs(resps: Sequence[np.ndarray], shrink: float = 0.10) -> np.ndarray:
+def estimate_context_coeffs(resps: Sequence[np.ndarray], shrink: float) -> np.ndarray:
     """Per-position context coefficients from ring pixels, add-one smoothed.
 
     Ring positions average their own responsibility rows across crops plus
@@ -152,9 +152,7 @@ def estimate_context_coeffs(resps: Sequence[np.ndarray], shrink: float = 0.10) -
     return out / out.sum(axis=-1, keepdims=True)
 
 
-def assign_mixtures(
-    pooled: np.ndarray, m: int, seed, max_iter: int = 100
-) -> np.ndarray:
+def assign_mixtures(pooled: np.ndarray, m: int, seed, max_iter: int) -> np.ndarray:
     """Partition crops into M groups by k-means on pooled responsibilities.
 
     Euclidean k-means with k-means++ seeding; empty groups are repaired by

@@ -117,12 +117,10 @@ def miou_by_level(
 
 
 def _edge_pairs(edges) -> dict[frozenset, tuple[int, int]]:
+    """{pair: (front, back)} from annotation edge tuples, (front, back, ...)."""
     out: dict[frozenset, tuple[int, int]] = {}
     for e in edges:
-        if hasattr(e, "front"):
-            front, back = int(e.front), int(e.back)
-        else:
-            front, back = int(e[0]), int(e[1])
+        front, back = int(e[0]), int(e[1])
         out[frozenset((front, back))] = (front, back)
     return out
 

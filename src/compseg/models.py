@@ -177,19 +177,17 @@ def _check_k(dictionary: VmfDictionary, k: int, what: str) -> None:
         )
 
 
-def _crop_cosines(crop: FeatureMap, shape: tuple[int, int], dictionary: VmfDictionary) -> np.ndarray:
+def _crop_cosines(crop: FeatureMap, dictionary: VmfDictionary) -> np.ndarray:
     if crop.dim != dictionary.dim:
         raise ValidationError(
             f"crop dim {crop.dim} does not match dictionary dim {dictionary.dim}"
         )
-    aligned = resample_nearest(crop.data, shape)
-    flat = aligned.reshape(-1, crop.dim).astype(np.float64)
-    return flat @ dictionary.means.T
+    return crop.data.reshape(-1, crop.dim).astype(np.float64) @ dictionary.means.T
 
 
 @dataclass(frozen=True)
 class CropEvidence:
-    """The mixture-independent terms of one crop on one evaluation lattice.
+    """The mixture-independent terms of one crop, on the crop's lattice.
 
     Per position i: `peak` = max_k s[i,k], `scaled` = exp(s - peak) and `occ`
     the occluder log-likelihood without its prior term. `cos` is kept for
@@ -215,25 +213,19 @@ def _factored_loglik(peak: np.ndarray, total: np.ndarray, exact) -> np.ndarray:
 
 
 def crop_evidence(
-    crop: FeatureMap,
-    dictionary: VmfDictionary,
-    occluder: OccluderModel,
-    shape: tuple[int, int] | None = None,
+    crop: FeatureMap, dictionary: VmfDictionary, occluder: OccluderModel
 ) -> CropEvidence:
-    """Per-crop terms that the maps of every mixture share.
+    """Per-crop terms that the maps of every mixture share, on the crop's lattice.
 
-    `shape` picks the evaluation lattice and defaults to the crop's own; the
-    crop is aligned to it by nearest neighbour. Scoring every mixture on
-    the crop's lattice aligns the coefficient planes to the data (one
-    nearest-neighbour step in total rather than one on the way in and one
-    on the way back out, which matters once part layouts vary at a
-    few-pixel scale).
+    Scoring every mixture on the crop's own lattice aligns the coefficient
+    planes to the data (one nearest-neighbour step in total rather than one
+    on the way in and one on the way back out, which matters once part
+    layouts vary at a few-pixel scale).
     """
     _check_k(dictionary, occluder.n_components, "occluder")
-    shape = crop.shape if shape is None else tuple(shape)
     sig = dictionary.concentrations
     lz = dictionary.log_normalizers
-    cos = _crop_cosines(crop, shape, dictionary)
+    cos = _crop_cosines(crop, dictionary)
     s = cos * sig - lz
     peak = np.max(s, axis=1)
     scaled = np.exp(s - peak[:, None])
@@ -242,7 +234,7 @@ def crop_evidence(
         scaled @ occluder.coeffs,
         lambda rows: _kernels.shared_mixture_loglik(cos[rows], sig, lz, occluder._log_coeffs),
     )
-    return CropEvidence(shape, dictionary, cos, peak, scaled, occ)
+    return CropEvidence(crop.shape, dictionary, cos, peak, scaled, occ)
 
 
 def _mixture_loglik(evidence: CropEvidence, coeffs: np.ndarray) -> np.ndarray:

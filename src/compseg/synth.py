@@ -33,7 +33,6 @@ from .formats import (
 )
 from .vmf import sample_vmf
 
-CLASS_LABELS = ("disc", "brick")
 LEVELS = ("L0", "L1", "L2", "L3")
 # Right-open occlusion-fraction buckets; objects at or above the last edge
 # are excluded from metric buckets entirely.

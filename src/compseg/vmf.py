@@ -1,16 +1,19 @@
-"""von Mises-Fisher components, dictionaries, and spherical k-means fitting.
+"""von Mises-Fisher dictionaries and spherical k-means fitting.
 
-Directions live on the unit sphere in R^D. A dictionary is a bank of K
-components sharing one feature dimensionality; all likelihood math runs in
-float64 and is pure, so a fitted dictionary can be shared across threads.
+Directions live on the unit sphere in R^D. A dictionary is a bank of K vMF
+components, a unit mean and a concentration each, over one feature
+dimensionality; all likelihood math runs in float64 and is pure, so a fitted
+dictionary can be shared across threads.
 
-The k-means fit assigns in row blocks, sums cluster members with one scatter
-per dimension and reads its objective, sum_j ||r_j|| / n, off those sums. It
-stops at the first iteration whose objective gain is below the standard error
-of the objective, std(own) / sqrt(n) over the iteration's assignment cosines:
-the objective is a mean over a sample of feature vectors (training fits a
-random subsample of its feature pool), so a smaller gain cannot be told apart
-from redrawing that sample. No tolerance constant is involved.
+A fitted dictionary gives every component one shared concentration sigma,
+as the kernels of CompositionalNets share theirs; training passes it in. The
+k-means fit assigns in row blocks, sums cluster members with one scatter per
+dimension and reads its objective, sum_j ||r_j|| / n, off those sums. It stops
+at the first iteration whose objective gain is below the standard error of the
+objective, std(own) / sqrt(n) over the iteration's assignment cosines: the
+objective is a mean over a sample of feature vectors (training fits a random
+subsample of its feature pool), so a smaller gain cannot be told apart from
+redrawing that sample. No tolerance constant is involved.
 """
 from __future__ import annotations
 
@@ -74,31 +77,6 @@ def _check_unit(vec: np.ndarray, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VmfComponent:
-    """One vMF component: a unit mean direction and a concentration."""
-
-    mean: np.ndarray
-    concentration: float
-
-    def __post_init__(self):
-        mean = _check_unit(self.mean, "component mean")
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        if not np.isfinite(self.concentration) or self.concentration < 0:
-            raise ValidationError(
-                f"concentration must be finite and >= 0, got {self.concentration}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def log_z(self) -> float:
-        return log_normalizer(self.concentration, self.dim)
-
-
-@dataclass(frozen=True)
 class VmfDictionary:
     """Bank of K vMF components over a shared feature dimension."""
 
@@ -139,65 +117,28 @@ class VmfDictionary:
     def log_normalizers(self) -> np.ndarray:
         return self._log_z
 
-    @property
-    def components(self) -> list[VmfComponent]:
-        return [
-            VmfComponent(self.means[k].copy(), float(self.concentrations[k]))
-            for k in range(self.size)
-        ]
-
-
-def log_pdf(f: np.ndarray, component: VmfComponent) -> float:
-    """log vMF density of a unit vector under one component."""
-    v = _check_unit(f, "feature vector")
-    if v.shape[0] != component.dim:
-        raise ValidationError(
-            f"feature dim {v.shape[0]} does not match component dim {component.dim}"
-        )
-    return float(component.concentration * (v @ component.mean) - component.log_z)
-
 
 def component_logliks(features: np.ndarray, dictionary: VmfDictionary) -> np.ndarray:
     """(P, K) table of per-component log densities for a batch of unit rows."""
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim == 1:
-        feats = feats[None, :]
-    if feats.shape[1] != dictionary.dim:
+    if feats.ndim != 2 or feats.shape[1] != dictionary.dim:
         raise ValidationError(
-            f"feature dim {feats.shape[1]} does not match dictionary dim {dictionary.dim}"
+            f"features {feats.shape} are not (P, D) with D = dictionary dim {dictionary.dim}"
         )
     cosines = feats @ dictionary.means.T
     return cosines * dictionary.concentrations[None, :] - dictionary.log_normalizers[None, :]
 
 
-def responsibilities(f: np.ndarray, dictionary: VmfDictionary) -> np.ndarray:
-    """Posterior over dictionary components for one vector or a (P, D) batch.
+def responsibilities(features: np.ndarray, dictionary: VmfDictionary) -> np.ndarray:
+    """(P, K) posterior over dictionary components for a (P, D) batch of unit rows.
 
     Uniform component prior; rows sum to 1.
     """
-    arr = np.asarray(f, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        _check_unit(arr, "feature vector")
-    table = component_logliks(arr, dictionary)
+    table = component_logliks(features, dictionary)
     table -= table.max(axis=1, keepdims=True)
     np.exp(table, out=table)
     table /= table.sum(axis=1, keepdims=True)
-    return table[0] if single else table
-
-
-def estimate_concentration(resultant_length: float, dim: int) -> float:
-    """Concentration from the mean resultant length (standard approximation).
-
-    kappa ~= rbar * (dim - rbar^2) / (1 - rbar^2), clipped to a large finite
-    value as rbar -> 1.
-    """
-    r = float(resultant_length)
-    if not 0.0 <= r <= 1.0:
-        raise ValidationError(f"resultant length must lie in [0, 1], got {r}")
-    if r >= 1.0 - 1e-12:
-        return 1e6
-    return max(r * (dim - r * r) / (1.0 - r * r), 0.0)
+    return table
 
 
 def _kmeanspp_init(feats: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -240,10 +181,12 @@ def fit_dictionary_traced(
     features: np.ndarray,
     k: int,
     seed: int,
-    shared_concentration: float | None = 30.0,
-    max_iter: int = 100,
+    shared_concentration: float,
+    max_iter: int,
 ) -> tuple[VmfDictionary, dict]:
     """Spherical k-means with hard assignments; returns (dictionary, trace).
+
+    Every component of the dictionary gets `shared_concentration`.
 
     Assignment runs in row blocks and member sums are one `bincount` scatter
     per dimension. The loop ends at the first of: assignments unchanged; an
@@ -255,19 +198,18 @@ def fit_dictionary_traced(
     The trace records the objective after every iteration, sum_j ||r_j|| / n
     over the resultants r_j (the mean cosine to the updated centers,
     non-decreasing), then the final mean cosine; each iteration's standard
-    error; the iteration count; which rule ended the loop (`stop`, one of the
-    `STOP_*` strings); final assignments; and the raw concentrations before
-    the shared override.
+    error (`standard_error`); the iteration count (`iterations`); and which
+    rule ended the loop (`stop`, one of the `STOP_*` strings).
     """
     feats = np.ascontiguousarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise ValidationError(f"features must be (N, D), got {feats.shape}")
-    n, dim = feats.shape
+    n = feats.shape[0]
     if k < 1:
         raise ValidationError(f"component count must be >= 1, got {k}")
     if n < k:
         raise ValidationError(f"need at least k={k} feature vectors, got {n}")
-    if shared_concentration is not None and not 0 <= shared_concentration < np.inf:
+    if not 0 <= shared_concentration < np.inf:
         raise ValidationError("concentrations must be finite and >= 0")
     norms = np.linalg.norm(feats, axis=1)
     if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
@@ -314,42 +256,17 @@ def fit_dictionary_traced(
             stop = STOP_GAIN
             break
 
-    # Final assignment against the final centers for the statistics below.
-    assign, own = _nearest(feats, centers)
-    objective.append(float(np.mean(own)))
+    # The final mean cosine, against the final centers.
+    objective.append(float(np.mean(_nearest(feats, centers)[1])))
 
-    counts = np.bincount(assign, minlength=k)
-    sums = np.stack([np.bincount(assign, weights=c, minlength=k) for c in cols], axis=1)
-    raw_conc = np.zeros(k)
-    for j in np.flatnonzero(counts):
-        rbar = min(float(np.linalg.norm(sums[j] / counts[j])), 1.0)
-        raw_conc[j] = estimate_concentration(rbar, dim)
-
-    conc = raw_conc if shared_concentration is None else np.full(k, float(shared_concentration))
-    dictionary = VmfDictionary(centers, conc)
+    dictionary = VmfDictionary(centers, np.full(k, float(shared_concentration)))
     trace = {
         "objective": objective,
         "standard_error": standard_error,
         "iterations": n_iter,
         "stop": stop,
-        "assignments": assign,
-        "raw_concentrations": raw_conc,
     }
     return dictionary, trace
-
-
-def fit_dictionary(
-    features: np.ndarray,
-    k: int,
-    seed: int,
-    shared_concentration: float | None = 30.0,
-    max_iter: int = 100,
-) -> VmfDictionary:
-    """Fit a K-component dictionary by spherical k-means (seed-deterministic)."""
-    dictionary, _ = fit_dictionary_traced(
-        features, k, seed, shared_concentration=shared_concentration, max_iter=max_iter
-    )
-    return dictionary
 
 
 def sample_uniform_sphere(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

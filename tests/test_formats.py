@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -22,7 +23,6 @@ from compseg.formats import (
     load_model,
     load_scene,
     order_graph_lines,
-    parse_order_graph,
     quantize_bundle,
     save_model,
 )
@@ -162,21 +162,9 @@ def test_generated_order_edges_load_unchanged(tiny_challenge):
 
 def test_order_graph_roundtrip():
     edges = [(0, 1, 12, 3, 15), (2, 0, 5, 5, 10)]
-    text = order_graph_lines(edges)
-    assert text == "0 -> 1 12 3 15\n2 -> 0 5 5 10\n"
-    assert parse_order_graph(text) == edges
+    assert order_graph_lines(edges) == "0 -> 1 12 3 15\n2 -> 0 5 5 10\n"
+    assert order_graph_lines(edges[1:]) == "2 -> 0 5 5 10\n"
     assert order_graph_lines([]) == ""
-    assert parse_order_graph("") == []
-    assert parse_order_graph("\n  \n0 -> 1 1 0 1\n") == [(0, 1, 1, 0, 1)]
-
-
-def test_order_graph_rejects():
-    with pytest.raises(FormatError):
-        parse_order_graph("0 -> 1 2 3")
-    with pytest.raises(FormatError):
-        parse_order_graph("0 => 1 2 3 4")
-    with pytest.raises(FormatError):
-        parse_order_graph("0 -> one 2 3 4")
 
 
 def test_model_roundtrip_bit_exact(tiny_bundle, tmp_path):
@@ -211,6 +199,22 @@ def test_model_corrupt_rejects(tiny_bundle, tmp_path):
         load_model_bytes(tmp_path, raw[: len(raw) // 2])
     with pytest.raises(FormatError):
         load_model_bytes(tmp_path, b"")
+
+    # Well-framed blobs whose content no model may have: zero classes, a class
+    # with an empty label, a class with zero mixtures.
+    dic = tiny_bundle.dictionary
+    classes_at = 4 + 2 + 8 + dic.size * (4 * dic.dim + 8) + 8 * dic.size
+    assert raw[classes_at : classes_at + 4] == struct.pack("<I", len(tiny_bundle.classes))
+    label = tiny_bundle.classes[0].label.encode("utf-8")
+    field = struct.pack("<H", len(label)) + label
+    assert raw.count(field) == 1
+    for blob in (
+        raw[:classes_at] + struct.pack("<I", 0),
+        raw.replace(field, struct.pack("<H", 0)),
+        raw[:classes_at] + struct.pack("<I", 1) + field + struct.pack("<I", 0),
+    ):
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / "garbled.bin"))):
+            load_model_bytes(tmp_path, blob)
 
 
 def test_model_rejects_non_utf8_label(tiny_bundle, tmp_path):

@@ -22,6 +22,10 @@ from compseg.learning import (
 from compseg.formats import save_model
 from compseg.vmf import VmfDictionary
 
+# The training defaults, which the estimators below are called with.
+SHRINK = TrainConfig().shrink
+MAX_ITER = TrainConfig().max_iter
+
 
 def test_inner_box_mask_layout():
     mask = inner_box_mask((10, 10), shrink=0.10)
@@ -36,9 +40,9 @@ def test_inner_box_mask_layout():
 
 def test_inner_box_mask_too_small():
     with pytest.raises(ValidationError):
-        inner_box_mask((2, 8))
+        inner_box_mask((2, 8), SHRINK)
     with pytest.raises(ValidationError):
-        inner_box_mask((8, 2))
+        inner_box_mask((8, 2), SHRINK)
 
 
 def test_canonical_shape_median():
@@ -50,7 +54,7 @@ def test_canonical_shape_median():
 
 def _planted_resps(rng, crops=6, shape=(8, 8), k=3, noise=0.05):
     """Responsibility stacks with component 0 inside, component 1 on the ring."""
-    inner = inner_box_mask(shape)
+    inner = inner_box_mask(shape, SHRINK)
     out = []
     for _ in range(crops):
         r = rng.uniform(0.0, noise, size=(*shape, k))
@@ -64,7 +68,7 @@ def _planted_resps(rng, crops=6, shape=(8, 8), k=3, noise=0.05):
 def test_fg_prior_separates_inside_from_ring():
     rng = np.random.default_rng(0)
     resps, inner = _planted_resps(rng)
-    prior = estimate_fg_prior(resps)
+    prior = estimate_fg_prior(resps, SHRINK)
     assert prior.shape == (8, 8)
     assert np.all(prior[inner] == 1.0)
     assert np.all(prior[~inner] == 0.0)
@@ -81,7 +85,7 @@ def test_estimate_coeffs_single_crop_identity():
 def test_context_coeffs_ring_vs_interior():
     rng = np.random.default_rng(2)
     resps, inner = _planted_resps(rng, crops=4)
-    chi = estimate_context_coeffs(resps)
+    chi = estimate_context_coeffs(resps, SHRINK)
     assert np.allclose(chi.sum(axis=-1), 1.0, atol=1e-12)
     # ring positions lean on the ring component, interior copies the pooled
     # ring profile (one shared row everywhere inside)
@@ -93,12 +97,12 @@ def test_context_coeffs_ring_vs_interior():
 
 def test_estimators_reject_empty():
     with pytest.raises(TrainingError) as err:
-        estimate_fg_prior([])
+        estimate_fg_prior([], SHRINK)
     assert err.value.stage == "prior"
     with pytest.raises(TrainingError):
         estimate_coeffs([])
     with pytest.raises(TrainingError):
-        estimate_context_coeffs([])
+        estimate_context_coeffs([], SHRINK)
 
 
 def test_assign_mixtures_separated_clusters():
@@ -106,24 +110,25 @@ def test_assign_mixtures_separated_clusters():
     a = rng.normal(0.0, 0.05, size=(7, 4))
     b = rng.normal(0.0, 0.05, size=(5, 4)) + 10.0
     vectors = np.concatenate([a, b])
-    groups = assign_mixtures(vectors, 2, seed=[3, 1, 0])
+    groups = assign_mixtures(vectors, 2, seed=[3, 1, 0], max_iter=MAX_ITER)
     assert set(np.unique(groups)) == {0, 1}
     assert len(set(groups[:7])) == 1
     assert len(set(groups[7:])) == 1
     assert groups[0] != groups[7]
     # bitwise deterministic in the seed
-    again = assign_mixtures(vectors, 2, seed=[3, 1, 0])
+    again = assign_mixtures(vectors, 2, seed=[3, 1, 0], max_iter=MAX_ITER)
     assert np.array_equal(groups, again)
 
 
 def test_assign_mixtures_edges():
     vectors = np.zeros((4, 3))
-    assert np.array_equal(assign_mixtures(vectors, 1, seed=0), np.zeros(4, dtype=np.int64))
+    one_group = assign_mixtures(vectors, 1, seed=0, max_iter=MAX_ITER)
+    assert np.array_equal(one_group, np.zeros(4, dtype=np.int64))
     with pytest.raises(TrainingError) as err:
-        assign_mixtures(vectors, 5, seed=0)
+        assign_mixtures(vectors, 5, seed=0, max_iter=MAX_ITER)
     assert err.value.stage == "mixtures"
     with pytest.raises(TrainingError):
-        assign_mixtures(vectors, 0, seed=0)
+        assign_mixtures(vectors, 0, seed=0, max_iter=MAX_ITER)
 
 
 @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(4, 16))
@@ -131,7 +136,7 @@ def test_assign_mixtures_edges():
 def test_assign_mixtures_groups_nonempty(seed, m, n):
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(n, 3))
-    groups = assign_mixtures(vectors, m, seed=seed)
+    groups = assign_mixtures(vectors, m, seed=seed, max_iter=MAX_ITER)
     assert groups.shape == (n,)
     assert set(np.unique(groups)) == set(range(m))
 

@@ -19,7 +19,6 @@ from compseg.metrics import (
     run_ablation,
     unknown_outlier_stats,
 )
-from compseg.orm import OrderEdge
 
 SHAPE = (6, 6)
 
@@ -155,8 +154,8 @@ def test_order_accuracy_examples():
     assert order_accuracy(truth[:3] + [(3, 1)], truth) == 0.75
     assert order_accuracy(truth[:3], truth) == 0.75   # missing pair is wrong
     assert order_accuracy([], []) == 1.0              # vacuous scene
-    # OrderEdge objects and plain tuples are interchangeable
-    edges = [OrderEdge(0, 1, 5, 2, 7), OrderEdge(2, 3, 4, 0, 4)]
+    # annotation edges may carry their votes after (front, back)
+    edges = [(0, 1, 5, 2, 7), (2, 3, 4, 0, 4)]
     assert order_accuracy(edges, [(0, 1), (2, 3)]) == 1.0
 
 

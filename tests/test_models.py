@@ -22,7 +22,7 @@ from compseg.models import (
     segment_single,
 )
 from compseg.oracle import perpixel_maps_reference
-from compseg.vmf import VmfDictionary, log_pdf, sample_uniform_sphere
+from compseg.vmf import VmfDictionary, log_normalizer, sample_uniform_sphere
 
 
 def simplex(rng, shape):
@@ -30,7 +30,8 @@ def simplex(rng, shape):
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
-def tiny_setup(seed=0, h=3, w=4, k=4, d=5):
+def tiny_setup(seed=0, h=3, w=4, k=4, d=5, crop_shape=None):
+    """A dictionary, an (h, w) mixture, an occluder and a crop (of `crop_shape`, else (h, w))."""
     rng = np.random.default_rng(seed)
     dictionary = VmfDictionary(
         sample_uniform_sphere(rng, k, d), rng.uniform(1.0, 15.0, size=k)
@@ -41,8 +42,9 @@ def tiny_setup(seed=0, h=3, w=4, k=4, d=5):
         ctx_coeffs=simplex(rng, (h, w, k)),
     )
     occluder = OccluderModel(simplex(rng, (k,)))
+    ch, cw = crop_shape or (h, w)
     fm = FeatureMap(
-        sample_uniform_sphere(rng, h * w, d).reshape(h, w, d).astype(np.float32)
+        sample_uniform_sphere(rng, ch * cw, d).reshape(ch, cw, d).astype(np.float32)
     )
     return rng, dictionary, mixture, occluder, fm
 
@@ -110,7 +112,10 @@ def test_maps_decompose_into_prior_and_pointwise_logliks():
     for r in range(h):
         for c in range(w):
             f = fm.data[r, c].astype(np.float64)
-            dens = np.array([log_pdf(f, comp) for comp in dictionary.components])
+            dens = np.array([
+                sigma * float(f @ mean) - log_normalizer(sigma, dictionary.dim)
+                for mean, sigma in zip(dictionary.means, dictionary.concentrations)
+            ])
 
             def mix(weights):
                 return float(np.log(np.sum(weights * np.exp(dens))))
@@ -146,10 +151,12 @@ def test_maps_match_perpixel_reference():
 
 @pytest.mark.parametrize("shape", [(5, 7), (2, 2), (3, 9)])
 def test_maps_on_another_lattice_resample_crop_and_planes(shape):
-    # crop and mixture planes both land on the evaluation lattice the way
-    # resample_nearest puts them there
-    _, dictionary, mixture, occluder, fm = tiny_setup(seed=8, h=3, w=4)
-    maps = likelihood_maps(crop_evidence(fm, dictionary, occluder, shape=shape), mixture)
+    # a crop of `shape` against (3, 4) mixture planes: the maps live on the
+    # crop's lattice, and the planes land on it the way resample_nearest
+    # puts them there
+    _, dictionary, mixture, occluder, fm = tiny_setup(seed=8, h=3, w=4, crop_shape=shape)
+    assert mixture.shape == (3, 4)
+    maps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
     assert maps.shape == shape
     want = _reference_maps(fm, mixture, occluder, dictionary, shape)
     for got_map, want_map in zip((maps.fg, maps.ctx, maps.occ), want):

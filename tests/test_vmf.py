@@ -10,14 +10,10 @@ from compseg import vmf
 from compseg.errors import ValidationError
 from compseg.oracle import closed_form_log_normalizer_3d
 from compseg.vmf import (
-    VmfComponent,
     VmfDictionary,
     component_logliks,
-    estimate_concentration,
-    fit_dictionary,
     fit_dictionary_traced,
     log_normalizer,
-    log_pdf,
     log_sphere_area,
     responsibilities,
     sample_uniform_sphere,
@@ -61,24 +57,28 @@ def test_log_normalizer_monotone_in_sigma():
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_log_pdf_frozen_value_at_mode():
-    mean = np.array([0.0, 0.0, 1.0])
-    comp = VmfComponent(mean, 1.0)
-    assert log_pdf(mean, comp) == pytest.approx(LOGPDF_MODE_SIGMA1_D3, abs=1e-12)
+def test_component_logliks_frozen_value_at_mode():
+    mean = np.array([[0.0, 0.0, 1.0]])
+    dictionary = VmfDictionary(mean, np.array([1.0]))
+    table = component_logliks(mean, dictionary)
+    assert table.shape == (1, 1)
+    assert table[0, 0] == pytest.approx(LOGPDF_MODE_SIGMA1_D3, abs=1e-12)
 
 
-def test_log_pdf_rejects_nonunit():
-    comp = VmfComponent(np.array([1.0, 0.0, 0.0]), 1.0)
-    with pytest.raises(ValidationError):
-        log_pdf(np.array([1.0, 1.0, 0.0]), comp)
+def test_sample_vmf_rejects_nonunit_mean():
+    rng = np.random.default_rng(4)
+    for mean in (np.array([1.0, 1.0, 0.0]), np.array([[1.0, 0.0, 0.0]])):
+        with pytest.raises(ValidationError):
+            sample_vmf(rng, mean, 1.0, 3)
 
 
 def test_responsibilities_gap5_frozen_pair():
     # two components whose log densities at the query differ by exactly 5
     means = np.stack([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
     dictionary = VmfDictionary(means, np.array([2.5, 2.5]))
-    got = responsibilities(np.array([1.0, 0.0]), dictionary)
-    assert got == pytest.approx(GAP5_PAIR, abs=1e-12)
+    got = responsibilities(np.array([[1.0, 0.0]]), dictionary)
+    assert got.shape == (1, 2)
+    assert got[0] == pytest.approx(GAP5_PAIR, abs=1e-12)
     assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -96,31 +96,20 @@ def test_responsibilities_rows_are_simplex(seed):
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_component_logliks_match_log_pdf():
+def test_component_logliks_match_the_scalar_density():
     rng = np.random.default_rng(5)
-    dictionary = VmfDictionary(
-        sample_uniform_sphere(rng, 3, 6), np.array([0.5, 4.0, 11.0])
-    )
+    means = sample_uniform_sphere(rng, 3, 6)
+    sigmas = [0.5, 4.0, 11.0]
+    dictionary = VmfDictionary(means, np.array(sigmas))
     feats = sample_uniform_sphere(rng, 4, 6)
     table = component_logliks(feats, dictionary)
+    assert table.shape == (4, 3)
     for i in range(4):
-        for j, comp in enumerate(dictionary.components):
-            assert table[i, j] == pytest.approx(log_pdf(feats[i], comp), abs=1e-12)
-
-
-def test_estimate_concentration_behaviour():
-    assert estimate_concentration(0.0, 8) == 0.0
-    assert estimate_concentration(1.0, 8) == 1e6
+        for j, sigma in enumerate(sigmas):
+            want = sigma * float(feats[i] @ means[j]) - log_normalizer(sigma, 6)
+            assert table[i, j] == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValidationError):
-        estimate_concentration(1.5, 8)
-    # round trip: samples at a known concentration re-estimate close to it
-    rng = np.random.default_rng(6)
-    mean = np.zeros(8)
-    mean[0] = 1.0
-    draws = sample_vmf(rng, mean, 20.0, 20_000)
-    rbar = float(np.linalg.norm(draws.mean(axis=0)))
-    est = estimate_concentration(rbar, 8)
-    assert est == pytest.approx(20.0, rel=0.05)
+        component_logliks(feats[0], dictionary)  # one vector is not a (P, D) batch
 
 
 def test_sample_vmf_concentrates_near_mean():
@@ -161,7 +150,8 @@ def planted_features(rng, k, d, per):
 def test_fit_dictionary_recovers_planted_components():
     rng = np.random.default_rng(9)
     means, feats = planted_features(rng, 4, 8, 400)
-    dictionary = fit_dictionary(feats, 4, seed=3, shared_concentration=30.0)
+    dictionary, _ = fit_dictionary_traced(feats, 4, seed=3, shared_concentration=30.0, max_iter=100)
+    assert np.array_equal(dictionary.concentrations, np.full(4, 30.0))
     # best-match cosine per planted mean, greedy over fitted components
     sims = dictionary.means @ means.T
     assert sims.max(axis=0).min() > 0.98
@@ -170,8 +160,8 @@ def test_fit_dictionary_recovers_planted_components():
 def test_fit_dictionary_objective_monotone_and_deterministic():
     rng = np.random.default_rng(10)
     _, feats = planted_features(rng, 3, 6, 300)
-    d1, trace1 = fit_dictionary_traced(feats, 3, seed=5)
-    d2, trace2 = fit_dictionary_traced(feats, 3, seed=5)
+    d1, trace1 = fit_dictionary_traced(feats, 3, seed=5, shared_concentration=30.0, max_iter=100)
+    d2, trace2 = fit_dictionary_traced(feats, 3, seed=5, shared_concentration=30.0, max_iter=100)
     assert np.array_equal(d1.means, d2.means)
     assert np.array_equal(d1.concentrations, d2.concentrations)
     assert trace1["objective"] == trace2["objective"]
@@ -182,10 +172,9 @@ def test_fit_dictionary_objective_monotone_and_deterministic():
 def test_fit_dictionary_rejects_bad_k():
     rng = np.random.default_rng(11)
     feats = sample_uniform_sphere(rng, 10, 4)
-    with pytest.raises(ValidationError):
-        fit_dictionary(feats, 0, seed=0)
-    with pytest.raises(ValidationError):
-        fit_dictionary(feats, 11, seed=0)
+    for k in (0, 11):
+        with pytest.raises(ValidationError):
+            fit_dictionary_traced(feats, k, seed=0, shared_concentration=30.0, max_iter=100)
 
 
 def test_fit_dictionary_rejects_bad_shared_concentration_before_fitting(monkeypatch):
@@ -196,10 +185,10 @@ def test_fit_dictionary_rejects_bad_shared_concentration_before_fitting(monkeypa
     feats = sample_uniform_sphere(np.random.default_rng(12), 10, 4)
     for sigma in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="concentrations must be finite and >= 0"):
-            fit_dictionary_traced(feats, 3, seed=0, shared_concentration=sigma)
+            fit_dictionary_traced(feats, 3, seed=0, shared_concentration=sigma, max_iter=100)
 
 
-def straightforward_fit(feats, k, seed, shared_concentration, max_iter=100):
+def straightforward_fit(feats, k, seed, shared_concentration, max_iter):
     """The plain loop: full cosine table, boolean-mask sums, einsum objective.
 
     It stops when assignments are unchanged, when an iteration's objective
@@ -208,7 +197,7 @@ def straightforward_fit(feats, k, seed, shared_concentration, max_iter=100):
     reseed and the zero-resultant repair ran, so a test can show its input
     reaches both.
     """
-    n, dim = feats.shape
+    n = feats.shape[0]
     centers = vmf._kmeanspp_init(feats, k, np.random.default_rng(seed))
     assign = np.full(n, -1, dtype=np.int64)
     objective, hits, stop = [], {"reseed": 0, "zero": 0}, "max_iter reached"
@@ -239,19 +228,9 @@ def straightforward_fit(feats, k, seed, shared_concentration, max_iter=100):
         if n_iter > 1 and objective[-1] - objective[-2] < np.std(own) / math.sqrt(n):
             stop = "gain below standard error"
             break
-    cosines = feats @ centers.T
-    assign = np.argmax(cosines, axis=1)
-    objective.append(float(np.mean(cosines[np.arange(n), assign])))
-    raw = np.zeros(k)
-    for j in range(k):
-        members = feats[assign == j]
-        if members.shape[0]:
-            rbar = min(float(np.linalg.norm(members.mean(axis=0))), 1.0)
-            raw[j] = estimate_concentration(rbar, dim)
-    conc = raw if shared_concentration is None else np.full(k, float(shared_concentration))
-    trace = {"objective": objective, "iterations": n_iter, "stop": stop,
-             "assignments": assign, "raw_concentrations": raw}
-    return VmfDictionary(centers, conc), trace, hits
+    objective.append(float(np.mean(np.max(feats @ centers.T, axis=1))))
+    trace = {"objective": objective, "iterations": n_iter, "stop": stop}
+    return VmfDictionary(centers, np.full(k, shared_concentration)), trace, hits
 
 
 def _circle(angles):
@@ -272,8 +251,6 @@ def _fit_matches_reference(feats, k, seed, sigma, max_iter=100):
     )
     assert got_dict.means.tobytes() == want_dict.means.tobytes()
     assert got_dict.concentrations.tobytes() == want_dict.concentrations.tobytes()
-    assert np.array_equal(got["assignments"], want["assignments"])
-    assert got["raw_concentrations"].tobytes() == want["raw_concentrations"].tobytes()
     assert (got["stop"], got["iterations"]) == (want["stop"], want["iterations"])
     assert got["objective"][-1] == want["objective"][-1]
     assert len(got["objective"]) == len(want["objective"])
@@ -294,14 +271,17 @@ def _fit_matches_reference(feats, k, seed, sigma, max_iter=100):
     [
         # more rows than two assignment blocks, and not a multiple of one
         (planted_features(np.random.default_rng(13), 5, 6, 827)[1], 5, 2, 30.0, ()),
-        (sample_uniform_sphere(np.random.default_rng(14), 2 * 2048 + 37, 5), 7, 4, None, ()),
+        (sample_uniform_sphere(np.random.default_rng(14), 2 * 2048 + 37, 5), 7, 4, 12.5, ()),
         # three points repeated: k-means++ runs out of distinct points and
         # picks at random, and the duplicate centers leave clusters empty,
         # two at a time, each reseeded from its own point
-        (np.repeat(_circle([0.3, 2.0, 4.1]), [3, 2, 3], axis=0), 5, 0, None, ("reseed",)),
+        (np.repeat(_circle([0.3, 2.0, 4.1]), [3, 2, 3], axis=0), 5, 0, 0.0, ("reseed",)),
         # u and -u in one cluster: a zero resultant
-        (np.tile([0.6, 0.8, -0.6, -0.8], (3, 1)).reshape(6, 2), 4, 89, None, ("reseed", "zero")),
+        (np.tile([0.6, 0.8, -0.6, -0.8], (3, 1)).reshape(6, 2), 4, 89, 30.0, ("reseed", "zero")),
     ],
+    # Explicit ids: each case keeps one stable name whatever its parameters.
+    ids=["feats0-5-2-30.0-branches0", "feats1-7-4-None-branches1",
+         "feats2-5-0-None-branches2", "feats3-4-89-None-branches3"],
 )
 def test_fit_matches_the_straightforward_loop_bit_for_bit(feats, k, seed, sigma, branches):
     _, hits = _fit_matches_reference(feats, k, seed, sigma)
@@ -319,7 +299,7 @@ def test_fit_matches_the_straightforward_loop_bit_for_bit(feats, k, seed, sigma,
 )
 def test_fit_stops_at_the_first_rule_that_holds(max_iter, stop, iterations):
     feats = sample_uniform_sphere(np.random.default_rng(14), 2 * 2048 + 37, 5)
-    got, _ = _fit_matches_reference(feats, 7, 4, None, max_iter)
+    got, _ = _fit_matches_reference(feats, 7, 4, 12.5, max_iter)
     assert (got["stop"], got["iterations"]) == (stop, iterations)
     # the planted components are separated: assignments settle first
     planted = planted_features(np.random.default_rng(13), 5, 6, 827)[1]
