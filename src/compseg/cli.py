@@ -256,9 +256,7 @@ def _cmd_ablate(args) -> int:
             load_scene(manifest, e)
             for e in manifest.select(split="test", scenario=scenario)
         ]
-        report: AblationReport = run_ablation(
-            pairs, bundle, jobs=args.jobs, scenario=scenario
-        )
+        report: AblationReport = run_ablation(pairs, bundle, scenario=scenario)
         blocks.append(format_ablation_report(report))
         records[scenario] = {
             "modal": {k: _table_record(t) for k, t in report.modal.items()},
@@ -343,10 +341,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="write a planted scene challenge")
     p.add_argument("--scenarios", default="two,four,unknown")
-    p.add_argument("--per-level", type=int, default=75)
-    p.add_argument("--train-scenes", type=int, default=300)
-    p.add_argument("--backgrounds", type=int, default=40)
-    p.add_argument("--seed", type=int, default=7)
+    challenge = ChallengeConfig()
+    p.add_argument("--per-level", type=int, default=challenge.per_level)
+    p.add_argument("--train-scenes", type=int, default=challenge.train_scenes)
+    p.add_argument("--backgrounds", type=int, default=challenge.backgrounds)
+    p.add_argument("--seed", type=int, default=challenge.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -379,7 +378,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ablate", help="compare reasoning variants on a manifest")
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ablate)
 

@@ -11,9 +11,8 @@ do not get outsized weight.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -235,18 +234,18 @@ class AblationReport:
 def tabulate(
     predicted: Sequence[Sequence[SceneAnnotation]],
     truths: Sequence[SceneAnnotation],
-    variants: Sequence[tuple[str, dict]] = VARIANTS,
     scenario: str = "",
 ) -> AblationReport:
     """Modal/amodal mIoU and order accuracy, one prediction list per variant.
 
-    `predicted[v]` holds variant v's annotations in `truths` order. A variant
-    that runs no reasoning pass (iters=0) recovers no order and reads NaN.
+    `predicted[v]` holds the annotations of `VARIANTS[v]` in `truths` order.
+    A variant that runs no reasoning pass (iters=0) recovers no order and
+    reads NaN.
     """
     modal: dict[str, MiouTable] = {}
     amodal: dict[str, MiouTable] = {}
     order: dict[str, float] = {}
-    for (name, kwargs), preds in zip(variants, predicted, strict=True):
+    for (name, kwargs), preds in zip(VARIANTS, predicted, strict=True):
         modal[name] = miou_by_level(preds, truths, "modal")
         amodal[name] = miou_by_level(preds, truths, "amodal")
         if kwargs.get("iters", 1) == 0:
@@ -259,26 +258,15 @@ def tabulate(
 def run_ablation(
     pairs: Sequence[tuple[FeatureMap, SceneAnnotation]],
     bundle: ModelBundle,
-    variants: Sequence[tuple[str, dict]] = VARIANTS,
-    jobs: int = 1,
     scenario: str = "",
 ) -> AblationReport:
     """Segment every scene under each variant and tabulate modal/amodal mIoU."""
-    predicted = []
-    for _, kwargs in variants:
-        def one(pair, kwargs=kwargs):
-            fm, truth = pair
-            return predict_scene(fm, truth, bundle, **kwargs)[0]
-        predicted.append(_map_ordered(one, pairs, jobs))
+    predicted = [
+        [predict_scene(fm, truth, bundle, **kwargs)[0] for fm, truth in pairs]
+        for _, kwargs in VARIANTS
+    ]
     truths = [truth for _, truth in pairs]
-    return tabulate(predicted, truths, variants, scenario)
-
-
-def _map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    return tabulate(predicted, truths, scenario)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,19 @@ level), `four` (a depth-ordered chain of four objects), `unknown` (two
 known objects with overlapping boxes plus an unknown frontmost blob). The
 training split contains only clean pairs, plus object-free background maps
 for the occluder coefficients.
+
+The geometry is fixed: feature dimension `DIM`, generator concentration
+`SIGMA_GEN`, canonical template size `GRID` and the scene sizes are module
+constants, not settings. The angle budget of `build_part_space` is tuned to
+what a concentration-30 likelihood in 16 dimensions can tell apart, and the
+placement searches (scale range, slide scan, retry counts) to 24-pixel
+templates in 44- and 56-pixel scenes; other values would need a new tuning,
+not a new argument.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,18 +56,20 @@ def level_of(fraction: float) -> str:
     return OVER_LIMIT
 
 
+DIM = 16                  # feature dimension
+SIGMA_GEN = 30.0          # vMF concentration of every sampled pixel
+GRID = 24                 # canonical template size
+TWO_SIZE = 44             # side of two-object, unknown, train and background scenes
+FOUR_SIZE = 56            # side of four-object scenes
+SAME_CLASS_PROB = 0.5     # chance that a planted pair shares its class
+
+
 @dataclass(frozen=True)
 class ChallengeConfig:
     per_level: int = 75
     train_scenes: int = 300
     backgrounds: int = 40
     seed: int = 7
-    dim: int = 16
-    sigma_gen: float = 30.0
-    two_size: int = 44
-    four_size: int = 56
-    same_class_prob: float = 0.5
-    grid: int = 24
 
 
 @dataclass(frozen=True)
@@ -75,10 +85,6 @@ class PartSpace:
     class_parts: np.ndarray    # (n_classes, parts_per_class, D)
     bg_dirs: np.ndarray        # (n_bg, D)
     unknown_dirs: np.ndarray   # (n_unknown, D)
-
-    @property
-    def dim(self) -> int:
-        return self.bg_dirs.shape[1]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -101,11 +107,11 @@ def _cap_sample(rng: np.random.Generator, center: np.ndarray, lo_deg: float, hi_
     return _unit(center * np.cos(theta) + t * np.sin(theta))
 
 
-def _fill_pool(rng, count, sampler, accept, max_tries=20_000, restarts=40):
+def _fill_pool(rng, count, sampler, accept):
     # greedy fill can paint itself into a corner, so retry from scratch
-    for _ in range(restarts):
+    for _ in range(40):
         pool: list[np.ndarray] = []
-        for _ in range(max_tries):
+        for _ in range(20_000):
             cand = sampler()
             if accept(cand, pool):
                 pool.append(cand)
@@ -114,15 +120,9 @@ def _fill_pool(rng, count, sampler, accept, max_tries=20_000, restarts=40):
     raise ValidationError("direction pool constraints unsatisfiable")
 
 
-def build_part_space(
-    rng: np.random.Generator,
-    dim: int = 16,
-    n_classes: int = 2,
-    parts_per_class: int = 6,
-    n_bg: int = 12,
-    n_unknown: int = 6,
-) -> PartSpace:
-    """Direction pools with an explicit angle budget.
+def build_part_space(rng: np.random.Generator) -> PartSpace:
+    """Two classes of six parts (two triples each), 12 background and 6
+    unknown directions, laid out with an explicit angle budget.
 
     The budget is driven by what a concentration-30 likelihood can tell
     apart per pixel and by the fact that the occluder pool knows only
@@ -141,11 +141,8 @@ def build_part_space(
       matter beats the occluder branch, while unknown matter at >= 60
       degrees from parts and 30-50 from the background centre loses to it.
     """
-    if n_classes != 2 or parts_per_class % 3 != 0:
-        raise ValidationError("part space needs 2 classes and triple-sized part sets")
     per_triple = 3
-    n_triples = parts_per_class // per_triple
-    part_center = _unit(rng.standard_normal(dim))
+    part_center = _unit(rng.standard_normal(DIM))
 
     def base_accept(cand: np.ndarray, pool: list[np.ndarray]) -> bool:
         for j, p in enumerate(pool):
@@ -156,7 +153,7 @@ def build_part_space(
 
     base = _fill_pool(
         rng,
-        n_triples * per_triple,
+        2 * per_triple,
         lambda: _cap_sample(rng, part_center, 0.0, 34.0),
         base_accept,
     )
@@ -180,16 +177,16 @@ def build_part_space(
             )[0]
         )
     class_parts = np.stack([base, np.stack(paired)])
-    all_parts = class_parts.reshape(-1, dim)
+    all_parts = class_parts.reshape(-1, DIM)
 
     while True:
-        bg_center = _unit(rng.standard_normal(dim))
+        bg_center = _unit(rng.standard_normal(DIM))
         if _angle_deg(bg_center, part_center) >= 85.0:
             break
 
     bg_dirs = _fill_pool(
         rng,
-        n_bg,
+        12,
         lambda: _cap_sample(rng, bg_center, 0.0, 25.0),
         lambda cand, pool: (
             all(_angle_deg(cand, p) >= 50.0 for p in all_parts)
@@ -199,7 +196,7 @@ def build_part_space(
 
     unknown_dirs = _fill_pool(
         rng,
-        n_unknown,
+        6,
         lambda: _cap_sample(rng, bg_center, 30.0, 50.0),
         lambda cand, pool: (
             all(_angle_deg(cand, p) >= 60.0 for p in all_parts)
@@ -216,18 +213,11 @@ def build_part_space(
 
 @dataclass(frozen=True)
 class ClassTemplate:
-    label: str
     template_id: int
     painter: Callable[[tuple[int, int]], np.ndarray]
-    part_grid: np.ndarray    # canonical-scale rendering, -1 outside the mask
-
-    def __post_init__(self):
-        if not np.any(self.part_grid >= 0):
-            raise ValidationError(f"template {self.label}:{self.template_id} has empty mask")
 
 
 def _pattern_painter(
-    grid: int,
     silhouette: tuple,
     ids: Sequence[int],
     ring_width: float,
@@ -251,9 +241,9 @@ def _pattern_painter(
 
     def paint(shape: tuple[int, int]) -> np.ndarray:
         h, w = shape
-        yy = (np.arange(h, dtype=np.float64)[:, None] + 0.5) * (grid / h) - 0.5
-        xx = (np.arange(w, dtype=np.float64)[None, :] + 0.5) * (grid / w) - 0.5
-        c = (grid - 1) / 2.0
+        yy = (np.arange(h, dtype=np.float64)[:, None] + 0.5) * (GRID / h) - 0.5
+        xx = (np.arange(w, dtype=np.float64)[None, :] + 0.5) * (GRID / w) - 0.5
+        c = (GRID - 1) / 2.0
         dy, dx = yy - c, xx - c
         rho = np.hypot(dy, dx)
         theta = np.arctan2(dy, dx)
@@ -276,7 +266,7 @@ def _pattern_painter(
     return paint
 
 
-def build_templates(grid: int = 24) -> dict[str, list[ClassTemplate]]:
+def build_templates() -> dict[str, list[ClassTemplate]]:
     """Two classes x two templates, geometry in canonical grid units.
 
     The mask is inset from the grid border so every crop carries a context
@@ -289,8 +279,8 @@ def build_templates(grid: int = 24) -> dict[str, list[ClassTemplate]]:
     described at `_pattern_painter`, sized so cells survive placement
     rounding while staying small against any plausible overlap region.
     """
-    long_r, short_r = grid * 0.385, grid * 0.27
-    corner = grid * 0.08
+    long_r, short_r = GRID * 0.385, GRID * 0.27
+    corner = GRID * 0.08
 
     specs = {
         "disc": [
@@ -302,13 +292,13 @@ def build_templates(grid: int = 24) -> dict[str, list[ClassTemplate]]:
             (("rrect", long_r, short_r, corner), (3, 4, 5), 5.3),
         ],
     }
-    out: dict[str, list[ClassTemplate]] = {}
-    for label, entries in specs.items():
-        out[label] = []
-        for tid, (sil, ids, ring_w) in enumerate(entries):
-            painter = _pattern_painter(grid, sil, ids, ring_w)
-            out[label].append(ClassTemplate(label, tid, painter, painter((grid, grid))))
-    return out
+    return {
+        label: [
+            ClassTemplate(tid, _pattern_painter(sil, ids, ring_w))
+            for tid, (sil, ids, ring_w) in enumerate(entries)
+        ]
+        for label, entries in specs.items()
+    }
 
 
 # --------------------------------------------------------------------------
@@ -351,7 +341,6 @@ def _approach_search(
     other: np.ndarray,
     anchor: tuple[float, float],
     bucket: tuple[float, float],
-    attempts: int = 16,
     measure: str = "slider",
     veto=None,
 ) -> BoundingBox | None:
@@ -373,7 +362,7 @@ def _approach_search(
             return _coverage(placed, other)
         return _coverage(other, placed)
 
-    for _ in range(attempts):
+    for _ in range(16):
         phi = rng.uniform(0.0, 2.0 * np.pi)
         u = np.array([np.sin(phi), np.cos(phi)])
         start = np.array(anchor) + u * diag
@@ -421,9 +410,9 @@ def _random_fit_box(rng, shape, h, w, margin=0) -> BoundingBox:
     return BoundingBox(x0, y0, x0 + w, y0 + h)
 
 
-def _scaled_shape(rng, grid: int) -> tuple[int, int]:
+def _scaled_shape(rng) -> tuple[int, int]:
     s = rng.uniform(0.85, 1.05)
-    side = max(12, int(round(grid * s)))
+    side = max(12, int(round(GRID * s)))
     return side, side
 
 
@@ -457,7 +446,6 @@ def render_composition(
     placed: Sequence[PlacedObject],
     blob: tuple[np.ndarray, np.ndarray] | None,
     space: PartSpace,
-    sigma: float,
     rng: np.random.Generator,
 ) -> tuple[FeatureMap, np.ndarray]:
     """Paint matter back to front and sample every pixel's feature vector.
@@ -498,72 +486,50 @@ def render_composition(
         sel = dir_idx == d
         count = int(sel.sum())
         if count:
-            data[sel] = sample_vmf(rng, dir_table[d], sigma, count)
+            data[sel] = sample_vmf(rng, dir_table[d], SIGMA_GEN, count)
     return FeatureMap(data), owner
 
 
-def _ground_truth(
-    shape, placed: Sequence[PlacedObject], owner: np.ndarray
-) -> list[dict]:
-    records = []
-    for i, obj in enumerate(placed):
-        amodal = obj.lattice_mask(shape)
-        modal = amodal & (owner == i)
-        total = int(amodal.sum())
-        fraction = 1.0 - int(modal.sum()) / total
-        records.append(
-            dict(
-                depth=i,
-                label=obj.label,
-                template=obj.template_id,
-                box=obj.box,
-                amodal=amodal,
-                modal=modal,
-                occlusion=fraction,
-                level=level_of(fraction),
-            )
-        )
-    return records
+def _scene(
+    rng, space, scene_id, scenario, split, shape, placed, blob=None
+) -> tuple[FeatureMap, SceneAnnotation]:
+    """Render `placed` (index 0 frontmost) and annotate it.
 
-
-def _order_edges(placed: Sequence[PlacedObject], shape, oids: Sequence[int]) -> list[tuple[int, int]]:
-    edges = []
-    masks = [p.lattice_mask(shape) for p in placed]
-    for i in range(len(placed)):
-        for j in range(i + 1, len(placed)):
-            if np.any(masks[i] & masks[j]):
-                edges.append((oids[i], oids[j]))   # lower depth index is in front
-    return edges
-
-
-def _assemble(
-    scene_id, scenario, split, shape, placed, blob_mask, gt, rng
-) -> SceneAnnotation:
-    """Shuffle object ids so id order carries no depth information."""
-    perm = rng.permutation(len(placed)) if placed else np.array([], dtype=np.int64)
-    oids = [int(perm[i]) for i in range(len(placed))]
+    Object ids are shuffled so id order carries no depth information. Every
+    pair whose amodal masks overlap gets an order edge (front, back).
+    """
+    fm, owner = render_composition(shape, placed, blob, space, rng)
+    oids = [int(k) for k in rng.permutation(len(placed))]
+    amodal = [p.lattice_mask(shape) for p in placed]
     objects = [None] * len(placed)
-    for i, rec in enumerate(gt):
+    for i, obj in enumerate(placed):
+        modal = amodal[i] & (owner == i)
+        fraction = 1.0 - int(modal.sum()) / int(amodal[i].sum())
         objects[oids[i]] = ObjectRecord(
             oid=oids[i],
-            label=rec["label"],
-            template=rec["template"],
-            box=rec["box"],
-            depth=rec["depth"],
-            occlusion=rec["occlusion"],
-            level=rec["level"],
-            amodal=rec["amodal"],
-            modal=rec["modal"],
+            label=obj.label,
+            template=obj.template_id,
+            box=obj.box,
+            depth=i,
+            occlusion=fraction,
+            level=level_of(fraction),
+            amodal=amodal[i],
+            modal=modal,
         )
-    edges = _order_edges(placed, shape, oids)
-    return SceneAnnotation(
+    edges = [
+        (oids[i], oids[j])
+        for i in range(len(placed))
+        for j in range(i + 1, len(placed))
+        if np.any(amodal[i] & amodal[j])
+    ]
+    return fm, SceneAnnotation(
         scene_id=scene_id,
         scenario=scenario,
         split=split,
         shape=shape,
         objects=objects,
         order_edges=edges,
-        unknown=blob_mask,
+        unknown=None if blob is None else blob[0],
     )
 
 
@@ -575,17 +541,17 @@ def _notice(scenario: str, level: str) -> str:
     return f"{scenario} scene at {level}: placement search exhausted"
 
 
-def _plant_pair(rng, templates, cfg: ChallengeConfig, shape, level: str, what: str):
+def _plant_pair(rng, templates, shape, level: str, what: str):
     """Two placed objects, the second behind the first at `level`.
 
     At L0 the masks stay disjoint: a graze of one or two pixels would plant
     an order edge no amount of evidence could recover.
     """
     ci_a, label_a, tpl_a = _pick_template(rng, templates)
-    ci_b = ci_a if rng.random() < cfg.same_class_prob else 1 - ci_a
+    ci_b = ci_a if rng.random() < SAME_CLASS_PROB else 1 - ci_a
     ci_b, label_b, tpl_b = _pick_template(rng, templates, class_index=ci_b)
-    ha, wa = _scaled_shape(rng, cfg.grid)
-    hb, wb = _scaled_shape(rng, cfg.grid)
+    ha, wa = _scaled_shape(rng)
+    hb, wb = _scaled_shape(rng)
     mask_a = tpl_a.painter((ha, wa)) >= 0
     mask_b = tpl_b.painter((hb, wb)) >= 0
 
@@ -601,35 +567,24 @@ def _plant_pair(rng, templates, cfg: ChallengeConfig, shape, level: str, what: s
     return [_place(box_a, ci_a, label_a, tpl_a), _place(box_b, ci_b, label_b, tpl_b)]
 
 
-def make_two_scene(
-    rng, space, templates, cfg: ChallengeConfig, level: str, scene_id: str, split="test"
-) -> tuple[FeatureMap, SceneAnnotation]:
-    shape = (cfg.two_size, cfg.two_size)
-    placed = _plant_pair(rng, templates, cfg, shape, level, "two-object")
-    fm, owner = render_composition(shape, placed, None, space, cfg.sigma_gen, rng)
-    gt = _ground_truth(shape, placed, owner)
-    ann = _assemble(scene_id, "two", split, shape, placed, None, gt, rng)
-    return fm, ann
+def make_two_scene(rng, space, templates, level: str, scene_id: str):
+    shape = (TWO_SIZE, TWO_SIZE)
+    placed = _plant_pair(rng, templates, shape, level, "two-object")
+    return _scene(rng, space, scene_id, "two", "test", shape, placed)
 
 
-def make_four_scene(
-    rng, space, templates, cfg: ChallengeConfig, level: str, scene_id: str
-) -> tuple[FeatureMap, SceneAnnotation]:
-    shape = (cfg.four_size, cfg.four_size)
-    placed: list[PlacedObject] = []
-
+def make_four_scene(rng, space, templates, level: str, scene_id: str):
+    shape = (FOUR_SIZE, FOUR_SIZE)
     ci, label, tpl = _pick_template(rng, templates)
-    h, w = _scaled_shape(rng, cfg.grid)
+    h, w = _scaled_shape(rng)
     box = _random_fit_box(rng, shape, h, w, margin=6)
-    placed.append(_place(box, ci, label, tpl))
+    placed = [_place(box, ci, label, tpl)]
+    union = placed[0].lattice_mask(shape)
 
     for _ in range(3):
         ci, label, tpl = _pick_template(rng, templates)
-        h, w = _scaled_shape(rng, cfg.grid)
+        h, w = _scaled_shape(rng)
         mask = tpl.painter((h, w)) >= 0
-        union = np.zeros(shape, dtype=np.bool_)
-        for p in placed:
-            union |= p.lattice_mask(shape)
         if level == "L0":
             box = _disjoint_box(rng, shape, mask, union, tries=300, margin=1)
         else:
@@ -639,11 +594,9 @@ def make_four_scene(
         if box is None:
             raise ValidationError(_notice("four-object", level))
         placed.append(_place(box, ci, label, tpl))
+        union |= placed[-1].lattice_mask(shape)
 
-    fm, owner = render_composition(shape, placed, None, space, cfg.sigma_gen, rng)
-    gt = _ground_truth(shape, placed, owner)
-    ann = _assemble(scene_id, "four", "test", shape, placed, None, gt, rng)
-    return fm, ann
+    return _scene(rng, space, scene_id, "four", "test", shape, placed)
 
 
 def _ellipse_blob(rng, target_box: BoundingBox) -> np.ndarray:
@@ -664,9 +617,7 @@ BLOB_ZONE_BUCKET = (0.35, 0.95)
 OCCLUSION_CAP = 0.88
 
 
-def make_unknown_scene(
-    rng, space, templates, cfg: ChallengeConfig, level: str, scene_id: str
-) -> tuple[FeatureMap, SceneAnnotation]:
+def make_unknown_scene(rng, space, templates, level: str, scene_id: str):
     """An occluding pair at the scene's level plus a frontmost unknown blob.
 
     The pair is planted exactly like a two-object scene; the blob is then
@@ -676,8 +627,8 @@ def make_unknown_scene(
     Recorded occlusion fractions are totals (known occluder plus blob);
     the scene's level names the planted pair bucket alone.
     """
-    shape = (cfg.two_size, cfg.two_size)
-    placed = _plant_pair(rng, templates, cfg, shape, level, "two-plus-unknown")
+    shape = (TWO_SIZE, TWO_SIZE)
+    placed = _plant_pair(rng, templates, shape, level, "two-plus-unknown")
     amodal_a = placed[0].lattice_mask(shape)
     amodal_b = placed[1].lattice_mask(shape)
     zone = amodal_a & amodal_b
@@ -707,25 +658,19 @@ def make_unknown_scene(
     n_unknown = space.unknown_dirs.shape[0]
     pick = rng.integers(n_unknown, size=2)
     blob_dirs[blob_lattice] = rng.choice(pick, size=int(blob_lattice.sum()))
-
-    fm, owner = render_composition(
-        shape, placed, (blob_lattice, blob_dirs), space, cfg.sigma_gen, rng
+    return _scene(
+        rng, space, scene_id, "unknown", "test", shape, placed, (blob_lattice, blob_dirs)
     )
-    gt = _ground_truth(shape, placed, owner)
-    ann = _assemble(scene_id, "unknown", "test", shape, placed, blob_lattice, gt, rng)
-    return fm, ann
 
 
-def make_train_scene(
-    rng, space, templates, cfg: ChallengeConfig, scene_id: str
-) -> tuple[FeatureMap, SceneAnnotation]:
+def make_train_scene(rng, space, templates, scene_id: str):
     """Two clean objects, boxes fully disjoint."""
-    shape = (cfg.two_size, cfg.two_size)
+    shape = (TWO_SIZE, TWO_SIZE)
     for _ in range(400):
         ci_a, label_a, tpl_a = _pick_template(rng, templates)
         ci_b, label_b, tpl_b = _pick_template(rng, templates)
-        ha, wa = _scaled_shape(rng, cfg.grid)
-        hb, wb = _scaled_shape(rng, cfg.grid)
+        ha, wa = _scaled_shape(rng)
+        hb, wb = _scaled_shape(rng)
         box_a = _random_fit_box(rng, shape, ha, wa)
         box_b = _random_fit_box(rng, shape, hb, wb)
         if not box_a.overlaps(box_b):
@@ -733,37 +678,24 @@ def make_train_scene(
                 _place(box_a, ci_a, label_a, tpl_a),
                 _place(box_b, ci_b, label_b, tpl_b),
             ]
-            fm, owner = render_composition(shape, placed, None, space, cfg.sigma_gen, rng)
-            gt = _ground_truth(shape, placed, owner)
-            ann = _assemble(scene_id, "two", "train", shape, placed, None, gt, rng)
-            return fm, ann
+            return _scene(rng, space, scene_id, "two", "train", shape, placed)
     raise ValidationError("could not place disjoint training pair")
 
 
-def make_background_map(rng, space, cfg: ChallengeConfig, scene_id: str) -> tuple[FeatureMap, SceneAnnotation]:
-    shape = (cfg.two_size, cfg.two_size)
-    fm, _ = render_composition(shape, [], None, space, cfg.sigma_gen, rng)
-    ann = SceneAnnotation(
-        scene_id=scene_id,
-        scenario="background",
-        split="background",
-        shape=shape,
-        objects=[],
-        order_edges=[],
-        unknown=None,
-    )
-    return fm, ann
+def make_background_map(rng, space, scene_id: str):
+    shape = (TWO_SIZE, TWO_SIZE)
+    return _scene(rng, space, scene_id, "background", "background", shape, [])
 
 
 # --------------------------------------------------------------------------
 # Dataset driver
 
 
-_SCENARIO_STREAM = {"two": 3, "four": 4, "unknown": 5}
-_SCENARIO_BUILDERS = {
-    "two": make_two_scene,
-    "four": make_four_scene,
-    "unknown": make_unknown_scene,
+# scenario -> (seed-stream code, builder)
+_SCENARIOS = {
+    "two": (3, make_two_scene),
+    "four": (4, make_four_scene),
+    "unknown": (5, make_unknown_scene),
 }
 
 
@@ -776,10 +708,10 @@ def generate_challenge(
     regenerates identically regardless of generation order.
     """
     for s in scenarios:
-        if s not in _SCENARIO_BUILDERS:
+        if s not in _SCENARIOS:
             raise ValidationError(f"unknown scenario {s!r}")
-    space = build_part_space(np.random.default_rng([cfg.seed, 17]), cfg.dim)
-    templates = build_templates(cfg.grid)
+    space = build_part_space(np.random.default_rng([cfg.seed, 17]))
+    templates = build_templates()
 
     os.makedirs(os.path.join(root, "scenes"), exist_ok=True)
     os.makedirs(os.path.join(root, "annotations"), exist_ok=True)
@@ -809,25 +741,24 @@ def generate_challenge(
     for i in range(cfg.train_scenes):
         fm, ann = stubborn(
             [cfg.seed, 1, i],
-            lambda rng, i=i: make_train_scene(rng, space, templates, cfg, f"train-{i:04d}"),
+            lambda rng, i=i: make_train_scene(rng, space, templates, f"train-{i:04d}"),
         )
         emit(fm, ann, "L0")
 
     for i in range(cfg.backgrounds):
         rng = np.random.default_rng([cfg.seed, 2, i])
-        fm, ann = make_background_map(rng, space, cfg, f"bg-{i:04d}")
+        fm, ann = make_background_map(rng, space, f"bg-{i:04d}")
         emit(fm, ann, "L0")
 
     for scenario in scenarios:
-        builder = _SCENARIO_BUILDERS[scenario]
-        code = _SCENARIO_STREAM[scenario]
+        code, builder = _SCENARIOS[scenario]
         for li, level in enumerate(LEVELS):
             for i in range(cfg.per_level):
                 scene_id = f"{scenario}-{level}-{i:04d}"
                 fm, ann = stubborn(
                     [cfg.seed, code, li, i],
                     lambda rng, level=level, sid=scene_id: builder(
-                        rng, space, templates, cfg, level, sid
+                        rng, space, templates, level, sid
                     ),
                 )
                 emit(fm, ann, level)
@@ -837,13 +768,13 @@ def generate_challenge(
         entries=entries,
         config=dict(
             seed=cfg.seed,
-            dim=cfg.dim,
-            sigma_gen=cfg.sigma_gen,
+            dim=DIM,
+            sigma_gen=SIGMA_GEN,
             per_level=cfg.per_level,
             train_scenes=cfg.train_scenes,
             backgrounds=cfg.backgrounds,
-            grid=cfg.grid,
-            same_class_prob=cfg.same_class_prob,
+            grid=GRID,
+            same_class_prob=SAME_CLASS_PROB,
         ),
     )
     save_manifest(manifest, os.path.join(root, "manifest.json"))

@@ -6,7 +6,6 @@ scenario, 300 training scenes), trains the shipping-size model, and runs
 every reasoning variant over every test scene, so expect a few minutes.
 """
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -37,7 +36,6 @@ from compseg.synth import ChallengeConfig, generate_challenge
 DESK = ChallengeConfig()          # 75 scenes per level, 300 train, seed 7
 TRAIN = TrainConfig()             # K=64, M=2, shared concentration 30
 SCENARIOS = ("two", "four", "unknown")
-JOBS = 4
 
 
 @pytest.fixture(scope="module")
@@ -83,15 +81,12 @@ def predictions(desk_challenge, desk_bundle):
         ]
         out[scenario] = {}
         for name, kwargs in VARIANTS:
-            keep_result = name == "ordered-1"
-
-            def one(pair, kwargs=kwargs, keep=keep_result):
-                fm, truth = pair
+            keep = name == "ordered-1"
+            rows = []
+            for fm, truth in pairs:
                 ann, result = predict_scene(fm, truth, desk_bundle, **kwargs)
-                return ann, truth, (result if keep else None)
-
-            with ThreadPoolExecutor(max_workers=JOBS) as pool:
-                out[scenario][name] = list(pool.map(one, pairs))
+                rows.append((ann, truth, result if keep else None))
+            out[scenario][name] = rows
     print(f"inference: {4 * 3 * len(out['two']['ordered-1'])} scene passes "
           f"in {time.perf_counter() - t0:.1f}s")
     return out

@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -117,7 +116,7 @@ def test_ablate_writes_report(pipeline):
     out = root / "ablation.txt"
     r = run_cli(
         "ablate", "--model", model, "--manifest", data / "manifest.json",
-        "--jobs", 2, "--out", out,
+        "--out", out,
     )
     assert r.returncode == 0, r.stderr
     text = out.read_text()

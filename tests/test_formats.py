@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from compseg.errors import FormatError, ValidationError
 from compseg.fmap import BoundingBox
 from compseg.formats import (
-    ModelBundle,
     ObjectRecord,
     SceneAnnotation,
     annotation_from_json,

@@ -232,6 +232,3 @@ def test_ablation_variants_agree_without_overlap(tiny_train_pairs, tiny_bundle):
     assert math.isnan(report.order["independent"])
     for name in names[1:]:
         assert report.order[name] == 1.0
-
-    parallel = run_ablation(pairs, tiny_bundle, jobs=4, scenario="train")
-    assert parallel.modal["ordered-1"].as_dict() == report.modal["ordered-1"].as_dict()

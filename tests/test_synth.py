@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,25 @@ def test_generation_deterministic(mini_challenge, tmp_path):
     man_a = json.loads(_file_bytes(mini_challenge.root, "manifest.json"))
     man_b = json.loads(_file_bytes(again.root, "manifest.json"))
     assert man_a == man_b
+
+
+# SHA-256 over every file of the MINI challenge, in sorted path order, each
+# file fed as its path, a NUL and its bytes. Rerun determinism alone would
+# not notice a change that moves one RNG draw and so rewrites every dataset;
+# this digest does. It also pins numpy's `Generator` streams (PCG64 and the
+# samplers behind `integers`, `uniform`, `standard_normal`, `choice` and
+# `permutation`), so a numpy release that changes one fails here too.
+MINI_SHA256 = "bbcd9ff99892d0d72f52cdf3b5586740e46914ef76712348878df745242e04c3"
+
+
+def test_generated_bytes_pinned(mini_challenge):
+    root = Path(mini_challenge.root)
+    digest = hashlib.sha256()
+    files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    for rel in files:
+        digest.update(rel.encode() + b"\0")
+        digest.update((root / rel).read_bytes())
+    assert digest.hexdigest() == MINI_SHA256
 
 
 def test_scenario_subsets_regenerate_identically(mini_challenge, tmp_path):
