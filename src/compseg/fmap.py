@@ -151,7 +151,7 @@ class FeatureMap:
         return self.data.shape[:2]
 
     def flat(self) -> np.ndarray:
-        """(H*W, D) float64 view of the grid for batched math."""
+        """(H*W, D) float64 copy of the grid for batched math."""
         return self.data.reshape(-1, self.dim).astype(np.float64)
 
 

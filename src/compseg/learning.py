@@ -12,6 +12,15 @@ config, and the seed:
 
 Stage failures raise TrainingError tagged with the stage name so callers can
 tell where a bad dataset broke the pipeline.
+
+Training never holds a float64 copy of the feature pool. The dictionary
+stage concatenates the maps' float32 rows, draws its subsample and widens only
+the sampled rows to float64; the sample is freed when the fit returns. Each
+mixture group writes its members' responsibilities into one preallocated
+(C, H, W, K) float64 block that the estimators read in place, freed before
+the next group starts. Besides the inputs, the float32 crops and the model,
+working memory is thus bounded by the larger of (float32 pool + sample) and
+one group's block.
 """
 from __future__ import annotations
 
@@ -54,6 +63,16 @@ class TrainReport:
         return self.dictionary_stop == STOP_MAX_ITER
 
 
+def _inner_slices(shape: tuple[int, int], shrink: float) -> tuple[slice, slice]:
+    """Row and column slices of the central region `inner_box_mask` marks."""
+    h, w = shape
+    iy = max(1, int(round(h * shrink / 2.0)))
+    ix = max(1, int(round(w * shrink / 2.0)))
+    if 2 * iy >= h or 2 * ix >= w:
+        raise ValidationError(f"crop shape {shape} too small for shrink {shrink}")
+    return slice(iy, h - iy), slice(ix, w - ix)
+
+
 def inner_box_mask(shape: tuple[int, int], shrink: float) -> np.ndarray:
     """Central region of a crop after shrinking the box by `shrink`.
 
@@ -61,13 +80,8 @@ def inner_box_mask(shape: tuple[int, int], shrink: float) -> np.ndarray:
     annotation rectangle but outside the object. At least one ring pixel per
     side is kept so both regions are always nonempty.
     """
-    h, w = shape
-    iy = max(1, int(round(h * shrink / 2.0)))
-    ix = max(1, int(round(w * shrink / 2.0)))
-    if 2 * iy >= h or 2 * ix >= w:
-        raise ValidationError(f"crop shape {shape} too small for shrink {shrink}")
     mask = np.zeros(shape, dtype=np.bool_)
-    mask[iy : h - iy, ix : w - ix] = True
+    mask[_inner_slices(shape, shrink)] = True
     return mask
 
 
@@ -93,59 +107,58 @@ def pooled_responsibility(fm: FeatureMap, dictionary: VmfDictionary) -> np.ndarr
     return resp.mean(axis=0)
 
 
-def estimate_fg_prior(resps: Sequence[np.ndarray], shrink: float) -> np.ndarray:
+def estimate_fg_prior(resps: np.ndarray, shrink: float) -> np.ndarray:
     """Per-position probability that a position carries object matter.
 
-    Two pooled profiles summarize what object pixels and ring (context)
-    pixels look like in responsibility space. A position votes foreground in
-    a crop when its responsibility row projects more onto the inside profile
-    than onto the ring profile; the prior is the vote frequency over crops.
+    `resps` is the (C, H, W, K) block of a group's crop responsibilities. Two
+    pooled profiles summarize what object pixels and ring (context) pixels
+    look like in responsibility space. A position votes foreground in a crop
+    when its responsibility row projects more onto the inside profile than
+    onto the ring profile; the prior is the vote frequency over crops.
     """
-    if not resps:
+    if len(resps) == 0:
         raise TrainingError("prior", "no crops to estimate a prior from")
-    shape = resps[0].shape[:2]
-    inner = inner_box_mask(shape, shrink)
-    stack = np.stack(resps)                       # (C, H, W, K)
-    abar = stack[:, inner, :].mean(axis=(0, 1))
-    cbar = stack[:, ~inner, :].mean(axis=(0, 1))
-    fg_proj = stack @ abar
-    ctx_proj = stack @ cbar
+    rows, cols = _inner_slices(resps.shape[1:3], shrink)
+    inner = inner_box_mask(resps.shape[1:3], shrink)
+    abar = resps[:, rows, cols, :].mean(axis=(0, 1, 2))
+    cbar = resps[:, ~inner, :].mean(axis=(0, 1))
+    fg_proj = resps @ abar
+    ctx_proj = resps @ cbar
     return (fg_proj > ctx_proj).mean(axis=0)
 
 
-def estimate_coeffs(resps: Sequence[np.ndarray]) -> np.ndarray:
+def estimate_coeffs(resps: np.ndarray) -> np.ndarray:
     """Per-position mixture coefficients: the mean responsibility row.
 
-    No smoothing: a single crop yields exactly its own responsibility rows.
+    `resps` is a (C, H, W, K) block. No smoothing: a single crop yields
+    exactly its own responsibility rows.
     """
-    if not resps:
+    if len(resps) == 0:
         raise TrainingError("coeffs", "no crops to estimate coefficients from")
-    mean = np.mean(np.stack(resps), axis=0)
+    mean = resps.mean(axis=0)
     return mean / mean.sum(axis=-1, keepdims=True)
 
 
-def estimate_context_coeffs(resps: Sequence[np.ndarray], shrink: float) -> np.ndarray:
+def estimate_context_coeffs(resps: np.ndarray, shrink: float) -> np.ndarray:
     """Per-position context coefficients from ring pixels, add-one smoothed.
 
-    Ring positions average their own responsibility rows across crops plus
-    one uniform pseudo-observation. Interior positions never see context
-    samples at their own location, so they take the pooled ring profile with
-    the same smoothing; they are nearly inert at inference time because the
-    context branch carries log(1-p) with p clamped near 1 there.
+    `resps` is a (C, H, W, K) block. Ring positions average their own
+    responsibility rows across crops plus one uniform pseudo-observation.
+    Interior positions never see context samples at their own location, so
+    they take the pooled ring profile with the same smoothing; they are nearly
+    inert at inference time because the context branch carries log(1-p) with
+    p clamped near 1 there.
     """
-    if not resps:
+    if len(resps) == 0:
         raise TrainingError("coeffs", "no crops to estimate context from")
-    shape = resps[0].shape[:2]
-    k = resps[0].shape[2]
-    inner = inner_box_mask(shape, shrink)
-    stack = np.stack(resps)
+    n, h, w, k = resps.shape
+    inner = inner_box_mask((h, w), shrink)
     uniform = np.full(k, 1.0 / k)
-    n = stack.shape[0]
 
-    ring_sum = stack.sum(axis=0)                  # (H, W, K)
+    ring_sum = resps.sum(axis=0)                  # (H, W, K)
     per_position = (ring_sum + uniform) / (n + 1.0)
 
-    ring_rows = stack[:, ~inner, :].reshape(-1, k)
+    ring_rows = resps[:, ~inner, :].reshape(-1, k)
     pooled = (ring_rows.sum(axis=0) + uniform) / (ring_rows.shape[0] + 1.0)
 
     out = np.where(inner[..., None], pooled, per_position)
@@ -215,6 +228,39 @@ def learn_occluder(backgrounds: Sequence[FeatureMap], dictionary: VmfDictionary)
     return OccluderModel(beta / beta.sum())
 
 
+def _dictionary_sample(
+    maps: Sequence[FeatureMap], size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Float64 rows for the dictionary fit: the pooled rows, or `size` of them.
+
+    The pool is concatenated in float32 and only the kept rows are widened;
+    the draw reads nothing but the row count and the widening is exact, so
+    the rows are those a float64 pool would give.
+    """
+    pool = np.concatenate([fm.data.reshape(-1, fm.dim) for fm in maps], axis=0)
+    if pool.shape[0] > size:
+        pool = pool[np.sort(rng.choice(pool.shape[0], size=size, replace=False))]
+    return pool.astype(np.float64)
+
+
+def _fit_mixture(
+    crops: Sequence[FeatureMap], shape: tuple[int, int], dictionary: VmfDictionary, shrink: float
+) -> MixtureModel:
+    """One mixture from its member crops, resampled to the group's `shape`.
+
+    The members' responsibilities fill one (C, H, W, K) block, read in place
+    by the three estimators and freed when this returns.
+    """
+    block = np.empty((len(crops), *shape, dictionary.size))
+    for i, c in enumerate(crops):
+        block[i] = crop_responsibilities(c, shape, dictionary)
+    return MixtureModel(
+        estimate_fg_prior(block, shrink),
+        estimate_coeffs(block),
+        estimate_context_coeffs(block, shrink),
+    )
+
+
 def _gather_crops(scenes: Sequence[tuple[FeatureMap, SceneAnnotation]]):
     """(label -> [(crop, scene_id, template)]) over all annotated objects."""
     by_class: dict[str, list] = {}
@@ -240,14 +286,12 @@ def train(
     report = TrainReport()
 
     try:
-        pool = [fm.flat() for fm, _ in scenes] + [fm.flat() for fm in backgrounds]
-        features = np.concatenate(pool, axis=0)
         rng = np.random.default_rng([config.seed, 0])
-        if features.shape[0] > config.dict_sample:
-            pick = rng.choice(features.shape[0], size=config.dict_sample, replace=False)
-            features = features[np.sort(pick)]
+        maps = [fm for fm, _ in scenes] + list(backgrounds)
+        # The sample is drawn before the fit's seed, and as an argument temporary
+        # nothing holds it once the fit returns.
         dictionary, trace = fit_dictionary_traced(
-            features,
+            _dictionary_sample(maps, config.dict_sample, rng),
             config.k,
             seed=int(rng.integers(2**32)),
             shared_concentration=config.shared_concentration,
@@ -281,11 +325,7 @@ def train(
             members = [crops[i] for i in np.flatnonzero(groups == g)]
             shape = canonical_shape([c.shape[:2] for c in members])
             shapes.append(shape)
-            resps = [crop_responsibilities(c, shape, dictionary) for c in members]
-            prior = estimate_fg_prior(resps, config.shrink)
-            alpha = estimate_coeffs(resps)
-            chi = estimate_context_coeffs(resps, config.shrink)
-            mixtures.append(MixtureModel(prior, alpha, chi))
+            mixtures.append(_fit_mixture(members, shape, dictionary, config.shrink))
         report.group_shapes[label] = shapes
         classes.append(ClassModel(label, tuple(mixtures)))
 

@@ -710,6 +710,9 @@ def generate_challenge(
     for s in scenarios:
         if s not in _SCENARIOS:
             raise ValidationError(f"unknown scenario {s!r}")
+    for name in ("per_level", "train_scenes", "backgrounds"):
+        if getattr(cfg, name) < 0:
+            raise ValidationError(f"{name} must be >= 0, got {getattr(cfg, name)}")
     space = build_part_space(np.random.default_rng([cfg.seed, 17]))
     templates = build_templates()
 

@@ -170,6 +170,13 @@ def test_errors_are_single_parsable_lines(pipeline, tmp_path):
     assert r.returncode == 2
     assert r.stderr.startswith("compseg: error code=INVALID msg=")
 
+    for flag in ("--per-level", "--train-scenes", "--backgrounds"):
+        r = run_cli("generate", "--out", tmp_path / "neg", flag, -1)
+        assert r.returncode == 2
+        lines = [ln for ln in r.stderr.splitlines() if ln]
+        assert len(lines) == 1 and lines[0].startswith("compseg: error code=INVALID msg=")
+        assert r.stdout == ""
+
     for sigma in ("-1", "nan", "inf"):
         r = run_cli("train", "--manifest", data / "manifest.json",
                     "--sigma", sigma, "--k", 8, "--out", tmp_path / "m.bin")

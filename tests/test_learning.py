@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -53,7 +55,7 @@ def test_canonical_shape_median():
 
 
 def _planted_resps(rng, crops=6, shape=(8, 8), k=3, noise=0.05):
-    """Responsibility stacks with component 0 inside, component 1 on the ring."""
+    """A (C, H, W, K) block with component 0 inside, component 1 on the ring."""
     inner = inner_box_mask(shape, SHRINK)
     out = []
     for _ in range(crops):
@@ -62,7 +64,7 @@ def _planted_resps(rng, crops=6, shape=(8, 8), k=3, noise=0.05):
         r[~inner, 1] += 1.0
         r /= r.sum(axis=-1, keepdims=True)
         out.append(r)
-    return out, inner
+    return np.stack(out), inner
 
 
 def test_fg_prior_separates_inside_from_ring():
@@ -96,13 +98,16 @@ def test_context_coeffs_ring_vs_interior():
 
 
 def test_estimators_reject_empty():
+    empty = np.empty((0, 8, 8, 3))
     with pytest.raises(TrainingError) as err:
-        estimate_fg_prior([], SHRINK)
+        estimate_fg_prior(empty, SHRINK)
     assert err.value.stage == "prior"
-    with pytest.raises(TrainingError):
-        estimate_coeffs([])
-    with pytest.raises(TrainingError):
-        estimate_context_coeffs([], SHRINK)
+    with pytest.raises(TrainingError) as err:
+        estimate_coeffs(empty)
+    assert err.value.stage == "coeffs"
+    with pytest.raises(TrainingError) as err:
+        estimate_context_coeffs(empty, SHRINK)
+    assert err.value.stage == "coeffs"
 
 
 def test_assign_mixtures_separated_clusters():
@@ -183,6 +188,38 @@ def test_train_deterministic_bytes(tiny_train_pairs, tiny_backgrounds, tmp_path)
     save_model(bundle_a, pa)
     save_model(bundle_b, pb)
     assert open(pa, "rb").read() == open(pb, "rb").read()
+
+
+# SHA-256 of the saved model trained below: 25,168 pooled rows against a
+# 20,000-row dictionary sample, so the subsampled path runs. Training memory
+# work must leave these bytes alone.
+PINNED_MODEL_SHA256 = "fcb6297d5d1d6c130c33aec111b631f030768f3384c7e558db4162b2f4d97173"
+
+
+def test_train_model_bytes_pinned(tiny_train_pairs, tiny_backgrounds, tmp_path):
+    pairs = tiny_train_pairs[:10]
+    bgs = tiny_backgrounds[:3]
+    rows = sum(fm.height * fm.width for fm, _ in pairs) + sum(fm.height * fm.width for fm in bgs)
+    cfg = TrainConfig(k=8, m=2, seed=3, dict_sample=20_000, max_iter=40)
+    assert rows > cfg.dict_sample
+    bundle, _ = train(pairs, bgs, cfg)
+    path = tmp_path / "model.bin"
+    save_model(bundle, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_MODEL_SHA256
+
+
+def test_train_peak_memory_below_one_float64_pool(tiny_train_pairs, tiny_backgrounds):
+    """Training never holds a float64 copy of the whole feature pool."""
+    maps = [fm for fm, _ in tiny_train_pairs] + list(tiny_backgrounds)
+    pool_bytes = sum(fm.height * fm.width * fm.dim for fm in maps) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train(tiny_train_pairs, tiny_backgrounds, TrainConfig(k=32, dict_sample=5_000))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < pool_bytes, f"peak {peak} bytes against a float64 pool of {pool_bytes}"
 
 
 def test_train_report_structure(tiny_train_pairs, tiny_backgrounds):

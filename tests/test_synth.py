@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,14 @@ def test_level_bucket_edges():
 def test_unknown_scenario_name_rejected(tmp_path):
     with pytest.raises(ValidationError):
         generate_challenge(str(tmp_path / "x"), MINI, scenarios=("tower",))
+
+
+@pytest.mark.parametrize("field", ["per_level", "train_scenes", "backgrounds"])
+def test_negative_counts_rejected(tmp_path, field):
+    root = tmp_path / "x"
+    with pytest.raises(ValidationError, match=field):
+        generate_challenge(str(root), replace(MINI, **{field: -1}))
+    assert not root.exists()
 
 
 @pytest.fixture(scope="module")
