@@ -279,9 +279,9 @@ def _cmd_ablate(args) -> int:
 
 _SCALES = {
     "tiny": dict(competition=200, votes=300, joint=100, closed=100,
-                 mc_samples=20_000, maps=20, reassign=200),
+                 mc_samples=20_000, maps=20, reassign=200, rescore=100),
     "small": dict(competition=1000, votes=1000, joint=400, closed=200,
-                  mc_samples=100_000, maps=60, reassign=1000),
+                  mc_samples=100_000, maps=60, reassign=1000, rescore=400),
 }
 
 
@@ -315,6 +315,7 @@ def _cmd_oracle_check(args) -> int:
             "order-reassignment",
             lambda rng: oracle.check_order_reassignment(rng, sizes["reassign"]),
         ),
+        ("rescore", lambda rng: oracle.check_rescore(rng, sizes["rescore"])),
     ]
     failed = False
     for index, (name, suite) in enumerate(suites):

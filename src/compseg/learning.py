@@ -20,7 +20,8 @@ mixture group writes its members' responsibilities into one preallocated
 (C, H, W, K) float64 block that the estimators read in place, freed before
 the next group starts. Besides the inputs, the float32 crops and the model,
 working memory is thus bounded by the larger of (float32 pool + sample) and
-one group's block.
+one group's block. The crops are freed once the class models are fitted,
+before the occluder stage.
 """
 from __future__ import annotations
 
@@ -271,6 +272,40 @@ def _gather_crops(scenes: Sequence[tuple[FeatureMap, SceneAnnotation]]):
     return by_class
 
 
+def _fit_classes(
+    by_class: dict[str, list], dictionary: VmfDictionary, config: TrainConfig, report: TrainReport
+) -> list[ClassModel]:
+    """One class model per label, in label order, from `_gather_crops`'s crops.
+
+    The crops live only in this frame, so they are freed before the
+    occluder stage runs.
+    """
+    if not by_class:
+        raise TrainingError("dataset", "no annotated objects in training scenes")
+    classes = []
+    for class_index, label in enumerate(sorted(by_class)):
+        entries = by_class[label]
+        crops = [e[0] for e in entries]
+        report.crop_index[label] = [(e[1], i) for i, e in enumerate(entries)]
+
+        pooled = np.stack([pooled_responsibility(c, dictionary) for c in crops])
+        groups = assign_mixtures(
+            pooled, config.m, seed=[config.seed, 1, class_index], max_iter=config.max_iter
+        )
+        report.mixture_groups[label] = groups.tolist()
+
+        mixtures = []
+        shapes = []
+        for g in range(config.m):
+            members = [crops[i] for i in np.flatnonzero(groups == g)]
+            shape = canonical_shape([c.shape[:2] for c in members])
+            shapes.append(shape)
+            mixtures.append(_fit_mixture(members, shape, dictionary, config.shrink))
+        report.group_shapes[label] = shapes
+        classes.append(ClassModel(label, tuple(mixtures)))
+    return classes
+
+
 def train(
     scenes: Sequence[tuple[FeatureMap, SceneAnnotation]],
     backgrounds: Sequence[FeatureMap],
@@ -303,32 +338,7 @@ def train(
     except (ValidationError, ValueError) as exc:
         raise TrainingError("dictionary", str(exc)) from exc
 
-    by_class = _gather_crops(scenes)
-    if not by_class:
-        raise TrainingError("dataset", "no annotated objects in training scenes")
-
-    classes = []
-    for class_index, label in enumerate(sorted(by_class)):
-        entries = by_class[label]
-        crops = [e[0] for e in entries]
-        report.crop_index[label] = [(e[1], i) for i, e in enumerate(entries)]
-
-        pooled = np.stack([pooled_responsibility(c, dictionary) for c in crops])
-        groups = assign_mixtures(
-            pooled, config.m, seed=[config.seed, 1, class_index], max_iter=config.max_iter
-        )
-        report.mixture_groups[label] = groups.tolist()
-
-        mixtures = []
-        shapes = []
-        for g in range(config.m):
-            members = [crops[i] for i in np.flatnonzero(groups == g)]
-            shape = canonical_shape([c.shape[:2] for c in members])
-            shapes.append(shape)
-            mixtures.append(_fit_mixture(members, shape, dictionary, config.shrink))
-        report.group_shapes[label] = shapes
-        classes.append(ClassModel(label, tuple(mixtures)))
-
+    classes = _fit_classes(_gather_crops(scenes), dictionary, config, report)
     occluder = learn_occluder(backgrounds, dictionary)
     bundle = ModelBundle(dictionary, tuple(classes), occluder)
     return quantize_bundle(bundle), report

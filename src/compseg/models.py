@@ -31,6 +31,13 @@ Classification is split in two. `classify` builds every (class, mixture)
 candidate's maps for a crop once and picks the best; `rescore` re-picks over
 those same candidates under a visibility grid, as the ORM does for an
 occluded object, without touching the crop again.
+
+Inputs are validated where they enter. The model dataclasses check their
+arrays when built, `crop_evidence` checks the crop against the dictionary
+and `likelihood_maps` checks K; the maps it returns come through
+`LikelihoodMaps._trusted`, which skips the checks of arrays it just built.
+`image_loglik` checks its visibility grid on every call, while `rescore`
+checks its grid once per call against the candidates' shared crop shape.
 """
 from __future__ import annotations
 
@@ -165,6 +172,18 @@ class LikelihoodMaps:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _trusted(cls, fg: np.ndarray, ctx: np.ndarray, occ: np.ndarray) -> "LikelihoodMaps":
+        """Maps that `likelihood_maps` just built: float64, one 2-d shape.
+
+        This skips the conversions and checks and only makes them read-only.
+        """
+        maps = object.__new__(cls)
+        for name, arr in (("fg", fg), ("ctx", ctx), ("occ", occ)):
+            arr.setflags(write=False)
+            object.__setattr__(maps, name, arr)
+        return maps
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.fg.shape
@@ -177,12 +196,12 @@ def _check_k(dictionary: VmfDictionary, k: int, what: str) -> None:
         )
 
 
-def _crop_cosines(crop: FeatureMap, dictionary: VmfDictionary) -> np.ndarray:
+def _crop_features(crop: FeatureMap, dictionary: VmfDictionary) -> np.ndarray:
     if crop.dim != dictionary.dim:
         raise ValidationError(
             f"crop dim {crop.dim} does not match dictionary dim {dictionary.dim}"
         )
-    return crop.data.reshape(-1, crop.dim).astype(np.float64) @ dictionary.means.T
+    return crop.data.reshape(-1, crop.dim).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -190,16 +209,21 @@ class CropEvidence:
     """The mixture-independent terms of one crop, on the crop's lattice.
 
     Per position i: `peak` = max_k s[i,k], `scaled` = exp(s - peak) and `occ`
-    the occluder log-likelihood without its prior term. `cos` is kept for
-    the exact fallback.
+    the occluder log-likelihood without its prior term. The crop's float64
+    rows are kept for the exact fallback, which recomputes its cosines.
     """
 
     shape: tuple[int, int]
     dictionary: VmfDictionary
-    cos: np.ndarray     # (P, K)
-    peak: np.ndarray    # (P,)
-    scaled: np.ndarray  # (P, K)
-    occ: np.ndarray     # (P,)
+    features: np.ndarray  # (P, D)
+    peak: np.ndarray      # (P,)
+    scaled: np.ndarray    # (P, K)
+    occ: np.ndarray       # (P,)
+
+
+def _cosines(features: np.ndarray, dictionary: VmfDictionary, rows: np.ndarray) -> np.ndarray:
+    """Cosine rows for the exact fallback, from the same product `crop_evidence` takes."""
+    return (features @ dictionary.means.T)[rows]
 
 
 def _factored_loglik(peak: np.ndarray, total: np.ndarray, exact) -> np.ndarray:
@@ -225,16 +249,28 @@ def crop_evidence(
     _check_k(dictionary, occluder.n_components, "occluder")
     sig = dictionary.concentrations
     lz = dictionary.log_normalizers
-    cos = _crop_cosines(crop, dictionary)
-    s = cos * sig - lz
-    peak = np.max(s, axis=1)
-    scaled = np.exp(s - peak[:, None])
+    features = _crop_features(crop, dictionary)
+    # One (P, K) buffer goes from the cosines to s to E in place: the same
+    # bits as exp(cos * sig - lz - peak) with no temporaries. The cosines are
+    # not kept either, since every fresh (P, K) array is memory traffic and,
+    # in a process whose heap is still small, page faults; the rare exact
+    # fallback takes the same product again.
+    scaled = features @ dictionary.means.T
+    scaled *= sig
+    scaled -= lz
+    # The row maximum read at its argmax: exact, and much cheaper than a
+    # max-reduce over short rows.
+    peak = scaled[np.arange(len(scaled)), scaled.argmax(axis=1)]
+    scaled -= peak[:, None]
+    np.exp(scaled, out=scaled)
     occ = _factored_loglik(
         peak,
         scaled @ occluder.coeffs,
-        lambda rows: _kernels.shared_mixture_loglik(cos[rows], sig, lz, occluder._log_coeffs),
+        lambda rows: _kernels.shared_mixture_loglik(
+            _cosines(features, dictionary, rows), sig, lz, occluder._log_coeffs
+        ),
     )
-    return CropEvidence(crop.shape, dictionary, cos, peak, scaled, occ)
+    return CropEvidence(crop.shape, dictionary, features, peak, scaled, occ)
 
 
 def _mixture_loglik(evidence: CropEvidence, coeffs: np.ndarray) -> np.ndarray:
@@ -245,7 +281,7 @@ def _mixture_loglik(evidence: CropEvidence, coeffs: np.ndarray) -> np.ndarray:
             log_coeffs = np.log(coeffs[rows])
         d = evidence.dictionary
         return _kernels.mixture_loglik(
-            evidence.cos[rows], d.concentrations, d.log_normalizers, log_coeffs
+            _cosines(evidence.features, d, rows), d.concentrations, d.log_normalizers, log_coeffs
         )
 
     total = np.einsum("ik,ik->i", coeffs, evidence.scaled)
@@ -272,13 +308,23 @@ def likelihood_maps(evidence: CropEvidence, mixture: MixtureModel) -> Likelihood
     idx = _plane_index(mixture.shape, evidence.shape)
     log_p = mixture._log_p.reshape(-1)[idx]
     log_1mp = mixture._log_1mp.reshape(-1)[idx]
-    fg_ll = _mixture_loglik(evidence, mixture.fg_coeffs.reshape(-1, k)[idx])
-    ctx_ll = _mixture_loglik(evidence, mixture.ctx_coeffs.reshape(-1, k)[idx])
-    return LikelihoodMaps(
+    fg_ll = _mixture_loglik(evidence, np.take(mixture.fg_coeffs.reshape(-1, k), idx, axis=0))
+    ctx_ll = _mixture_loglik(evidence, np.take(mixture.ctx_coeffs.reshape(-1, k), idx, axis=0))
+    return LikelihoodMaps._trusted(
         (log_p + fg_ll).reshape(h, w),
         (log_1mp + ctx_ll).reshape(h, w),
         (log_p + evidence.occ).reshape(h, w),
     )
+
+
+def _check_visibility(visibility, shape: tuple[int, int]) -> np.ndarray:
+    """A binary visibility grid of `shape` as float64."""
+    z = np.asarray(visibility)
+    if z.shape != shape:
+        raise ValidationError(f"visibility shape {z.shape} does not match maps {shape}")
+    if not np.all((z == 0) | (z == 1)):
+        raise ValidationError("visibility grid must be binary")
+    return z.astype(np.float64)
 
 
 def image_loglik(maps: LikelihoodMaps, visibility: np.ndarray | None = None) -> float:
@@ -286,17 +332,11 @@ def image_loglik(maps: LikelihoodMaps, visibility: np.ndarray | None = None) -> 
 
     Without a visibility grid every pixel takes its best branch. With a
     binary visibility grid, 1 selects the foreground map value and 0 the
-    occluder map value.
+    occluder map value. The grid is checked on every call; `rescore`, which
+    scores many maps under one grid, checks it once instead.
     """
     if visibility is not None:
-        z = np.asarray(visibility)
-        if z.shape != maps.shape:
-            raise ValidationError(
-                f"visibility shape {z.shape} does not match maps {maps.shape}"
-            )
-        if not np.all((z == 0) | (z == 1)):
-            raise ValidationError("visibility grid must be binary")
-        zf = z.astype(np.float64)
+        zf = _check_visibility(visibility, maps.shape)
         return float(np.sum(zf * maps.fg + (1.0 - zf) * maps.occ))
     return float(np.sum(np.maximum(np.maximum(maps.fg, maps.ctx), maps.occ)))
 
@@ -338,13 +378,25 @@ def rescore(
 
     A visibility grid is in crop coordinates. The maps do not depend on it,
     so re-scoring an occluded object needs neither its crop nor new maps.
+    The candidates share the crop's lattice, so the grid is checked once,
+    against the first candidate's shape, and every candidate is scored from
+    one float copy of it with `image_loglik`'s expression.
     """
     if not candidates:
         raise ValidationError("classify needs at least one class model")
+    if visibility is None:
+        score_of = image_loglik
+    else:
+        zf = _check_visibility(visibility, candidates[0][0].shape)
+        hidden = 1.0 - zf
+
+        def score_of(maps: LikelihoodMaps) -> float:
+            return float(np.sum(zf * maps.fg + hidden * maps.occ))
+
     best = None
     for ci, row_maps in enumerate(candidates):
         for mi, maps in enumerate(row_maps):
-            score = image_loglik(maps, visibility)
+            score = score_of(maps)
             if best is None or score > best[0]:
                 best = (score, ci, mi, maps)
     score, ci, mi, maps = best
@@ -364,4 +416,5 @@ def segment_single(maps: LikelihoodMaps) -> np.ndarray:
 
 def amodal_mask(mixture: MixtureModel, box: BoundingBox) -> np.ndarray:
     """Thresholded foreground prior (>= 0.5), resampled to the box lattice."""
-    return resample_nearest(mixture.fg_prior, box.shape) >= 0.5
+    idx = _plane_index(mixture.shape, box.shape)
+    return (mixture.fg_prior.reshape(-1)[idx] >= 0.5).reshape(box.shape)

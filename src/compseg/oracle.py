@@ -396,6 +396,11 @@ def check_monte_carlo_mass(
     return bad, 3 * len(dims)
 
 
+def _random_simplex(rng: np.random.Generator, shape) -> np.ndarray:
+    raw = rng.uniform(0.1, 1.0, size=shape)
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
 def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, int]:
     """Factored maps vs the scalar fsum recomputation."""
     from .fmap import FeatureMap
@@ -408,10 +413,6 @@ def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, in
     )
     from .vmf import VmfDictionary, sample_uniform_sphere
 
-    def simplex(shape) -> np.ndarray:
-        raw = rng.uniform(0.1, 1.0, size=shape)
-        return raw / raw.sum(axis=-1, keepdims=True)
-
     mismatches = 0
     for _ in range(cases):
         h = int(rng.integers(1, 5))
@@ -423,10 +424,10 @@ def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, in
         dictionary = VmfDictionary(means, concentrations)
         mixture = MixtureModel(
             fg_prior=rng.uniform(0.0, 1.0, size=(h, w)),
-            fg_coeffs=simplex((h, w, k)),
-            ctx_coeffs=simplex((h, w, k)),
+            fg_coeffs=_random_simplex(rng, (h, w, k)),
+            ctx_coeffs=_random_simplex(rng, (h, w, k)),
         )
-        occluder = OccluderModel(coeffs=simplex(k))
+        occluder = OccluderModel(coeffs=_random_simplex(rng, k))
         grid = sample_uniform_sphere(rng, h * w, d).reshape(h, w, d)
         fm = FeatureMap(grid.astype(np.float32))
         got: LikelihoodMaps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
@@ -443,4 +444,87 @@ def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, in
             if not np.allclose(got_map, want_map, rtol=1e-7, atol=1e-7):
                 mismatches += 1
                 break
+    return mismatches, cases
+
+
+# Largest per-pixel gap allowed between a production score and its fsum
+# reference; the factored maps agree with the reference far closer than this.
+_RESCORE_TOL = 1e-9
+
+
+def check_rescore(rng: np.random.Generator, cases: int) -> tuple[int, int]:
+    """`rescore`'s pick under a binary visibility grid vs brute-force scores.
+
+    Each case draws two or three classes of one to three mixtures, with
+    canonical shapes that mostly differ from the crop's, and a random binary
+    grid. The reference scores every candidate with `math.fsum` over its
+    `perpixel_maps_reference` maps on the crop lattice (foreground where
+    visible, occluder where hidden) and takes the first maximum in (class,
+    mixture) order. Half the cases repeat the first mixture in the last
+    class, so two candidates tie exactly and the lower index must win. A case
+    mismatches when the pick differs from the reference's, or when the picked
+    score is more than `_RESCORE_TOL` per pixel from its reference score.
+    """
+    from .fmap import FeatureMap, resample_nearest
+    from .models import ClassModel, MixtureModel, OccluderModel, classify, rescore
+    from .vmf import VmfDictionary, sample_uniform_sphere
+
+    mismatches = 0
+    for _ in range(cases):
+        h = int(rng.integers(1, 5))
+        w = int(rng.integers(1, 5))
+        d = int(rng.integers(3, 7))
+        k = int(rng.integers(2, 5))
+        means = sample_uniform_sphere(rng, k, d)
+        concentrations = rng.uniform(0.5, 20.0, size=k)
+        dictionary = VmfDictionary(means, concentrations)
+        occluder = OccluderModel(coeffs=_random_simplex(rng, k))
+
+        def mixture() -> MixtureModel:
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+            return MixtureModel(
+                fg_prior=rng.uniform(0.0, 1.0, size=shape),
+                fg_coeffs=_random_simplex(rng, (*shape, k)),
+                ctx_coeffs=_random_simplex(rng, (*shape, k)),
+            )
+
+        rows = [
+            [mixture() for _ in range(int(rng.integers(1, 4)))]
+            for _ in range(int(rng.integers(2, 4)))
+        ]
+        if rng.random() < 0.5:
+            rows[-1].append(rows[0][0])
+        classes = [ClassModel(f"c{ci}", tuple(row)) for ci, row in enumerate(rows)]
+        grid = sample_uniform_sphere(rng, h * w, d).reshape(h, w, d)
+        fm = FeatureMap(grid.astype(np.float32))
+        visibility = rng.integers(0, 2, size=(h, w))
+        got = rescore(classify(fm, classes, dictionary, occluder).candidates, visibility)
+
+        features = fm.data.astype(np.float64)
+        best = None
+        picked = None
+        for ci, row in enumerate(rows):
+            for mi, m in enumerate(row):
+                fg, _, occ = perpixel_maps_reference(
+                    features,
+                    resample_nearest(m.fg_prior, (h, w)),
+                    resample_nearest(m.fg_coeffs, (h, w)),
+                    resample_nearest(m.ctx_coeffs, (h, w)),
+                    occluder.coeffs,
+                    means,
+                    concentrations,
+                )
+                score = math.fsum(
+                    float(fg[y, x]) if visibility[y, x] == 1 else float(occ[y, x])
+                    for y in range(h)
+                    for x in range(w)
+                )
+                if best is None or score > best[0]:
+                    best = (score, ci, mi)
+                if (ci, mi) == (got.class_index, got.mixture_index):
+                    picked = score
+        if best[1:] != (got.class_index, got.mixture_index) or not (
+            abs(got.score - picked) <= _RESCORE_TOL * h * w
+        ):
+            mismatches += 1
     return mismatches, cases

@@ -133,9 +133,17 @@ def compete_pixels(fg_values: np.ndarray, occ_values: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"competition table shapes disagree: {fg.shape} vs {occ.shape}"
         )
-    stacked = np.concatenate([occ[:, None], fg], axis=1)
-    idx = np.argmax(stacked, axis=1)
-    return np.where(idx == 0, fg.shape[1], idx - 1)
+    # One vectorised step per object, in candidate order: only a strictly
+    # larger value takes the pixel, so the first maximum is kept. An argmax
+    # along the short candidate axis costs a call per pixel.
+    owners = np.full(fg.shape[0], fg.shape[1])
+    best = occ
+    for obj in range(fg.shape[1]):
+        column = fg[:, obj]
+        wins = column > best
+        owners[wins] = obj
+        best = np.where(wins, column, best)
+    return owners
 
 
 def recover_order(votes_a: int, votes_b: int) -> int:
@@ -195,8 +203,11 @@ def orm_pass(
 
     claimed = labels_fg.any(axis=0)
     if claimed.any():
-        table = np.where(labels_fg[:, claimed], fg[:, claimed], -np.inf).T
-        owners[claimed] = compete_pixels(table, occ[:, claimed].max(axis=0))
+        # Competing on whole planes and keeping the claimed pixels is cheaper
+        # than gathering the claimed pixels of every plane first.
+        table = np.where(labels_fg, fg, -np.inf).reshape(n, -1).T
+        won = compete_pixels(table, occ.max(axis=0).reshape(-1)).reshape(scene_shape)
+        owners[claimed] = won[claimed]
     owners[~claimed & labels_occ] = n
 
     pairs = []
@@ -209,8 +220,9 @@ def orm_pass(
                 np.stack([fg[i][conflict], fg[j][conflict]], axis=1),
                 np.maximum(occ[i][conflict], occ[j][conflict]),
             )
-            votes = (int(np.sum(winners == 0)), int(np.sum(winners == 1)))
-            pairs.append((int(conflict.sum()), objects[i].oid, objects[j].oid, i, j, votes))
+            votes = (int(np.count_nonzero(winners == 0)), int(np.count_nonzero(winners == 1)))
+            size = int(np.count_nonzero(conflict))
+            pairs.append((size, objects[i].oid, objects[j].oid, i, j, votes))
     pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
     edges = []
     ahead = set()

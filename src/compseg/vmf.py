@@ -125,8 +125,10 @@ def component_logliks(features: np.ndarray, dictionary: VmfDictionary) -> np.nda
         raise ValidationError(
             f"features {feats.shape} are not (P, D) with D = dictionary dim {dictionary.dim}"
         )
-    cosines = feats @ dictionary.means.T
-    return cosines * dictionary.concentrations[None, :] - dictionary.log_normalizers[None, :]
+    table = feats @ dictionary.means.T
+    table *= dictionary.concentrations
+    table -= dictionary.log_normalizers
+    return table
 
 
 def responsibilities(features: np.ndarray, dictionary: VmfDictionary) -> np.ndarray:

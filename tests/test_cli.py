@@ -136,6 +136,7 @@ def test_oracle_check_passes():
         "monte-carlo-mass",
         "likelihood-maps",
         "order-reassignment",
+        "rescore",
     ):
         assert f"ok {name} cases=" in r.stdout
 

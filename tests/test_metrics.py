@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from compseg.errors import ValidationError
 from compseg.fmap import BoundingBox, iou
-from compseg.formats import ObjectRecord, SceneAnnotation
+from compseg.formats import ObjectRecord, SceneAnnotation, annotation_to_json, load_scene
 from compseg.metrics import (
     VARIANTS,
     AblationReport,
@@ -16,6 +17,7 @@ from compseg.metrics import (
     full_graph_accuracy,
     miou_by_level,
     order_accuracy,
+    predict_scene,
     run_ablation,
     unknown_outlier_stats,
 )
@@ -232,3 +234,19 @@ def test_ablation_variants_agree_without_overlap(tiny_train_pairs, tiny_bundle):
     assert math.isnan(report.order["independent"])
     for name in names[1:]:
         assert report.order[name] == 1.0
+
+
+# SHA-256 of the predicted annotations of every TINY test scene under every
+# variant, each `annotation_to_json` text followed by a NUL. Inference speed
+# work must leave these bytes alone.
+PINNED_PREDICTIONS_SHA256 = "a5943f4dbd5757579cef9f2256099eb85b11cd7b7b8cfc35adc6a759673cdc5d"
+
+
+def test_predictions_pinned(tiny_challenge, tiny_bundle):
+    digest = hashlib.sha256()
+    for entry in tiny_challenge.select(split="test"):
+        fm, truth = load_scene(tiny_challenge, entry)
+        for _, kwargs in VARIANTS:
+            ann, _ = predict_scene(fm, truth, tiny_bundle, **kwargs)
+            digest.update(annotation_to_json(ann).encode() + b"\0")
+    assert digest.hexdigest() == PINNED_PREDICTIONS_SHA256

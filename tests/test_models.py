@@ -158,6 +158,8 @@ def test_maps_on_another_lattice_resample_crop_and_planes(shape):
     assert mixture.shape == (3, 4)
     maps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
     assert maps.shape == shape
+    for arr in (maps.fg, maps.ctx, maps.occ):
+        assert arr.dtype == np.float64 and not arr.flags.writeable
     want = _reference_maps(fm, mixture, occluder, dictionary, shape)
     for got_map, want_map in zip((maps.fg, maps.ctx, maps.occ), want):
         np.testing.assert_allclose(got_map, want_map, rtol=0, atol=1e-10)
@@ -332,6 +334,22 @@ def test_rescore_ties_go_to_the_lowest_indices():
         rescore((), vis)
 
 
+def test_rescore_checks_the_grid_once_per_call():
+    occ = np.full((2, 2), -1.0)
+    maps = LikelihoodMaps(np.zeros((2, 2)), np.zeros((2, 2)), occ)
+    candidates = ((maps, maps), (maps,))
+    with pytest.raises(ValidationError, match="binary"):
+        rescore(candidates, np.array([[1, 0], [2, 1]]))
+    with pytest.raises(ValidationError, match="binary"):
+        rescore(candidates, np.full((2, 2), 0.5))
+    with pytest.raises(ValidationError, match="shape"):
+        rescore(candidates, np.ones((2, 3)))
+    with pytest.raises(ValidationError, match="shape"):
+        rescore(candidates, np.ones(4))
+    # a boolean grid is binary too
+    assert rescore(candidates, np.ones((2, 2), dtype=bool)).score == 0.0
+
+
 def test_classify_returns_the_winners_maps():
     rng, dictionary, _, occluder, _ = tiny_setup(seed=9, k=4, d=5)
     classes = _random_classes(rng, dictionary.size)
@@ -375,3 +393,7 @@ def test_amodal_mask_thresholds_and_resamples():
     assert mask[0, 0] and not mask[0, 3]
     assert mask[2, 0]        # 0.5 is inclusive
     assert not mask[2, 2]    # 0.49 misses the threshold
+    # the cached plane index lands the prior where resample_nearest does
+    for shape in ((1, 1), (3, 5), (7, 2), (2, 2)):
+        got = amodal_mask(mixture, BoundingBox(1, 2, 1 + shape[1], 2 + shape[0]))
+        assert np.array_equal(got, resample_nearest(prior, shape) >= 0.5)

@@ -10,6 +10,7 @@ from compseg.oracle import (
     check_order_reassignment,
     check_order_votes,
     check_pixel_competition,
+    check_rescore,
     closed_form_log_normalizer_3d,
     joint_owner_reference,
     perpixel_owner_reference,
@@ -106,6 +107,7 @@ def test_closed_form_normalizer_spot_values():
         (check_joint_factorization, dict(cases=25)),
         (check_likelihood_maps, dict(cases=6)),
         (check_order_reassignment, dict(cases=60)),
+        (check_rescore, dict(cases=40)),
     ],
 )
 def test_randomized_checks_pass(check, kwargs):
