@@ -215,10 +215,10 @@ def encode_rle(mask: np.ndarray) -> str:
     if n == 0:
         return ""
     changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], changes, [n]))
-    runs = [0] if flat[0] else []
-    runs.extend(int(bounds[i + 1] - bounds[i]) for i in range(len(bounds) - 1))
-    return " ".join(str(x) for x in runs)
+    runs = np.diff(np.concatenate(([0], changes, [n]))).tolist()
+    if flat[0]:
+        runs.insert(0, 0)
+    return " ".join(map(str, runs))
 
 
 def decode_rle(text: str, shape: tuple[int, int]) -> np.ndarray:
@@ -424,6 +424,11 @@ def load_manifest(path: str) -> Manifest:
         config = dict(doc.get("config", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad manifest entry: {exc}") from exc
+    seen: set[str] = set()
+    for e in entries:
+        if e.scene_id in seen:
+            raise FormatError(f"{path}: duplicate scene id {e.scene_id!r}")
+        seen.add(e.scene_id)
     return Manifest(os.path.dirname(os.path.abspath(path)), entries, config)
 
 

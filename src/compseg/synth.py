@@ -62,6 +62,9 @@ GRID = 24                 # canonical template size
 TWO_SIZE = 44             # side of two-object, unknown, train and background scenes
 FOUR_SIZE = 56            # side of four-object scenes
 SAME_CLASS_PROB = 0.5     # chance that a planted pair shares its class
+# Class labels in class-index order: a scene's class index picks its label
+# here and its part directions in `PartSpace.class_parts`.
+_LABELS = ("brick", "disc")
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,8 @@ def _pattern_painter(
     Pixel centers of the requested raster are mapped into canonical grid
     units and everything is evaluated there directly, so rendering at the
     placed size costs one rounding where resampling a canonical raster
-    would cost two.
+    would cost two. Placed sizes come from a handful of sides, so each
+    raster is painted once per shape and handed out read-only.
 
     The layout assigns ids[(sector + ring) mod 3] with nine 40-degree
     sectors and concentric rings, plus a constant hub where sectors get
@@ -238,8 +242,15 @@ def _pattern_painter(
     decisive. The rings break the tie for near-concentric copies.
     """
     pick = np.asarray(ids)
+    cache: dict[tuple[int, int], np.ndarray] = {}
 
     def paint(shape: tuple[int, int]) -> np.ndarray:
+        out = cache.get(shape)
+        if out is None:
+            out = cache[shape] = _paint(shape)
+        return out
+
+    def _paint(shape: tuple[int, int]) -> np.ndarray:
         h, w = shape
         yy = (np.arange(h, dtype=np.float64)[:, None] + 0.5) * (GRID / h) - 0.5
         xx = (np.arange(w, dtype=np.float64)[None, :] + 0.5) * (GRID / w) - 0.5
@@ -261,6 +272,7 @@ def _pattern_painter(
         slot[rho < 3.0] = 0
         out = np.full((h, w), -1, dtype=np.int64)
         out[mask] = pick[slot][mask]
+        out.setflags(write=False)
         return out
 
     return paint
@@ -295,9 +307,9 @@ def build_templates() -> dict[str, list[ClassTemplate]]:
     return {
         label: [
             ClassTemplate(tid, _pattern_painter(sil, ids, ring_w))
-            for tid, (sil, ids, ring_w) in enumerate(entries)
+            for tid, (sil, ids, ring_w) in enumerate(specs[label])
         ]
-        for label, entries in specs.items()
+        for label in _LABELS
     }
 
 
@@ -319,11 +331,31 @@ class PlacedObject:
         return out
 
 
-def _placed_at(shape, mask, y0: int, x0: int) -> np.ndarray | None:
-    """Mask placed on the lattice, or None when it does not fit."""
+# The placement code draws one scalar at a time, in a fixed order, and that
+# order is the challenge: every byte of a generated scene follows from it.
+# Drawing a try's scalars as one vector gives the same values but costs more
+# (`integers(2, size=4)` takes about 3.5 scalar calls' time, an array-bound
+# `integers` about 4.5), and batching draws across tries or directions would
+# move the stream and so rewrite every dataset. What is cut instead is the
+# work around the draws: candidate boxes skip validation, overlap is counted
+# on the box window, and a full-lattice mask is placed only where a veto
+# reads one.
+
+
+def _box(x0: int, y0: int, x1: int, y1: int) -> BoundingBox:
+    """A box from in-bounds integer corners the placement code computed.
+
+    Skips `BoundingBox`'s checks, as `FeatureMap._trusted` skips its own;
+    boxes read from files keep the checked constructor.
+    """
+    box = object.__new__(BoundingBox)
+    box.__dict__.update(x0=x0, y0=y0, x1=x1, y1=y1)
+    return box
+
+
+def _placed_at(shape, mask, y0: int, x0: int) -> np.ndarray:
+    """`mask` placed on the lattice with its corner at (y0, x0); it must fit."""
     h, w = mask.shape
-    if y0 < 0 or x0 < 0 or y0 + h > shape[0] or x0 + w > shape[1]:
-        return None
     out = np.zeros(shape, dtype=np.bool_)
     out[y0 : y0 + h, x0 : x0 + w] = mask
     return out
@@ -356,71 +388,71 @@ def _approach_search(
     h, w = mask.shape
     lo_f, hi_f = bucket
     diag = float(np.hypot(*shape)) + 2.0
+    denom = int(mask.sum()) if measure == "slider" else int(other.sum())
 
-    def frac_of(placed: np.ndarray) -> float:
-        if measure == "slider":
-            return _coverage(placed, other)
-        return _coverage(other, placed)
+    def frac_at_corner(y0: int, x0: int) -> float:
+        # Overlap counted on the box window; -1.0 when the mask does not fit.
+        if y0 < 0 or x0 < 0 or y0 + h > shape[0] or x0 + w > shape[1]:
+            return -1.0
+        if not denom:
+            return 0.0
+        return float(np.count_nonzero(mask & other[y0 : y0 + h, x0 : x0 + w])) / denom
 
     for _ in range(16):
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        u = np.array([np.sin(phi), np.cos(phi)])
-        start = np.array(anchor) + u * diag
+        start_y = anchor[0] + float(np.sin(phi)) * diag
+        start_x = anchor[1] + float(np.cos(phi)) * diag
 
-        def frac_at(t: float) -> tuple[float, tuple[int, int] | None]:
-            cy, cx = start + (np.array(anchor) - start) * t
-            y0 = int(round(cy - h / 2.0))
-            x0 = int(round(cx - w / 2.0))
-            placed = _placed_at(shape, mask, y0, x0)
-            if placed is None:
-                return -1.0, None
-            return frac_of(placed), (y0, x0)
+        def corner_at(t: float) -> tuple[int, int]:
+            cy = start_y + (anchor[0] - start_y) * t
+            cx = start_x + (anchor[1] - start_x) * t
+            return int(round(cy - h / 2.0)), int(round(cx - w / 2.0))
 
         t_lo, t_hi = 0.0, 1.0
-        f_hi, _ = frac_at(t_hi)
-        if f_hi < lo_f:
+        if frac_at_corner(*corner_at(t_hi)) < lo_f:
             continue
         target_mid = (lo_f + hi_f) / 2.0
         for _ in range(40):
             t_mid = (t_lo + t_hi) / 2.0
-            f_mid, _ = frac_at(t_mid)
-            if f_mid < 0.0 or f_mid < target_mid:
+            if frac_at_corner(*corner_at(t_mid)) < target_mid:
                 t_lo = t_mid
             else:
                 t_hi = t_mid
 
-        _, at = frac_at(t_hi)
-        if at is None:
+        at = corner_at(t_hi)
+        if frac_at_corner(*at) < 0.0:
             continue
         for dy in (0, -1, 1, -2, 2, -3, 3):
             for dx in (0, -1, 1, -2, 2, -3, 3):
                 y0, x0 = at[0] + dy, at[1] + dx
-                placed = _placed_at(shape, mask, y0, x0)
-                if placed is None:
+                f = frac_at_corner(y0, x0)
+                if f < 0.0 or not lo_f <= f < hi_f:
                     continue
-                f = frac_of(placed)
-                if lo_f <= f < hi_f and not (veto is not None and veto(placed)):
-                    return BoundingBox(x0, y0, x0 + w, y0 + h)
+                if veto is None or not veto(_placed_at(shape, mask, y0, x0)):
+                    return _box(x0, y0, x0 + w, y0 + h)
     return None
 
 
 def _random_fit_box(rng, shape, h, w, margin=0) -> BoundingBox:
     y0 = int(rng.integers(margin, shape[0] - h - margin + 1))
     x0 = int(rng.integers(margin, shape[1] - w - margin + 1))
-    return BoundingBox(x0, y0, x0 + w, y0 + h)
+    return _box(x0, y0, x0 + w, y0 + h)
+
+
+def _side(s: float) -> int:
+    return max(12, int(round(GRID * s)))
 
 
 def _scaled_shape(rng) -> tuple[int, int]:
-    s = rng.uniform(0.85, 1.05)
-    side = max(12, int(round(GRID * s)))
+    side = _side(rng.uniform(0.85, 1.05))
     return side, side
 
 
 def _pick_template(rng, templates, class_index: int | None = None):
-    labels = sorted(templates)
-    ci = int(rng.integers(len(labels))) if class_index is None else class_index
-    tid = int(rng.integers(len(templates[labels[ci]])))
-    return ci, labels[ci], templates[labels[ci]][tid]
+    ci = int(rng.integers(len(_LABELS))) if class_index is None else class_index
+    label = _LABELS[ci]
+    tid = int(rng.integers(len(templates[label])))
+    return ci, label, templates[label][tid]
 
 
 def _place(box: BoundingBox, ci: int, label: str, tpl: ClassTemplate) -> PlacedObject:
@@ -432,7 +464,7 @@ def _disjoint_box(rng, shape, mask, taken: np.ndarray, tries: int, margin: int =
     h, w = mask.shape
     for _ in range(tries):
         cand = _random_fit_box(rng, shape, h, w, margin)
-        if not np.any(_placed_at(shape, mask, cand.y0, cand.x0) & taken):
+        if not np.any(mask & taken[cand.slices]):
             return cand
     return None
 
@@ -481,13 +513,20 @@ def render_composition(
     if blob is not None:
         dir_idx[blob[0]] = unk_base + blob[1][blob[0]]
 
-    data = np.empty(shape + (dim,), dtype=np.float64)
-    for d in range(dir_table.shape[0]):
-        sel = dir_idx == d
-        count = int(sel.sum())
+    # Directions draw in index order, and each direction's samples fill its
+    # pixels in row-major order. A stable sort lists every direction's
+    # pixels in that order, one direction after another.
+    flat_idx = dir_idx.reshape(-1)
+    by_dir = np.argsort(flat_idx, kind="stable")
+    counts = np.bincount(flat_idx, minlength=dir_table.shape[0])
+    data = np.empty((flat_idx.size, dim), dtype=np.float64)
+    start = 0
+    for d, count in enumerate(counts.tolist()):
         if count:
-            data[sel] = sample_vmf(rng, dir_table[d], SIGMA_GEN, count)
-    return FeatureMap(data), owner
+            rows = by_dir[start : start + count]
+            data[rows] = sample_vmf(rng, dir_table[d], SIGMA_GEN, count)
+            start += count
+    return FeatureMap(data.reshape(shape + (dim,))), owner
 
 
 def _scene(
@@ -664,19 +703,34 @@ def make_unknown_scene(rng, space, templates, level: str, scene_id: str):
 
 
 def make_train_scene(rng, space, templates, scene_id: str):
-    """Two clean objects, boxes fully disjoint."""
+    """Two clean objects, boxes fully disjoint.
+
+    Two boxes of 20-25 pixels placed anywhere in 44 rarely miss each other,
+    so about one try in 125 is kept. A try therefore makes the draws of two
+    `_pick_template`, two `_scaled_shape` and two `_random_fit_box` calls,
+    in that order, inline, and tests disjointness on the corners before any
+    box is built.
+    """
     shape = (TWO_SIZE, TWO_SIZE)
+    integers, uniform = rng.integers, rng.uniform
     for _ in range(400):
-        ci_a, label_a, tpl_a = _pick_template(rng, templates)
-        ci_b, label_b, tpl_b = _pick_template(rng, templates)
-        ha, wa = _scaled_shape(rng)
-        hb, wb = _scaled_shape(rng)
-        box_a = _random_fit_box(rng, shape, ha, wa)
-        box_b = _random_fit_box(rng, shape, hb, wb)
-        if not box_a.overlaps(box_b):
+        ci_a = int(integers(len(_LABELS)))
+        tid_a = int(integers(len(templates[_LABELS[ci_a]])))
+        ci_b = int(integers(len(_LABELS)))
+        tid_b = int(integers(len(templates[_LABELS[ci_b]])))
+        side_a = _side(uniform(0.85, 1.05))
+        side_b = _side(uniform(0.85, 1.05))
+        ya = int(integers(0, TWO_SIZE - side_a + 1))
+        xa = int(integers(0, TWO_SIZE - side_a + 1))
+        yb = int(integers(0, TWO_SIZE - side_b + 1))
+        xb = int(integers(0, TWO_SIZE - side_b + 1))
+        if xa >= xb + side_b or xb >= xa + side_a or ya >= yb + side_b or yb >= ya + side_a:
             placed = [
-                _place(box_a, ci_a, label_a, tpl_a),
-                _place(box_b, ci_b, label_b, tpl_b),
+                _place(_box(x0, y0, x0 + side, y0 + side), ci, _LABELS[ci],
+                       templates[_LABELS[ci]][tid])
+                for ci, tid, side, y0, x0 in (
+                    (ci_a, tid_a, side_a, ya, xa), (ci_b, tid_b, side_b, yb, xb)
+                )
             ]
             return _scene(rng, space, scene_id, "two", "train", shape, placed)
     raise ValidationError("could not place disjoint training pair")
@@ -707,9 +761,11 @@ def generate_challenge(
     Every scene draws from an independent seed-derived stream, so any subset
     regenerates identically regardless of generation order.
     """
-    for s in scenarios:
+    for i, s in enumerate(scenarios):
         if s not in _SCENARIOS:
             raise ValidationError(f"unknown scenario {s!r}")
+        if s in scenarios[:i]:
+            raise ValidationError(f"scenario {s!r} is listed twice")
     for name in ("per_level", "train_scenes", "backgrounds"):
         if getattr(cfg, name) < 0:
             raise ValidationError(f"{name} must be >= 0, got {getattr(cfg, name)}")

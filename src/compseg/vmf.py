@@ -18,6 +18,7 @@ redrawing that sample. No tolerance constant is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -277,6 +278,15 @@ def sample_uniform_sphere(rng: np.random.Generator, n: int, dim: int) -> np.ndar
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+@lru_cache(maxsize=64)
+def _wood_constants(kappa: float, dim: int) -> tuple[float, float, float]:
+    """Wood's envelope constants b, x0 and c for vMF(kappa) on S^(dim-1)."""
+    b = (-2.0 * kappa + np.sqrt(4.0 * kappa**2 + (dim - 1.0) ** 2)) / (dim - 1.0)
+    x0 = (1.0 - b) / (1.0 + b)
+    c = kappa * x0 + (dim - 1.0) * np.log(1.0 - x0 * x0)
+    return b, x0, c
+
+
 def sample_vmf(
     rng: np.random.Generator, mean: np.ndarray, concentration: float, n: int
 ) -> np.ndarray:
@@ -289,25 +299,33 @@ def sample_vmf(
         return sample_uniform_sphere(rng, n, dim)
 
     kappa = float(concentration)
-    b = (-2.0 * kappa + np.sqrt(4.0 * kappa**2 + (dim - 1.0) ** 2)) / (dim - 1.0)
-    x0 = (1.0 - b) / (1.0 + b)
-    c = kappa * x0 + (dim - 1.0) * np.log(1.0 - x0 * x0)
+    b, x0, c = _wood_constants(kappa, dim)
+    half = (dim - 1.0) / 2.0
 
+    # The first round draws for every sample and keeps its candidates in
+    # place; later rounds redraw only the rejected indices.
     w = np.empty(n)
-    need = np.arange(n)
-    while need.size:
-        z = rng.beta((dim - 1.0) / 2.0, (dim - 1.0) / 2.0, size=need.size)
+    need = None
+    count = n
+    while count:
+        z = rng.beta(half, half, size=count)
         cand = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
-        u = rng.uniform(size=need.size)
+        u = rng.uniform(size=count)
         ok = kappa * cand + (dim - 1.0) * np.log(1.0 - x0 * cand) - c >= np.log(u)
-        w[need[ok]] = cand[ok]
-        need = need[~ok]
+        if need is None:
+            w = cand
+            need = np.flatnonzero(~ok)
+        else:
+            w[need[ok]] = cand[ok]
+            need = need[~ok]
+        count = need.size
 
-    # Tangent directions orthogonal to the mean.
+    # Tangent directions orthogonal to the mean. The products and row norms
+    # are those of `np.outer` and `np.linalg.norm(..., axis=1)`, written out.
     tang = rng.standard_normal((n, dim))
-    tang -= np.outer(tang @ mu, mu)
-    tnorm = np.linalg.norm(tang, axis=1, keepdims=True)
+    tang -= (tang @ mu)[:, None] * mu[None, :]
+    tnorm = np.sqrt(np.add.reduce(tang * tang, axis=1, keepdims=True))
     tnorm[tnorm < 1e-12] = 1.0
     tang /= tnorm
     out = w[:, None] * mu[None, :] + np.sqrt(np.maximum(1.0 - w * w, 0.0))[:, None] * tang
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    return out / np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))

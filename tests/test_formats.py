@@ -298,3 +298,14 @@ def test_manifest_bad_version(tmp_path):
         json.dump({"version": 99, "scenes": []}, fh)
     with pytest.raises(FormatError):
         load_manifest(p)
+
+
+def test_manifest_rejects_duplicate_scene_ids(tmp_path):
+    p = str(tmp_path / "manifest.json")
+    scene = {"id": "two-L1-0000", "fmap": "a.fmap", "annotation": "a.json",
+             "split": "test", "scenario": "two", "level": "L1"}
+    other = dict(scene, id="two-L1-0001")
+    with open(p, "w") as fh:
+        json.dump({"version": 1, "scenes": [scene, other, scene]}, fh)
+    with pytest.raises(FormatError, match=r"manifest\.json: duplicate scene id 'two-L1-0000'"):
+        load_manifest(p)

@@ -38,6 +38,11 @@ def test_level_bucket_edges():
 def test_unknown_scenario_name_rejected(tmp_path):
     with pytest.raises(ValidationError):
         generate_challenge(str(tmp_path / "x"), MINI, scenarios=("tower",))
+    # a repeated scenario would write its scenes and manifest entries twice
+    root = tmp_path / "twice"
+    with pytest.raises(ValidationError, match="'two' is listed twice"):
+        generate_challenge(str(root), MINI, scenarios=("two", "four", "two"))
+    assert not root.exists()
 
 
 @pytest.mark.parametrize("field", ["per_level", "train_scenes", "backgrounds"])
@@ -80,17 +85,26 @@ def test_generation_deterministic(mini_challenge, tmp_path):
 # this digest does. It also pins numpy's `Generator` streams (PCG64 and the
 # samplers behind `integers`, `uniform`, `standard_normal`, `choice` and
 # `permutation`), so a numpy release that changes one fails here too.
+# The TINY challenge of conftest.py is pinned too: its training scene
+# train-0006 uses up all of its placement tries on the first stream and is
+# built from the second, so its digest also covers the restart path.
 MINI_SHA256 = "bbcd9ff99892d0d72f52cdf3b5586740e46914ef76712348878df745242e04c3"
+TINY_SHA256 = "cd7ac20b70c6e17f3bbdaee9700e38f3eb5c42f79db16d2333fc63ffaf21c2f9"
 
 
-def test_generated_bytes_pinned(mini_challenge):
-    root = Path(mini_challenge.root)
+@pytest.mark.parametrize(
+    "fixture, expected",
+    [("mini_challenge", MINI_SHA256), ("tiny_challenge", TINY_SHA256)],
+    ids=["mini", "tiny"],
+)
+def test_generated_bytes_pinned(request, fixture, expected):
+    root = Path(request.getfixturevalue(fixture).root)
     digest = hashlib.sha256()
     files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
     for rel in files:
         digest.update(rel.encode() + b"\0")
         digest.update((root / rel).read_bytes())
-    assert digest.hexdigest() == MINI_SHA256
+    assert digest.hexdigest() == expected
 
 
 def test_scenario_subsets_regenerate_identically(mini_challenge, tmp_path):
