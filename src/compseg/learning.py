@@ -13,20 +13,21 @@ config, and the seed:
 Stage failures raise TrainingError tagged with the stage name so callers can
 tell where a bad dataset broke the pipeline.
 
-Training never holds a float64 copy of the feature pool. The dictionary
-stage concatenates the maps' float32 rows, draws its subsample and widens only
-the sampled rows to float64; the sample is freed when the fit returns. Each
-mixture group writes its members' responsibilities into one preallocated
-(C, H, W, K) float64 block that the estimators read in place, freed before
-the next group starts. Besides the inputs, the float32 crops and the model,
-working memory is thus bounded by the larger of (float32 pool + sample) and
-one group's block. The crops are freed once the class models are fitted,
-before the occluder stage.
+Training holds no array that grows with the training set beyond the capped
+dictionary sample. The dictionary stage draws its subsample over the total
+row count and gathers the kept rows map by map into one float64 array, never
+concatenating a pool; the sample is freed when the fit returns. Each mixture
+group adds its members' responsibilities into running sums (`GroupSums`),
+one crop at a time, and computes them once more to count the prior's votes.
+Besides the inputs, the float32 crops and the model, working memory is thus
+bounded by the larger of the float64 sample and one crop's responsibilities.
+The crops are freed once the class models are fitted, before the occluder
+stage.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -96,9 +97,9 @@ def crop_responsibilities(
     fm: FeatureMap, shape: tuple[int, int], dictionary: VmfDictionary
 ) -> np.ndarray:
     """Per-position responsibility rows of a crop resampled to `shape`."""
-    arr = resample_nearest(np.asarray(fm.data, dtype=np.float64), shape)
-    flat = arr.reshape(-1, fm.dim)
-    resp = responsibilities(flat, dictionary)
+    # Resampling picks whole rows, so it may run before the exact widening.
+    arr = np.asarray(resample_nearest(fm.data, shape), dtype=np.float64)
+    resp = responsibilities(arr.reshape(-1, fm.dim), dictionary)
     return resp.reshape(shape[0], shape[1], dictionary.size)
 
 
@@ -108,62 +109,84 @@ def pooled_responsibility(fm: FeatureMap, dictionary: VmfDictionary) -> np.ndarr
     return resp.mean(axis=0)
 
 
-def estimate_fg_prior(resps: np.ndarray, shrink: float) -> np.ndarray:
-    """Per-position probability that a position carries object matter.
+class GroupSums:
+    """Running sums over one mixture group's crop responsibilities.
 
-    `resps` is the (C, H, W, K) block of a group's crop responsibilities. Two
-    pooled profiles summarize what object pixels and ring (context) pixels
-    look like in responsibility space. A position votes foreground in a crop
-    when its responsibility row projects more onto the inside profile than
-    onto the ring profile; the prior is the vote frequency over crops.
+    Every estimate of a mixture is an average over its member crops, so the
+    crops' (H, W, K) responsibility tables are added one at a time and never
+    stacked. The sums add crop after crop, and within a crop the inner and
+    ring rows add row after row: the order in which numpy's axis-0 reductions
+    over a (C, H, W, K) block add them, so every estimate has the bits the
+    block formulas give.
+
+    The inner (shrunken box) and ring positions split each crop as in
+    `inner_box_mask`; `fg_prior` needs the tables a second time.
     """
-    if len(resps) == 0:
-        raise TrainingError("prior", "no crops to estimate a prior from")
-    rows, cols = _inner_slices(resps.shape[1:3], shrink)
-    inner = inner_box_mask(resps.shape[1:3], shrink)
-    abar = resps[:, rows, cols, :].mean(axis=(0, 1, 2))
-    cbar = resps[:, ~inner, :].mean(axis=(0, 1))
-    fg_proj = resps @ abar
-    ctx_proj = resps @ cbar
-    return (fg_proj > ctx_proj).mean(axis=0)
 
+    def __init__(self, shape: tuple[int, int], k: int, shrink: float):
+        self.inner = inner_box_mask(shape, shrink)
+        self.ring = ~self.inner
+        self.ring_size = np.count_nonzero(self.ring)
+        self.count = 0
+        self.total = np.zeros((*shape, k))
+        self.inner_sum = np.zeros(k)
+        self.ring_sum = np.zeros(k)
 
-def estimate_coeffs(resps: np.ndarray) -> np.ndarray:
-    """Per-position mixture coefficients: the mean responsibility row.
+    def add(self, resp: np.ndarray) -> None:
+        """Add one crop's (H, W, K) responsibility table."""
+        self.total += resp
+        self.inner_sum = np.add.reduce(np.concatenate([self.inner_sum[None], resp[self.inner]]))
+        self.ring_sum = np.add.reduce(np.concatenate([self.ring_sum[None], resp[self.ring]]))
+        self.count += 1
 
-    `resps` is a (C, H, W, K) block. No smoothing: a single crop yields
-    exactly its own responsibility rows.
-    """
-    if len(resps) == 0:
-        raise TrainingError("coeffs", "no crops to estimate coefficients from")
-    mean = resps.mean(axis=0)
-    return mean / mean.sum(axis=-1, keepdims=True)
+    def fg_prior(self, resps: Iterable[np.ndarray]) -> np.ndarray:
+        """Per-position probability that a position carries object matter.
 
+        `resps` yields the added tables again, in the same order. Two pooled
+        profiles summarize what object (inner) pixels and ring (context)
+        pixels look like in responsibility space. A position votes foreground
+        in a crop when its responsibility row projects more onto the inside
+        profile than onto the ring profile; the prior is the vote frequency
+        over crops.
+        """
+        if self.count == 0:
+            raise TrainingError("prior", "no crops to estimate a prior from")
+        abar = self.inner_sum / (self.count * np.count_nonzero(self.inner))
+        cbar = self.ring_sum / (self.count * self.ring_size)
+        votes = np.zeros(self.inner.shape, dtype=np.int64)
+        for resp in resps:
+            # (H, W, K) @ (K,) runs one (W, K) product per row, as on the block.
+            votes += resp @ abar > resp @ cbar
+        return votes / self.count
 
-def estimate_context_coeffs(resps: np.ndarray, shrink: float) -> np.ndarray:
-    """Per-position context coefficients from ring pixels, add-one smoothed.
+    def coeffs(self) -> np.ndarray:
+        """Per-position mixture coefficients: the mean responsibility row.
 
-    `resps` is a (C, H, W, K) block. Ring positions average their own
-    responsibility rows across crops plus one uniform pseudo-observation.
-    Interior positions never see context samples at their own location, so
-    they take the pooled ring profile with the same smoothing; they are nearly
-    inert at inference time because the context branch carries log(1-p) with
-    p clamped near 1 there.
-    """
-    if len(resps) == 0:
-        raise TrainingError("coeffs", "no crops to estimate context from")
-    n, h, w, k = resps.shape
-    inner = inner_box_mask((h, w), shrink)
-    uniform = np.full(k, 1.0 / k)
+        No smoothing: a single crop yields exactly its own responsibility rows.
+        """
+        if self.count == 0:
+            raise TrainingError("coeffs", "no crops to estimate coefficients from")
+        mean = self.total / self.count
+        return mean / mean.sum(axis=-1, keepdims=True)
 
-    ring_sum = resps.sum(axis=0)                  # (H, W, K)
-    per_position = (ring_sum + uniform) / (n + 1.0)
+    def context_coeffs(self) -> np.ndarray:
+        """Per-position context coefficients from ring pixels, add-one smoothed.
 
-    ring_rows = resps[:, ~inner, :].reshape(-1, k)
-    pooled = (ring_rows.sum(axis=0) + uniform) / (ring_rows.shape[0] + 1.0)
-
-    out = np.where(inner[..., None], pooled, per_position)
-    return out / out.sum(axis=-1, keepdims=True)
+        Ring positions average their own responsibility rows across crops plus
+        one uniform pseudo-observation. Interior positions never see context
+        samples at their own location, so they take the pooled ring profile
+        with the same smoothing; they are nearly inert at inference time
+        because the context branch carries log(1-p) with p clamped near 1
+        there.
+        """
+        if self.count == 0:
+            raise TrainingError("coeffs", "no crops to estimate context from")
+        k = self.total.shape[-1]
+        uniform = np.full(k, 1.0 / k)
+        per_position = (self.total + uniform) / (self.count + 1.0)
+        pooled = (self.ring_sum + uniform) / (self.count * self.ring_size + 1.0)
+        out = np.where(self.inner[..., None], pooled, per_position)
+        return out / out.sum(axis=-1, keepdims=True)
 
 
 def assign_mixtures(pooled: np.ndarray, m: int, seed, max_iter: int) -> np.ndarray:
@@ -232,16 +255,25 @@ def learn_occluder(backgrounds: Sequence[FeatureMap], dictionary: VmfDictionary)
 def _dictionary_sample(
     maps: Sequence[FeatureMap], size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Float64 rows for the dictionary fit: the pooled rows, or `size` of them.
+    """Float64 rows for the dictionary fit: all rows of `maps`, or `size` of them.
 
-    The pool is concatenated in float32 and only the kept rows are widened;
-    the draw reads nothing but the row count and the widening is exact, so
-    the rows are those a float64 pool would give.
+    The draw reads nothing but the total row count. The kept rows are then
+    gathered map by map straight into the float64 sample, so no pool of all
+    rows is ever built. Widening float32 to float64 is exact, so the rows
+    are those a float64 pool would give.
     """
-    pool = np.concatenate([fm.data.reshape(-1, fm.dim) for fm in maps], axis=0)
-    if pool.shape[0] > size:
-        pool = pool[np.sort(rng.choice(pool.shape[0], size=size, replace=False))]
-    return pool.astype(np.float64)
+    counts = [fm.height * fm.width for fm in maps]
+    total = sum(counts)
+    if total > size:
+        keep = np.sort(rng.choice(total, size=size, replace=False))
+    else:
+        keep = np.arange(total)
+    sample = np.empty((keep.size, maps[0].dim))
+    offsets = np.cumsum([0] + counts)
+    bounds = np.searchsorted(keep, offsets)
+    for fm, offset, lo, hi in zip(maps, offsets, bounds, bounds[1:]):
+        sample[lo:hi] = fm.data.reshape(-1, fm.dim)[keep[lo:hi] - offset]
+    return sample
 
 
 def _fit_mixture(
@@ -249,17 +281,15 @@ def _fit_mixture(
 ) -> MixtureModel:
     """One mixture from its member crops, resampled to the group's `shape`.
 
-    The members' responsibilities fill one (C, H, W, K) block, read in place
-    by the three estimators and freed when this returns.
+    One pass adds the members' responsibilities into `GroupSums`; a second
+    pass computes them again to count the prior's votes. One crop's
+    responsibilities are live at a time.
     """
-    block = np.empty((len(crops), *shape, dictionary.size))
-    for i, c in enumerate(crops):
-        block[i] = crop_responsibilities(c, shape, dictionary)
-    return MixtureModel(
-        estimate_fg_prior(block, shrink),
-        estimate_coeffs(block),
-        estimate_context_coeffs(block, shrink),
-    )
+    sums = GroupSums(shape, dictionary.size, shrink)
+    for c in crops:
+        sums.add(crop_responsibilities(c, shape, dictionary))
+    prior = sums.fg_prior(crop_responsibilities(c, shape, dictionary) for c in crops)
+    return MixtureModel(prior, sums.coeffs(), sums.context_coeffs())
 
 
 def _gather_crops(scenes: Sequence[tuple[FeatureMap, SceneAnnotation]]):

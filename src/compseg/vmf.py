@@ -8,7 +8,7 @@ dictionary can be shared across threads.
 A fitted dictionary gives every component one shared concentration sigma,
 as the kernels of CompositionalNets share theirs; training passes it in. The
 k-means fit assigns in row blocks, sums cluster members with one scatter per
-dimension and reads its objective, sum_j ||r_j|| / n, off those sums. It stops
+row block and reads its objective, sum_j ||r_j|| / n, off those sums. It stops
 at the first iteration whose objective gain is below the standard error of the
 objective, std(own) / sqrt(n) over the iteration's assignment cosines: the
 objective is a mean over a sample of feature vectors (training fits a random
@@ -138,7 +138,9 @@ def responsibilities(features: np.ndarray, dictionary: VmfDictionary) -> np.ndar
     Uniform component prior; rows sum to 1.
     """
     table = component_logliks(features, dictionary)
-    table -= table.max(axis=1, keepdims=True)
+    # The row maximum read at its argmax: exact, and cheaper than a max-reduce
+    # over short rows.
+    table -= table[np.arange(len(table)), table.argmax(axis=1)][:, None]
     np.exp(table, out=table)
     table /= table.sum(axis=1, keepdims=True)
     return table
@@ -191,12 +193,15 @@ def fit_dictionary_traced(
 
     Every component of the dictionary gets `shared_concentration`.
 
-    Assignment runs in row blocks and member sums are one `bincount` scatter
-    per dimension. The loop ends at the first of: assignments unchanged; an
-    objective gain below the standard error std(own) / sqrt(n) of the mean
-    cosine, own being that iteration's assignment cosines (the objective is a
-    sample mean, so a smaller gain is within its sampling noise); `max_iter`
-    iterations.
+    Besides `features`, working memory is a few vectors of one value per row.
+    The unit-norm check, the assignment and the member sums all run in blocks
+    of `_ASSIGN_BLOCK` rows; each block's rows scatter into the (K, D) sums
+    with one `np.add.at`, which reads the rows in place.
+
+    The loop ends at the first of: assignments unchanged; an objective gain
+    below the standard error std(own) / sqrt(n) of the mean cosine, own being
+    that iteration's assignment cosines (the objective is a sample mean, so a
+    smaller gain is within its sampling noise); `max_iter` iterations.
 
     The trace records the objective after every iteration, sum_j ||r_j|| / n
     over the resultants r_j (the mean cosine to the updated centers,
@@ -207,20 +212,20 @@ def fit_dictionary_traced(
     feats = np.ascontiguousarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise ValidationError(f"features must be (N, D), got {feats.shape}")
-    n = feats.shape[0]
+    n, dim = feats.shape
     if k < 1:
         raise ValidationError(f"component count must be >= 1, got {k}")
     if n < k:
         raise ValidationError(f"need at least k={k} feature vectors, got {n}")
     if not 0 <= shared_concentration < np.inf:
         raise ValidationError("concentrations must be finite and >= 0")
-    norms = np.linalg.norm(feats, axis=1)
-    if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-        raise ValidationError("features must be unit-norm")
+    for s in range(0, n, _ASSIGN_BLOCK):
+        norms = np.linalg.norm(feats[s : s + _ASSIGN_BLOCK], axis=1)
+        if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+            raise ValidationError("features must be unit-norm")
 
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(feats, k, rng)
-    cols = np.ascontiguousarray(feats.T)
     assign = np.full(n, -1, dtype=np.int64)
     objective: list[float] = []
     standard_error: list[float] = []
@@ -240,8 +245,13 @@ def fit_dictionary_traced(
         converged = bool(np.array_equal(new_assign, assign))
         assign = new_assign
 
-        # bincount adds in row order, as `feats[assign == j].sum(axis=0)` does: same bits.
-        sums = np.stack([np.bincount(assign, weights=c, minlength=k) for c in cols], axis=1)
+        # Row blocks scatter into the flat (K * D) sums at cell assign * D + d.
+        # add.at adds in row order, as `feats[assign == j].sum(axis=0)` does: same bits.
+        sums = np.zeros(k * dim)
+        for s in range(0, n, _ASSIGN_BLOCK):
+            cells = (assign[s : s + _ASSIGN_BLOCK, None] * dim + np.arange(dim)).ravel()
+            np.add.at(sums, cells, feats[s : s + _ASSIGN_BLOCK].ravel())
+        sums = sums.reshape(k, dim)
         lengths = np.array([np.linalg.norm(r) for r in sums])  # axis=1 would round differently
         for j in np.flatnonzero(lengths < 1e-12):
             centers[j] = feats[int(np.argmin(feats @ centers[j]))]

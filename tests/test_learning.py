@@ -11,12 +11,11 @@ from compseg import vmf
 from compseg.errors import TrainingError, ValidationError
 from compseg.fmap import FeatureMap
 from compseg.learning import (
+    GroupSums,
     TrainConfig,
+    _inner_slices,
     assign_mixtures,
     canonical_shape,
-    estimate_coeffs,
-    estimate_context_coeffs,
-    estimate_fg_prior,
     inner_box_mask,
     learn_occluder,
     train,
@@ -24,7 +23,7 @@ from compseg.learning import (
 from compseg.formats import save_model
 from compseg.vmf import VmfDictionary
 
-# The training defaults, which the estimators below are called with.
+# The training defaults, which the group sums below are built with.
 SHRINK = TrainConfig().shrink
 MAX_ITER = TrainConfig().max_iter
 
@@ -67,10 +66,18 @@ def _planted_resps(rng, crops=6, shape=(8, 8), k=3, noise=0.05):
     return np.stack(out), inner
 
 
+def _group_sums(resps):
+    """`GroupSums` over a (C, H, W, K) block, added crop after crop."""
+    sums = GroupSums(resps.shape[1:3], resps.shape[-1], SHRINK)
+    for resp in resps:
+        sums.add(resp)
+    return sums
+
+
 def test_fg_prior_separates_inside_from_ring():
     rng = np.random.default_rng(0)
     resps, inner = _planted_resps(rng)
-    prior = estimate_fg_prior(resps, SHRINK)
+    prior = _group_sums(resps).fg_prior(resps)
     assert prior.shape == (8, 8)
     assert np.all(prior[inner] == 1.0)
     assert np.all(prior[~inner] == 0.0)
@@ -79,7 +86,7 @@ def test_fg_prior_separates_inside_from_ring():
 def test_estimate_coeffs_single_crop_identity():
     rng = np.random.default_rng(1)
     resps, _ = _planted_resps(rng, crops=1)
-    alpha = estimate_coeffs(resps)
+    alpha = _group_sums(resps).coeffs()
     assert np.allclose(alpha, resps[0], atol=1e-12)
     assert np.allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -87,7 +94,7 @@ def test_estimate_coeffs_single_crop_identity():
 def test_context_coeffs_ring_vs_interior():
     rng = np.random.default_rng(2)
     resps, inner = _planted_resps(rng, crops=4)
-    chi = estimate_context_coeffs(resps, SHRINK)
+    chi = _group_sums(resps).context_coeffs()
     assert np.allclose(chi.sum(axis=-1), 1.0, atol=1e-12)
     # ring positions lean on the ring component, interior copies the pooled
     # ring profile (one shared row everywhere inside)
@@ -99,15 +106,49 @@ def test_context_coeffs_ring_vs_interior():
 
 def test_estimators_reject_empty():
     empty = np.empty((0, 8, 8, 3))
+    sums = _group_sums(empty)
     with pytest.raises(TrainingError) as err:
-        estimate_fg_prior(empty, SHRINK)
+        sums.fg_prior(empty)
     assert err.value.stage == "prior"
     with pytest.raises(TrainingError) as err:
-        estimate_coeffs(empty)
+        sums.coeffs()
     assert err.value.stage == "coeffs"
     with pytest.raises(TrainingError) as err:
-        estimate_context_coeffs(empty, SHRINK)
+        sums.context_coeffs()
     assert err.value.stage == "coeffs"
+
+
+def _block_estimates(resps):
+    """The (C, H, W, K) block formulas the running sums replace, as reference."""
+    n, h, w, k = resps.shape
+    rows, cols = _inner_slices((h, w), SHRINK)
+    inner = inner_box_mask((h, w), SHRINK)
+    abar = resps[:, rows, cols, :].mean(axis=(0, 1, 2))
+    cbar = resps[:, ~inner, :].mean(axis=(0, 1))
+    prior = (resps @ abar > resps @ cbar).mean(axis=0)
+
+    mean = resps.mean(axis=0)
+    coeffs = mean / mean.sum(axis=-1, keepdims=True)
+
+    uniform = np.full(k, 1.0 / k)
+    per_position = (resps.sum(axis=0) + uniform) / (n + 1.0)
+    ring_rows = resps[:, ~inner, :].reshape(-1, k)
+    pooled = (ring_rows.sum(axis=0) + uniform) / (ring_rows.shape[0] + 1.0)
+    ctx = np.where(inner[..., None], pooled, per_position)
+    return prior, coeffs, ctx / ctx.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(9, 11), (21, 21)])
+@pytest.mark.parametrize("crops", [1, 2, 7])
+def test_group_sums_match_block_formulas_bit_for_bit(crops, shape):
+    rng = np.random.default_rng([crops, *shape])
+    resps = rng.random((crops, *shape, 64))
+    resps /= resps.sum(axis=-1, keepdims=True)
+    sums = _group_sums(resps)
+    prior, coeffs, ctx = _block_estimates(resps)
+    assert np.array_equal(sums.fg_prior(resps), prior)
+    assert np.array_equal(sums.coeffs(), coeffs)
+    assert np.array_equal(sums.context_coeffs(), ctx)
 
 
 def test_assign_mixtures_separated_clusters():
@@ -208,18 +249,41 @@ def test_train_model_bytes_pinned(tiny_train_pairs, tiny_backgrounds, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_MODEL_SHA256
 
 
-def test_train_peak_memory_below_one_float64_pool(tiny_train_pairs, tiny_backgrounds):
-    """Training never holds a float64 copy of the whole feature pool."""
-    maps = [fm for fm, _ in tiny_train_pairs] + list(tiny_backgrounds)
-    pool_bytes = sum(fm.height * fm.width * fm.dim for fm in maps) * 8
+def _train_peak(pairs, backgrounds, config):
+    """Bytes `train` allocates above its entry at its traced peak."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        train(tiny_train_pairs, tiny_backgrounds, TrainConfig(k=32, dict_sample=5_000))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        train(pairs, backgrounds, config)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_train_peak_memory_below_one_float64_pool(tiny_train_pairs, tiny_backgrounds):
+    """Training's traced peak stays below one float64 copy of the feature pool.
+
+    It runs at the default K = 64, where the model and the responsibility
+    tables are largest. On the TINY split with a 5,000-row sample the peak,
+    about 0.6 of the pool, then comes at the end, while `quantize_bundle`
+    copies the model's arrays.
+    """
+    maps = [fm for fm, _ in tiny_train_pairs] + list(tiny_backgrounds)
+    pool_bytes = sum(fm.height * fm.width * fm.dim for fm in maps) * 8
+    peak = _train_peak(tiny_train_pairs, tiny_backgrounds, TrainConfig(dict_sample=5_000))
     assert peak < pool_bytes, f"peak {peak} bytes against a float64 pool of {pool_bytes}"
+
+
+def test_train_peak_memory_flat_in_training_set_size(tiny_train_pairs, tiny_backgrounds):
+    """Three times the training set does not double `train`'s traced peak.
+
+    With the dictionary sample capped, only the float32 crops and per-crop
+    bookkeeping grow with the split; a pool or a group block would triple.
+    """
+    config = TrainConfig(dict_sample=5_000)
+    once = _train_peak(tiny_train_pairs, tiny_backgrounds, config)
+    thrice = _train_peak(3 * tiny_train_pairs, 3 * list(tiny_backgrounds), config)
+    assert thrice - once < once, f"peak {once} bytes at x1, {thrice} at x3"
 
 
 def test_train_report_structure(tiny_train_pairs, tiny_backgrounds):
