@@ -123,15 +123,14 @@ class FeatureMap:
 
     @classmethod
     def _trusted(cls, data: np.ndarray) -> "FeatureMap":
-        """A map over a slice of an already-validated map's data.
+        """A map over data sliced, or copied, from an already-validated map.
 
         Its rows passed `_normalize_rows` when that map was built, so this
-        only makes the slice contiguous and read-only.
+        only makes the array read-only: it neither copies nor renormalises.
         """
-        arr = np.ascontiguousarray(data)
-        arr.setflags(write=False)
+        data.setflags(write=False)
         fm = object.__new__(cls)
-        object.__setattr__(fm, "data", arr)
+        object.__setattr__(fm, "data", data)
         return fm
 
     @property
@@ -152,16 +151,27 @@ class FeatureMap:
 
     def flat(self) -> np.ndarray:
         """(H*W, D) float64 copy of the grid for batched math."""
-        return self.data.reshape(-1, self.dim).astype(np.float64)
+        # Widening first copies a strided view once; its reshape is then free.
+        return self.data.astype(np.float64).reshape(-1, self.dim)
 
 
-def crop(fm: FeatureMap, box: BoundingBox) -> FeatureMap:
-    """Extract the subgrid under box. The box must lie inside the map."""
+def _window(fm: FeatureMap, box: BoundingBox) -> np.ndarray:
+    """The view of fm's data under box. The box must lie inside the map."""
     if not box.fits_in(fm.height, fm.width):
         raise ValidationError(
             f"box {box.as_tuple()} does not fit map of shape {fm.shape}"
         )
-    return FeatureMap._trusted(fm.data[box.slices])
+    return fm.data[box.slices]
+
+
+def crop(fm: FeatureMap, box: BoundingBox) -> FeatureMap:
+    """Copy the subgrid under box into a contiguous map."""
+    return FeatureMap._trusted(np.ascontiguousarray(_window(fm, box)))
+
+
+def crop_view(fm: FeatureMap, box: BoundingBox) -> FeatureMap:
+    """The subgrid under box as a read-only view of fm's data, not a copy."""
+    return FeatureMap._trusted(_window(fm, box))
 
 
 def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:

@@ -19,10 +19,9 @@ row count and gathers the kept rows map by map into one float64 array, never
 concatenating a pool; the sample is freed when the fit returns. Each mixture
 group adds its members' responsibilities into running sums (`GroupSums`),
 one crop at a time, and computes them once more to count the prior's votes.
-Besides the inputs, the float32 crops and the model, working memory is thus
-bounded by the larger of the float64 sample and one crop's responsibilities.
-The crops are freed once the class models are fitted, before the occluder
-stage.
+The crops are read-only views of the scene maps, so they copy nothing.
+Besides the inputs and the model, working memory is thus bounded by the
+larger of the float64 sample and one crop's responsibilities.
 """
 from __future__ import annotations
 
@@ -32,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import TrainingError, ValidationError
-from .fmap import FeatureMap, crop, resample_nearest
+from .fmap import FeatureMap, crop_view, resample_nearest
 from .formats import ModelBundle, SceneAnnotation, quantize_bundle
 from .models import ClassModel, MixtureModel, OccluderModel
 from .vmf import STOP_MAX_ITER, VmfDictionary, fit_dictionary_traced, responsibilities
@@ -293,11 +292,15 @@ def _fit_mixture(
 
 
 def _gather_crops(scenes: Sequence[tuple[FeatureMap, SceneAnnotation]]):
-    """(label -> [(crop, scene_id, template)]) over all annotated objects."""
+    """(label -> [(crop, scene_id, template)]) over all annotated objects.
+
+    Each crop is a view of its scene map: its readers widen or resample it
+    into a copy of their own anyway.
+    """
     by_class: dict[str, list] = {}
     for fm, ann in scenes:
         for obj in ann.objects:
-            patch = crop(fm, obj.box)
+            patch = crop_view(fm, obj.box)
             by_class.setdefault(obj.label, []).append((patch, ann.scene_id, obj.template))
     return by_class
 
@@ -305,11 +308,7 @@ def _gather_crops(scenes: Sequence[tuple[FeatureMap, SceneAnnotation]]):
 def _fit_classes(
     by_class: dict[str, list], dictionary: VmfDictionary, config: TrainConfig, report: TrainReport
 ) -> list[ClassModel]:
-    """One class model per label, in label order, from `_gather_crops`'s crops.
-
-    The crops live only in this frame, so they are freed before the
-    occluder stage runs.
-    """
+    """One class model per label, in label order, from `_gather_crops`'s crops."""
     if not by_class:
         raise TrainingError("dataset", "no annotated objects in training scenes")
     classes = []

@@ -1,4 +1,7 @@
 """The package's public names: `compseg.__all__` is exact and `import *` resolves it."""
+import subprocess
+import sys
+
 import compseg
 
 # Every name `from compseg import *` gives. A name leaves this list together
@@ -68,3 +71,14 @@ def test_star_import_resolves_every_public_name():
     assert sorted(namespace) == sorted(PUBLIC)
     for name in PUBLIC:
         assert namespace[name] is getattr(compseg, name)
+
+
+def test_runtime_imports_load_no_scipy():
+    """SciPy is a test-only dependency: no runtime module imports it."""
+    code = (
+        "import sys, compseg, compseg.cli, compseg.oracle\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

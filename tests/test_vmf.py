@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -48,6 +49,45 @@ def test_log_normalizer_tiny_sigma_is_sphere_area():
     for dim in (3, 8, 16):
         assert log_normalizer(0.0, dim) == pytest.approx(log_sphere_area(dim), abs=1e-12)
         assert log_normalizer(1e-12, dim) == pytest.approx(log_sphere_area(dim), abs=1e-12)
+
+
+# Every model and prediction pin rests on this value: `TrainConfig`'s sigma
+# is 30 and `synth.DIM` is 16.
+LOGZ_SIGMA30_D16_HEX = "0x1.173dc3da4cfe0p+4"
+
+
+def test_log_normalizer_bits_at_the_training_concentration():
+    assert log_normalizer(30.0, 16).hex() == LOGZ_SIGMA30_D16_HEX
+
+
+def _log_normalizer_scipy(sigma, dim):
+    """SciPy's log Z: the Bessel form while `ive` is a normal float, else
+    the sphere area times the hypergeometric series 0F1(; dim/2; sigma^2/4)."""
+    order = dim / 2.0 - 1.0
+    scaled = special.ive(order, sigma)
+    if scaled >= np.finfo(np.float64).tiny:
+        return (dim / 2.0) * math.log(2.0 * math.pi) + math.log(scaled) + sigma - order * math.log(sigma)
+    area = math.log(2.0) + (dim / 2.0) * math.log(math.pi) - special.gammaln(dim / 2.0)
+    return area + math.log(special.hyp0f1(dim / 2.0, sigma * sigma / 4.0))
+
+
+NORMALIZER_DIMS = (2, 3, 4, 5, 8, 15, 16, 17, 32, 64, 128)
+# Both ends of the Bessel series' reach: its first term underflows at
+# sigma = 5,000 for D = 16 (large sigma) and at sigma = 1e-6 for D = 128
+# (small sigma, high order).
+NORMALIZER_SIGMAS = sorted({*np.logspace(-7, 4, 12).tolist(), 5_000.0, 1e-6})
+
+
+@pytest.mark.parametrize("dim", NORMALIZER_DIMS)
+def test_log_normalizer_matches_scipy(dim):
+    want_area = math.log(2.0) + (dim / 2.0) * math.log(math.pi) - special.gammaln(dim / 2.0)
+    assert log_sphere_area(dim) == pytest.approx(want_area, rel=1e-12, abs=0)
+    for sigma in NORMALIZER_SIGMAS:
+        start = time.perf_counter()
+        got = log_normalizer(sigma, dim)
+        assert time.perf_counter() - start < 1.0, (sigma, dim)
+        want = _log_normalizer_scipy(sigma, dim)
+        assert got == pytest.approx(want, rel=1e-12, abs=0), (sigma, dim)
 
 
 def test_log_normalizer_monotone_in_sigma():
