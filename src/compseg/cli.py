@@ -33,7 +33,7 @@ from .formats import (
     read_text,
     save_model,
 )
-from .learning import TrainConfig, train
+from .learning import MAX_ITER, TrainConfig, train
 from .metrics import (
     AblationReport,
     MiouTable,
@@ -133,7 +133,7 @@ def _cmd_train(args) -> int:
     objective = report.dictionary_objective[-1]
     print(
         f"trained {len(seen)} classes ({','.join(seen)}) on {len(pairs)} scenes: "
-        f"K={args.k} M={args.m} dictionary {report.dictionary_iterations}/{config.max_iter} "
+        f"K={args.k} M={args.m} dictionary {report.dictionary_iterations}/{MAX_ITER} "
         f"iterations ({report.dictionary_stop}), final dictionary objective {objective:.4f} "
         f"-> {args.out}"
     )

@@ -1,7 +1,8 @@
 """Feature-grid primitives: unit-norm feature maps, boxes, masks, FMAP files.
 
 A feature map is an H x W grid of D-dimensional unit vectors stored as
-float32, matching the on-disk FMAP layout. Masks are plain boolean numpy
+float32, matching the on-disk FMAP layout. A crop is a read-only view of its
+map under a box, so cropping copies nothing. Masks are plain boolean numpy
 arrays on the same lattice; boxes use half-open pixel coordinates with
 x = column and y = row.
 """
@@ -73,14 +74,6 @@ class BoundingBox:
     def slices(self) -> tuple[slice, slice]:
         return (slice(self.y0, self.y1), slice(self.x0, self.x1))
 
-    def overlaps(self, other: "BoundingBox") -> bool:
-        return (
-            self.x0 < other.x1
-            and other.x0 < self.x1
-            and self.y0 < other.y1
-            and other.y0 < self.y1
-        )
-
     def fits_in(self, height: int, width: int) -> bool:
         return self.x1 <= width and self.y1 <= height
 
@@ -106,7 +99,7 @@ def _normalize_rows(data: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """H x W grid of unit-norm D-vectors (float32, row-major)."""
+    """H x W grid of unit-norm D-vectors (float32; row-major, or a crop's view)."""
 
     data: np.ndarray
 
@@ -123,7 +116,7 @@ class FeatureMap:
 
     @classmethod
     def _trusted(cls, data: np.ndarray) -> "FeatureMap":
-        """A map over data sliced, or copied, from an already-validated map.
+        """A map over data sliced from an already-validated map.
 
         Its rows passed `_normalize_rows` when that map was built, so this
         only makes the array read-only: it neither copies nor renormalises.
@@ -155,23 +148,18 @@ class FeatureMap:
         return self.data.astype(np.float64).reshape(-1, self.dim)
 
 
-def _window(fm: FeatureMap, box: BoundingBox) -> np.ndarray:
-    """The view of fm's data under box. The box must lie inside the map."""
+def crop(fm: FeatureMap, box: BoundingBox) -> FeatureMap:
+    """The subgrid under box as a read-only view of fm's data, not a copy.
+
+    The box must lie inside the map. The view is strided unless the box
+    spans the map's full width; its rows are not renormalised. Readers that
+    need contiguous or wider rows make their own copy (`FeatureMap.flat`).
+    """
     if not box.fits_in(fm.height, fm.width):
         raise ValidationError(
             f"box {box.as_tuple()} does not fit map of shape {fm.shape}"
         )
-    return fm.data[box.slices]
-
-
-def crop(fm: FeatureMap, box: BoundingBox) -> FeatureMap:
-    """Copy the subgrid under box into a contiguous map."""
-    return FeatureMap._trusted(np.ascontiguousarray(_window(fm, box)))
-
-
-def crop_view(fm: FeatureMap, box: BoundingBox) -> FeatureMap:
-    """The subgrid under box as a read-only view of fm's data, not a copy."""
-    return FeatureMap._trusted(_window(fm, box))
+    return FeatureMap._trusted(fm.data[box.slices])
 
 
 def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:

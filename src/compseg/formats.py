@@ -233,15 +233,8 @@ def decode_rle(text: str, shape: tuple[int, int]) -> np.ndarray:
         raise FormatError(f"RLE sums to {sum(runs)}, lattice has {total} pixels")
     if any(x < 0 for x in runs):
         raise FormatError("RLE runs must be non-negative")
-    flat = np.zeros(total, dtype=np.bool_)
-    pos = 0
-    value = False
-    for run in runs:
-        if value:
-            flat[pos : pos + run] = True
-        pos += run
-        value = not value
-    return flat.reshape(shape)
+    # Runs alternate False, True, False, ...: each run repeats its parity.
+    return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

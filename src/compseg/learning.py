@@ -22,30 +22,41 @@ one crop at a time, and computes them once more to count the prior's votes.
 The crops are read-only views of the scene maps, so they copy nothing.
 Besides the inputs and the model, working memory is thus bounded by the
 larger of the float64 sample and one crop's responsibilities.
+
+`TrainConfig` holds what `compseg train` sets. The ring shrink, the
+dictionary sample cap and the k-means iteration cap are the constants
+`SHRINK`, `DICT_SAMPLE` and `MAX_ITER`: no caller varies them, the
+dictionary fit stops on its own rule well before the cap, and the sample cap
+only bounds memory. `train` reads them when it runs, so a test can patch
+them on the module.
 """
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import TrainingError, ValidationError
-from .fmap import FeatureMap, crop_view, resample_nearest
+from .fmap import FeatureMap, crop, resample_nearest
 from .formats import ModelBundle, SceneAnnotation, quantize_bundle
 from .models import ClassModel, MixtureModel, OccluderModel
-from .vmf import STOP_MAX_ITER, VmfDictionary, fit_dictionary_traced, responsibilities
+from .vmf import VmfDictionary, fit_dictionary_traced, responsibilities
+
+SHRINK = 0.10          # share of a box's height and width cut off as its ring
+DICT_SAMPLE = 150_000  # most rows the dictionary fit draws
+MAX_ITER = 100         # cap on the dictionary and mixture k-means iterations
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings `compseg train` takes."""
+
     k: int = 64
     m: int = 2
     shared_concentration: float = 30.0
-    shrink: float = 0.10
     seed: int = 0
-    dict_sample: int = 150_000
-    max_iter: int = 100
 
 
 @dataclass
@@ -59,37 +70,36 @@ class TrainReport:
     mixture_groups: dict[str, list[int]] = field(default_factory=dict)
     group_shapes: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
 
-    @property
-    def dictionary_hit_max_iter(self) -> bool:
-        return self.dictionary_stop == STOP_MAX_ITER
 
-
-def _inner_slices(shape: tuple[int, int], shrink: float) -> tuple[slice, slice]:
+def _inner_slices(shape: tuple[int, int]) -> tuple[slice, slice]:
     """Row and column slices of the central region `inner_box_mask` marks."""
     h, w = shape
-    iy = max(1, int(round(h * shrink / 2.0)))
-    ix = max(1, int(round(w * shrink / 2.0)))
+    iy = max(1, int(round(h * SHRINK / 2.0)))
+    ix = max(1, int(round(w * SHRINK / 2.0)))
     if 2 * iy >= h or 2 * ix >= w:
-        raise ValidationError(f"crop shape {shape} too small for shrink {shrink}")
+        raise ValidationError(f"crop shape {shape} too small for shrink {SHRINK}")
     return slice(iy, h - iy), slice(ix, w - ix)
 
 
-def inner_box_mask(shape: tuple[int, int], shrink: float) -> np.ndarray:
-    """Central region of a crop after shrinking the box by `shrink`.
+def inner_box_mask(shape: tuple[int, int]) -> np.ndarray:
+    """Central region of a crop after shrinking the box by `SHRINK`.
 
     The complement (the ring) approximates context pixels: matter inside the
     annotation rectangle but outside the object. At least one ring pixel per
     side is kept so both regions are always nonempty.
     """
     mask = np.zeros(shape, dtype=np.bool_)
-    mask[_inner_slices(shape, shrink)] = True
+    mask[_inner_slices(shape)] = True
     return mask
 
 
 def canonical_shape(shapes: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    hs = np.array([s[0] for s in shapes], dtype=np.float64)
-    ws = np.array([s[1] for s in shapes], dtype=np.float64)
-    return int(np.rint(np.median(hs))), int(np.rint(np.median(ws)))
+    """Median height and width, each rounded half to even."""
+    # statistics.median, not np.median, which imports numpy.ma on first use.
+    return (
+        round(statistics.median(s[0] for s in shapes)),
+        round(statistics.median(s[1] for s in shapes)),
+    )
 
 
 def crop_responsibilities(
@@ -122,8 +132,8 @@ class GroupSums:
     `inner_box_mask`; `fg_prior` needs the tables a second time.
     """
 
-    def __init__(self, shape: tuple[int, int], k: int, shrink: float):
-        self.inner = inner_box_mask(shape, shrink)
+    def __init__(self, shape: tuple[int, int], k: int):
+        self.inner = inner_box_mask(shape)
         self.ring = ~self.inner
         self.ring_size = np.count_nonzero(self.ring)
         self.count = 0
@@ -276,7 +286,7 @@ def _dictionary_sample(
 
 
 def _fit_mixture(
-    crops: Sequence[FeatureMap], shape: tuple[int, int], dictionary: VmfDictionary, shrink: float
+    crops: Sequence[FeatureMap], shape: tuple[int, int], dictionary: VmfDictionary
 ) -> MixtureModel:
     """One mixture from its member crops, resampled to the group's `shape`.
 
@@ -284,7 +294,7 @@ def _fit_mixture(
     pass computes them again to count the prior's votes. One crop's
     responsibilities are live at a time.
     """
-    sums = GroupSums(shape, dictionary.size, shrink)
+    sums = GroupSums(shape, dictionary.size)
     for c in crops:
         sums.add(crop_responsibilities(c, shape, dictionary))
     prior = sums.fg_prior(crop_responsibilities(c, shape, dictionary) for c in crops)
@@ -300,7 +310,7 @@ def _gather_crops(scenes: Sequence[tuple[FeatureMap, SceneAnnotation]]):
     by_class: dict[str, list] = {}
     for fm, ann in scenes:
         for obj in ann.objects:
-            patch = crop_view(fm, obj.box)
+            patch = crop(fm, obj.box)
             by_class.setdefault(obj.label, []).append((patch, ann.scene_id, obj.template))
     return by_class
 
@@ -319,7 +329,7 @@ def _fit_classes(
 
         pooled = np.stack([pooled_responsibility(c, dictionary) for c in crops])
         groups = assign_mixtures(
-            pooled, config.m, seed=[config.seed, 1, class_index], max_iter=config.max_iter
+            pooled, config.m, seed=[config.seed, 1, class_index], max_iter=MAX_ITER
         )
         report.mixture_groups[label] = groups.tolist()
 
@@ -329,7 +339,7 @@ def _fit_classes(
             members = [crops[i] for i in np.flatnonzero(groups == g)]
             shape = canonical_shape([c.shape[:2] for c in members])
             shapes.append(shape)
-            mixtures.append(_fit_mixture(members, shape, dictionary, config.shrink))
+            mixtures.append(_fit_mixture(members, shape, dictionary))
         report.group_shapes[label] = shapes
         classes.append(ClassModel(label, tuple(mixtures)))
     return classes
@@ -355,11 +365,11 @@ def train(
         # The sample is drawn before the fit's seed, and as an argument temporary
         # nothing holds it once the fit returns.
         dictionary, trace = fit_dictionary_traced(
-            _dictionary_sample(maps, config.dict_sample, rng),
+            _dictionary_sample(maps, DICT_SAMPLE, rng),
             config.k,
             seed=int(rng.integers(2**32)),
             shared_concentration=config.shared_concentration,
-            max_iter=config.max_iter,
+            max_iter=MAX_ITER,
         )
         report.dictionary_objective = trace["objective"]
         report.dictionary_iterations = trace["iterations"]

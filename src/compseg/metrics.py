@@ -52,16 +52,6 @@ class MiouTable:
     mean: float
     total: int
 
-    def as_dict(self) -> dict[str, float]:
-        out = dict(self.rows)
-        out["Mean"] = self.mean
-        return out
-
-    def __getitem__(self, key: str) -> float:
-        if key == "Mean":
-            return self.mean
-        return self.rows[key]
-
 
 def _index_predictions(predictions: Iterable[SceneAnnotation]):
     table: dict[str, dict[int, ObjectRecord]] = {}

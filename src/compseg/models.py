@@ -19,10 +19,11 @@ s[i,k] = sigma_k cos(f_i, mu_k) - log Z_k and peak[i] = max_k s[i,k],
     log sum_k a[i,k] pdf_k(f_i) = peak[i] + log sum_k a[i,k] E[i,k],
     E = exp(s - peak)
 
-None of s, peak and E depends on the mixture, so `crop_evidence` computes
-them once per crop, together with the occluder sum (one matrix-vector
-product). `likelihood_maps` then builds a mixture's fg and ctx maps with one
-multiply-reduce each, with no exp. The peak component has E = 1, so a sum is
+None of s, peak and E depends on the mixture, so `crop_evidence` takes peak
+and E once per crop from `vmf.shifted_densities`, the step that also gives
+training its responsibilities, together with the occluder sum (one
+matrix-vector product). `likelihood_maps` then builds a mixture's fg and ctx
+maps with one multiply-reduce each, with no exp. The peak component has E = 1, so a sum is
 small only where the coefficients put (almost) no weight on it; a row whose
 sum is below the smallest normal float is recomputed by the exact shifted
 logsumexp of `_kernels`.
@@ -36,8 +37,8 @@ Inputs are validated where they enter. The model dataclasses check their
 arrays when built, `crop_evidence` checks the crop against the dictionary
 and `likelihood_maps` checks K; the maps it returns come through
 `LikelihoodMaps._trusted`, which skips the checks of arrays it just built.
-`image_loglik` checks its visibility grid on every call, while `rescore`
-checks its grid once per call against the candidates' shared crop shape.
+`rescore` checks its visibility grid once per call against the candidates'
+shared crop shape.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ import numpy as np
 from . import _kernels
 from .errors import ValidationError
 from .fmap import BoundingBox, FeatureMap, resample_nearest
-from .vmf import VmfDictionary
+from .vmf import VmfDictionary, shifted_densities
 
 PRIOR_CLAMP = 1e-6
 SIMPLEX_TOL = 1e-6
@@ -196,14 +197,6 @@ def _check_k(dictionary: VmfDictionary, k: int, what: str) -> None:
         )
 
 
-def _crop_features(crop: FeatureMap, dictionary: VmfDictionary) -> np.ndarray:
-    if crop.dim != dictionary.dim:
-        raise ValidationError(
-            f"crop dim {crop.dim} does not match dictionary dim {dictionary.dim}"
-        )
-    return crop.data.reshape(-1, crop.dim).astype(np.float64)
-
-
 @dataclass(frozen=True)
 class CropEvidence:
     """The mixture-independent terms of one crop, on the crop's lattice.
@@ -241,33 +234,34 @@ def crop_evidence(
 ) -> CropEvidence:
     """Per-crop terms that the maps of every mixture share, on the crop's lattice.
 
+    The peak and E come from `vmf.shifted_densities` over the crop's rows,
+    the same step training takes for its responsibilities. The crop may be a
+    strided view of its scene (`fmap.crop`).
+
     Scoring every mixture on the crop's own lattice aligns the coefficient
     planes to the data (one nearest-neighbour step in total rather than one
     on the way in and one on the way back out, which matters once part
     layouts vary at a few-pixel scale).
     """
     _check_k(dictionary, occluder.n_components, "occluder")
-    sig = dictionary.concentrations
-    lz = dictionary.log_normalizers
-    features = _crop_features(crop, dictionary)
-    # One (P, K) buffer goes from the cosines to s to E in place: the same
-    # bits as exp(cos * sig - lz - peak) with no temporaries. The cosines are
-    # not kept either, since every fresh (P, K) array is memory traffic and,
-    # in a process whose heap is still small, page faults; the rare exact
+    if crop.dim != dictionary.dim:
+        raise ValidationError(
+            f"crop dim {crop.dim} does not match dictionary dim {dictionary.dim}"
+        )
+    features = crop.flat()
+    # One (P, K) buffer goes from the cosines to s to E in place. The cosines
+    # are not kept, since every fresh (P, K) array is memory traffic and, in
+    # a process whose heap is still small, page faults; the rare exact
     # fallback takes the same product again.
-    scaled = features @ dictionary.means.T
-    scaled *= sig
-    scaled -= lz
-    # The row maximum read at its argmax: exact, and much cheaper than a
-    # max-reduce over short rows.
-    peak = scaled[np.arange(len(scaled)), scaled.argmax(axis=1)]
-    scaled -= peak[:, None]
-    np.exp(scaled, out=scaled)
+    peak, scaled = shifted_densities(features, dictionary)
     occ = _factored_loglik(
         peak,
         scaled @ occluder.coeffs,
         lambda rows: _kernels.shared_mixture_loglik(
-            _cosines(features, dictionary, rows), sig, lz, occluder._log_coeffs
+            _cosines(features, dictionary, rows),
+            dictionary.concentrations,
+            dictionary.log_normalizers,
+            occluder._log_coeffs,
         ),
     )
     return CropEvidence(crop.shape, dictionary, features, peak, scaled, occ)
@@ -327,17 +321,8 @@ def _check_visibility(visibility, shape: tuple[int, int]) -> np.ndarray:
     return z.astype(np.float64)
 
 
-def image_loglik(maps: LikelihoodMaps, visibility: np.ndarray | None = None) -> float:
-    """Total log-likelihood of a crop from its maps.
-
-    Without a visibility grid every pixel takes its best branch. With a
-    binary visibility grid, 1 selects the foreground map value and 0 the
-    occluder map value. The grid is checked on every call; `rescore`, which
-    scores many maps under one grid, checks it once instead.
-    """
-    if visibility is not None:
-        zf = _check_visibility(visibility, maps.shape)
-        return float(np.sum(zf * maps.fg + (1.0 - zf) * maps.occ))
+def image_loglik(maps: LikelihoodMaps) -> float:
+    """Total log-likelihood of a crop from its maps: every pixel takes its best branch."""
     return float(np.sum(np.maximum(np.maximum(maps.fg, maps.ctx), maps.occ)))
 
 
@@ -374,13 +359,15 @@ def rescore(
     candidates: tuple[tuple[LikelihoodMaps, ...], ...],
     visibility: np.ndarray | None = None,
 ) -> ClassifyResult:
-    """Best of `classify`'s candidate maps under `image_loglik`; ties go to the lowest indices.
+    """Best of `classify`'s candidate maps; ties go to the lowest indices.
 
-    A visibility grid is in crop coordinates. The maps do not depend on it,
+    Without a visibility grid a candidate scores `image_loglik`. A binary
+    visibility grid, in crop coordinates, scores the foreground map where it
+    is 1 and the occluder map where it is 0. The maps do not depend on it,
     so re-scoring an occluded object needs neither its crop nor new maps.
     The candidates share the crop's lattice, so the grid is checked once,
     against the first candidate's shape, and every candidate is scored from
-    one float copy of it with `image_loglik`'s expression.
+    one float copy of it.
     """
     if not candidates:
         raise ValidationError("classify needs at least one class model")

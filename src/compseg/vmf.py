@@ -15,6 +15,11 @@ objective is a mean over a sample of feature vectors (training fits a random
 subsample of its feature pool), so a smaller gain cannot be told apart from
 redrawing that sample. No tolerance constant is involved.
 
+One step turns features into evidence for both learning and inference:
+`shifted_densities` gives each row's peak component log density and the
+shifted densities E = exp(s - peak). `responsibilities` normalises E for
+training; `models.crop_evidence` keeps peak and E for the likelihood maps.
+
 The normaliser needs one exponentially scaled Bessel value, computed here in
 float64 with the standard library (see `log_normalizer`), so the package
 needs no SciPy.
@@ -205,16 +210,30 @@ def component_logliks(features: np.ndarray, dictionary: VmfDictionary) -> np.nda
     return table
 
 
+def shifted_densities(
+    features: np.ndarray, dictionary: VmfDictionary
+) -> tuple[np.ndarray, np.ndarray]:
+    """(peak, E) for a (P, D) batch of unit rows: the evidence every vMF use shares.
+
+    With s = `component_logliks`, peak[i] = max_k s[i,k] and
+    E[i,k] = exp(s[i,k] - peak[i]), so E is 1 at each row's peak and no entry
+    overflows. E is s's own (P, K) buffer, exponentiated in place.
+    """
+    table = component_logliks(features, dictionary)
+    # The row maximum read at its argmax: exact, and cheaper than a max-reduce
+    # over short rows.
+    peak = table[np.arange(len(table)), table.argmax(axis=1)]
+    table -= peak[:, None]
+    np.exp(table, out=table)
+    return peak, table
+
+
 def responsibilities(features: np.ndarray, dictionary: VmfDictionary) -> np.ndarray:
     """(P, K) posterior over dictionary components for a (P, D) batch of unit rows.
 
     Uniform component prior; rows sum to 1.
     """
-    table = component_logliks(features, dictionary)
-    # The row maximum read at its argmax: exact, and cheaper than a max-reduce
-    # over short rows.
-    table -= table[np.arange(len(table)), table.argmax(axis=1)][:, None]
-    np.exp(table, out=table)
+    table = shifted_densities(features, dictionary)[1]
     table /= table.sum(axis=1, keepdims=True)
     return table
 

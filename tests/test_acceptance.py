@@ -205,14 +205,14 @@ def test_criterion_06_order_graph_accuracy(predictions):
 def test_criterion_07_reasoning_beats_baseline(tables):
     modal = tables["two"].modal
     base, one, two_pass = modal["independent"], modal["ordered-1"], modal["ordered-2"]
-    gain2 = one["L2"] - base["L2"]
-    gain3 = one["L3"] - base["L3"]
-    print(f"criterion 7: L2 {base['L2']:.2f} -> {one['L2']:.2f} (+{gain2:.2f}), "
-          f"L3 {base['L3']:.2f} -> {one['L3']:.2f} (+{gain3:.2f}), "
-          f"second pass mean {two_pass['Mean']:.2f} vs {one['Mean']:.2f}")
+    gain2 = one.rows["L2"] - base.rows["L2"]
+    gain3 = one.rows["L3"] - base.rows["L3"]
+    print(f"criterion 7: L2 {base.rows['L2']:.2f} -> {one.rows['L2']:.2f} (+{gain2:.2f}), "
+          f"L3 {base.rows['L3']:.2f} -> {one.rows['L3']:.2f} (+{gain3:.2f}), "
+          f"second pass mean {two_pass.mean:.2f} vs {one.mean:.2f}")
     assert gain2 >= 3.0
     assert gain3 >= 5.0
-    assert two_pass["Mean"] >= one["Mean"] - 0.5
+    assert two_pass.mean >= one.mean - 0.5
 
 
 def test_criterion_08_ordering_never_hurts(tables, tmp_path):

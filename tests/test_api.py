@@ -1,4 +1,7 @@
-"""The package's public names: `compseg.__all__` is exact and `import *` resolves it."""
+"""The package's surface: `compseg.__all__` is exact and `import *` resolves it,
+run-time imports stay light, and no module imports a name it never reads."""
+import ast
+import pathlib
 import subprocess
 import sys
 
@@ -74,11 +77,55 @@ def test_star_import_resolves_every_public_name():
 
 
 def test_runtime_imports_load_no_scipy():
-    """SciPy is a test-only dependency: no runtime module imports it."""
+    """SciPy is a test-only dependency: no runtime module imports it.
+
+    Nor does training's shape median load `numpy.ma`, as `np.median` would.
+    """
     code = (
         "import sys, compseg, compseg.cli, compseg.oracle\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "from compseg.learning import canonical_shape\n"
+        "assert canonical_shape([(4, 10), (6, 12)]) == (5, 11)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.split() == ["[]", "[]"]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names `path` imports but never reads, as "file:line name".
+
+    A name counts as read when it is loaded anywhere in the module or listed
+    in its `__all__`. An alias on a line marked `# noqa: F401` is exempt.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*" and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    rel = path.relative_to(ROOT)
+    return [f"{rel}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_every_imported_name_is_read():
+    files = sorted((ROOT / "src" / "compseg").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(files) > 20
+    unused = [hit for path in files for hit in _unused_imports(path)]
+    assert unused == []

@@ -14,6 +14,8 @@ from compseg.fmap import (
     resample_nearest,
     save_feature_map,
 )
+from compseg.models import OccluderModel, crop_evidence
+from compseg.vmf import VmfDictionary, sample_uniform_sphere
 
 
 def unit_grid(rng, h, w, d):
@@ -47,12 +49,21 @@ def test_box_rejects_degenerate(coords):
         BoundingBox(*coords)
 
 
+def _share_a_pixel(a: BoundingBox, b: BoundingBox) -> bool:
+    """Whether the two boxes' slices pick a common pixel of an 8 x 8 lattice."""
+    ma = np.zeros((8, 8), dtype=bool)
+    mb = np.zeros((8, 8), dtype=bool)
+    ma[a.slices] = True
+    mb[b.slices] = True
+    return bool((ma & mb).any())
+
+
 def test_box_overlap_and_intersection():
     a = BoundingBox(0, 0, 4, 4)
     b = BoundingBox(2, 2, 6, 6)
     c = BoundingBox(4, 0, 8, 4)
-    assert a.overlaps(b) and b.overlaps(a)
-    assert not a.overlaps(c)  # half-open: edge-touching boxes do not overlap
+    assert _share_a_pixel(a, b) and _share_a_pixel(b, a)
+    assert not _share_a_pixel(a, c)  # half-open: edge-touching boxes do not overlap
     assert a.fits_in(4, 4)
     assert not a.fits_in(4, 3)
 
@@ -108,9 +119,11 @@ def test_crop_matches_slices():
         crop(fm, BoundingBox(6, 0, 10, 4))
 
 
-def test_crop_copies_the_slice_without_renormalising(monkeypatch):
+def test_crop_is_a_readonly_view_without_renormalising(monkeypatch):
     rng = np.random.default_rng(3)
     fm = FeatureMap(unit_grid(rng, 8, 9, 4))
+    dictionary = VmfDictionary(sample_uniform_sphere(rng, 5, 4), rng.uniform(1.0, 30.0, size=5))
+    occluder = OccluderModel(np.full(5, 0.2))
 
     def must_not_run(data):
         raise AssertionError("crop renormalised rows of an already-validated map")
@@ -122,7 +135,15 @@ def test_crop_copies_the_slice_without_renormalising(monkeypatch):
         want = fm.data[box.slices]
         assert patch.data.dtype == want.dtype and patch.data.shape == want.shape
         assert patch.data.tobytes() == want.tobytes()
-        assert patch.data.flags.c_contiguous and not patch.data.flags.writeable
+        assert np.shares_memory(patch.data, fm.data)
+        assert not patch.data.flags.writeable
+        # the evidence of the view is that of a contiguous copy, bit for bit
+        copy = FeatureMap._trusted(np.ascontiguousarray(want))
+        got = crop_evidence(patch, dictionary, occluder)
+        ref = crop_evidence(copy, dictionary, occluder)
+        for name in ("peak", "scaled", "occ"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert not crop(fm, BoundingBox(3, 1, 7, 6)).data.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 import hashlib
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compseg import vmf
+from compseg import learning, vmf
 from compseg.errors import TrainingError, ValidationError
 from compseg.fmap import FeatureMap
 from compseg.learning import (
+    MAX_ITER,
     GroupSums,
     TrainConfig,
     _gather_crops,
@@ -24,27 +24,25 @@ from compseg.learning import (
 from compseg.formats import save_model
 from compseg.vmf import VmfDictionary
 
-# The training defaults, which the group sums below are built with.
-SHRINK = TrainConfig().shrink
-MAX_ITER = TrainConfig().max_iter
 
-
-def test_inner_box_mask_layout():
-    mask = inner_box_mask((10, 10), shrink=0.10)
+def test_inner_box_mask_layout(monkeypatch):
+    assert learning.SHRINK == 0.10
+    mask = inner_box_mask((10, 10))
     assert mask.shape == (10, 10)
     assert mask[1:9, 1:9].all()
     assert not mask[0].any() and not mask[-1].any()
     assert not mask[:, 0].any() and not mask[:, -1].any()
     # at least a one-pixel ring even when the shrink rounds to zero
-    tiny = inner_box_mask((4, 4), shrink=0.01)
+    monkeypatch.setattr(learning, "SHRINK", 0.01)
+    tiny = inner_box_mask((4, 4))
     assert tiny.sum() == 4
 
 
 def test_inner_box_mask_too_small():
     with pytest.raises(ValidationError):
-        inner_box_mask((2, 8), SHRINK)
+        inner_box_mask((2, 8))
     with pytest.raises(ValidationError):
-        inner_box_mask((8, 2), SHRINK)
+        inner_box_mask((8, 2))
 
 
 def test_canonical_shape_median():
@@ -56,7 +54,7 @@ def test_canonical_shape_median():
 
 def _planted_resps(rng, crops=6, shape=(8, 8), k=3, noise=0.05):
     """A (C, H, W, K) block with component 0 inside, component 1 on the ring."""
-    inner = inner_box_mask(shape, SHRINK)
+    inner = inner_box_mask(shape)
     out = []
     for _ in range(crops):
         r = rng.uniform(0.0, noise, size=(*shape, k))
@@ -69,7 +67,7 @@ def _planted_resps(rng, crops=6, shape=(8, 8), k=3, noise=0.05):
 
 def _group_sums(resps):
     """`GroupSums` over a (C, H, W, K) block, added crop after crop."""
-    sums = GroupSums(resps.shape[1:3], resps.shape[-1], SHRINK)
+    sums = GroupSums(resps.shape[1:3], resps.shape[-1])
     for resp in resps:
         sums.add(resp)
     return sums
@@ -122,8 +120,8 @@ def test_estimators_reject_empty():
 def _block_estimates(resps):
     """The (C, H, W, K) block formulas the running sums replace, as reference."""
     n, h, w, k = resps.shape
-    rows, cols = _inner_slices((h, w), SHRINK)
-    inner = inner_box_mask((h, w), SHRINK)
+    rows, cols = _inner_slices((h, w))
+    inner = inner_box_mask((h, w))
     abar = resps[:, rows, cols, :].mean(axis=(0, 1, 2))
     cbar = resps[:, ~inner, :].mean(axis=(0, 1))
     prior = (resps @ abar > resps @ cbar).mean(axis=0)
@@ -220,10 +218,18 @@ def test_train_empty_dataset():
     assert err.value.stage == "dataset"
 
 
-def test_train_deterministic_bytes(tiny_train_pairs, tiny_backgrounds, tmp_path):
+@pytest.fixture
+def small_fit(monkeypatch):
+    """A 20,000-row dictionary sample and 40 k-means iterations at most."""
+    monkeypatch.setattr(learning, "DICT_SAMPLE", 20_000)
+    monkeypatch.setattr(learning, "MAX_ITER", 40)
+    return TrainConfig(k=8, m=2, seed=3)
+
+
+def test_train_deterministic_bytes(tiny_train_pairs, tiny_backgrounds, tmp_path, small_fit):
     pairs = tiny_train_pairs[:10]
     bgs = tiny_backgrounds[:3]
-    cfg = TrainConfig(k=8, m=2, seed=3, dict_sample=20_000, max_iter=40)
+    cfg = small_fit
     bundle_a, _ = train(pairs, bgs, cfg)
     bundle_b, _ = train(pairs, bgs, cfg)
     pa, pb = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
@@ -238,12 +244,13 @@ def test_train_deterministic_bytes(tiny_train_pairs, tiny_backgrounds, tmp_path)
 PINNED_MODEL_SHA256 = "fcb6297d5d1d6c130c33aec111b631f030768f3384c7e558db4162b2f4d97173"
 
 
-def test_train_model_bytes_pinned(tiny_train_pairs, tiny_backgrounds, tmp_path):
+def test_train_model_bytes_pinned(tiny_train_pairs, tiny_backgrounds, tmp_path, small_fit):
     pairs = tiny_train_pairs[:10]
     bgs = tiny_backgrounds[:3]
     rows = sum(fm.height * fm.width for fm, _ in pairs) + sum(fm.height * fm.width for fm in bgs)
-    cfg = TrainConfig(k=8, m=2, seed=3, dict_sample=20_000, max_iter=40)
-    assert rows > cfg.dict_sample
+    cfg = small_fit
+    assert (learning.DICT_SAMPLE, learning.MAX_ITER) == (20_000, 40)
+    assert rows > learning.DICT_SAMPLE
     bundle, _ = train(pairs, bgs, cfg)
     path = tmp_path / "model.bin"
     save_model(bundle, str(path))
@@ -271,7 +278,7 @@ def _train_peak(pairs, backgrounds, config):
         tracemalloc.stop()
 
 
-def test_train_peak_memory_below_one_float64_pool(tiny_train_pairs, tiny_backgrounds):
+def test_train_peak_memory_below_one_float64_pool(tiny_train_pairs, tiny_backgrounds, monkeypatch):
     """Training's traced peak stays below one float64 copy of the feature pool.
 
     It runs at the default K = 64, where the model and the responsibility
@@ -281,26 +288,30 @@ def test_train_peak_memory_below_one_float64_pool(tiny_train_pairs, tiny_backgro
     """
     maps = [fm for fm, _ in tiny_train_pairs] + list(tiny_backgrounds)
     pool_bytes = sum(fm.height * fm.width * fm.dim for fm in maps) * 8
-    peak = _train_peak(tiny_train_pairs, tiny_backgrounds, TrainConfig(dict_sample=5_000))
+    monkeypatch.setattr(learning, "DICT_SAMPLE", 5_000)
+    peak = _train_peak(tiny_train_pairs, tiny_backgrounds, TrainConfig())
     assert peak < pool_bytes, f"peak {peak} bytes against a float64 pool of {pool_bytes}"
 
 
-def test_train_peak_memory_flat_in_training_set_size(tiny_train_pairs, tiny_backgrounds):
+def test_train_peak_memory_flat_in_training_set_size(
+    tiny_train_pairs, tiny_backgrounds, monkeypatch
+):
     """Three times the training set raises `train`'s traced peak by less than a quarter.
 
     With the dictionary sample capped and the crops viewing the scene maps,
     only per-crop bookkeeping grows with the split. A pool or a group block
     would triple; copied crops alone raise the peak by 60% (4.1 to 6.6 MiB).
     """
-    config = TrainConfig(dict_sample=5_000)
+    monkeypatch.setattr(learning, "DICT_SAMPLE", 5_000)
+    config = TrainConfig()
     once = _train_peak(tiny_train_pairs, tiny_backgrounds, config)
     thrice = _train_peak(3 * tiny_train_pairs, 3 * list(tiny_backgrounds), config)
     assert thrice - once < once / 4, f"peak {once} bytes at x1, {thrice} at x3"
 
 
-def test_train_report_structure(tiny_train_pairs, tiny_backgrounds):
+def test_train_report_structure(tiny_train_pairs, tiny_backgrounds, small_fit, monkeypatch):
     pairs = tiny_train_pairs[:10]
-    cfg = TrainConfig(k=8, m=2, seed=3, dict_sample=20_000, max_iter=40)
+    cfg = small_fit
     bundle, report = train(pairs, tiny_backgrounds[:3], cfg)
 
     labels = sorted({o.label for _, ann in pairs for o in ann.objects})
@@ -312,14 +323,15 @@ def test_train_report_structure(tiny_train_pairs, tiny_backgrounds):
         assert set(report.mixture_groups[label]) == set(range(cfg.m))
         assert len(report.group_shapes[label]) == cfg.m
     assert report.dictionary_objective
-    assert 1 <= report.dictionary_iterations <= cfg.max_iter
+    assert 1 <= report.dictionary_iterations <= learning.MAX_ITER
     assert len(report.dictionary_objective) == report.dictionary_iterations + 1
     # the fit ends on its own rule well before the cap
     assert report.dictionary_stop in (vmf.STOP_UNCHANGED, vmf.STOP_GAIN)
-    assert report.dictionary_iterations < cfg.max_iter
-    assert not report.dictionary_hit_max_iter
-    _, capped = train(pairs, tiny_backgrounds[:3], replace(cfg, max_iter=2))
-    assert (capped.dictionary_iterations, capped.dictionary_hit_max_iter) == (2, True)
+    assert report.dictionary_iterations < learning.MAX_ITER
+    assert report.dictionary_stop != vmf.STOP_MAX_ITER
+    monkeypatch.setattr(learning, "MAX_ITER", 2)
+    _, capped = train(pairs, tiny_backgrounds[:3], cfg)
+    assert capped.dictionary_iterations == 2
     assert capped.dictionary_stop == vmf.STOP_MAX_ITER
     assert bundle.dictionary.size == cfg.k
     for cls in bundle.classes:

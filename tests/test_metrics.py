@@ -63,11 +63,11 @@ def test_perfect_predictions_score_100():
         _ann("s1", [_rec(0, 0.7, _mask((2, 0, 3)))]),
     ]
     table = miou_by_level(truth, truth)
-    assert table["L0"] == 100.0
-    assert table["L2"] == 100.0
-    assert table["L3"] == 100.0
-    assert math.isnan(table["L1"])
-    assert table["Mean"] == 100.0
+    assert table.rows["L0"] == 100.0
+    assert table.rows["L2"] == 100.0
+    assert table.rows["L3"] == 100.0
+    assert math.isnan(table.rows["L1"])
+    assert table.mean == 100.0
     assert table.total == 3
     assert table.counts == {"L0": 1, "L1": 0, "L2": 1, "L3": 1}
 
@@ -75,8 +75,8 @@ def test_perfect_predictions_score_100():
 def test_missing_predictions_score_zero():
     truth = [_ann("s0", [_rec(0, 0.0, _mask((0, 0, 3)))])]
     table = miou_by_level([], truth)
-    assert table["L0"] == 0.0
-    assert table["Mean"] == 0.0
+    assert table.rows["L0"] == 0.0
+    assert table.mean == 0.0
     # a missing object scores zero without erasing its bucket mate
     truth2 = [
         _ann(
@@ -85,18 +85,18 @@ def test_missing_predictions_score_zero():
         )
     ]
     pred2 = [_ann("s0", [_rec(0, 0.0, _mask((0, 0, 3)))])]
-    assert miou_by_level(pred2, truth2)["L0"] == 50.0
+    assert miou_by_level(pred2, truth2).rows["L0"] == 50.0
 
 
 def test_single_object_half_iou():
     truth = [_ann("s0", [_rec(0, 0.4, _mask((0, 0, 2)))])]
     pred = [_ann("s0", [_rec(0, -1.0, _mask((0, 1, 3)))])]  # IoU 1/3
     table = miou_by_level(pred, truth)
-    assert table["L2"] == pytest.approx(100.0 / 3.0)
-    assert table["Mean"] == pytest.approx(100.0 / 3.0)
+    assert table.rows["L2"] == pytest.approx(100.0 / 3.0)
+    assert table.mean == pytest.approx(100.0 / 3.0)
     assert table.total == 1
     for lv in ("L0", "L1", "L3"):
-        assert math.isnan(table[lv])
+        assert math.isnan(table.rows[lv])
 
 
 def test_over_ninety_objects_excluded():
@@ -117,8 +117,8 @@ def test_mode_validation_and_amodal():
     pred = [_ann("s0", [_rec(0, -1.0, _mask((5, 0, 1)), amodal=_mask((0, 0, 4)))])]
     with pytest.raises(ValidationError):
         miou_by_level(pred, truth, mode="visible")
-    assert miou_by_level(pred, truth, "amodal")["L0"] == 100.0
-    assert miou_by_level(pred, truth, "modal")["L0"] == 0.0
+    assert miou_by_level(pred, truth, "amodal").rows["L0"] == 100.0
+    assert miou_by_level(pred, truth, "modal").rows["L0"] == 0.0
 
 
 def test_mean_is_object_weighted():
@@ -145,7 +145,7 @@ def test_mean_is_object_weighted():
     assert table.mean == pytest.approx(recombined, abs=1e-9)
     # prediction order is irrelevant
     again = miou_by_level(list(reversed(preds)), truths)
-    assert again.as_dict() == table.as_dict()
+    assert (again.rows, again.mean) == (table.rows, table.mean)
 
 
 def test_order_accuracy_examples():
@@ -223,9 +223,9 @@ def test_ablation_variants_agree_without_overlap(tiny_train_pairs, tiny_bundle):
     report = run_ablation(pairs, tiny_bundle, scenario="train")
     names = [name for name, _ in VARIANTS]
     assert list(report.modal) == names
-    base = report.modal["independent"].as_dict()
+    base = {**report.modal["independent"].rows, "Mean": report.modal["independent"].mean}
     for name in names[1:]:
-        got = report.modal[name].as_dict()
+        got = {**report.modal[name].rows, "Mean": report.modal[name].mean}
         for key, val in base.items():
             if math.isnan(val):
                 assert math.isnan(got[key])

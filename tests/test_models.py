@@ -220,6 +220,12 @@ def test_prior_clamp_keeps_extreme_priors_finite():
 # scoring
 
 
+def _visible_loglik(maps: LikelihoodMaps, visibility) -> float:
+    """The score under a visibility grid: fg where it is 1, occ where it is 0."""
+    zf = np.asarray(visibility, dtype=np.float64)
+    return float(np.sum(zf * maps.fg + (1.0 - zf) * maps.occ))
+
+
 def test_image_loglik_modes_and_visibility():
     fg = np.array([[0.0, -2.0], [-1.0, -5.0]])
     ctx = np.array([[-1.0, -1.0], [-4.0, -4.0]])
@@ -229,14 +235,16 @@ def test_image_loglik_modes_and_visibility():
     want_max = 0.0 + -1.0 + 0.0 + -1.0
     assert image_loglik(maps) == pytest.approx(want_max)
 
+    # a visibility grid is scored by `rescore`, the one place that takes one
     vis = np.array([[1, 0], [1, 0]])
     want_vis = fg[0, 0] + occ[0, 1] + fg[1, 0] + occ[1, 1]
-    assert image_loglik(maps, visibility=vis) == pytest.approx(want_vis)
+    assert rescore(((maps,),), visibility=vis).score == pytest.approx(want_vis)
+    assert rescore(((maps,),), visibility=vis).score == _visible_loglik(maps, vis)
 
     with pytest.raises(ValidationError):
-        image_loglik(maps, visibility=np.array([[2, 0], [1, 0]]))
+        rescore(((maps,),), visibility=np.array([[2, 0], [1, 0]]))
     with pytest.raises(ValidationError):
-        image_loglik(maps, visibility=np.ones((1, 2)))
+        rescore(((maps,),), visibility=np.ones((1, 2)))
 
 
 def test_classify_prefers_matching_component_mixture():
@@ -299,12 +307,12 @@ def test_rescore_matches_per_candidate_image_loglik():
             got = rescore(candidates, vis)
             want = [
                 np.array([
-                    image_loglik(likelihood_maps(evidence, m), vis) for m in cls.mixtures
+                    _visible_loglik(likelihood_maps(evidence, m), vis) for m in cls.mixtures
                 ])
                 for cls in classes
             ]
             for got_row, want_row in zip(got.candidates, want, strict=True):
-                assert np.array_equal([image_loglik(m, vis) for m in got_row], want_row)
+                assert np.array_equal([_visible_loglik(m, vis) for m in got_row], want_row)
             flat = np.concatenate(want)
             first = int(np.flatnonzero(flat == flat.max())[0])
             assert (got.class_index, got.mixture_index) == divmod(first, 2)
@@ -321,7 +329,7 @@ def test_rescore_ties_go_to_the_lowest_indices():
     # (0, 1) and (1, 0) differ only where the object is hidden: a tie
     vis = np.array([[0, 1], [1, 1]])
     got = rescore(candidates, vis)
-    assert image_loglik(high, vis) == image_loglik(twin, vis) == got.score == -1.0
+    assert _visible_loglik(high, vis) == _visible_loglik(twin, vis) == got.score == -1.0
     assert (got.class_index, got.mixture_index) == (0, 1)
     assert got.maps is high
     # fully hidden, all three tie on the occluder value
@@ -366,7 +374,10 @@ def test_classify_returns_the_winners_maps():
             (got.maps.fg, got.maps.ctx, got.maps.occ), (want.fg, want.ctx, want.occ)
         ):
             assert np.array_equal(got_map, want_map)
-        assert got.score == image_loglik(want, visibility=visibility)
+        if visibility is None:
+            assert got.score == image_loglik(want)
+        else:
+            assert got.score == _visible_loglik(want, visibility)
 
 
 def test_segment_single_tie_preferences():

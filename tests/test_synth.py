@@ -132,6 +132,11 @@ def test_manifest_counts(mini_challenge):
         assert sorted({e.level for e in got}) == sorted(LEVELS)
 
 
+def _boxes_overlap(a, b) -> bool:
+    """Whether two half-open boxes share a pixel."""
+    return a.x0 < b.x1 and b.x0 < a.x1 and a.y0 < b.y1 and b.y0 < a.y1
+
+
 def _annotations(challenge, **kwargs):
     for entry in challenge.select(**kwargs):
         yield entry, load_scene(challenge, entry)[1]
@@ -202,7 +207,7 @@ def test_scene_structure(mini_challenge):
             assert (zone & ann.unknown).any()
     for entry, ann in _annotations(mini_challenge, split="train"):
         assert len(ann.objects) == 2
-        assert not ann.objects[0].box.overlaps(ann.objects[1].box)
+        assert not _boxes_overlap(ann.objects[0].box, ann.objects[1].box)
         assert ann.order_edges == []
     for entry, ann in _annotations(mini_challenge, scenario="background"):
         assert ann.objects == [] and ann.split == "background"
