@@ -286,6 +286,8 @@ _SCALES = {
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {args.seed}")
     sizes = _SCALES[args.scale]
     suites = [
         (

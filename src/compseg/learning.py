@@ -15,13 +15,17 @@ tell where a bad dataset broke the pipeline.
 
 Training holds no array that grows with the training set beyond the capped
 dictionary sample. The dictionary stage draws its subsample over the total
-row count and gathers the kept rows map by map into one float64 array, never
-concatenating a pool; the sample is freed when the fit returns. Each mixture
-group adds its members' responsibilities into running sums (`GroupSums`),
-one crop at a time, and computes them once more to count the prior's votes.
-The crops are read-only views of the scene maps, so they copy nothing.
-Besides the inputs and the model, working memory is thus bounded by the
-larger of the float64 sample and one crop's responsibilities.
+row count and gathers the kept rows map by map into one float32 array, never
+concatenating a pool; the sample is freed when the fit returns. The fit
+widens it to float64 one `vmf._ASSIGN_BLOCK`-row block at a time, which is
+exact, so the model has the bits a float64 sample gives. Each mixture group
+adds its members' responsibilities into running sums (`GroupSums`), one crop
+at a time, and computes them once more to count the prior's votes. The crops
+are read-only views of the scene maps, so they copy nothing. Besides the
+inputs and the model, working memory is thus bounded by the larger of two
+stages: the dictionary fit, at 4 * D bytes of sample plus at most four
+float64 vectors per sampled row (and one row block and one cosine tile), and
+one crop's responsibilities.
 
 `TrainConfig` holds what `compseg train` sets. The ring shrink, the
 dictionary sample cap and the k-means iteration cap are the constants
@@ -264,12 +268,13 @@ def learn_occluder(backgrounds: Sequence[FeatureMap], dictionary: VmfDictionary)
 def _dictionary_sample(
     maps: Sequence[FeatureMap], size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Float64 rows for the dictionary fit: all rows of `maps`, or `size` of them.
+    """Float32 rows for the dictionary fit: all rows of `maps`, or `size` of them.
 
     The draw reads nothing but the total row count. The kept rows are then
-    gathered map by map straight into the float64 sample, so no pool of all
-    rows is ever built. Widening float32 to float64 is exact, so the rows
-    are those a float64 pool would give.
+    gathered map by map straight into the float32 sample, so no pool of all
+    rows is ever built. The maps are float32, so the sample is half the size
+    of a float64 one; the fit widens it one row block at a time, and widening
+    is exact, so the fit sees the rows a float64 pool would give.
     """
     counts = [fm.height * fm.width for fm in maps]
     total = sum(counts)
@@ -277,7 +282,7 @@ def _dictionary_sample(
         keep = np.sort(rng.choice(total, size=size, replace=False))
     else:
         keep = np.arange(total)
-    sample = np.empty((keep.size, maps[0].dim))
+    sample = np.empty((keep.size, maps[0].dim), dtype=np.float32)
     offsets = np.cumsum([0] + counts)
     bounds = np.searchsorted(keep, offsets)
     for fm, offset, lo, hi in zip(maps, offsets, bounds, bounds[1:]):
@@ -355,6 +360,8 @@ def train(
     The returned bundle has already been rounded through its serialized
     precision, so saving and reloading reproduces it bit-exactly.
     """
+    if config.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {config.seed}")
     if not scenes:
         raise TrainingError("dataset", "empty training set")
     report = TrainReport()

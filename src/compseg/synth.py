@@ -766,7 +766,7 @@ def generate_challenge(
             raise ValidationError(f"unknown scenario {s!r}")
         if s in scenarios[:i]:
             raise ValidationError(f"scenario {s!r} is listed twice")
-    for name in ("per_level", "train_scenes", "backgrounds"):
+    for name in ("per_level", "train_scenes", "backgrounds", "seed"):
         if getattr(cfg, name) < 0:
             raise ValidationError(f"{name} must be >= 0, got {getattr(cfg, name)}")
     space = build_part_space(np.random.default_rng([cfg.seed, 17]))

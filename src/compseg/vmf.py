@@ -238,22 +238,63 @@ def responsibilities(features: np.ndarray, dictionary: VmfDictionary) -> np.ndar
     return table
 
 
+# Rows per block: a (2048, K) cosine tile stays in cache, and one block at a
+# time is widened to float64. Keep it a multiple of 8. BLAS matrix-vector
+# kernels take rows in groups, so only blocks that start on a group boundary
+# give every row the bits of one product over the whole array (blocks of
+# 1000, 1024, 2048, 4096 and 8192 rows do; blocks of 777 do not).
+_ASSIGN_BLOCK = 2048
+
+
+def _blocks(feats: np.ndarray):
+    """(start, rows) for each `_ASSIGN_BLOCK`-row block of `feats`, as float64.
+
+    Every block is copied into one float64 buffer, which the next block
+    overwrites: a caller is done with a block before it takes the next.
+    Widening float32 is exact, so a block holds the rows a float64 copy of
+    `feats` would.
+    """
+    buf = np.empty((min(len(feats), _ASSIGN_BLOCK), feats.shape[1]))
+    for s in range(0, len(feats), _ASSIGN_BLOCK):
+        rows = buf[: min(_ASSIGN_BLOCK, len(feats) - s)]
+        rows[...] = feats[s : s + _ASSIGN_BLOCK]
+        yield s, rows
+
+
+def _cosines(feats: np.ndarray, center: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`feats @ center` into `out`, one widened row block at a time."""
+    for s, rows in _blocks(feats):
+        np.matmul(rows, center, out=out[s : s + len(rows)])
+    return out
+
+
+def _draw(rng: np.random.Generator, weights: np.ndarray, total: float, out: np.ndarray) -> int:
+    """`rng.choice(len(weights), p=weights / total)`, with `out` as its cdf.
+
+    These are choice's own steps: divide, cumsum, divide by the last entry,
+    then `searchsorted(rng.random(), side="right")`. Choice's O(n) checks of
+    p are skipped: the weights are finite and >= 0, and `total` is their sum.
+    """
+    cdf = np.cumsum(np.divide(weights, total, out=out), out=out)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeanspp_init(feats: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = feats.shape[0]
     centers = np.empty((k, feats.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = feats[first]
-    # squared cosine distance to the nearest chosen center
-    dist = (1.0 - feats @ centers[0]) ** 2
-    for j in range(1, k):
-        total = float(dist.sum())
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=dist / total))
+    dist = np.full(n, np.inf)  # squared cosine distance to the nearest chosen center
+    scratch = np.empty(n)  # the newest center's distances, then the draw's cdf
+    idx = int(rng.integers(n))
+    for j in range(k):
         centers[j] = feats[idx]
-        cand = (1.0 - feats @ centers[j]) ** 2
+        if j == k - 1:
+            break
+        cand = _cosines(feats, centers[j], scratch)
+        np.square(np.subtract(1.0, cand, out=cand), out=cand)
         np.minimum(dist, cand, out=dist)
+        total = float(dist.sum())
+        idx = int(rng.integers(n)) if total <= 0 else _draw(rng, dist, total, scratch)
     return centers
 
 
@@ -261,17 +302,30 @@ STOP_MAX_ITER = "max_iter reached"
 STOP_UNCHANGED = "assignments unchanged"
 STOP_GAIN = "gain below standard error"
 
-_ASSIGN_BLOCK = 2048  # rows per cosine tile: a (2048, K) block stays in cache
+
+def _nearest(feats: np.ndarray, centers: np.ndarray, assign: np.ndarray, own: np.ndarray) -> None:
+    """Nearest center into `assign` and its cosine into `own`, one row block at a time."""
+    k = len(centers)
+    tile = np.empty((min(len(feats), _ASSIGN_BLOCK), k))
+    row_starts = np.arange(0, tile.size, k)  # each row's first cell in the flat tile
+    for s, rows in _blocks(feats):
+        cos = np.matmul(rows, centers.T, out=tile[: len(rows)])
+        best = np.argmax(cos, axis=1, out=assign[s : s + len(rows)])
+        np.take(cos.ravel(), best + row_starts[: len(rows)], out=own[s : s + len(rows)])
 
 
-def _nearest(feats: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest center and its cosine for every row, one row block at a time."""
-    assign, own = np.empty(len(feats), dtype=np.int64), np.empty(len(feats))
-    for s in range(0, len(feats), _ASSIGN_BLOCK):
-        cos = feats[s : s + _ASSIGN_BLOCK] @ centers.T
-        assign[s : s + _ASSIGN_BLOCK] = best = np.argmax(cos, axis=1)
-        own[s : s + _ASSIGN_BLOCK] = cos[np.arange(best.size), best]
-    return assign, own
+def _member_sums(feats: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """(K, D) sums of each center's member rows.
+
+    Row blocks scatter into the flat (K * D) sums at cell assign * D + d.
+    add.at adds in row order, as `feats[assign == j].sum(axis=0)` does: same bits.
+    """
+    dim = feats.shape[1]
+    sums = np.zeros(k * dim)
+    for s, rows in _blocks(feats):
+        cells = (assign[s : s + len(rows), None] * dim + np.arange(dim)).ravel()
+        np.add.at(sums, cells, rows.ravel())
+    return sums.reshape(k, dim)
 
 
 def fit_dictionary_traced(
@@ -285,10 +339,15 @@ def fit_dictionary_traced(
 
     Every component of the dictionary gets `shared_concentration`.
 
-    Besides `features`, working memory is a few vectors of one value per row.
-    The unit-norm check, the assignment and the member sums all run in blocks
-    of `_ASSIGN_BLOCK` rows; each block's rows scatter into the (K, D) sums
-    with one `np.add.at`, which reads the rows in place.
+    `features` may be float32 (as the training sample is) or float64; the fit
+    has the same bits for both. It reads them in blocks of `_ASSIGN_BLOCK`
+    rows, each widened to float64: the unit-norm check, the k-means++
+    distances, the assignment, the member sums (each block's rows scatter
+    into the (K, D) sums with one `np.add.at`) and the zero-resultant repair.
+    Besides `features`, one widened block and one (`_ASSIGN_BLOCK`, K) cosine
+    tile, working memory is at most four vectors of one float64 or int64 per
+    row: two assignment buffers that swap, the own cosines and `np.std`'s
+    temporary. k-means++ holds two: the distances and one scratch vector.
 
     The loop ends at the first of: assignments unchanged; an objective gain
     below the standard error std(own) / sqrt(n) of the mean cosine, own being
@@ -301,30 +360,35 @@ def fit_dictionary_traced(
     error (`standard_error`); the iteration count (`iterations`); and which
     rule ended the loop (`stop`, one of the `STOP_*` strings).
     """
-    feats = np.ascontiguousarray(features, dtype=np.float64)
+    feats = np.ascontiguousarray(features)
+    if feats.dtype != np.float32:
+        feats = np.ascontiguousarray(feats, dtype=np.float64)
     if feats.ndim != 2:
         raise ValidationError(f"features must be (N, D), got {feats.shape}")
-    n, dim = feats.shape
+    n = len(feats)
     if k < 1:
         raise ValidationError(f"component count must be >= 1, got {k}")
     if n < k:
         raise ValidationError(f"need at least k={k} feature vectors, got {n}")
     if not 0 <= shared_concentration < np.inf:
         raise ValidationError("concentrations must be finite and >= 0")
-    for s in range(0, n, _ASSIGN_BLOCK):
-        norms = np.linalg.norm(feats[s : s + _ASSIGN_BLOCK], axis=1)
-        if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-            raise ValidationError("features must be unit-norm")
+    if any(
+        np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > _UNIT_TOL)
+        for _, rows in _blocks(feats)
+    ):
+        raise ValidationError("features must be unit-norm")
 
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(feats, k, rng)
     assign = np.full(n, -1, dtype=np.int64)
+    new_assign = np.empty(n, dtype=np.int64)
+    own = np.empty(n)
     objective: list[float] = []
     standard_error: list[float] = []
     n_iter, stop = 0, STOP_MAX_ITER
 
     for n_iter in range(1, max_iter + 1):
-        new_assign, own = _nearest(feats, centers)
+        _nearest(feats, centers, new_assign, own)
 
         # Reseed empty clusters from the point currently farthest from its
         # center; each repair claims a distinct point.
@@ -335,25 +399,20 @@ def fit_dictionary_traced(
             centers[empty] = feats[far]
             own[far] = 1.0
         converged = bool(np.array_equal(new_assign, assign))
-        assign = new_assign
+        assign, new_assign = new_assign, assign
+        standard_error.append(float(np.std(own) / np.sqrt(n)))
 
-        # Row blocks scatter into the flat (K * D) sums at cell assign * D + d.
-        # add.at adds in row order, as `feats[assign == j].sum(axis=0)` does: same bits.
-        sums = np.zeros(k * dim)
-        for s in range(0, n, _ASSIGN_BLOCK):
-            cells = (assign[s : s + _ASSIGN_BLOCK, None] * dim + np.arange(dim)).ravel()
-            np.add.at(sums, cells, feats[s : s + _ASSIGN_BLOCK].ravel())
-        sums = sums.reshape(k, dim)
+        sums = _member_sums(feats, assign, k)
         lengths = np.array([np.linalg.norm(r) for r in sums])  # axis=1 would round differently
         for j in np.flatnonzero(lengths < 1e-12):
-            centers[j] = feats[int(np.argmin(feats @ centers[j]))]
+            # own is spent for this iteration: it takes the cosines to centers[j]
+            centers[j] = feats[int(np.argmin(_cosines(feats, centers[j], own)))]
         live = lengths >= 1e-12
         centers[live] = sums[live] / lengths[live, None]
 
         # Mean cosine to the updated centers, sum_j r_j . r_j / ||r_j|| / n:
         # non-decreasing by the usual two-step argument.
         objective.append(float(lengths.sum() / n))
-        standard_error.append(float(np.std(own) / np.sqrt(n)))
         if converged:
             stop = STOP_UNCHANGED
             break
@@ -361,8 +420,9 @@ def fit_dictionary_traced(
             stop = STOP_GAIN
             break
 
-    # The final mean cosine, against the final centers.
-    objective.append(float(np.mean(_nearest(feats, centers)[1])))
+    # The final mean cosine, against the final centers, in the same buffers.
+    _nearest(feats, centers, new_assign, own)
+    objective.append(float(np.mean(own)))
 
     dictionary = VmfDictionary(centers, np.full(k, float(shared_concentration)))
     trace = {

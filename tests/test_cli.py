@@ -186,6 +186,23 @@ def test_errors_are_single_parsable_lines(pipeline, tmp_path):
                             "concentrations must be finite and >= 0\n")
 
 
+def test_negative_seed_is_one_invalid_line(pipeline, tmp_path):
+    root, data, model = pipeline
+    runs = [
+        run_cli("generate", "--out", tmp_path / "neg", "--seed", -5),
+        run_cli("oracle-check", "--seed", -1),
+        run_cli("train", "--manifest", data / "manifest.json", "--seed", -1,
+                "--k", 8, "--out", tmp_path / "m.bin"),
+    ]
+    for r in runs:
+        assert r.returncode == 2
+        assert r.stderr.startswith("compseg: error code=INVALID msg=seed must be >= 0")
+        assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
+        assert r.stdout == ""
+    assert not (tmp_path / "neg").exists()
+    assert not (tmp_path / "m.bin").exists()
+
+
 def _assert_format_error(r):
     assert r.returncode == 2
     lines = [ln for ln in r.stderr.splitlines() if ln]

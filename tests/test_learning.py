@@ -218,6 +218,11 @@ def test_train_empty_dataset():
     assert err.value.stage == "dataset"
 
 
+def test_train_rejects_a_negative_seed(tiny_train_pairs, tiny_backgrounds):
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        train(tiny_train_pairs[:2], tiny_backgrounds[:1], TrainConfig(seed=-1))
+
+
 @pytest.fixture
 def small_fit(monkeypatch):
     """A 20,000-row dictionary sample and 40 k-means iterations at most."""
@@ -291,6 +296,32 @@ def test_train_peak_memory_below_one_float64_pool(tiny_train_pairs, tiny_backgro
     monkeypatch.setattr(learning, "DICT_SAMPLE", 5_000)
     peak = _train_peak(tiny_train_pairs, tiny_backgrounds, TrainConfig())
     assert peak < pool_bytes, f"peak {peak} bytes against a float64 pool of {pool_bytes}"
+
+
+def test_dictionary_fit_peak_memory_per_sampled_row(
+    tiny_train_pairs, tiny_backgrounds, monkeypatch
+):
+    """With every row in the dictionary sample, the fit sets `train`'s traced
+    peak, and the peak stays within the fit's documented working memory.
+
+    That is 4 * D bytes of float32 sample and four float64 vectors per
+    sampled row, plus one widened (block, D) row block and one (block, K)
+    cosine tile. On the TINY split (D = 16, K = 64) the peak is about 94% of
+    that bound. A float64 sample with the fit's former working vectors peaks
+    at about 1.67 times it.
+    """
+    maps = [fm for fm, _ in tiny_train_pairs] + list(tiny_backgrounds)
+    rows = sum(fm.height * fm.width for fm in maps)
+    dim = maps[0].dim
+    config = TrainConfig()
+    monkeypatch.setattr(learning, "DICT_SAMPLE", 5_000)
+    capped = _train_peak(tiny_train_pairs, tiny_backgrounds, config)
+    monkeypatch.setattr(learning, "DICT_SAMPLE", rows)
+    peak = _train_peak(tiny_train_pairs, tiny_backgrounds, config)
+    assert peak > capped, "the fit does not set the peak"
+    block = vmf._ASSIGN_BLOCK
+    bound = rows * (4 * dim + 8 * 4) + 8 * block * (dim + config.k)
+    assert peak < bound, f"peak {peak} bytes against a bound of {bound} for {rows} rows"
 
 
 def test_train_peak_memory_flat_in_training_set_size(

@@ -45,7 +45,7 @@ def test_unknown_scenario_name_rejected(tmp_path):
     assert not root.exists()
 
 
-@pytest.mark.parametrize("field", ["per_level", "train_scenes", "backgrounds"])
+@pytest.mark.parametrize("field", ["per_level", "train_scenes", "backgrounds", "seed"])
 def test_negative_counts_rejected(tmp_path, field):
     root = tmp_path / "x"
     with pytest.raises(ValidationError, match=field):

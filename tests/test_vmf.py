@@ -246,6 +246,24 @@ def test_fit_dictionary_rejects_bad_shared_concentration_before_fitting(monkeypa
             fit_dictionary_traced(feats, 3, seed=0, shared_concentration=sigma, max_iter=100)
 
 
+def straightforward_kmeanspp(feats, k, rng):
+    """k-means++ over the whole array: one matrix-vector product per center,
+    and each center drawn by `Generator.choice` with p = dist / dist.sum()."""
+    n = feats.shape[0]
+    centers = np.empty((k, feats.shape[1]))
+    centers[0] = feats[int(rng.integers(n))]
+    dist = (1.0 - feats @ centers[0]) ** 2
+    for j in range(1, k):
+        total = float(dist.sum())
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=dist / total))
+        centers[j] = feats[idx]
+        np.minimum(dist, (1.0 - feats @ centers[j]) ** 2, out=dist)
+    return centers
+
+
 def straightforward_fit(feats, k, seed, shared_concentration, max_iter):
     """The plain loop: full cosine table, boolean-mask sums, einsum objective.
 
@@ -256,7 +274,7 @@ def straightforward_fit(feats, k, seed, shared_concentration, max_iter):
     reaches both.
     """
     n = feats.shape[0]
-    centers = vmf._kmeanspp_init(feats, k, np.random.default_rng(seed))
+    centers = straightforward_kmeanspp(feats, k, np.random.default_rng(seed))
     assign = np.full(n, -1, dtype=np.int64)
     objective, hits, stop = [], {"reseed": 0, "zero": 0}, "max_iter reached"
     for n_iter in range(1, max_iter + 1):
@@ -363,3 +381,55 @@ def test_fit_stops_at_the_first_rule_that_holds(max_iter, stop, iterations):
     planted = planted_features(np.random.default_rng(13), 5, 6, 827)[1]
     got, _ = _fit_matches_reference(planted, 5, 2, 30.0, max_iter)
     assert (got["stop"], got["iterations"]) == (vmf.STOP_UNCHANGED, 3)
+
+
+@pytest.mark.parametrize(
+    "rows, k, seed, sigma, branches",
+    [
+        # two blocks and 37 rows: not a multiple of the block size, nor of 8
+        (sample_uniform_sphere(np.random.default_rng(15), 2 * 2048 + 37, 5), 7, 4, 12.5, ()),
+        # duplicate centers leave clusters empty: the reseed runs
+        (np.repeat(_circle([0.3, 2.0, 4.1]), [3, 2, 3], axis=0), 5, 0, 0.0, ("reseed",)),
+        # u and -u in one cluster: the zero-resultant repair runs
+        (np.tile([0.6, 0.8, -0.6, -0.8], (3, 1)).reshape(6, 2), 4, 89, 30.0, ("zero",)),
+    ],
+    ids=["blocks-and-tail", "empty-cluster", "zero-resultant"],
+)
+def test_fit_on_float32_rows_equals_the_fit_on_their_float64_widening(
+    rows, k, seed, sigma, branches
+):
+    narrow = rows.astype(np.float32)
+    wide = narrow.astype(np.float64)
+    got_dict, got = fit_dictionary_traced(narrow, k, seed, shared_concentration=sigma, max_iter=100)
+    want_dict, want = fit_dictionary_traced(wide, k, seed, shared_concentration=sigma, max_iter=100)
+    assert got_dict.means.tobytes() == want_dict.means.tobytes()
+    for key in ("objective", "standard_error", "iterations", "stop"):
+        assert got[key] == want[key], key
+    # the float64 fit is the straightforward loop's, so the case reaches its branch
+    _, hits = _fit_matches_reference(wide, k, seed, sigma)
+    assert all(hits[b] > 0 for b in branches), hits
+
+
+def test_center_draw_is_generator_choice():
+    """`vmf._draw` picks what `Generator.choice(n, p=w / w.sum())` picks and
+    leaves the generator where choice leaves it, zero weights included.
+
+    A numpy release that changes how `choice` samples fails here.
+    """
+    rng = np.random.default_rng(16)
+    cases = [np.array([1.0]), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0])]
+    for _ in range(300):
+        n = int(rng.integers(1, 5000))
+        w = rng.random(n) ** int(rng.integers(1, 10))
+        w[rng.random(n) < rng.random()] = 0.0
+        if not w.any():
+            w[rng.integers(n)] = 0.5
+        cases.append(w)
+    for w in cases:
+        seed = int(rng.integers(2**32))
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = int(want_rng.choice(len(w), p=w / w.sum()))
+        before = w.copy()
+        assert vmf._draw(got_rng, w, float(w.sum()), np.empty(len(w))) == want
+        assert np.array_equal(w, before)
+        assert got_rng.random() == want_rng.random()
