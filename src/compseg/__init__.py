@@ -45,7 +45,6 @@ from .models import (
 from .orm import (
     OrderEdge,
     SceneResult,
-    VisibilityAssignment,
     feed_forward,
     recover_order,
     segment_scene,
@@ -96,7 +95,6 @@ __all__ = [
     "segment_single",
     "OrderEdge",
     "SceneResult",
-    "VisibilityAssignment",
     "feed_forward",
     "recover_order",
     "segment_scene",

@@ -303,7 +303,22 @@ def _order_edge(edge) -> tuple:
     return tuple(edge)
 
 
+def _check_order_graph(objects: list[ObjectRecord], edges: list[tuple]) -> None:
+    """Object ids are unique, and every edge joins two distinct ones."""
+    ids = [o.oid for o in objects]
+    known = set(ids)
+    if len(known) != len(ids):
+        raise FormatError(f"duplicate object id in {ids}")
+    for edge in edges:
+        front, back = edge[:2]
+        if front == back:
+            raise FormatError(f"order edge {list(edge)} joins object {front} to itself")
+        if front not in known or back not in known:
+            raise FormatError(f"order edge {list(edge)} names an object not in {sorted(known)}")
+
+
 def annotation_from_json(text: str) -> SceneAnnotation:
+    """A scene annotation; a malformed record or order graph raises FormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -327,6 +342,8 @@ def annotation_from_json(text: str) -> SceneAnnotation:
                     score=float(o.get("score", 0.0)),
                 )
             )
+        edges = [_order_edge(e) for e in doc.get("order_edges", [])]
+        _check_order_graph(objects, edges)
         unknown = None
         if doc.get("unknown_rle"):
             unknown = decode_rle(doc["unknown_rle"], shape)
@@ -336,7 +353,7 @@ def annotation_from_json(text: str) -> SceneAnnotation:
             split=str(doc["split"]),
             shape=shape,
             objects=objects,
-            order_edges=[_order_edge(e) for e in doc.get("order_edges", [])],
+            order_edges=edges,
             unknown=unknown,
             extra=dict(doc.get("extra", {})),
         )

@@ -202,11 +202,11 @@ class GroupSums:
         return out / out.sum(axis=-1, keepdims=True)
 
 
-def assign_mixtures(pooled: np.ndarray, m: int, seed, max_iter: int) -> np.ndarray:
+def assign_mixtures(pooled: np.ndarray, m: int, seed) -> np.ndarray:
     """Partition crops into M groups by k-means on pooled responsibilities.
 
-    Euclidean k-means with k-means++ seeding; empty groups are repaired by
-    reseeding from the farthest point, so every group is nonempty.
+    Euclidean k-means with k-means++ seeding, at most `MAX_ITER` sweeps; an
+    empty group is reseeded from the farthest point, so none stays empty.
     """
     vectors = np.asarray(pooled, dtype=np.float64)
     n = vectors.shape[0]
@@ -230,7 +230,7 @@ def assign_mixtures(pooled: np.ndarray, m: int, seed, max_iter: int) -> np.ndarr
         d2 = np.minimum(d2, np.sum((vectors - centers[j]) ** 2, axis=1))
 
     assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         dists = ((vectors[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(dists, axis=1)
         moved: list[int] = []
@@ -307,7 +307,7 @@ def _fit_mixture(
 
 
 def _gather_crops(scenes: Sequence[tuple[FeatureMap, SceneAnnotation]]):
-    """(label -> [(crop, scene_id, template)]) over all annotated objects.
+    """(label -> [(crop, scene_id)]) over all annotated objects.
 
     Each crop is a view of its scene map: its readers widen or resample it
     into a copy of their own anyway.
@@ -316,7 +316,7 @@ def _gather_crops(scenes: Sequence[tuple[FeatureMap, SceneAnnotation]]):
     for fm, ann in scenes:
         for obj in ann.objects:
             patch = crop(fm, obj.box)
-            by_class.setdefault(obj.label, []).append((patch, ann.scene_id, obj.template))
+            by_class.setdefault(obj.label, []).append((patch, ann.scene_id))
     return by_class
 
 
@@ -333,9 +333,7 @@ def _fit_classes(
         report.crop_index[label] = [(e[1], i) for i, e in enumerate(entries)]
 
         pooled = np.stack([pooled_responsibility(c, dictionary) for c in crops])
-        groups = assign_mixtures(
-            pooled, config.m, seed=[config.seed, 1, class_index], max_iter=MAX_ITER
-        )
+        groups = assign_mixtures(pooled, config.m, seed=[config.seed, 1, class_index])
         report.mixture_groups[label] = groups.tolist()
 
         mixtures = []

@@ -114,18 +114,21 @@ def _edge_pairs(edges) -> dict[frozenset, tuple[int, int]]:
     return out
 
 
+def _edge_hits(predicted, truth) -> tuple[int, int]:
+    """(true pairs whose predicted direction matches, true pairs)."""
+    want = _edge_pairs(truth)
+    got = _edge_pairs(predicted)
+    return sum(1 for key, direction in want.items() if got.get(key) == direction), len(want)
+
+
 def order_accuracy(predicted, truth) -> float:
     """Fraction of true overlapping pairs whose predicted direction matches.
 
     A pair with no predicted edge counts as wrong. Scenes without any
     overlapping pair score 1.0 vacuously.
     """
-    want = _edge_pairs(truth)
-    if not want:
-        return 1.0
-    got = _edge_pairs(predicted)
-    hit = sum(1 for key, direction in want.items() if got.get(key) == direction)
-    return hit / len(want)
+    hit, total = _edge_hits(predicted, truth)
+    return hit / total if total else 1.0
 
 
 def dataset_order_accuracy(
@@ -134,10 +137,9 @@ def dataset_order_accuracy(
     """Pooled pair accuracy over (predicted, truth) annotation pairs."""
     hit = tot = 0
     for predicted, truth in pairs:
-        want = _edge_pairs(truth.order_edges)
-        got = _edge_pairs(predicted.order_edges)
-        tot += len(want)
-        hit += sum(1 for key, d in want.items() if got.get(key) == d)
+        h, t = _edge_hits(predicted.order_edges, truth.order_edges)
+        hit += h
+        tot += t
     return hit / tot if tot else 1.0
 
 

@@ -312,13 +312,13 @@ def likelihood_maps(evidence: CropEvidence, mixture: MixtureModel) -> Likelihood
 
 
 def _check_visibility(visibility, shape: tuple[int, int]) -> np.ndarray:
-    """A binary visibility grid of `shape` as float64."""
+    """A binary visibility grid of `shape` as bool."""
     z = np.asarray(visibility)
     if z.shape != shape:
         raise ValidationError(f"visibility shape {z.shape} does not match maps {shape}")
-    if not np.all((z == 0) | (z == 1)):
+    if z.dtype != np.bool_ and not np.all((z == 0) | (z == 1)):
         raise ValidationError("visibility grid must be binary")
-    return z.astype(np.float64)
+    return z.astype(np.bool_, copy=False)
 
 
 def image_loglik(maps: LikelihoodMaps) -> float:
@@ -328,10 +328,11 @@ def image_loglik(maps: LikelihoodMaps) -> float:
 
 @dataclass(frozen=True)
 class ClassifyResult:
+    """The pick; its maps are `candidates[class_index][mixture_index]`."""
+
     class_index: int
     mixture_index: int
     score: float
-    maps: LikelihoodMaps            # the winner's maps on the crop lattice
     candidates: tuple[tuple[LikelihoodMaps, ...], ...]  # per class, per mixture
 
 
@@ -366,28 +367,28 @@ def rescore(
     is 1 and the occluder map where it is 0. The maps do not depend on it,
     so re-scoring an occluded object needs neither its crop nor new maps.
     The candidates share the crop's lattice, so the grid is checked once,
-    against the first candidate's shape, and every candidate is scored from
-    one float copy of it.
+    against the first candidate's shape, and taken as a bool grid that
+    `np.where` reads for every candidate: each element is the one
+    z*fg + (1-z)*occ gives for finite maps, so the sums are the same bits.
     """
     if not candidates:
         raise ValidationError("classify needs at least one class model")
     if visibility is None:
         score_of = image_loglik
     else:
-        zf = _check_visibility(visibility, candidates[0][0].shape)
-        hidden = 1.0 - zf
+        visible = _check_visibility(visibility, candidates[0][0].shape)
 
         def score_of(maps: LikelihoodMaps) -> float:
-            return float(np.sum(zf * maps.fg + hidden * maps.occ))
+            return float(np.sum(np.where(visible, maps.fg, maps.occ)))
 
     best = None
     for ci, row_maps in enumerate(candidates):
         for mi, maps in enumerate(row_maps):
             score = score_of(maps)
             if best is None or score > best[0]:
-                best = (score, ci, mi, maps)
-    score, ci, mi, maps = best
-    return ClassifyResult(ci, mi, score, maps, candidates)
+                best = (score, ci, mi)
+    score, ci, mi = best
+    return ClassifyResult(ci, mi, score, candidates)
 
 
 def segment_single(maps: LikelihoodMaps) -> np.ndarray:

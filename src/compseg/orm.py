@@ -2,9 +2,9 @@
 
 Pipeline per scene: classify each boxed object independently, keep the
 winner's three likelihood maps in scene coordinates, then resolve the scene
-jointly. `orm_pass` lays every object's foreground and occluder maps, its F
-labels and its claims on the scene lattice once, as one plane per object
-(-inf or False outside the box), and runs steps 1-3 from those planes:
+jointly. `orm_pass` lays every object's foreground map (where it labels F),
+its occluder map and its claims on the scene lattice once, as one plane per
+object (-inf or False elsewhere), and runs steps 1-3 from those planes:
 
   1. pixel competition: per covered pixel some object labels foreground,
      the best of those foreground likelihoods against the occluder value
@@ -18,7 +18,8 @@ labels and its claims on the scene lattice once, as one plane per object
      does not hold, goes to the claimant the recovered order puts in front
      of every other claimant there; a tied vote puts neither object in
      front, and a pixel without such a claimant keeps its competition owner
-  4. per-object visibility grids; objects whose visibility changed are
+  4. per-object boolean visibility grids, False where another object or
+     the outlier owns the pixel; objects whose visibility changed are
      re-scored with the occluder branch forced at pixels they lost, a
      re-pick (`rescore`) over the candidate maps feed-forward built, with
      no new crop or map
@@ -49,9 +50,9 @@ from .models import (
     segment_single,
 )
 
-# Ownership grid codes. Object ids occupy 0..N-1 and the outlier is N;
-# OWNER_NONE marks covered pixels no model claims, OWNER_OUTSIDE pixels no
-# box covers.
+# Ownership grid codes. Object indices occupy 0..N-1 and the outlier is N,
+# the object count; OWNER_NONE marks covered pixels no model claims,
+# OWNER_OUTSIDE pixels no box covers.
 OWNER_NONE = -1
 OWNER_OUTSIDE = -2
 
@@ -81,22 +82,6 @@ class SceneObject:
                 f"{self.box.shape}"
             )
 
-    def claims(self) -> np.ndarray:
-        """Box-shaped mask of the pixels labelled foreground inside the amodal mask."""
-        return (self.labels == LABEL_FG) & self.amodal
-
-
-@dataclass(frozen=True)
-class VisibilityAssignment:
-    """Exactly one owner per covered scene pixel."""
-
-    owners: np.ndarray   # (H, W) int16
-    n_objects: int
-
-    @property
-    def outlier_id(self) -> int:
-        return self.n_objects
-
 
 @dataclass(frozen=True)
 class OrderEdge:
@@ -112,8 +97,10 @@ class OrderEdge:
 
 @dataclass
 class SceneResult:
+    """The objects after the last pass, with that pass's owners grid and edges."""
+
     objects: list[SceneObject]
-    assignment: VisibilityAssignment | None
+    owners: np.ndarray | None  # (H, W) int16 codes as above; None before the first pass
     edges: tuple[OrderEdge, ...]
     amodal: list[np.ndarray]   # full-lattice masks, one per object
     modal: list[np.ndarray]
@@ -155,12 +142,13 @@ def orm_pass(
     objects: Sequence[SceneObject],
     scene_shape: tuple[int, int],
     no_order: bool = False,
-) -> tuple[VisibilityAssignment, tuple[OrderEdge, ...]]:
+) -> tuple[np.ndarray, tuple[OrderEdge, ...]]:
     """One competition + order-recovery + reassignment sweep over a scene.
 
-    Each object's maps, F labels and claims (`SceneObject.claims`) are laid
-    on the scene lattice once, -inf and False outside its box, and all three
-    steps read those planes.
+    Returns the (H, W) int16 owners grid and the edges. Each object's
+    foreground map where it labels F, its occluder map and its claims (its
+    F pixels inside its amodal mask) are laid on the scene lattice once,
+    -inf and False elsewhere, and all three steps read those planes.
 
     Competition: every covered pixel some object labels F goes to the best
     of those foreground values against the occluder value merged over all
@@ -188,26 +176,27 @@ def orm_pass(
     planes = (n, *scene_shape)
     fg = np.full(planes, -np.inf)
     occ = np.full(planes, -np.inf)
-    labels_fg = np.zeros(planes, dtype=np.bool_)
     claims = np.zeros(planes, dtype=np.bool_)
+    # Taken from the labels, not from a finite fg: a pixel labelled F whose
+    # maps are all -inf is still claimed, and goes to the outlier.
+    claimed = np.zeros(scene_shape, dtype=np.bool_)
     labels_occ = np.zeros(scene_shape, dtype=np.bool_)
     owners = np.full(scene_shape, OWNER_OUTSIDE, dtype=np.int16)
     for idx, obj in enumerate(objects):
         sl = obj.box.slices
-        fg[idx][sl] = obj.maps.fg
+        labels_fg = obj.labels == LABEL_FG
+        np.copyto(fg[idx][sl], obj.maps.fg, where=labels_fg)
         occ[idx][sl] = obj.maps.occ
-        labels_fg[idx][sl] = obj.labels == LABEL_FG
-        claims[idx][sl] = obj.claims()
+        claims[idx][sl] = labels_fg & obj.amodal
+        claimed[sl] |= labels_fg
         labels_occ[sl] |= obj.labels == LABEL_OCC
         owners[sl] = OWNER_NONE
 
-    claimed = labels_fg.any(axis=0)
     if claimed.any():
         # Competing on whole planes and keeping the claimed pixels is cheaper
         # than gathering the claimed pixels of every plane first.
-        table = np.where(labels_fg, fg, -np.inf).reshape(n, -1).T
-        won = compete_pixels(table, occ.max(axis=0).reshape(-1)).reshape(scene_shape)
-        owners[claimed] = won[claimed]
+        won = compete_pixels(fg.reshape(n, -1).T, occ.max(axis=0).reshape(-1))
+        owners[claimed] = won.reshape(scene_shape)[claimed]
     owners[~claimed & labels_occ] = n
 
     pairs = []
@@ -242,19 +231,18 @@ def orm_pass(
                 if other != front and (front, other) not in ahead:
                     take &= ~claims[other]
             owners[take] = front
-    return VisibilityAssignment(owners, n), tuple(edges)
+    return owners, tuple(edges)
 
 
 def _visibility_from_owners(obj_index: int, obj: SceneObject, owners: np.ndarray) -> np.ndarray:
-    """Box-lattice visibility: 0 where another model or the outlier holds the pixel."""
+    """Box-lattice bool visibility: False where another model or the outlier holds the pixel."""
     window = owners[obj.box.slices]
-    lost = (window >= 0) & (window != obj_index)
-    return (~lost).astype(np.int8)
+    return (window < 0) | (window == obj_index)
 
 
 def _self_visibility(obj: SceneObject) -> np.ndarray:
     # Feed-forward belief: only the object's own occluder pixels are hidden.
-    return (obj.labels != LABEL_OCC).astype(np.int8)
+    return obj.labels != LABEL_OCC
 
 
 def _scene_object(
@@ -262,14 +250,15 @@ def _scene_object(
 ) -> SceneObject:
     """The object as `classify` or `rescore` decided it, with its candidate maps."""
     mixture = bundle.classes[result.class_index].mixtures[result.mixture_index]
+    maps = result.candidates[result.class_index][result.mixture_index]
     return SceneObject(
         oid=oid,
         box=box,
         class_index=result.class_index,
         mixture_index=result.mixture_index,
         score=result.score,
-        maps=result.maps,
-        labels=segment_single(result.maps),
+        maps=maps,
+        labels=segment_single(maps),
         amodal=amodal_mask(mixture, box),
         candidates=result.candidates,
     )
@@ -331,14 +320,14 @@ def segment_scene(
         raise ValidationError(f"iteration count must be non-negative, got {iters}")
     objects = feed_forward(scene, boxes, bundle)
     scene_shape = scene.shape
-    assignment: VisibilityAssignment | None = None
+    owners: np.ndarray | None = None
     edges: tuple[OrderEdge, ...] = ()
 
     prev_vis = [_self_visibility(o) for o in objects]
     for _ in range(iters):
-        assignment, edges = orm_pass(objects, scene_shape, no_order)
+        owners, edges = orm_pass(objects, scene_shape, no_order)
         for idx, obj in enumerate(objects):
-            vis = _visibility_from_owners(idx, obj, assignment.owners)
+            vis = _visibility_from_owners(idx, obj, owners)
             if np.array_equal(vis, prev_vis[idx]):
                 continue
             prev_vis[idx] = vis
@@ -349,11 +338,10 @@ def segment_scene(
             else:
                 objects[idx] = _scene_object(obj.oid, obj.box, result, bundle)
 
-    owners = assignment.owners if assignment is not None else None
     amodal_out, modal_out = _masks(objects, scene_shape, owners)
     return SceneResult(
         objects=list(objects),
-        assignment=assignment,
+        owners=owners,
         edges=edges,
         amodal=amodal_out,
         modal=modal_out,

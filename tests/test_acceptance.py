@@ -248,7 +248,7 @@ def test_criterion_09_structural_invariants(predictions, desk_bundle, desk_chall
     checked = 0
     for scenario in SCENARIOS:
         for pred, truth, result in predictions[scenario]["ordered-1"]:
-            owners = result.assignment.owners
+            owners = result.owners
             n = len(result.objects)
             assert owners.min() >= OWNER_OUTSIDE and owners.max() <= n
             covered = np.zeros(truth.shape, dtype=np.bool_)
@@ -271,7 +271,7 @@ def test_criterion_09_structural_invariants(predictions, desk_bundle, desk_chall
         a_ann, a_res = predict_scene(fm, truth, desk_bundle, iters=1)
         b_ann, b_res = predict_scene(fm, truth, desk_bundle, iters=1)
         assert annotation_to_json(a_ann) == annotation_to_json(b_ann)
-        assert np.array_equal(a_res.assignment.owners, b_res.assignment.owners)
+        assert np.array_equal(a_res.owners, b_res.owners)
         reruns.append(entry.scene_id)
     print(f"criterion 9: invariants on {checked} scenes, "
           f"byte-identical reruns on {reruns}")
@@ -280,9 +280,7 @@ def test_criterion_09_structural_invariants(predictions, desk_bundle, desk_chall
 def test_criterion_10_unknown_matter_contained(predictions, tables):
     hit = total = 0
     for pred, truth, result in predictions["unknown"]["ordered-1"]:
-        h, t = unknown_outlier_stats(
-            result.assignment.owners, truth, result.assignment.outlier_id
-        )
+        h, t = unknown_outlier_stats(result.owners, truth, len(result.objects))
         hit += h
         total += t
     fraction = hit / total

@@ -1,6 +1,9 @@
 """The package's surface: `compseg.__all__` is exact and `import *` resolves it,
-run-time imports stay light, and no module imports a name it never reads."""
+run-time imports stay light, no module imports a name it never reads, and
+every compseg name the benchmark reaches exists."""
 import ast
+import importlib
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -31,7 +34,6 @@ PUBLIC = (
     "TrainReport",
     "TrainingError",
     "ValidationError",
-    "VisibilityAssignment",
     "VmfDictionary",
     "__version__",
     "annotation_from_json",
@@ -129,3 +131,60 @@ def test_every_imported_name_is_read():
     assert len(files) > 20
     unused = [hit for path in files for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _benchmark_names() -> set[tuple[str, str]]:
+    """(module, name) pairs that `perfbench/*.py` reads on compseg.
+
+    Collected: the names `from compseg.x import ...` binds; for the modules
+    `from compseg import ...` binds, the attributes read on them and the
+    (module, "name") pairs passed to `patch`, `delattr` or a `getattr`
+    without a default, or written as the first two items of a tuple (the
+    tables the benchmark loops over). A `getattr` with a default is exempt:
+    its name may be missing.
+    """
+    names: set[tuple[str, str]] = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules: dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "compseg":
+                for alias in node.names:
+                    sub = f"{node.module}.{alias.name}"
+                    if node.module == "compseg" and importlib.util.find_spec(sub):
+                        modules[alias.asname or alias.name] = sub
+                    else:
+                        names.add((node.module, alias.name))
+
+        def pair(args):
+            module, name = args[:2]
+            if (isinstance(module, ast.Name) and module.id in modules
+                    and isinstance(name, ast.Constant) and isinstance(name.value, str)):
+                names.add((modules[module.id], name.value))
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    names.add((modules[node.value.id], node.attr))
+            elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+                pair(node.elts)
+            elif isinstance(node, ast.Call) and len(node.args) >= 2:
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called in ("patch", "delattr") or (called == "getattr" and len(node.args) == 2):
+                    pair(node.args)
+    return names
+
+
+def test_every_compseg_name_the_benchmark_reaches_exists():
+    """The benchmark patches and reads compseg names by string; a rename or a
+    deletion on this side would break it only when it runs."""
+    names = _benchmark_names()
+    assert ("compseg.orm", "likelihood_maps") in names
+    assert ("compseg._kernels", "engine") not in names
+    assert len(names) > 30
+    missing = [
+        f"{module}.{name}" for module, name in sorted(names)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

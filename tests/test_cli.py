@@ -235,3 +235,18 @@ def test_text_that_is_not_utf8_is_a_format_error(pipeline, tmp_path):
     shutil.copy(preds / f"{sid}.json", scene / f"{sid}.json")
     _assert_format_error(run_cli("segment", "--model", model, "--scene", scene / f"{sid}.fmap",
                                  "--out", tmp_path / "seg"))
+
+
+def test_malformed_order_graph_is_a_format_error(pipeline, tmp_path):
+    root, data, model = pipeline
+    sid = "four-L1-0000"
+    doc = json.loads((data / "annotations" / f"{sid}.json").read_text())
+    doc["order_edges"] = [[doc["objects"][0]["id"], 7]]
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / f"{sid}.json").write_text(json.dumps(doc))
+    r = run_cli("evaluate", "--pred", preds, "--truth", data / "annotations",
+                "--out", tmp_path / "e.txt")
+    _assert_format_error(r)
+    assert "names an object" in r.stderr
+    assert not (tmp_path / "e.txt").exists()

@@ -149,6 +149,30 @@ def test_annotation_rejects_malformed_order_edges():
     assert annotation_from_json(json.dumps(doc)).order_edges == [(1, 0), (0, 1, 9, 2, 11)]
 
 
+def test_annotation_rejects_duplicate_object_ids():
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    doc["objects"][1]["id"] = 0
+    doc["order_edges"] = []
+    with pytest.raises(FormatError, match="duplicate object id"):
+        annotation_from_json(json.dumps(doc))
+
+
+def test_annotation_rejects_self_edges():
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    for edge in ([0, 0], [1, 1, 3, 3, 6]):
+        doc["order_edges"] = [[0, 1], edge]
+        with pytest.raises(FormatError, match="to itself"):
+            annotation_from_json(json.dumps(doc))
+
+
+def test_annotation_rejects_edges_to_absent_objects():
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    for edge in ([0, 7], [7, 1], [-1, 0, 2, 1, 3]):
+        doc["order_edges"] = [edge]
+        with pytest.raises(FormatError, match="names an object"):
+            annotation_from_json(json.dumps(doc))
+
+
 def test_generated_order_edges_load_unchanged(tiny_challenge):
     for entry in tiny_challenge.select(split="test"):
         path = os.path.join(tiny_challenge.root, entry.annotation_path)

@@ -10,7 +10,6 @@ from compseg import learning, vmf
 from compseg.errors import TrainingError, ValidationError
 from compseg.fmap import FeatureMap
 from compseg.learning import (
-    MAX_ITER,
     GroupSums,
     TrainConfig,
     _gather_crops,
@@ -155,25 +154,25 @@ def test_assign_mixtures_separated_clusters():
     a = rng.normal(0.0, 0.05, size=(7, 4))
     b = rng.normal(0.0, 0.05, size=(5, 4)) + 10.0
     vectors = np.concatenate([a, b])
-    groups = assign_mixtures(vectors, 2, seed=[3, 1, 0], max_iter=MAX_ITER)
+    groups = assign_mixtures(vectors, 2, seed=[3, 1, 0])
     assert set(np.unique(groups)) == {0, 1}
     assert len(set(groups[:7])) == 1
     assert len(set(groups[7:])) == 1
     assert groups[0] != groups[7]
     # bitwise deterministic in the seed
-    again = assign_mixtures(vectors, 2, seed=[3, 1, 0], max_iter=MAX_ITER)
+    again = assign_mixtures(vectors, 2, seed=[3, 1, 0])
     assert np.array_equal(groups, again)
 
 
 def test_assign_mixtures_edges():
     vectors = np.zeros((4, 3))
-    one_group = assign_mixtures(vectors, 1, seed=0, max_iter=MAX_ITER)
+    one_group = assign_mixtures(vectors, 1, seed=0)
     assert np.array_equal(one_group, np.zeros(4, dtype=np.int64))
     with pytest.raises(TrainingError) as err:
-        assign_mixtures(vectors, 5, seed=0, max_iter=MAX_ITER)
+        assign_mixtures(vectors, 5, seed=0)
     assert err.value.stage == "mixtures"
     with pytest.raises(TrainingError):
-        assign_mixtures(vectors, 0, seed=0, max_iter=MAX_ITER)
+        assign_mixtures(vectors, 0, seed=0)
 
 
 @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(4, 16))
@@ -181,7 +180,7 @@ def test_assign_mixtures_edges():
 def test_assign_mixtures_groups_nonempty(seed, m, n):
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(n, 3))
-    groups = assign_mixtures(vectors, m, seed=seed, max_iter=MAX_ITER)
+    groups = assign_mixtures(vectors, m, seed=seed)
     assert groups.shape == (n,)
     assert set(np.unique(groups)) == set(range(m))
 
@@ -267,7 +266,7 @@ def test_training_crops_are_views_of_their_scene_maps(tiny_train_pairs):
     scene_of = {ann.scene_id: fm for fm, ann in tiny_train_pairs}
     crops = [entry for entries in by_class.values() for entry in entries]
     assert len(crops) == sum(len(ann.objects) for _, ann in tiny_train_pairs)
-    for patch, scene_id, _ in crops:
+    for patch, scene_id in crops:
         assert np.shares_memory(patch.data, scene_of[scene_id].data)
         assert not patch.data.flags.writeable
 

@@ -292,7 +292,13 @@ def _random_classes(rng, k):
     ]
 
 
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
 def test_rescore_matches_per_candidate_image_loglik():
+    # rescore reads a bool grid with np.where; a bool grid, a 0/1 int grid
+    # and the float formula z*fg + (1-z)*occ give the same bits
     rng, dictionary, _, occluder, _ = tiny_setup(seed=12, k=4, d=5)
     classes = _random_classes(rng, dictionary.size)
     for h, w in ((4, 6), (3, 3), (7, 2)):
@@ -301,6 +307,10 @@ def test_rescore_matches_per_candidate_image_loglik():
         )
         candidates = classify(crop, classes, dictionary, occluder).candidates
         evidence = crop_evidence(crop, dictionary, occluder)
+        wide = tuple(
+            LikelihoodMaps(*rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=(3, h, w)))
+            for _ in range(3)
+        )
         grids = [np.zeros((h, w), dtype=np.int8), np.ones((h, w), dtype=np.int8)]
         grids += [rng.integers(0, 2, size=(h, w)) for _ in range(4)]
         for vis in grids:
@@ -316,8 +326,15 @@ def test_rescore_matches_per_candidate_image_loglik():
             flat = np.concatenate(want)
             first = int(np.flatnonzero(flat == flat.max())[0])
             assert (got.class_index, got.mixture_index) == divmod(first, 2)
-            assert got.score == flat.max()
+            assert _bits(got.score) == _bits(flat.max())
             assert got.candidates is candidates
+            for maps in (m for row in candidates + (wide,) for m in row):
+                formula = _bits(_visible_loglik(maps, vis))
+                for grid in (vis, vis.astype(bool)):
+                    assert _bits(rescore(((maps,),), grid).score) == formula
+            again = rescore(candidates, vis.astype(bool))
+            assert (again.class_index, again.mixture_index) == (got.class_index, got.mixture_index)
+            assert _bits(again.score) == _bits(got.score)
 
 
 def test_rescore_ties_go_to_the_lowest_indices():
@@ -331,7 +348,7 @@ def test_rescore_ties_go_to_the_lowest_indices():
     got = rescore(candidates, vis)
     assert _visible_loglik(high, vis) == _visible_loglik(twin, vis) == got.score == -1.0
     assert (got.class_index, got.mixture_index) == (0, 1)
-    assert got.maps is high
+    assert got.candidates[got.class_index][got.mixture_index] is high
     # fully hidden, all three tie on the occluder value
     got = rescore(candidates, np.zeros((2, 2)))
     assert (got.class_index, got.mixture_index) == (0, 0)
@@ -370,8 +387,9 @@ def test_classify_returns_the_winners_maps():
         got = rescore(fed.candidates, visibility)
         winner = classes[got.class_index].mixtures[got.mixture_index]
         want = likelihood_maps(evidence, winner)
+        maps = got.candidates[got.class_index][got.mixture_index]
         for got_map, want_map in zip(
-            (got.maps.fg, got.maps.ctx, got.maps.occ), (want.fg, want.ctx, want.occ)
+            (maps.fg, maps.ctx, maps.occ), (want.fg, want.ctx, want.occ)
         ):
             assert np.array_equal(got_map, want_map)
         if visibility is None:

@@ -79,11 +79,11 @@ def test_detect_conflicts_geometry():
 def test_pixel_competition_hand_values():
     a, b = _two_object_scene()
     free, _ = orm_pass([a, b], (4, 4), no_order=True)
-    assert free.owners[1, 1] == 0
-    assert free.owners[2, 2] == 1
+    assert free[1, 1] == 0
+    assert free[2, 2] == 1
     a2, b2 = _two_object_scene(outlier_pixel=True)
     free, _ = orm_pass([a2, b2], (4, 4), no_order=True)
-    assert free.owners[1, 1] == free.outlier_id
+    assert free[1, 1] == 2             # the outlier: one past the last object
 
 
 def test_reassign_all_or_nothing():
@@ -97,15 +97,15 @@ def test_reassign_all_or_nothing():
     a = _object(0, BoundingBox(0, 0, 3, 3), a_fg)
     b = _object(1, BoundingBox(1, 1, 4, 4), b_fg)
     free, _ = orm_pass([a, b], (4, 4), no_order=True)
-    assert free.owners[1:3, 1:3].tolist() == [[2, 0], [0, 1]]
-    assignment, edges = orm_pass([a, b], (4, 4))
+    assert free[1:3, 1:3].tolist() == [[2, 0], [0, 1]]
+    owners, edges = orm_pass([a, b], (4, 4))
     assert [e.as_tuple() for e in edges] == [(0, 1, 2, 1, 4)]
-    assert assignment.owners[1:3, 1:3].tolist() == [[2, 0], [0, 0]]
+    assert owners[1:3, 1:3].tolist() == [[2, 0], [0, 0]]
 
 
 def test_orm_pass_hand_case():
     a, b = _two_object_scene()
-    assignment, edges = orm_pass([a, b], (4, 4))
+    owners, edges = orm_pass([a, b], (4, 4))
     assert len(edges) == 1
     e = edges[0]
     assert (e.front, e.back, e.votes_front, e.votes_back, e.conflict_size) == (0, 1, 3, 1, 4)
@@ -119,23 +119,23 @@ def test_orm_pass_hand_case():
         ],
         dtype=np.int16,
     )
-    assert np.array_equal(assignment.owners, want)
-    assert assignment.outlier_id == 2
+    assert np.array_equal(owners, want)
+    assert owners.dtype == np.int16
 
     # without reassignment B keeps its one won pixel
     free, _ = orm_pass([a, b], (4, 4), no_order=True)
-    assert free.owners[2, 2] == 1
-    assert free.owners[1, 1] == 0
+    assert free[2, 2] == 1
+    assert free[1, 1] == 0
 
 
 def test_orm_pass_outlier_survives_reassignment():
     a, b = _two_object_scene(outlier_pixel=True)
-    assignment, edges = orm_pass([a, b], (4, 4))
+    owners, edges = orm_pass([a, b], (4, 4))
     e = edges[0]
     assert (e.front, e.back) == (0, 1)
     assert (e.votes_front, e.votes_back) == (2, 1)
-    assert assignment.owners[1, 1] == 2      # outlier claim is never overturned
-    assert assignment.owners[2, 2] == 0      # B's pixel was, all-or-nothing
+    assert owners[1, 1] == 2      # outlier claim is never overturned
+    assert owners[2, 2] == 0      # B's pixel was, all-or-nothing
 
 
 def test_orm_pass_front_claimant_takes_multiply_claimed_pixels():
@@ -150,12 +150,12 @@ def test_orm_pass_front_claimant_takes_multiply_claimed_pixels():
         _object(2, box, [[-3.0, -3.0, -0.5]]),
     ]
     free, _ = orm_pass(objs, (1, 3), no_order=True)
-    assert free.owners.tolist() == [[0, 0, 2]]
-    assignment, edges = orm_pass(objs, (1, 3))
+    assert free.tolist() == [[0, 0, 2]]
+    owners, edges = orm_pass(objs, (1, 3))
     assert [e.as_tuple() for e in edges] == [
         (0, 1, 3, 0, 3), (0, 2, 2, 1, 3), (1, 2, 2, 1, 3)
     ]
-    assert assignment.owners.tolist() == [[0, 0, 0]]
+    assert owners.tolist() == [[0, 0, 0]]
 
 
 def test_conflict_outside_amodal_neither_votes_nor_moves():
@@ -171,10 +171,10 @@ def test_conflict_outside_amodal_neither_votes_nor_moves():
     a = _object(0, BoundingBox(0, 0, 3, 3), a_fg, amodal=a_amodal)
     b = _object(1, BoundingBox(1, 1, 4, 4), b_fg)
 
-    assignment, edges = orm_pass([a, b], (4, 4))
+    owners, edges = orm_pass([a, b], (4, 4))
     assert [e.as_tuple() for e in edges] == [(0, 1, 3, 0, 3)]
-    assert assignment.owners[2, 2] == 1
-    assert assignment.owners[1, 2] == assignment.owners[2, 1] == 0
+    assert owners[2, 2] == 1
+    assert owners[1, 2] == owners[2, 1] == 0
 
 
 def test_tied_pair_reassigns_nothing():
@@ -186,11 +186,11 @@ def test_tied_pair_reassigns_nothing():
     b_fg[1, 1] = b_fg[1, 0] = -0.5      # scene (2,2) and (2,1)
     a = _object(0, BoundingBox(0, 0, 3, 3), a_fg)
     b = _object(1, BoundingBox(1, 1, 4, 4), b_fg)
-    assignment, edges = orm_pass([a, b], (4, 4))
+    owners, edges = orm_pass([a, b], (4, 4))
     assert [e.as_tuple() for e in edges] == [(1, 0, 2, 2, 4)]
     free, _ = orm_pass([a, b], (4, 4), no_order=True)
-    assert np.array_equal(assignment.owners, free.owners)
-    assert assignment.owners[1:3, 1:3].tolist() == [[0, 0], [1, 1]]
+    assert np.array_equal(owners, free)
+    assert owners[1:3, 1:3].tolist() == [[0, 0], [1, 1]]
 
 
 def test_context_pixels_stay_unowned():
@@ -198,10 +198,28 @@ def test_context_pixels_stay_unowned():
     fg = np.full((2, 2), -30.0)
     a = _object(0, BoundingBox(0, 0, 2, 2), fg, ctx_fill=-1.0, occ_fill=-5.0)
     assert not (a.labels == LABEL_FG).any()
-    assignment, edges = orm_pass([a], (3, 3))
+    owners, edges = orm_pass([a], (3, 3))
     assert edges == ()
-    assert np.all(assignment.owners[:2, :2] == OWNER_NONE)
-    assert np.all(assignment.owners[2, :] == OWNER_OUTSIDE)
+    assert np.all(owners[:2, :2] == OWNER_NONE)
+    assert np.all(owners[2, :] == OWNER_OUTSIDE)
+
+
+def test_foreground_pixel_with_no_finite_map_goes_to_the_outlier():
+    # scene (0,0): fg, ctx and occ are all -inf, so the object labels it F
+    # (ties prefer F) yet no map beats anything there. It is claimed, so it
+    # competes, and the outlier wins the all -inf tie; a claimed grid read off
+    # a finite fg would leave it unowned
+    fg = np.array([[-np.inf, -1.0]])
+    maps = LikelihoodMaps(fg, np.array([[-np.inf, -20.0]]), np.array([[-np.inf, -10.0]]))
+    box = BoundingBox(0, 0, 2, 1)
+    a = SceneObject(
+        oid=0, box=box, class_index=0, mixture_index=0, score=0.0,
+        maps=maps, labels=segment_single(maps), amodal=np.ones(box.shape, dtype=np.bool_),
+    )
+    assert (a.labels == LABEL_FG).all()
+    owners, edges = orm_pass([a], (1, 2))
+    assert owners.tolist() == [[1, 0]]
+    assert edges == ()
 
 
 def _scene_pairs(challenge, scenario, count):
@@ -222,7 +240,7 @@ def segmented(tiny_challenge, tiny_bundle):
 
 def test_scene_invariants(segmented):
     for fm, ann, result in segmented:
-        owners = result.assignment.owners
+        owners = result.owners
         n = len(result.objects)
         valid = set(range(-2, n + 1))
         assert set(np.unique(owners).tolist()) <= valid
@@ -247,7 +265,7 @@ def test_segment_scene_deterministic(tiny_challenge, tiny_bundle):
     boxes = [(rec.oid, rec.box) for rec in ann.objects]
     a = segment_scene(fm, boxes, tiny_bundle, iters=2)
     b = segment_scene(fm, boxes, tiny_bundle, iters=2)
-    assert np.array_equal(a.assignment.owners, b.assignment.owners)
+    assert np.array_equal(a.owners, b.owners)
     assert a.edges == b.edges
     for ma, mb in zip(a.modal, b.modal):
         assert ma.tobytes() == mb.tobytes()
@@ -258,7 +276,7 @@ def test_iters_zero_is_feed_forward(tiny_challenge, tiny_bundle):
     fm, ann = _scene_pairs(tiny_challenge, "two", 1)[0]
     boxes = [(rec.oid, rec.box) for rec in ann.objects]
     result = segment_scene(fm, boxes, tiny_bundle, iters=0)
-    assert result.assignment is None
+    assert result.owners is None
     assert result.edges == ()
     for idx, obj in enumerate(result.objects):
         visible = obj.labels == LABEL_FG
