@@ -304,17 +304,26 @@ def _order_edge(edge) -> tuple:
 
 
 def _check_order_graph(objects: list[ObjectRecord], edges: list[tuple]) -> None:
-    """Object ids are unique, and every edge joins two distinct ones."""
+    """Object ids are unique, and every edge joins two distinct ones.
+
+    A pair is ordered at most once, in either direction: the scorers keep
+    one direction per pair, so a second edge would silently replace the first.
+    """
     ids = [o.oid for o in objects]
     known = set(ids)
     if len(known) != len(ids):
         raise FormatError(f"duplicate object id in {ids}")
+    pairs = set()
     for edge in edges:
         front, back = edge[:2]
         if front == back:
             raise FormatError(f"order edge {list(edge)} joins object {front} to itself")
         if front not in known or back not in known:
             raise FormatError(f"order edge {list(edge)} names an object not in {sorted(known)}")
+        pair = frozenset((front, back))
+        if pair in pairs:
+            raise FormatError(f"order edge {list(edge)} orders a pair an earlier edge orders")
+        pairs.add(pair)
 
 
 def annotation_from_json(text: str) -> SceneAnnotation:

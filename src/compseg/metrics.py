@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .fmap import FeatureMap, iou
 from .formats import ModelBundle, ObjectRecord, SceneAnnotation
-from .orm import SceneResult, segment_scene
+from .orm import SceneResult, _chain, _scene_result, feed_forward, segment_scene
 from .synth import LEVELS, OVER_LIMIT, level_of
 
 __all__ = [
@@ -159,21 +160,15 @@ def full_graph_accuracy(
 # prediction driver
 
 
-def predict_scene(
-    fm: FeatureMap,
-    truth: SceneAnnotation,
-    bundle: ModelBundle,
-    iters: int = 1,
-    no_order: bool = False,
-) -> tuple[SceneAnnotation, SceneResult]:
-    """Segment one scene with ground-truth boxes and package the prediction.
+def _annotation(
+    truth: SceneAnnotation, bundle: ModelBundle, result: SceneResult
+) -> SceneAnnotation:
+    """The prediction record of `result`, with the ids, boxes and shape of `truth`.
 
     The record deliberately carries no run configuration: depth and
     occlusion are sentinels, level is blank, and only the masks, the class
     decision, and the recovered order edges describe the output.
     """
-    boxes = [(rec.oid, rec.box) for rec in truth.objects]
-    result = segment_scene(fm, boxes, bundle, iters=iters, no_order=no_order)
     objects = []
     for idx, rec in enumerate(truth.objects):
         obj = result.objects[idx]
@@ -191,7 +186,7 @@ def predict_scene(
                 score=obj.score,
             )
         )
-    ann = SceneAnnotation(
+    return SceneAnnotation(
         scene_id=truth.scene_id,
         scenario=truth.scenario,
         split=truth.split,
@@ -199,7 +194,19 @@ def predict_scene(
         objects=objects,
         order_edges=[e.as_tuple() for e in result.edges],
     )
-    return ann, result
+
+
+def predict_scene(
+    fm: FeatureMap,
+    truth: SceneAnnotation,
+    bundle: ModelBundle,
+    iters: int = 1,
+    no_order: bool = False,
+) -> tuple[SceneAnnotation, SceneResult]:
+    """Segment one scene with ground-truth boxes and package the prediction."""
+    boxes = [(rec.oid, rec.box) for rec in truth.objects]
+    result = segment_scene(fm, boxes, bundle, iters=iters, no_order=no_order)
+    return _annotation(truth, bundle, result), result
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +254,49 @@ def tabulate(
     return AblationReport(modal=modal, amodal=amodal, order=order, scenario=scenario)
 
 
+def _variant_results(
+    fm: FeatureMap, truth: SceneAnnotation, bundle: ModelBundle
+) -> list[tuple[SceneAnnotation, SceneResult]]:
+    """`predict_scene` under each of `VARIANTS`, in order, from one feed-forward.
+
+    `segment_scene` at iters k is a prefix of iters k + 1, so one chain of
+    passes per `no_order` value gives every variant; a variant deeper than
+    the chain's fixed point takes its last state, as `segment_scene` does,
+    and shares that state's prediction. The chains never write the
+    feed-forward objects, so both start from the same list.
+    """
+    boxes = [(rec.oid, rec.box) for rec in truth.objects]
+    objects = feed_forward(fm, boxes, bundle)
+    depth: dict[bool, int] = {}
+    for _, kwargs in VARIANTS:
+        flag = kwargs.get("no_order", False)
+        depth[flag] = max(depth.get(flag, 0), kwargs["iters"])
+    chains = {
+        flag: list(islice(_chain(objects, fm.shape, bundle, flag), n + 1))
+        for flag, n in depth.items()
+    }
+    packaged: dict[int, tuple[SceneAnnotation, SceneResult]] = {}
+    out = []
+    for _, kwargs in VARIANTS:
+        chain = chains[kwargs.get("no_order", False)]
+        state = chain[min(kwargs["iters"], len(chain) - 1)]
+        if id(state) not in packaged:
+            result = _scene_result(state, fm.shape)
+            packaged[id(state)] = (_annotation(truth, bundle, result), result)
+        out.append(packaged[id(state)])
+    return out
+
+
 def run_ablation(
     pairs: Sequence[tuple[FeatureMap, SceneAnnotation]],
     bundle: ModelBundle,
     scenario: str = "",
 ) -> AblationReport:
     """Segment every scene under each variant and tabulate modal/amodal mIoU."""
-    predicted = [
-        [predict_scene(fm, truth, bundle, **kwargs)[0] for fm, truth in pairs]
-        for _, kwargs in VARIANTS
-    ]
+    predicted: list[list[SceneAnnotation]] = [[] for _ in VARIANTS]
+    for fm, truth in pairs:
+        for preds, (ann, _) in zip(predicted, _variant_results(fm, truth, bundle)):
+            preds.append(ann)
     truths = [truth for _, truth in pairs]
     return tabulate(predicted, truths, scenario)
 

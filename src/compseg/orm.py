@@ -24,14 +24,20 @@ object (-inf or False elsewhere), and runs steps 1-3 from those planes:
      re-pick (`rescore`) over the candidate maps feed-forward built, with
      no new crop or map
 
-Steps 1-4 repeat for the requested iteration count; re-scored objects take
-the maps of their (possibly new) mixture from those candidates, so later
-passes reason over corrected predictions.
+Steps 1-4 repeat up to the requested iteration count; re-scored objects
+take the maps of their (possibly new) mixture from those candidates, so
+later passes reason over corrected predictions. The passes stop early at
+the first one that re-picks no object's (class, mixture): a pass reads each
+object's maps, labels, amodal mask, box and id but never its score, so the
+next pass would give the same owners and edges, every visibility grid would
+equal the one before it, and nothing would be re-scored. Every pass after
+that one returns what it does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -279,11 +285,60 @@ def feed_forward(
     return objects
 
 
-def _masks(
-    objects: Sequence[SceneObject],
+# The state after a reasoning pass: the objects, that pass's owners grid and
+# its edges. Before the first pass the owners grid is None and there are no
+# edges.
+_PassState = tuple[list[SceneObject], np.ndarray | None, tuple[OrderEdge, ...]]
+
+
+def _chain(
+    objects: list[SceneObject],
     scene_shape: tuple[int, int],
-    owners: np.ndarray | None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    bundle: ModelBundle,
+    no_order: bool = False,
+) -> Iterator[_PassState]:
+    """The states of the reasoning chain from the feed-forward `objects`:
+    first the feed-forward state itself, then one state after each pass.
+
+    Each pass recomputes ownership and order from the current maps, then
+    re-scores exactly the objects whose visibility grid changed (the
+    occluded ones) by re-picking over the candidate maps feed-forward built;
+    a re-scored object takes the maps of the mixture it now wins, so after a
+    label flip the next pass sees corrected predictions. One that keeps its
+    pick keeps its maps, labels and amodal mask and takes only the new score.
+
+    The passes end after the first one that re-picks no object, whose state
+    every later pass would repeat (see the module docstring); while picks
+    keep changing they go on, so callers bound the count. Each state
+    holds its own object list, and `objects` is never written, so one
+    feed-forward can start several chains.
+    """
+    yield objects, None, ()
+    prev_vis = [_self_visibility(o) for o in objects]
+    while True:
+        owners, edges = orm_pass(objects, scene_shape, no_order)
+        objects = list(objects)
+        repicked = False
+        for idx, obj in enumerate(objects):
+            vis = _visibility_from_owners(idx, obj, owners)
+            if np.array_equal(vis, prev_vis[idx]):
+                continue
+            prev_vis[idx] = vis
+            result = rescore(obj.candidates, vis)
+            if (result.class_index, result.mixture_index) == (obj.class_index, obj.mixture_index):
+                # Same pick: same maps, labels and amodal mask; only the score moves.
+                objects[idx] = replace(obj, score=result.score)
+            else:
+                objects[idx] = _scene_object(obj.oid, obj.box, result, bundle)
+                repicked = True
+        yield objects, owners, edges
+        if not repicked:
+            return
+
+
+def _scene_result(state: _PassState, scene_shape: tuple[int, int]) -> SceneResult:
+    """A pass state with its full-lattice amodal and modal masks."""
+    objects, owners, edges = state
     amodal_out, modal_out = [], []
     for idx, obj in enumerate(objects):
         full_amodal = np.zeros(scene_shape, dtype=np.bool_)
@@ -296,7 +351,13 @@ def _masks(
         full_modal[obj.box.slices] = obj.amodal & visible
         amodal_out.append(full_amodal)
         modal_out.append(full_modal)
-    return amodal_out, modal_out
+    return SceneResult(
+        objects=list(objects),
+        owners=owners,
+        edges=edges,
+        amodal=amodal_out,
+        modal=modal_out,
+    )
 
 
 def segment_scene(
@@ -306,43 +367,18 @@ def segment_scene(
     iters: int = 1,
     no_order: bool = False,
 ) -> SceneResult:
-    """Full scene inference: feed-forward, then `iters` reasoning passes.
+    """Full scene inference: feed-forward, then up to `iters` reasoning passes.
 
-    iters=0 returns the independent per-object baseline. Each pass recomputes
-    ownership and order from the current maps, then re-scores exactly the
-    objects whose visibility grid changed (the occluded ones) by re-picking
-    over the candidate maps feed-forward built; a re-scored object takes the
-    maps of the mixture it now wins, so after a label flip the next pass sees
-    corrected predictions. One that keeps its pick keeps its maps, labels and
-    amodal mask and takes only the new score.
+    iters=0 returns the independent per-object baseline. The passes stop
+    after the first one that re-picks no object's (class, mixture). That
+    stop is exact: a pass never reads a score, so once no pick changes the
+    next pass gives the same owners and edges, every visibility grid equals
+    its predecessor and nothing is re-scored; the result is the one `iters`
+    full passes give. Masks are built for the returned state only.
     """
     if iters < 0:
         raise ValidationError(f"iteration count must be non-negative, got {iters}")
     objects = feed_forward(scene, boxes, bundle)
-    scene_shape = scene.shape
-    owners: np.ndarray | None = None
-    edges: tuple[OrderEdge, ...] = ()
-
-    prev_vis = [_self_visibility(o) for o in objects]
-    for _ in range(iters):
-        owners, edges = orm_pass(objects, scene_shape, no_order)
-        for idx, obj in enumerate(objects):
-            vis = _visibility_from_owners(idx, obj, owners)
-            if np.array_equal(vis, prev_vis[idx]):
-                continue
-            prev_vis[idx] = vis
-            result = rescore(obj.candidates, vis)
-            if (result.class_index, result.mixture_index) == (obj.class_index, obj.mixture_index):
-                # Same pick: same maps, labels and amodal mask; only the score moves.
-                objects[idx] = replace(obj, score=result.score)
-            else:
-                objects[idx] = _scene_object(obj.oid, obj.box, result, bundle)
-
-    amodal_out, modal_out = _masks(objects, scene_shape, owners)
-    return SceneResult(
-        objects=list(objects),
-        owners=owners,
-        edges=edges,
-        amodal=amodal_out,
-        modal=modal_out,
-    )
+    for state in islice(_chain(objects, scene.shape, bundle, no_order), iters + 1):
+        pass
+    return _scene_result(state, scene.shape)

@@ -10,11 +10,13 @@ import time
 import numpy as np
 import pytest
 
+from compseg import metrics, orm
 from compseg.fmap import crop
 from compseg.formats import annotation_to_json, load_scene
 from compseg.learning import TrainConfig, train
 from compseg.metrics import (
     VARIANTS,
+    _variant_results,
     dataset_order_accuracy,
     format_ablation_report,
     full_graph_accuracy,
@@ -69,25 +71,38 @@ def desk_bundle(desk_challenge, desk_train_pairs):
 def predictions(desk_challenge, desk_bundle):
     """scenario -> variant -> list of (predicted, truth, result-or-None).
 
-    Scene results (ownership grids) are kept for the shipping variant only;
-    the tables need just the annotations.
+    Every variant of a scene comes from one feed-forward and one chain of
+    passes per `no_order` value, as in `run_ablation`. Scene results
+    (ownership grids) are kept for the shipping variant only; the tables
+    need just the annotations.
     """
+    ran = {"feed_forward": 0, "orm_pass": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            ran[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
     out = {}
     t0 = time.perf_counter()
-    for scenario in SCENARIOS:
-        pairs = [
-            load_scene(desk_challenge, e)
-            for e in desk_challenge.select(split="test", scenario=scenario)
-        ]
-        out[scenario] = {}
-        for name, kwargs in VARIANTS:
-            keep = name == "ordered-1"
-            rows = []
-            for fm, truth in pairs:
-                ann, result = predict_scene(fm, truth, desk_bundle, **kwargs)
-                rows.append((ann, truth, result if keep else None))
-            out[scenario][name] = rows
-    print(f"inference: {4 * 3 * len(out['two']['ordered-1'])} scene passes "
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "feed_forward", counted(metrics, "feed_forward"))
+        mp.setattr(orm, "orm_pass", counted(orm, "orm_pass"))
+        for scenario in SCENARIOS:
+            out[scenario] = {name: [] for name, _ in VARIANTS}
+            for entry in desk_challenge.select(split="test", scenario=scenario):
+                fm, truth = load_scene(desk_challenge, entry)
+                variants = _variant_results(fm, truth, desk_bundle)
+                for (name, _), (ann, result) in zip(VARIANTS, variants, strict=True):
+                    keep = result if name == "ordered-1" else None
+                    out[scenario][name].append((ann, truth, keep))
+    scenes = sum(len(by_variant["ordered-1"]) for by_variant in out.values())
+    print(f"inference: {len(VARIANTS)} variants of {scenes} scenes from "
+          f"{ran['feed_forward']} feed-forwards and {ran['orm_pass']} reasoning passes "
           f"in {time.perf_counter() - t0:.1f}s")
     return out
 

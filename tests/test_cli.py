@@ -241,12 +241,15 @@ def test_malformed_order_graph_is_a_format_error(pipeline, tmp_path):
     root, data, model = pipeline
     sid = "four-L1-0000"
     doc = json.loads((data / "annotations" / f"{sid}.json").read_text())
-    doc["order_edges"] = [[doc["objects"][0]["id"], 7]]
+    a, b = doc["objects"][0]["id"], doc["objects"][1]["id"]
     preds = tmp_path / "preds"
     preds.mkdir()
-    (preds / f"{sid}.json").write_text(json.dumps(doc))
-    r = run_cli("evaluate", "--pred", preds, "--truth", data / "annotations",
-                "--out", tmp_path / "e.txt")
-    _assert_format_error(r)
-    assert "names an object" in r.stderr
-    assert not (tmp_path / "e.txt").exists()
+    cases = (([[a, 7]], "names an object"), ([[a, b], [b, a, 9, 2, 11]], "orders a pair"))
+    for edges, reason in cases:
+        doc["order_edges"] = edges
+        (preds / f"{sid}.json").write_text(json.dumps(doc))
+        r = run_cli("evaluate", "--pred", preds, "--truth", data / "annotations",
+                    "--out", tmp_path / "e.txt")
+        _assert_format_error(r)
+        assert reason in r.stderr
+        assert not (tmp_path / "e.txt").exists()

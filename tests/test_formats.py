@@ -145,8 +145,15 @@ def test_annotation_rejects_malformed_order_edges():
         doc["order_edges"] = edges
         with pytest.raises(FormatError):
             annotation_from_json(json.dumps(doc))
-    doc["order_edges"] = [[1, 0], [0, 1, 9, 2, 11]]
-    assert annotation_from_json(json.dumps(doc)).order_edges == [(1, 0), (0, 1, 9, 2, 11)]
+    # One pair ordered twice, either way round: the scorers would keep only
+    # the later edge.
+    for edges in ([[1, 0], [0, 1, 9, 2, 11]], [[0, 1], [0, 1]]):
+        doc["order_edges"] = edges
+        with pytest.raises(FormatError, match="orders a pair"):
+            annotation_from_json(json.dumps(doc))
+    for edges in ([[1, 0]], [[0, 1, 9, 2, 11]]):
+        doc["order_edges"] = edges
+        assert annotation_from_json(json.dumps(doc)).order_edges == [tuple(edges[0])]
 
 
 def test_annotation_rejects_duplicate_object_ids():

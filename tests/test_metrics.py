@@ -10,6 +10,7 @@ from compseg.formats import ObjectRecord, SceneAnnotation, annotation_to_json, l
 from compseg.metrics import (
     VARIANTS,
     AblationReport,
+    _variant_results,
     MiouTable,
     dataset_order_accuracy,
     format_ablation_report,
@@ -19,6 +20,7 @@ from compseg.metrics import (
     order_accuracy,
     predict_scene,
     run_ablation,
+    tabulate,
     unknown_outlier_stats,
 )
 
@@ -250,3 +252,25 @@ def test_predictions_pinned(tiny_challenge, tiny_bundle):
             ann, _ = predict_scene(fm, truth, tiny_bundle, **kwargs)
             digest.update(annotation_to_json(ann).encode() + b"\0")
     assert digest.hexdigest() == PINNED_PREDICTIONS_SHA256
+
+
+def test_shared_sweep_matches_per_variant_prediction(tiny_challenge, tiny_bundle):
+    """One feed-forward and one chain per scene give what a `predict_scene`
+    call per variant gives: the same annotation bytes and the same tables."""
+    for scenario in ("two", "four", "unknown"):
+        pairs = [
+            load_scene(tiny_challenge, e)
+            for e in tiny_challenge.select(split="test", scenario=scenario)
+        ]
+        reference = [
+            [predict_scene(fm, truth, tiny_bundle, **kwargs)[0] for fm, truth in pairs]
+            for _, kwargs in VARIANTS
+        ]
+        for scene, (fm, truth) in enumerate(pairs):
+            shared = [ann for ann, _ in _variant_results(fm, truth, tiny_bundle)]
+            assert [annotation_to_json(a) for a in shared] == [
+                annotation_to_json(per[scene]) for per in reference
+            ], truth.scene_id
+        want = tabulate(reference, [t for _, t in pairs], scenario)
+        # repr spells every float exactly and matches the NaN of empty buckets.
+        assert repr(run_ablation(pairs, tiny_bundle, scenario)) == repr(want)

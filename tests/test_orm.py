@@ -5,7 +5,7 @@ import compseg.orm as orm
 from compseg.errors import ValidationError
 from compseg.fmap import BoundingBox
 from compseg.formats import load_scene
-from compseg.models import LABEL_FG, LikelihoodMaps, amodal_mask, segment_single
+from compseg.models import LABEL_FG, LABEL_OCC, LikelihoodMaps, amodal_mask, segment_single
 from compseg.orm import (
     OWNER_NONE,
     OWNER_OUTSIDE,
@@ -341,3 +341,74 @@ def test_rescore_rebuilds_an_object_only_when_its_pick_changes(
             assert obj.score == scores.get(id(obj.candidates), obj.score)
     assert changed.count(False) > 0
     assert len(built) == n_objects + changed.count(True)
+
+
+def _exactly_k_passes(scene, boxes, bundle, iters, no_order):
+    """`segment_scene` as it was before the fixed-point stop: `iters` full
+    passes, every re-scored object rebuilt from its pick."""
+    objects = orm.feed_forward(scene, boxes, bundle)
+    owners, edges = None, ()
+    prev_vis = [obj.labels != LABEL_OCC for obj in objects]
+    for _ in range(iters):
+        owners, edges = orm_pass(objects, scene.shape, no_order)
+        for idx, obj in enumerate(objects):
+            vis = orm._visibility_from_owners(idx, obj, owners)
+            if np.array_equal(vis, prev_vis[idx]):
+                continue
+            prev_vis[idx] = vis
+            result = orm.rescore(obj.candidates, vis)
+            objects[idx] = orm._scene_object(obj.oid, obj.box, result, bundle)
+    return orm._scene_result((objects, owners, edges), scene.shape)
+
+
+def _test_scenes(challenge):
+    return [load_scene(challenge, e) for e in challenge.select(split="test")]
+
+
+def test_fixed_point_stop_is_exact(tiny_challenge, tiny_bundle):
+    scenarios = set()
+    for fm, ann in _test_scenes(tiny_challenge):
+        scenarios.add(ann.scenario)
+        boxes = [(rec.oid, rec.box) for rec in ann.objects]
+        for iters in range(5):
+            for no_order in (False, True):
+                got = segment_scene(fm, boxes, tiny_bundle, iters=iters, no_order=no_order)
+                want = _exactly_k_passes(fm, boxes, tiny_bundle, iters, no_order)
+                where = (ann.scene_id, iters, no_order)
+                assert [(o.class_index, o.mixture_index, o.score) for o in got.objects] == [
+                    (o.class_index, o.mixture_index, o.score) for o in want.objects
+                ], where
+                if iters == 0:
+                    assert got.owners is None and want.owners is None, where
+                else:
+                    assert got.owners.tobytes() == want.owners.tobytes(), where
+                assert got.edges == want.edges, where
+                for a, b in zip(got.amodal + got.modal, want.amodal + want.modal, strict=True):
+                    assert a.tobytes() == b.tobytes(), where
+    assert scenarios == {"two", "four", "unknown"}
+
+
+def test_passes_stop_after_a_pass_that_repicks_nothing(tiny_challenge, tiny_bundle, monkeypatch):
+    calls = []
+    real = orm.orm_pass
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orm, "orm_pass", counting)
+    seen = set()
+    for fm, ann in _test_scenes(tiny_challenge):
+        boxes = [(rec.oid, rec.box) for rec in ann.objects]
+        picks = [
+            [(o.class_index, o.mixture_index) for o in result.objects]
+            for result in (segment_scene(fm, boxes, tiny_bundle, iters=i) for i in (0, 1))
+        ]
+        repicked = picks[0] != picks[1]
+        calls.clear()
+        segment_scene(fm, boxes, tiny_bundle, iters=2)
+        # A first pass that re-picks nothing is the fixed point; one that
+        # re-picks an object is followed by the second pass.
+        assert len(calls) == (2 if repicked else 1), ann.scene_id
+        seen.add(repicked)
+    assert seen == {False, True}
