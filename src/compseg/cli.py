@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import oracle
-from .errors import CompsegError, ValidationError
+from .errors import CompsegError, FormatError, ValidationError
 from .fmap import load_feature_map
 from .formats import (
     SceneAnnotation,
@@ -191,12 +191,16 @@ def _cmd_segment(args) -> int:
 def _load_annotation_dir(path: str) -> dict[str, SceneAnnotation]:
     if not os.path.isdir(path):
         raise ValidationError(f"not a directory: {path}")
-    out = {}
+    out, names = {}, {}
     for name in sorted(os.listdir(path)):
         if not name.endswith(".json") or name == "manifest.json":
             continue
         ann = annotation_from_json(read_text(os.path.join(path, name)))
-        out[ann.scene_id] = ann
+        if ann.scene_id in names:
+            raise FormatError(
+                f"{path}: duplicate scene id {ann.scene_id!r} in {names[ann.scene_id]} and {name}"
+            )
+        out[ann.scene_id], names[ann.scene_id] = ann, name
     if not out:
         raise ValidationError(f"no annotation files under {path}")
     return out
@@ -277,52 +281,27 @@ def _cmd_ablate(args) -> int:
 # oracle-check
 
 
-_SCALES = {
-    "tiny": dict(competition=200, votes=300, joint=100, closed=100,
-                 mc_samples=20_000, maps=20, reassign=200, rescore=100),
-    "small": dict(competition=1000, votes=1000, joint=400, closed=200,
-                  mc_samples=100_000, maps=60, reassign=1000, rescore=400),
-}
+# (name, check, tiny size, small size); a suite's rng seeds from its row index.
+_SUITES = (
+    ("pixel-competition", oracle.check_pixel_competition, 200, 1000),
+    ("order-votes", oracle.check_order_votes, 300, 1000),
+    ("joint-factorization", oracle.check_joint_factorization, 100, 400),
+    ("normalizer-closed-form", lambda _, n: oracle.check_normalizer_closed_form(n), 100, 200),
+    ("monte-carlo-mass", oracle.check_monte_carlo_mass, 20_000, 100_000),
+    ("likelihood-maps", oracle.check_likelihood_maps, 20, 60),
+    ("order-reassignment", oracle.check_order_reassignment, 200, 1000),
+    ("rescore", oracle.check_rescore, 100, 400),
+)
+_SCALES = ("tiny", "small")
 
 
 def _cmd_oracle_check(args) -> int:
     if args.seed < 0:
         raise ValidationError(f"seed must be >= 0, got {args.seed}")
-    sizes = _SCALES[args.scale]
-    suites = [
-        (
-            "pixel-competition",
-            lambda rng: oracle.check_pixel_competition(rng, sizes["competition"]),
-        ),
-        ("order-votes", lambda rng: oracle.check_order_votes(rng, sizes["votes"])),
-        (
-            "joint-factorization",
-            lambda rng: oracle.check_joint_factorization(rng, sizes["joint"]),
-        ),
-        (
-            "normalizer-closed-form",
-            lambda rng: oracle.check_normalizer_closed_form(sizes["closed"]),
-        ),
-        (
-            "monte-carlo-mass",
-            lambda rng: oracle.check_monte_carlo_mass(
-                rng, samples=sizes["mc_samples"]
-            ),
-        ),
-        (
-            "likelihood-maps",
-            lambda rng: oracle.check_likelihood_maps(rng, sizes["maps"]),
-        ),
-        (
-            "order-reassignment",
-            lambda rng: oracle.check_order_reassignment(rng, sizes["reassign"]),
-        ),
-        ("rescore", lambda rng: oracle.check_rescore(rng, sizes["rescore"])),
-    ]
+    column = _SCALES.index(args.scale)
     failed = False
-    for index, (name, suite) in enumerate(suites):
-        rng = np.random.default_rng([args.seed, index])
-        mismatches, cases = suite(rng)
+    for index, (name, check, *sizes) in enumerate(_SUITES):
+        mismatches, cases = check(np.random.default_rng([args.seed, index]), sizes[column])
         if mismatches:
             failed = True
             print(f"FAIL {name} mismatches={mismatches} of {cases}")
@@ -385,7 +364,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("oracle-check", help="run brute-force equivalence suites")
-    p.add_argument("--scale", choices=tuple(_SCALES), default="tiny")
+    p.add_argument("--scale", choices=_SCALES, default="tiny")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_oracle_check)
 

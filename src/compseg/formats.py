@@ -162,11 +162,12 @@ def load_model(path: str) -> ModelBundle:
     k, dim = r.unpack("<II")
     if k < 1 or dim < 2:
         raise FormatError(f"{path}: bad dictionary dims K={k}, D={dim}")
-    means = np.empty((k, dim))
-    conc = np.empty(k)
-    for j in range(k):
-        means[j] = r.array("<f4", dim).astype(np.float64)
-        (conc[j],) = r.unpack("<d")
+    # `take` checks the block's size before anything of size K x D exists.
+    atoms = np.frombuffer(
+        r.take(k * (4 * dim + 8)), dtype=[("mean", "<f4", (dim,)), ("conc", "<f8")]
+    )
+    means = atoms["mean"].astype(np.float64)
+    conc = atoms["conc"].astype(np.float64)
     beta = r.array("<f8", k)
     (n_classes,) = r.unpack("<I")
     classes = []  # (label, [(prior, fg, ctx) per mixture]), validated below

@@ -390,8 +390,8 @@ def check_normalizer_closed_form(points: int = 200) -> tuple[int, int]:
 
 def check_monte_carlo_mass(
     rng: np.random.Generator,
-    dims: Sequence[int] = (3, 8, 16),
     samples: int = 100_000,
+    dims: Sequence[int] = (3, 8, 16),
     tolerance: float = 0.02,
 ) -> tuple[int, int]:
     """Unit-mass check: sphere area times the mean density must be ~1."""

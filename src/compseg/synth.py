@@ -12,19 +12,25 @@ known objects with overlapping boxes plus an unknown frontmost blob). The
 training split contains only clean pairs, plus object-free background maps
 for the occluder coefficients.
 
+The four object templates (two classes of two) are module data,
+`_TEMPLATES`. A placed object is only (class index, template id, box): its
+label and its part grid follow from those, and `_part_grid` paints each
+template once per size and shares the raster read-only.
+
 The geometry is fixed: feature dimension `DIM`, generator concentration
-`SIGMA_GEN`, canonical template size `GRID` and the scene sizes are module
-constants, not settings. The angle budget of `build_part_space` is tuned to
-what a concentration-30 likelihood in 16 dimensions can tell apart, and the
-placement searches (scale range, slide scan, retry counts) to 24-pixel
-templates in 44- and 56-pixel scenes; other values would need a new tuning,
-not a new argument.
+`SIGMA_GEN`, canonical template size `GRID`, the templates and the scene
+sizes are module constants, not settings. The angle budget of
+`build_part_space` is tuned to what a concentration-30 likelihood in 16
+dimensions can tell apart, and the placement searches (scale range, slide
+scan, retry counts) to 24-pixel templates in 44- and 56-pixel scenes; other
+values would need a new tuning, not a new argument.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -213,25 +219,39 @@ def build_part_space(rng: np.random.Generator) -> PartSpace:
 # --------------------------------------------------------------------------
 # Templates
 
+# Two classes x two templates, indexed by class index (`_LABELS` order) then
+# template id: (silhouette, part triple, ring width), geometry in canonical
+# grid units. The mask is inset from the grid border so every crop carries a
+# context ring. The two templates of a class use disjoint part triples,
+# (0,1,2) against (3,4,5), on top of orthogonal silhouettes: a sliver of
+# visible object then identifies its template outright, because the sibling
+# template has zero coefficient mass on every observed part. That keeps
+# mixture selection honest even when most of the object is hidden. Within a
+# template, parts interleave on the sector-and-ring layout described at
+# `_part_grid`, sized so cells survive placement rounding while staying small
+# against any plausible overlap region.
+_LONG_R, _SHORT_R, _CORNER = GRID * 0.385, GRID * 0.27, GRID * 0.08
+_TEMPLATES = (
+    (  # brick
+        (("rrect", _SHORT_R, _LONG_R, _CORNER), (0, 1, 2), 4.7),
+        (("rrect", _LONG_R, _SHORT_R, _CORNER), (3, 4, 5), 5.3),
+    ),
+    (  # disc
+        (("ellipse", _SHORT_R, _LONG_R), (0, 1, 2), 5.0),
+        (("ellipse", _LONG_R, _SHORT_R), (3, 4, 5), 4.4),
+    ),
+)
 
-@dataclass(frozen=True)
-class ClassTemplate:
-    template_id: int
-    painter: Callable[[tuple[int, int]], np.ndarray]
 
-
-def _pattern_painter(
-    silhouette: tuple,
-    ids: Sequence[int],
-    ring_width: float,
-) -> Callable[[tuple[int, int]], np.ndarray]:
-    """Evaluate a silhouette plus a sector-and-ring part layout at any size.
+@functools.lru_cache(maxsize=None)
+def _part_grid(class_index: int, template_id: int, shape: tuple[int, int]) -> np.ndarray:
+    """A template's part ids at `shape`, -1 off the silhouette; read-only.
 
     Pixel centers of the requested raster are mapped into canonical grid
     units and everything is evaluated there directly, so rendering at the
     placed size costs one rounding where resampling a canonical raster
     would cost two. Placed sizes come from a handful of sides, so each
-    raster is painted once per shape and handed out read-only.
+    raster is painted once per shape and the cache stays small.
 
     The layout assigns ids[(sector + ring) mod 3] with nine 40-degree
     sectors and concentric rings, plus a constant hub where sectors get
@@ -241,76 +261,30 @@ def _pattern_painter(
     their part predictions disagree there and ownership votes stay
     decisive. The rings break the tie for near-concentric copies.
     """
-    pick = np.asarray(ids)
-    cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def paint(shape: tuple[int, int]) -> np.ndarray:
-        out = cache.get(shape)
-        if out is None:
-            out = cache[shape] = _paint(shape)
-        return out
-
-    def _paint(shape: tuple[int, int]) -> np.ndarray:
-        h, w = shape
-        yy = (np.arange(h, dtype=np.float64)[:, None] + 0.5) * (GRID / h) - 0.5
-        xx = (np.arange(w, dtype=np.float64)[None, :] + 0.5) * (GRID / w) - 0.5
-        c = (GRID - 1) / 2.0
-        dy, dx = yy - c, xx - c
-        rho = np.hypot(dy, dx)
-        theta = np.arctan2(dy, dx)
-        if silhouette[0] == "ellipse":
-            ry, rx = silhouette[1:]
-            mask = (dy / ry) ** 2 + (dx / rx) ** 2 <= 1.0
-        else:
-            ry, rx, corner = silhouette[1:]
-            qy = np.abs(dy) - (ry - corner)
-            qx = np.abs(dx) - (rx - corner)
-            mask = np.hypot(np.maximum(qy, 0.0), np.maximum(qx, 0.0)) <= corner
-        sector = np.floor((theta + np.pi) / (2.0 * np.pi / 9.0)).astype(np.int64)
-        ring = np.floor(rho / ring_width).astype(np.int64)
-        slot = np.mod(sector + ring, 3)
-        slot[rho < 3.0] = 0
-        out = np.full((h, w), -1, dtype=np.int64)
-        out[mask] = pick[slot][mask]
-        out.setflags(write=False)
-        return out
-
-    return paint
-
-
-def build_templates() -> dict[str, list[ClassTemplate]]:
-    """Two classes x two templates, geometry in canonical grid units.
-
-    The mask is inset from the grid border so every crop carries a context
-    ring. The two templates of a class use disjoint part triples, (0,1,2)
-    against (3,4,5), on top of orthogonal silhouettes: a sliver of visible
-    object then identifies its template outright, because the sibling
-    template has zero coefficient mass on every observed part. That keeps
-    mixture selection honest even when most of the object is hidden.
-    Within a template, parts interleave on the sector-and-ring layout
-    described at `_pattern_painter`, sized so cells survive placement
-    rounding while staying small against any plausible overlap region.
-    """
-    long_r, short_r = GRID * 0.385, GRID * 0.27
-    corner = GRID * 0.08
-
-    specs = {
-        "disc": [
-            (("ellipse", short_r, long_r), (0, 1, 2), 5.0),
-            (("ellipse", long_r, short_r), (3, 4, 5), 4.4),
-        ],
-        "brick": [
-            (("rrect", short_r, long_r, corner), (0, 1, 2), 4.7),
-            (("rrect", long_r, short_r, corner), (3, 4, 5), 5.3),
-        ],
-    }
-    return {
-        label: [
-            ClassTemplate(tid, _pattern_painter(sil, ids, ring_w))
-            for tid, (sil, ids, ring_w) in enumerate(specs[label])
-        ]
-        for label in _LABELS
-    }
+    silhouette, ids, ring_width = _TEMPLATES[class_index][template_id]
+    h, w = shape
+    yy = (np.arange(h, dtype=np.float64)[:, None] + 0.5) * (GRID / h) - 0.5
+    xx = (np.arange(w, dtype=np.float64)[None, :] + 0.5) * (GRID / w) - 0.5
+    c = (GRID - 1) / 2.0
+    dy, dx = yy - c, xx - c
+    rho = np.hypot(dy, dx)
+    theta = np.arctan2(dy, dx)
+    if silhouette[0] == "ellipse":
+        ry, rx = silhouette[1:]
+        mask = (dy / ry) ** 2 + (dx / rx) ** 2 <= 1.0
+    else:
+        ry, rx, corner = silhouette[1:]
+        qy = np.abs(dy) - (ry - corner)
+        qx = np.abs(dx) - (rx - corner)
+        mask = np.hypot(np.maximum(qy, 0.0), np.maximum(qx, 0.0)) <= corner
+    sector = np.floor((theta + np.pi) / (2.0 * np.pi / 9.0)).astype(np.int64)
+    ring = np.floor(rho / ring_width).astype(np.int64)
+    slot = np.mod(sector + ring, 3)
+    slot[rho < 3.0] = 0
+    out = np.full((h, w), -1, dtype=np.int64)
+    out[mask] = np.asarray(ids)[slot][mask]
+    out.setflags(write=False)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -319,11 +293,18 @@ def build_templates() -> dict[str, list[ClassTemplate]]:
 
 @dataclass
 class PlacedObject:
-    label: str
     class_index: int
     template_id: int
-    part_grid: np.ndarray      # scaled to the box
     box: BoundingBox
+
+    @property
+    def label(self) -> str:
+        return _LABELS[self.class_index]
+
+    @property
+    def part_grid(self) -> np.ndarray:
+        """The template's part ids at the box's size."""
+        return _part_grid(self.class_index, self.template_id, self.box.shape)
 
     def lattice_mask(self, shape: tuple[int, int]) -> np.ndarray:
         out = np.zeros(shape, dtype=np.bool_)
@@ -448,15 +429,10 @@ def _scaled_shape(rng) -> tuple[int, int]:
     return side, side
 
 
-def _pick_template(rng, templates, class_index: int | None = None):
+def _pick_template(rng, class_index: int | None = None) -> tuple[int, int]:
+    """(class index, template id); the class is drawn unless given."""
     ci = int(rng.integers(len(_LABELS))) if class_index is None else class_index
-    label = _LABELS[ci]
-    tid = int(rng.integers(len(templates[label])))
-    return ci, label, templates[label][tid]
-
-
-def _place(box: BoundingBox, ci: int, label: str, tpl: ClassTemplate) -> PlacedObject:
-    return PlacedObject(label, ci, tpl.template_id, tpl.painter(box.shape), box)
+    return ci, int(rng.integers(len(_TEMPLATES[ci])))
 
 
 def _disjoint_box(rng, shape, mask, taken: np.ndarray, tries: int, margin: int = 0):
@@ -580,19 +556,18 @@ def _notice(scenario: str, level: str) -> str:
     return f"{scenario} scene at {level}: placement search exhausted"
 
 
-def _plant_pair(rng, templates, shape, level: str, what: str):
+def _plant_pair(rng, shape, level: str, what: str):
     """Two placed objects, the second behind the first at `level`.
 
     At L0 the masks stay disjoint: a graze of one or two pixels would plant
     an order edge no amount of evidence could recover.
     """
-    ci_a, label_a, tpl_a = _pick_template(rng, templates)
-    ci_b = ci_a if rng.random() < SAME_CLASS_PROB else 1 - ci_a
-    ci_b, label_b, tpl_b = _pick_template(rng, templates, class_index=ci_b)
+    a = _pick_template(rng)
+    b = _pick_template(rng, a[0] if rng.random() < SAME_CLASS_PROB else 1 - a[0])
     ha, wa = _scaled_shape(rng)
-    hb, wb = _scaled_shape(rng)
-    mask_a = tpl_a.painter((ha, wa)) >= 0
-    mask_b = tpl_b.painter((hb, wb)) >= 0
+    shape_b = _scaled_shape(rng)
+    mask_a = _part_grid(*a, (ha, wa)) >= 0
+    mask_b = _part_grid(*b, shape_b) >= 0
 
     box_a = _random_fit_box(rng, shape, ha, wa, margin=1)
     front = _placed_at(shape, mask_a, box_a.y0, box_a.x0)
@@ -603,27 +578,25 @@ def _plant_pair(rng, templates, shape, level: str, what: str):
         box_b = _approach_search(rng, shape, mask_b, front, anchor, LEVEL_EDGES[level])
     if box_b is None:
         raise ValidationError(_notice(what, level))
-    return [_place(box_a, ci_a, label_a, tpl_a), _place(box_b, ci_b, label_b, tpl_b)]
+    return [PlacedObject(*a, box_a), PlacedObject(*b, box_b)]
 
 
-def make_two_scene(rng, space, templates, level: str, scene_id: str):
+def make_two_scene(rng, space, level: str, scene_id: str):
     shape = (TWO_SIZE, TWO_SIZE)
-    placed = _plant_pair(rng, templates, shape, level, "two-object")
+    placed = _plant_pair(rng, shape, level, "two-object")
     return _scene(rng, space, scene_id, "two", "test", shape, placed)
 
 
-def make_four_scene(rng, space, templates, level: str, scene_id: str):
+def make_four_scene(rng, space, level: str, scene_id: str):
     shape = (FOUR_SIZE, FOUR_SIZE)
-    ci, label, tpl = _pick_template(rng, templates)
+    ci, tid = _pick_template(rng)
     h, w = _scaled_shape(rng)
-    box = _random_fit_box(rng, shape, h, w, margin=6)
-    placed = [_place(box, ci, label, tpl)]
+    placed = [PlacedObject(ci, tid, _random_fit_box(rng, shape, h, w, margin=6))]
     union = placed[0].lattice_mask(shape)
 
     for _ in range(3):
-        ci, label, tpl = _pick_template(rng, templates)
-        h, w = _scaled_shape(rng)
-        mask = tpl.painter((h, w)) >= 0
+        ci, tid = _pick_template(rng)
+        mask = _part_grid(ci, tid, _scaled_shape(rng)) >= 0
         if level == "L0":
             box = _disjoint_box(rng, shape, mask, union, tries=300, margin=1)
         else:
@@ -632,7 +605,7 @@ def make_four_scene(rng, space, templates, level: str, scene_id: str):
             box = _approach_search(rng, shape, mask, union, anchor, LEVEL_EDGES[level])
         if box is None:
             raise ValidationError(_notice("four-object", level))
-        placed.append(_place(box, ci, label, tpl))
+        placed.append(PlacedObject(ci, tid, box))
         union |= placed[-1].lattice_mask(shape)
 
     return _scene(rng, space, scene_id, "four", "test", shape, placed)
@@ -656,7 +629,7 @@ BLOB_ZONE_BUCKET = (0.35, 0.95)
 OCCLUSION_CAP = 0.88
 
 
-def make_unknown_scene(rng, space, templates, level: str, scene_id: str):
+def make_unknown_scene(rng, space, level: str, scene_id: str):
     """An occluding pair at the scene's level plus a frontmost unknown blob.
 
     The pair is planted exactly like a two-object scene; the blob is then
@@ -667,7 +640,7 @@ def make_unknown_scene(rng, space, templates, level: str, scene_id: str):
     the scene's level names the planted pair bucket alone.
     """
     shape = (TWO_SIZE, TWO_SIZE)
-    placed = _plant_pair(rng, templates, shape, level, "two-plus-unknown")
+    placed = _plant_pair(rng, shape, level, "two-plus-unknown")
     amodal_a = placed[0].lattice_mask(shape)
     amodal_b = placed[1].lattice_mask(shape)
     zone = amodal_a & amodal_b
@@ -702,7 +675,7 @@ def make_unknown_scene(rng, space, templates, level: str, scene_id: str):
     )
 
 
-def make_train_scene(rng, space, templates, scene_id: str):
+def make_train_scene(rng, space, scene_id: str):
     """Two clean objects, boxes fully disjoint.
 
     Two boxes of 20-25 pixels placed anywhere in 44 rarely miss each other,
@@ -715,9 +688,9 @@ def make_train_scene(rng, space, templates, scene_id: str):
     integers, uniform = rng.integers, rng.uniform
     for _ in range(400):
         ci_a = int(integers(len(_LABELS)))
-        tid_a = int(integers(len(templates[_LABELS[ci_a]])))
+        tid_a = int(integers(len(_TEMPLATES[ci_a])))
         ci_b = int(integers(len(_LABELS)))
-        tid_b = int(integers(len(templates[_LABELS[ci_b]])))
+        tid_b = int(integers(len(_TEMPLATES[ci_b])))
         side_a = _side(uniform(0.85, 1.05))
         side_b = _side(uniform(0.85, 1.05))
         ya = int(integers(0, TWO_SIZE - side_a + 1))
@@ -726,11 +699,8 @@ def make_train_scene(rng, space, templates, scene_id: str):
         xb = int(integers(0, TWO_SIZE - side_b + 1))
         if xa >= xb + side_b or xb >= xa + side_a or ya >= yb + side_b or yb >= ya + side_a:
             placed = [
-                _place(_box(x0, y0, x0 + side, y0 + side), ci, _LABELS[ci],
-                       templates[_LABELS[ci]][tid])
-                for ci, tid, side, y0, x0 in (
-                    (ci_a, tid_a, side_a, ya, xa), (ci_b, tid_b, side_b, yb, xb)
-                )
+                PlacedObject(ci_a, tid_a, _box(xa, ya, xa + side_a, ya + side_a)),
+                PlacedObject(ci_b, tid_b, _box(xb, yb, xb + side_b, yb + side_b)),
             ]
             return _scene(rng, space, scene_id, "two", "train", shape, placed)
     raise ValidationError("could not place disjoint training pair")
@@ -770,7 +740,6 @@ def generate_challenge(
         if getattr(cfg, name) < 0:
             raise ValidationError(f"{name} must be >= 0, got {getattr(cfg, name)}")
     space = build_part_space(np.random.default_rng([cfg.seed, 17]))
-    templates = build_templates()
 
     os.makedirs(os.path.join(root, "scenes"), exist_ok=True)
     os.makedirs(os.path.join(root, "annotations"), exist_ok=True)
@@ -785,23 +754,20 @@ def generate_challenge(
             ManifestEntry(ann.scene_id, fpath, apath, ann.split, ann.scenario, level)
         )
 
-    def stubborn(stream: list, build):
+    def stubborn(stream: list, build, *args):
         # A placement search can come up dry for an unlucky geometry draw;
         # resample the whole scene from a fresh attempt-indexed stream.
         last = None
         for attempt in range(24):
             rng = np.random.default_rng(stream + [attempt])
             try:
-                return build(rng)
+                return build(rng, space, *args)
             except ValidationError as exc:
                 last = exc
         raise last
 
     for i in range(cfg.train_scenes):
-        fm, ann = stubborn(
-            [cfg.seed, 1, i],
-            lambda rng, i=i: make_train_scene(rng, space, templates, f"train-{i:04d}"),
-        )
+        fm, ann = stubborn([cfg.seed, 1, i], make_train_scene, f"train-{i:04d}")
         emit(fm, ann, "L0")
 
     for i in range(cfg.backgrounds):
@@ -814,12 +780,7 @@ def generate_challenge(
         for li, level in enumerate(LEVELS):
             for i in range(cfg.per_level):
                 scene_id = f"{scenario}-{level}-{i:04d}"
-                fm, ann = stubborn(
-                    [cfg.seed, code, li, i],
-                    lambda rng, level=level, sid=scene_id: builder(
-                        rng, space, templates, level, sid
-                    ),
-                )
+                fm, ann = stubborn([cfg.seed, code, li, i], builder, level, scene_id)
                 emit(fm, ann, level)
 
     manifest = Manifest(

@@ -1,6 +1,7 @@
 """The package's surface: `compseg.__all__` is exact and `import *` resolves it,
-run-time imports stay light, no module imports a name it never reads, and
-every compseg name the benchmark reaches exists."""
+run-time imports stay light, no module imports a name it never reads, no
+top-level name is left unread, and every compseg name the benchmark reaches
+exists."""
 import ast
 import importlib
 import importlib.util
@@ -188,3 +189,51 @@ def test_every_compseg_name_the_benchmark_reaches_exists():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def _top_level_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("__")]
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names loaded, read as an attribute or imported by name anywhere in `tree`."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_top_level_name_is_read():
+    """A helper a refactor leaves behind fails here, not in a later review.
+
+    A private top-level name of `src/compseg` must be read in `src/compseg`;
+    a public one in `src/compseg`, `tests/` or `perfbench/`, or be listed in
+    `compseg.__all__`.
+    """
+    package = {p: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted((ROOT / "src" / "compseg").glob("*.py"))}
+    in_package = set().union(*map(_names_read, package.values()))
+    elsewhere = set(compseg.__all__).union(
+        *(_names_read(ast.parse(p.read_text(encoding="utf-8")))
+          for d in ("tests", "perfbench") for p in sorted((ROOT / d).glob("*.py"))),
+        (name for _, name in _benchmark_names()),
+    )
+    defined = [(path, name) for path, tree in package.items() for name in _top_level_names(tree)]
+    assert len(defined) > 200
+    unread = [
+        f"{path.relative_to(ROOT)} {name}" for path, name in defined
+        if name not in in_package and (name.startswith("_") or name not in elsewhere)
+    ]
+    assert unread == []

@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -178,6 +179,12 @@ def test_errors_are_single_parsable_lines(pipeline, tmp_path):
         assert len(lines) == 1 and lines[0].startswith("compseg: error code=INVALID msg=")
         assert r.stdout == ""
 
+    # a model header claiming K = D = 2**32 - 1 in a 14-byte file
+    crafted = tmp_path / "crafted.bin"
+    crafted.write_bytes(model.read_bytes()[:6] + struct.pack("<II", 2**32 - 1, 2**32 - 1))
+    _assert_format_error(run_cli("ablate", "--model", crafted, "--manifest",
+                                 data / "manifest.json", "--out", tmp_path / "a.txt"))
+
     for sigma in ("-1", "nan", "inf"):
         r = run_cli("train", "--manifest", data / "manifest.json",
                     "--sigma", sigma, "--k", 8, "--out", tmp_path / "m.bin")
@@ -235,6 +242,24 @@ def test_text_that_is_not_utf8_is_a_format_error(pipeline, tmp_path):
     shutil.copy(preds / f"{sid}.json", scene / f"{sid}.json")
     _assert_format_error(run_cli("segment", "--model", model, "--scene", scene / f"{sid}.fmap",
                                  "--out", tmp_path / "seg"))
+
+
+def test_duplicate_scene_ids_are_a_format_error(pipeline, tmp_path):
+    # one scene must not be scored from whichever of its files sorts last
+    root, data, model = pipeline
+    sid = "two-L1-0000"
+    doc = (data / "annotations" / f"{sid}.json").read_text()
+    for side in ("--pred", "--truth"):
+        twice = tmp_path / side.strip("-")
+        twice.mkdir()
+        (twice / f"{sid}.json").write_text(doc)
+        (twice / "copy.json").write_text(doc)
+        dirs = {"--pred": data / "annotations", "--truth": data / "annotations", side: twice}
+        r = run_cli("evaluate", "--pred", dirs["--pred"], "--truth", dirs["--truth"],
+                    "--out", tmp_path / "e.txt")
+        _assert_format_error(r)
+        assert f"{sid!r} in copy.json and {sid}.json" in r.stderr
+        assert not (tmp_path / "e.txt").exists()
 
 
 def test_malformed_order_graph_is_a_format_error(pipeline, tmp_path):

@@ -229,6 +229,9 @@ def test_model_corrupt_rejects(tiny_bundle, tmp_path):
         load_model_bytes(tmp_path, raw[: len(raw) // 2])
     with pytest.raises(FormatError):
         load_model_bytes(tmp_path, b"")
+    # K = D = 2**32 - 1: the dictionary block is checked before it is allocated
+    with pytest.raises(FormatError, match="truncated at byte 14"):
+        load_model_bytes(tmp_path, raw[:6] + struct.pack("<II", 2**32 - 1, 2**32 - 1))
 
     # Well-framed blobs whose content no model may have: zero classes, a class
     # with an empty label, a class with zero mixtures.

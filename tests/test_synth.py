@@ -15,6 +15,9 @@ from compseg.synth import (
     OCCLUSION_CAP,
     OVER_LIMIT,
     ChallengeConfig,
+    _TEMPLATES,
+    _part_grid,
+    _side,
     generate_challenge,
     level_of,
 )
@@ -51,6 +54,22 @@ def test_negative_counts_rejected(tmp_path, field):
     with pytest.raises(ValidationError, match=field):
         generate_challenge(str(root), replace(MINI, **{field: -1}))
     assert not root.exists()
+
+
+def test_templates_keep_their_invariants():
+    """At every placed size: a read-only raster, its own part triple only,
+    and a -1 border that gives every crop a context ring."""
+    sides = range(_side(0.85), _side(1.05) + 1)
+    assert list(sides) == [20, 21, 22, 23, 24, 25]
+    for ci, templates in enumerate(_TEMPLATES):
+        for tid, (_, ids, _) in enumerate(templates):
+            assert ids == ((0, 1, 2), (3, 4, 5))[tid]
+            for side in sides:
+                grid = _part_grid(ci, tid, (side, side))
+                assert grid.shape == (side, side) and not grid.flags.writeable
+                assert set(np.unique(grid[grid >= 0]).tolist()) == set(ids)
+                for edge in (grid[0], grid[-1], grid[:, 0], grid[:, -1]):
+                    assert np.all(edge == -1)
 
 
 @pytest.fixture(scope="module")
