@@ -83,7 +83,9 @@ class BoundingBox:
 
 def _normalize_rows(data: np.ndarray) -> np.ndarray:
     """Renormalise feature vectors to unit length, keeping near-unit bits."""
-    norms = np.linalg.norm(data.astype(np.float64, copy=False), axis=-1)
+    # A signalling NaN widens to a quiet one that the finite check rejects.
+    with np.errstate(invalid="ignore"):
+        norms = np.linalg.norm(data.astype(np.float64, copy=False), axis=-1)
     if not np.all(np.isfinite(norms)):
         raise ValidationError("feature map contains non-finite values")
     if np.any(norms < _ZERO_NORM_TOL):

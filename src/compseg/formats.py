@@ -150,6 +150,16 @@ class _Reader:
         return np.frombuffer(self.take(count * item), dtype=dtype).copy()
 
 
+def _widen(a: np.ndarray) -> np.ndarray:
+    """A float32 payload as float64, without a warning for a signalling NaN.
+
+    The cast turns such a NaN into a quiet one, which the finite checks of
+    the model classes then reject.
+    """
+    with np.errstate(invalid="ignore"):
+        return a.astype(np.float64)
+
+
 def load_model(path: str) -> ModelBundle:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -166,7 +176,7 @@ def load_model(path: str) -> ModelBundle:
     atoms = np.frombuffer(
         r.take(k * (4 * dim + 8)), dtype=[("mean", "<f4", (dim,)), ("conc", "<f8")]
     )
-    means = atoms["mean"].astype(np.float64)
+    means = _widen(atoms["mean"])
     conc = atoms["conc"].astype(np.float64)
     beta = r.array("<f8", k)
     (n_classes,) = r.unpack("<I")
@@ -183,9 +193,9 @@ def load_model(path: str) -> ModelBundle:
             h, w = r.unpack("<II")
             if h < 1 or w < 1:
                 raise FormatError(f"{path}: bad mixture shape {h}x{w}")
-            prior = r.array("<f4", h * w).astype(np.float64).reshape(h, w)
-            fg = r.array("<f4", h * w * k).astype(np.float64).reshape(h, w, k)
-            ctx = r.array("<f4", h * w * k).astype(np.float64).reshape(h, w, k)
+            prior = _widen(r.array("<f4", h * w)).reshape(h, w)
+            fg = _widen(r.array("<f4", h * w * k)).reshape(h, w, k)
+            ctx = _widen(r.array("<f4", h * w * k)).reshape(h, w, k)
             mixtures.append((prior, fg, ctx))
         classes.append((label, mixtures))
     if r.pos != len(blob):
@@ -334,7 +344,8 @@ def annotation_from_json(text: str) -> SceneAnnotation:
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad annotation JSON: {exc}") from exc
     try:
-        shape = (int(doc["shape"][0]), int(doc["shape"][1]))
+        height, width = map(int, doc["shape"])
+        shape = (height, width)
         objects = []
         for o in doc["objects"]:
             box = BoundingBox(*[int(v) for v in o["box"]])
@@ -367,7 +378,8 @@ def annotation_from_json(text: str) -> SceneAnnotation:
             unknown=unknown,
             extra=dict(doc.get("extra", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer field holding a JSON number like 1e400
         raise FormatError(f"bad annotation record: {exc}") from exc
 
 

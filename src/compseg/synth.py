@@ -317,10 +317,12 @@ class PlacedObject:
 # Drawing a try's scalars as one vector gives the same values but costs more
 # (`integers(2, size=4)` takes about 3.5 scalar calls' time, an array-bound
 # `integers` about 4.5), and batching draws across tries or directions would
-# move the stream and so rewrite every dataset. What is cut instead is the
-# work around the draws: candidate boxes skip validation, overlap is counted
-# on the box window, and a full-lattice mask is placed only where a veto
-# reads one.
+# move the stream and so rewrite every dataset. The one exception is the
+# training-pair search, whose tries `make_train_scene` computes from raw
+# PCG64 words with the same values and the same stream position afterwards.
+# Elsewhere, what is cut is the work around the draws: candidate boxes skip
+# validation, overlap is counted on the box window, and a full-lattice mask
+# is placed only where a veto reads one.
 
 
 def _box(x0: int, y0: int, x1: int, y1: int) -> BoundingBox:
@@ -675,18 +677,97 @@ def make_unknown_scene(rng, space, level: str, scene_id: str):
     )
 
 
+# Tries `make_train_scene` makes before the stream counts as exhausted.
+_TRAIN_TRIES = 400
+_N_TEMPLATES = np.array([len(t) for t in _TEMPLATES], dtype=np.uint64)
+
+
+def _lemire(half: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded integer in [0, n) from 32-bit words `half`.
+
+    Lemire's method as `Generator.integers` runs it for a range below 2**32:
+    the value is the high half of `half * n`, and the word is rejected (and
+    another drawn) when the low half falls below `(2**32 - n) % n`. Returns
+    the values and the rejection flags.
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    m = half * n
+    return (m >> 32).astype(np.int64), (m & 0xFFFFFFFF) < (2**32 - n) % n
+
+
+def _pair_tries(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each training-pair try's ten values from its six raw PCG64 words.
+
+    `words` is a (tries, 6) uint64 block of `random_raw` output. With no
+    half-word buffered, a try's scalar draws consume exactly one row: words
+    0-1 give four 32-bit half-words, low half first, for `ci_a`, `tid_a`,
+    `ci_b`, `tid_b`; words 2-3 give the two `uniform(0.85, 1.05)` scales,
+    one word each; words 4-5 give `ya`, `xa`, `yb`, `xb`. Returns (tries, 10)
+    int64 rows (ci_a, tid_a, ci_b, tid_b, side_a, side_b, ya, xa, yb, xb)
+    and a per-try flag that some integer would need Lemire's redraw: that
+    draw takes a further half-word, so from the first flagged try on the
+    rows no longer follow the stream.
+    """
+    lo, hi = words & 0xFFFFFFFF, words >> 32
+    ci_a, r0 = _lemire(lo[:, 0], len(_LABELS))
+    tid_a, r1 = _lemire(hi[:, 0], _N_TEMPLATES[ci_a])
+    ci_b, r2 = _lemire(lo[:, 1], len(_LABELS))
+    tid_b, r3 = _lemire(hi[:, 1], _N_TEMPLATES[ci_b])
+    # `uniform` is low + (high - low) * (53 high bits of one word) / 2**53;
+    # `np.rint` rounds half to even, as `round` does in `_side`.
+    scale = 0.85 + (1.05 - 0.85) * ((words[:, 2:4] >> 11) * 2.0**-53)
+    sides = np.maximum(12, np.rint(GRID * scale)).astype(np.int64)
+    side_a, side_b = sides[:, 0], sides[:, 1]
+    ya, r4 = _lemire(lo[:, 4], TWO_SIZE - side_a + 1)
+    xa, r5 = _lemire(hi[:, 4], TWO_SIZE - side_a + 1)
+    yb, r6 = _lemire(lo[:, 5], TWO_SIZE - side_b + 1)
+    xb, r7 = _lemire(hi[:, 5], TWO_SIZE - side_b + 1)
+    tries = np.stack([ci_a, tid_a, ci_b, tid_b, side_a, side_b, ya, xa, yb, xb], axis=1)
+    return tries, r0 | r1 | r2 | r3 | r4 | r5 | r6 | r7
+
+
+def _apart(side_a, side_b, ya, xa, yb, xb):
+    """Whether two square boxes, corners (ya, xa) and (yb, xb), are disjoint."""
+    return (xa >= xb + side_b) | (xb >= xa + side_a) | (ya >= yb + side_b) | (yb >= ya + side_a)
+
+
 def make_train_scene(rng, space, scene_id: str):
     """Two clean objects, boxes fully disjoint.
 
-    Two boxes of 20-25 pixels placed anywhere in 44 rarely miss each other,
-    so about one try in 125 is kept. A try therefore makes the draws of two
-    `_pick_template`, two `_scaled_shape` and two `_random_fit_box` calls,
-    in that order, inline, and tests disjointness on the corners before any
-    box is built.
+    A try makes ten draws, in the order of two `_pick_template`, two
+    `_scaled_shape` and two `_random_fit_box` calls, and the first try whose
+    boxes are disjoint is kept; after 400 tries the stream counts as
+    exhausted. Two boxes of 20-25 pixels placed anywhere in 44 rarely miss
+    each other, so about one try in 125 is kept.
+
+    The tries are not drawn one scalar at a time. Each draw is a fixed
+    function of the raw PCG64 words, so one `random_raw` block of six words
+    per try gives all 400 tries at once (`_pair_tries`). The generator's
+    state is then restored and exactly the words up to and including the
+    kept try are consumed, which leaves the stream where the scalar draws
+    leave it; when no try fits, all 2,400 words stay consumed, as 400
+    scalar tries would consume them. The scalar loop still runs, from the try where the block stops
+    following the stream, when an integer draw needs Lemire's redraw (fewer
+    than one half-word in 170 million), when a half-word is already
+    buffered on entry, or when the generator is not PCG64.
     """
-    shape = (TWO_SIZE, TWO_SIZE)
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    start = 0
+    if state["bit_generator"] == "PCG64" and not state["has_uint32"]:
+        tries, redraw = _pair_tries(bitgen.random_raw(6 * _TRAIN_TRIES).reshape(-1, 6))
+        stop = np.flatnonzero(_apart(*tries[:, 4:].T) | redraw)
+        if not stop.size:
+            raise ValidationError("could not place disjoint training pair")
+        start = int(stop[0])
+        bitgen.state = state
+        if not redraw[start]:
+            bitgen.random_raw(6 * (start + 1))
+            return _train_pair(rng, space, scene_id, *tries[start].tolist())
+        bitgen.random_raw(6 * start)
+
     integers, uniform = rng.integers, rng.uniform
-    for _ in range(400):
+    for _ in range(start, _TRAIN_TRIES):
         ci_a = int(integers(len(_LABELS)))
         tid_a = int(integers(len(_TEMPLATES[ci_a])))
         ci_b = int(integers(len(_LABELS)))
@@ -697,13 +778,19 @@ def make_train_scene(rng, space, scene_id: str):
         xa = int(integers(0, TWO_SIZE - side_a + 1))
         yb = int(integers(0, TWO_SIZE - side_b + 1))
         xb = int(integers(0, TWO_SIZE - side_b + 1))
-        if xa >= xb + side_b or xb >= xa + side_a or ya >= yb + side_b or yb >= ya + side_a:
-            placed = [
-                PlacedObject(ci_a, tid_a, _box(xa, ya, xa + side_a, ya + side_a)),
-                PlacedObject(ci_b, tid_b, _box(xb, yb, xb + side_b, yb + side_b)),
-            ]
-            return _scene(rng, space, scene_id, "two", "train", shape, placed)
+        if _apart(side_a, side_b, ya, xa, yb, xb):
+            return _train_pair(
+                rng, space, scene_id, ci_a, tid_a, ci_b, tid_b, side_a, side_b, ya, xa, yb, xb
+            )
     raise ValidationError("could not place disjoint training pair")
+
+
+def _train_pair(rng, space, scene_id, ci_a, tid_a, ci_b, tid_b, side_a, side_b, ya, xa, yb, xb):
+    placed = [
+        PlacedObject(ci_a, tid_a, _box(xa, ya, xa + side_a, ya + side_a)),
+        PlacedObject(ci_b, tid_b, _box(xb, yb, xb + side_b, yb + side_b)),
+    ]
+    return _scene(rng, space, scene_id, "two", "train", (TWO_SIZE, TWO_SIZE), placed)
 
 
 def make_background_map(rng, space, scene_id: str):

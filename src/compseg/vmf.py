@@ -172,7 +172,8 @@ class VmfDictionary:
                 f"concentrations shape {conc.shape} does not match K={means.shape[0]}"
             )
         norms = np.linalg.norm(means, axis=1)
-        if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+        # written so that a NaN norm fails too
+        if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
             raise ValidationError("dictionary means must be unit-norm")
         if np.any(~np.isfinite(conc)) or np.any(conc < 0):
             raise ValidationError("concentrations must be finite and >= 0")

@@ -278,3 +278,48 @@ def test_malformed_order_graph_is_a_format_error(pipeline, tmp_path):
         _assert_format_error(r)
         assert reason in r.stderr
         assert not (tmp_path / "e.txt").exists()
+
+
+def test_annotation_shape_of_one_entry_is_a_format_error(pipeline, tmp_path):
+    root, data, model = pipeline
+    sid = "two-L1-0000"
+    doc = json.loads((data / "annotations" / f"{sid}.json").read_text())
+    doc["shape"] = [doc["shape"][0]]
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / f"{sid}.json").write_text(json.dumps(doc))
+    r = run_cli("evaluate", "--pred", preds, "--truth", data / "annotations",
+                "--out", tmp_path / "e.txt")
+    _assert_format_error(r)
+    assert not (tmp_path / "e.txt").exists()
+
+
+def test_signalling_nan_payloads_are_one_error_line(pipeline, tmp_path):
+    # float32 bits of a signalling NaN; widening one used to print numpy's
+    # RuntimeWarning above the error line
+    snan = struct.pack("<I", 0x7F800001)
+    root, data, model = pipeline
+    sid = "two-L0-0000"
+    scene = data / "scenes" / f"{sid}.fmap"
+
+    raw = model.read_bytes()
+    k, dim = struct.unpack("<II", raw[6:14])
+    classes_at = 14 + k * (4 * dim + 8) + 8 * k
+    (label_len,) = struct.unpack("<H", raw[classes_at + 4 : classes_at + 6])
+    prior_at = classes_at + 4 + 2 + label_len + 4 + 8
+    bad_model = tmp_path / "snan.bin"
+    bad_model.write_bytes(raw[:prior_at] + snan + raw[prior_at + 4 :])
+    _assert_format_error(run_cli("segment", "--model", bad_model, "--scene", scene,
+                                 "--out", tmp_path / "seg"))
+
+    solo = tmp_path / "solo"
+    solo.mkdir()
+    blob = scene.read_bytes()
+    (solo / f"{sid}.fmap").write_bytes(blob[:18] + snan + blob[22:])
+    shutil.copy(data / "annotations" / f"{sid}.json", solo / f"{sid}.json")
+    r = run_cli("segment", "--model", model, "--scene", solo / f"{sid}.fmap",
+                "--out", tmp_path / "seg")
+    assert r.returncode == 2
+    assert r.stderr.startswith("compseg: error code=INVALID msg=")
+    assert r.stderr.count("\n") == 1 and "non-finite" in r.stderr
+    assert not (tmp_path / "seg").exists()

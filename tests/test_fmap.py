@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,3 +228,15 @@ def test_load_rejects_corrupted(tmp_path):
     empty.write_bytes(b"")
     with pytest.raises(FormatError):
         load_feature_map(str(empty))
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_rejects_signalling_nan_without_a_warning(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "scene.fmap"
+    save_feature_map(FeatureMap(unit_grid(rng, 3, 3, 4)), str(path))
+    blob = path.read_bytes()
+    # float32 bits of a signalling NaN as the first payload value
+    path.write_bytes(blob[:18] + struct.pack("<I", 0x7F800001) + blob[22:])
+    with pytest.raises(ValidationError, match="non-finite"):
+        load_feature_map(str(path))

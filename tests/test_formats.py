@@ -127,6 +127,26 @@ def test_annotation_bad_json():
         annotation_from_json(json.dumps({"scene_id": "x"}))
 
 
+def test_annotation_shape_needs_two_entries():
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    for shape in ([], [1], [4, 4, 4], 4):
+        doc["shape"] = shape
+        with pytest.raises(FormatError, match="bad annotation record"):
+            annotation_from_json(json.dumps(doc))
+
+
+def test_annotation_integer_field_overflow_is_a_format_error():
+    # JSON reads 1e400 as an infinite float, which int() cannot convert
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    obj = doc["objects"][0]
+    for where, field in ((doc, "shape"), (obj, "box"), (obj, "id")):
+        kept = where[field]
+        where[field] = ["INF", *kept[1:]] if isinstance(kept, list) else "INF"
+        with pytest.raises(FormatError, match="bad annotation record"):
+            annotation_from_json(json.dumps(doc).replace('"INF"', "1e400"))
+        where[field] = kept
+
+
 def test_annotation_rejects_non_string_rle():
     doc = json.loads(annotation_to_json(_tiny_annotation()))
     for key in ("amodal_rle", "modal_rle", "unknown_rle"):
@@ -259,6 +279,26 @@ def test_model_rejects_non_utf8_label(tiny_bundle, tmp_path):
     assert raw.count(field) == 1
     with pytest.raises(FormatError):
         load_model_bytes(tmp_path, raw.replace(field, field[:2] + b"\xff" * len(label)))
+
+
+# float32 bits of a signalling NaN; widening it to float64 raises numpy's
+# "invalid value" flag
+SIGNALLING_NAN = struct.pack("<I", 0x7F800001)
+
+
+@pytest.mark.filterwarnings("error")
+def test_model_signalling_nan_is_a_format_error_without_a_warning(tiny_bundle, tmp_path):
+    path = str(tmp_path / "model.bin")
+    save_model(tiny_bundle, path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    dic = tiny_bundle.dictionary
+    label = tiny_bundle.classes[0].label.encode("utf-8")
+    # the first dictionary mean, and the first class's first prior plane
+    prior_at = 4 + 2 + 8 + dic.size * (4 * dic.dim + 8) + 8 * dic.size + 4 + 2 + len(label) + 4 + 8
+    for at in (14, prior_at):
+        with pytest.raises(FormatError, match="invalid model"):
+            load_model_bytes(tmp_path, raw[:at] + SIGNALLING_NAN + raw[at + 4:])
 
 
 def load_model_bytes(tmp_path, blob):

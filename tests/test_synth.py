@@ -7,19 +7,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from compseg import synth
 from compseg.errors import ValidationError
-from compseg.formats import load_scene
+from compseg.formats import annotation_to_json, load_scene
 from compseg.synth import (
     LEVEL_EDGES,
     LEVELS,
     OCCLUSION_CAP,
     OVER_LIMIT,
+    TWO_SIZE,
     ChallengeConfig,
+    _LABELS,
     _TEMPLATES,
+    _pair_tries,
     _part_grid,
     _side,
+    build_part_space,
     generate_challenge,
     level_of,
+    make_train_scene,
 )
 
 MINI = ChallengeConfig(per_level=1, train_scenes=3, backgrounds=2, seed=5)
@@ -251,3 +257,115 @@ def test_object_ids_carry_no_depth_information(mini_challenge):
         if order != sorted(order):
             mismatched += 1
     assert mismatched > 0
+
+
+# ---------------------------------------------------------------------------
+# Training-pair tries from raw PCG64 words
+
+
+def _scalar_tries(rng):
+    """The training-pair search drawn one scalar at a time, as numpy draws it.
+
+    Returns every try's ten values up to the first disjoint pair, and
+    whether one was found within 400 tries.
+    """
+    tries = []
+    for _ in range(400):
+        ci_a = int(rng.integers(len(_LABELS)))
+        tid_a = int(rng.integers(len(_TEMPLATES[ci_a])))
+        ci_b = int(rng.integers(len(_LABELS)))
+        tid_b = int(rng.integers(len(_TEMPLATES[ci_b])))
+        side_a = _side(rng.uniform(0.85, 1.05))
+        side_b = _side(rng.uniform(0.85, 1.05))
+        ya = int(rng.integers(0, TWO_SIZE - side_a + 1))
+        xa = int(rng.integers(0, TWO_SIZE - side_a + 1))
+        yb = int(rng.integers(0, TWO_SIZE - side_b + 1))
+        xb = int(rng.integers(0, TWO_SIZE - side_b + 1))
+        tries.append((ci_a, tid_a, ci_b, tid_b, side_a, side_b, ya, xa, yb, xb))
+        if xa >= xb + side_b or xb >= xa + side_a or ya >= yb + side_b or yb >= ya + side_a:
+            return tries, True
+    return tries, False
+
+
+def _stream_position(rng):
+    # `uinteger` is stale while `has_uint32` is 0, so it is left out.
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"]
+
+
+def test_pair_tries_follow_the_scalar_draws(monkeypatch):
+    """Try by try, `_pair_tries` gives the scalar draws' values, and
+    `make_train_scene` leaves the stream where the scalar search does. This
+    also fails if numpy changes its bounded-integer or uniform sampler."""
+    monkeypatch.setattr(synth, "_train_pair", lambda rng, space, sid, *values: values)
+    exhausted = 0
+    for i in range(240):
+        seed = [7, 1, i, 0]
+        # every sixth stream enters with a half-word buffered
+        buffered = i % 6 == 5
+        scalar, block = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            for rng in (scalar, block):
+                rng.integers(2)
+        else:
+            words = np.random.default_rng(seed).bit_generator.random_raw(2400).reshape(-1, 6)
+            values, redraw = _pair_tries(words)
+            assert not redraw.any()
+        expected, found = _scalar_tries(scalar)
+        if not buffered:
+            assert [tuple(v) for v in values[: len(expected)].tolist()] == expected
+        if found:
+            assert make_train_scene(block, None, "t") == expected[-1]
+        else:
+            exhausted += 1
+            with pytest.raises(ValidationError, match="disjoint training pair"):
+                make_train_scene(block, None, "t")
+        assert _stream_position(block) == _stream_position(scalar)
+    assert exhausted  # the no-fit path is among the streams
+    # another bit generator's words are not PCG64's: the scalar search runs
+    scalar, other = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
+    assert make_train_scene(other, None, "t") == _scalar_tries(scalar)[0][-1]
+
+
+def test_zero_position_half_word_flags_a_redraw():
+    """Lemire's method rejects a half-word whose product with n falls below
+    (2**32 - n) % n. That threshold is nonzero for every position range, so
+    a zero half-word always needs a redraw."""
+    sides = range(_side(0.85), _side(1.05) + 1)
+    assert all((2**32 - (TWO_SIZE - side + 1)) % (TWO_SIZE - side + 1) for side in sides)
+    words = np.full((2, 6), 2**64 - 1, dtype=np.uint64)
+    words[1, 4] = 0xFFFFFFFF_00000000  # try 1's `ya` half-word is 0
+    _, redraw = _pair_tries(words)
+    assert redraw.tolist() == [False, True]
+
+
+def test_scalar_search_takes_over_at_a_redraw(monkeypatch):
+    """A try flagged for a redraw is drawn by the scalar loop, and so is every
+    try after it; the scene is the one the all-scalar search makes."""
+    space = build_part_space(np.random.default_rng([5, 17]))
+    seed = [5, 1, 2, 0]
+    tries, found = _scalar_tries(np.random.default_rng(seed))
+    assert found and len(tries) >= 3
+    fm, ann = make_train_scene(np.random.default_rng(seed), space, "t")
+
+    pair_tries, side = synth._pair_tries, synth._side
+    scalar_sides = []
+
+    def counted_side(s):
+        scalar_sides.append(s)
+        return side(s)
+
+    monkeypatch.setattr(synth, "_side", counted_side)
+    for k in (0, len(tries) // 2, len(tries) - 1):
+
+        def flag_at_k(words, k=k):
+            values, redraw = pair_tries(words)
+            redraw[k] = True
+            return values, redraw
+
+        monkeypatch.setattr(synth, "_pair_tries", flag_at_k)
+        scalar_sides.clear()
+        fm_k, ann_k = make_train_scene(np.random.default_rng(seed), space, "t")
+        assert len(scalar_sides) == 2 * (len(tries) - k)
+        assert np.array_equal(fm_k.data, fm.data)
+        assert annotation_to_json(ann_k) == annotation_to_json(ann)
