@@ -24,17 +24,26 @@ sizes are module constants, not settings. The angle budget of
 dimensions can tell apart, and the placement searches (scale range, slide
 scan, retry counts) to 24-pixel templates in 44- and 56-pixel scenes; other
 values would need a new tuning, not a new argument.
+
+`generate_challenge` builds the scenes in worker processes, one per CPU the
+calling process may run on, forked so that they share the modules it has
+already imported. Each scene draws only from its own seed-derived streams
+and the manifest keeps the job order, so neither the bytes written nor the
+manifest's order depend on the worker count, and nothing sets that count.
 """
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CompsegError, ValidationError
 from .fmap import BoundingBox, FeatureMap, save_feature_map
 from .formats import (
     Manifest,
@@ -810,13 +819,63 @@ _SCENARIOS = {
 }
 
 
+# A placement search can come up dry for an unlucky geometry draw; such a
+# scene is resampled whole from a fresh attempt-indexed stream.
+_ATTEMPTS = 24
+
+
+def _retried(stream: list) -> tuple:
+    return tuple(stream + [attempt] for attempt in range(_ATTEMPTS))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# What every job of one worker process shares: (output root, part space).
+# Set once by `_start_worker` in the worker, never in the calling process.
+_worker: tuple[str, PartSpace] | None = None
+
+
+def _start_worker(root: str, space: PartSpace) -> None:
+    global _worker
+    _worker = (root, space)
+
+
+def _build_scene(job) -> ManifestEntry:
+    """Build one scene from its first stream that yields one, write its FMAP
+    and annotation under the worker's root, and return its manifest entry."""
+    streams, build, args, scene_id, level = job
+    root, space = _worker
+    for stream in streams:
+        try:
+            fm, ann = build(np.random.default_rng(stream), space, *args, scene_id)
+            break
+        except ValidationError as exc:
+            last = exc
+    else:
+        raise last
+    fpath = os.path.join("scenes", f"{scene_id}.fmap")
+    apath = os.path.join("annotations", f"{scene_id}.json")
+    save_feature_map(fm, os.path.join(root, fpath))
+    atomic_write_text(os.path.join(root, apath), annotation_to_json(ann))
+    return ManifestEntry(scene_id, fpath, apath, ann.split, ann.scenario, level)
+
+
 def generate_challenge(
     root: str, cfg: ChallengeConfig = ChallengeConfig(), scenarios: Sequence[str] = ("two", "four", "unknown")
 ) -> Manifest:
     """Write the full challenge under `root` and return its manifest.
 
     Every scene draws from an independent seed-derived stream, so any subset
-    regenerates identically regardless of generation order.
+    regenerates identically regardless of generation order. Scenes are built
+    in worker processes, one per CPU this process may run on (at most one
+    per scene); neither the bytes written nor the manifest's order depend
+    on how many workers there are, and nothing sets that number. A job's
+    exception re-raises here with its type and message; a worker that dies
+    raises `CompsegError`. No worker outlives the call.
     """
     for i, s in enumerate(scenarios):
         if s not in _SCENARIOS:
@@ -830,45 +889,38 @@ def generate_challenge(
 
     os.makedirs(os.path.join(root, "scenes"), exist_ok=True)
     os.makedirs(os.path.join(root, "annotations"), exist_ok=True)
-    entries: list[ManifestEntry] = []
 
-    def emit(fm: FeatureMap, ann: SceneAnnotation, level: str):
-        fpath = os.path.join("scenes", f"{ann.scene_id}.fmap")
-        apath = os.path.join("annotations", f"{ann.scene_id}.json")
-        save_feature_map(fm, os.path.join(root, fpath))
-        atomic_write_text(os.path.join(root, apath), annotation_to_json(ann))
-        entries.append(
-            ManifestEntry(ann.scene_id, fpath, apath, ann.split, ann.scenario, level)
-        )
-
-    def stubborn(stream: list, build, *args):
-        # A placement search can come up dry for an unlucky geometry draw;
-        # resample the whole scene from a fresh attempt-indexed stream.
-        last = None
-        for attempt in range(24):
-            rng = np.random.default_rng(stream + [attempt])
-            try:
-                return build(rng, space, *args)
-            except ValidationError as exc:
-                last = exc
-        raise last
-
-    for i in range(cfg.train_scenes):
-        fm, ann = stubborn([cfg.seed, 1, i], make_train_scene, f"train-{i:04d}")
-        emit(fm, ann, "L0")
-
-    for i in range(cfg.backgrounds):
-        rng = np.random.default_rng([cfg.seed, 2, i])
-        fm, ann = make_background_map(rng, space, f"bg-{i:04d}")
-        emit(fm, ann, "L0")
-
+    # (seed streams tried in turn, builder, builder args, scene id, level)
+    jobs = [
+        (_retried([cfg.seed, 1, i]), make_train_scene, (), f"train-{i:04d}", "L0")
+        for i in range(cfg.train_scenes)
+    ]
+    jobs += [
+        (([cfg.seed, 2, i],), make_background_map, (), f"bg-{i:04d}", "L0")
+        for i in range(cfg.backgrounds)
+    ]
     for scenario in scenarios:
         code, builder = _SCENARIOS[scenario]
-        for li, level in enumerate(LEVELS):
-            for i in range(cfg.per_level):
-                scene_id = f"{scenario}-{level}-{i:04d}"
-                fm, ann = stubborn([cfg.seed, code, li, i], builder, level, scene_id)
-                emit(fm, ann, level)
+        jobs += [
+            (_retried([cfg.seed, code, li, i]), builder, (level,),
+             f"{scenario}-{level}-{i:04d}", level)
+            for li, level in enumerate(LEVELS)
+            for i in range(cfg.per_level)
+        ]
+    entries: list[ManifestEntry] = []
+    if jobs:
+        workers = min(_usable_cpus(), len(jobs))
+        # Forked, not spawned, so workers need not import numpy and compseg
+        # again; this assumes the caller runs no other thread, and the
+        # package starts none.
+        context = multiprocessing.get_context("fork")
+        try:
+            with ProcessPoolExecutor(
+                workers, context, initializer=_start_worker, initargs=(root, space)
+            ) as pool:
+                entries = list(pool.map(_build_scene, jobs))
+        except BrokenProcessPool as exc:
+            raise CompsegError(f"a scene worker process died: {exc}") from exc
 
     manifest = Manifest(
         root=root,

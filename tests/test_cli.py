@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import re
 import shutil
 import struct
@@ -7,6 +9,8 @@ import sys
 
 import pytest
 
+from compseg import cli, synth
+from compseg.errors import ValidationError
 from compseg.formats import annotation_from_json, annotation_to_json
 
 
@@ -50,7 +54,7 @@ def test_train_is_reproducible(pipeline):
         "--k", 16, "--m", 2, "--seed", 0, "--out", again,
     )
     assert r.returncode == 0, r.stderr
-    assert open(model, "rb").read() == open(again, "rb").read()
+    assert model.read_bytes() == again.read_bytes()
 
 
 def test_segment_then_evaluate(pipeline):
@@ -208,6 +212,35 @@ def test_negative_seed_is_one_invalid_line(pipeline, tmp_path):
         assert r.stdout == ""
     assert not (tmp_path / "neg").exists()
     assert not (tmp_path / "m.bin").exists()
+
+
+# Stand-ins for `synth.make_train_scene`: module level, because a job is
+# pickled with its builder; forked workers see the patched attribute.
+def _no_room(rng, space, scene_id):
+    raise ValidationError(f"no room for {scene_id}")
+
+
+def _worker_dies(rng, space, scene_id):
+    os._exit(1)
+
+
+@pytest.mark.parametrize(
+    "builder, line",
+    [
+        (_no_room, "compseg: error code=INVALID msg=no room for train-0000"),
+        (_worker_dies, "compseg: error code=ERROR msg=a scene worker process died: "),
+    ],
+    ids=["no-room", "worker-dies"],
+)
+def test_generate_failures_are_one_line(builder, line, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(synth, "make_train_scene", builder)
+    code = cli.main(["generate", "--out", str(tmp_path), "--per-level", "1",
+                     "--train-scenes", "3", "--backgrounds", "2"])
+    assert not multiprocessing.active_children()
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line)
 
 
 def _assert_format_error(r):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compseg import fmap
-from compseg.errors import FormatError, ValidationError
+from compseg.errors import CompsegError, FormatError, ValidationError
 from compseg.fmap import (
     BoundingBox,
     FeatureMap,
@@ -240,3 +240,54 @@ def test_load_rejects_signalling_nan_without_a_warning(tmp_path):
     path.write_bytes(blob[:18] + struct.pack("<I", 0x7F800001) + blob[22:])
     with pytest.raises(ValidationError, match="non-finite"):
         load_feature_map(str(path))
+
+
+def _mutations(blob: bytes, rng: np.random.Generator, count: int):
+    """`count` seeded corruptions of a valid FMAP file: byte flips,
+    truncations, extensions, rewritten header fields and payload floats
+    set to special values."""
+    # (offset, format, values) of the version, height, width and dim fields;
+    # the dimension values include every factorisation of a 3x3x4 payload
+    dims = (0, 1, 2, 3, 4, 9, 12, 36, 2**31, 2**32 - 1)
+    fields = ((4, "<H", (0, 2, 2**16 - 1)), (6, "<I", dims), (10, "<I", dims), (14, "<I", dims))
+    floats = (0.0, -0.0, 1e-45, 1e-30, 3.4e38, np.inf, -np.inf, np.nan)
+    for _ in range(count):
+        out = bytearray(blob)
+        kind = rng.integers(5)
+        if kind == 0:
+            for pos in rng.integers(len(out), size=rng.integers(1, 4)):
+                out[pos] ^= int(rng.integers(1, 256))
+        elif kind == 1:
+            del out[rng.integers(len(out)):]
+        elif kind == 2:
+            out += rng.bytes(int(rng.integers(1, 40)))
+        elif kind == 3:
+            at, fmt, values = fields[rng.integers(len(fields))]
+            value = values[rng.integers(len(values))]
+            out[at : at + struct.calcsize(fmt)] = struct.pack(fmt, value)
+        else:
+            at = 18 + 4 * int(rng.integers((len(out) - 18) // 4))
+            out[at : at + 4] = struct.pack("<f", floats[rng.integers(len(floats))])
+        yield bytes(out)
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_feature_map_survives_seeded_mutations(tmp_path):
+    """A corrupted FMAP file either loads as a map of unit rows or raises a
+    `CompsegError`: no other exception and no warning."""
+    rng = np.random.default_rng(31)
+    path = tmp_path / "scene.fmap"
+    save_feature_map(FeatureMap(unit_grid(rng, 3, 3, 4)), str(path))
+    blob = path.read_bytes()
+    loaded = 0
+    for mutant in _mutations(blob, rng, 400):
+        path.write_bytes(mutant)
+        try:
+            fm = load_feature_map(str(path))
+        except CompsegError:
+            continue
+        loaded += 1
+        assert len(mutant) == 18 + 4 * fm.data.size
+        norms = np.linalg.norm(fm.data.astype(np.float64), axis=-1)
+        assert np.all(np.abs(norms - 1.0) < 1e-5)
+    assert 0 < loaded < 400

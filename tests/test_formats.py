@@ -3,6 +3,7 @@ import json
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,13 +237,13 @@ def test_model_roundtrip_bit_exact(tiny_bundle, tmp_path):
     # a second save of the loaded bundle is byte-identical
     path2 = str(tmp_path / "model2.bin")
     save_model(back, path2)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_model_corrupt_rejects(tiny_bundle, tmp_path):
     path = str(tmp_path / "model.bin")
     save_model(tiny_bundle, path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     with pytest.raises(FormatError):
         load_model_bytes(tmp_path, b"XXXX" + raw[4:])
     with pytest.raises(FormatError):
@@ -273,7 +274,7 @@ def test_model_corrupt_rejects(tiny_bundle, tmp_path):
 def test_model_rejects_non_utf8_label(tiny_bundle, tmp_path):
     path = str(tmp_path / "model.bin")
     save_model(tiny_bundle, path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     label = tiny_bundle.classes[0].label.encode("utf-8")
     field = struct.pack("<H", len(label)) + label
     assert raw.count(field) == 1

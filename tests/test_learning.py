@@ -236,10 +236,10 @@ def test_train_deterministic_bytes(tiny_train_pairs, tiny_backgrounds, tmp_path,
     cfg = small_fit
     bundle_a, _ = train(pairs, bgs, cfg)
     bundle_b, _ = train(pairs, bgs, cfg)
-    pa, pb = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
-    save_model(bundle_a, pa)
-    save_model(bundle_b, pb)
-    assert open(pa, "rb").read() == open(pb, "rb").read()
+    pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_model(bundle_a, str(pa))
+    save_model(bundle_b, str(pb))
+    assert pa.read_bytes() == pb.read_bytes()
 
 
 # SHA-256 of the saved model trained below: 25,168 pooled rows against a

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import multiprocessing
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -123,13 +125,70 @@ TINY_SHA256 = "cd7ac20b70c6e17f3bbdaee9700e38f3eb5c42f79db16d2333fc63ffaf21c2f9"
     ids=["mini", "tiny"],
 )
 def test_generated_bytes_pinned(request, fixture, expected):
-    root = Path(request.getfixturevalue(fixture).root)
+    assert _tree_digest(request.getfixturevalue(fixture).root) == expected
+
+
+def _tree_digest(root) -> str:
+    root = Path(root)
     digest = hashlib.sha256()
     files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
     for rel in files:
         digest.update(rel.encode() + b"\0")
         digest.update((root / rel).read_bytes())
-    assert digest.hexdigest() == expected
+    return digest.hexdigest()
+
+
+def test_worker_count_changes_no_byte(tmp_path, monkeypatch):
+    """One worker or one per CPU, the MINI challenge has the same bytes, and
+    no worker process is left once the call returns."""
+    pools = []
+    real_pool = synth.ProcessPoolExecutor
+
+    def recording_pool(workers, *args, **kwargs):
+        pools.append(workers)
+        return real_pool(workers, *args, **kwargs)
+
+    monkeypatch.setattr(synth, "ProcessPoolExecutor", recording_pool)
+    scenes = MINI.train_scenes + MINI.backgrounds + 3 * len(LEVELS) * MINI.per_level
+    cpus = synth._usable_cpus()
+    generate_challenge(str(tmp_path / "all"), MINI)
+    assert not multiprocessing.active_children()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    generate_challenge(str(tmp_path / "one"), MINI)
+    assert not multiprocessing.active_children()
+    assert pools == [min(cpus, scenes), 1]
+    assert _tree_digest(tmp_path / "all") == _tree_digest(tmp_path / "one") == MINI_SHA256
+
+
+def test_zero_scenes_start_no_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(synth, "ProcessPoolExecutor", None)
+    empty = ChallengeConfig(per_level=0, train_scenes=0, backgrounds=0, seed=5)
+    assert generate_challenge(str(tmp_path), empty).entries == []
+
+
+# Stand-ins for `make_train_scene` and `atomic_write_text`. A patched module
+# attribute reaches the workers because they are forked after the patch; a
+# builder lives at module level because a job is pickled with its builder.
+def _never_placed(rng, space, scene_id):
+    raise ValidationError(f"no room for {scene_id}")
+
+
+def _disk_full(path, text):
+    raise OSError(errno.ENOSPC, "No space left on device", path)
+
+
+def test_job_errors_re_raise_with_their_type_and_message(tmp_path, monkeypatch):
+    monkeypatch.setattr(synth, "make_train_scene", _never_placed)
+    with pytest.raises(ValidationError, match="^no room for train-0000$"):
+        generate_challenge(str(tmp_path / "placed"), MINI)
+    assert not multiprocessing.active_children()
+
+    monkeypatch.undo()
+    monkeypatch.setattr(synth, "atomic_write_text", _disk_full)
+    with pytest.raises(OSError, match="No space left on device") as err:
+        generate_challenge(str(tmp_path / "full"), MINI)
+    assert err.value.errno == errno.ENOSPC
+    assert not multiprocessing.active_children()
 
 
 def test_scenario_subsets_regenerate_identically(mini_challenge, tmp_path):
