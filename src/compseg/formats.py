@@ -245,7 +245,10 @@ def decode_rle(text: str, shape: tuple[int, int]) -> np.ndarray:
     if any(x < 0 for x in runs):
         raise FormatError("RLE runs must be non-negative")
     # Runs alternate False, True, False, ...: each run repeats its parity.
-    return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
+    try:
+        return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
+    except MemoryError as exc:
+        raise FormatError(f"RLE lattice {shape[0]}x{shape[1]} is too large to allocate") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +344,8 @@ def annotation_from_json(text: str) -> SceneAnnotation:
     """A scene annotation; a malformed record or order graph raises FormatError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the parser recurses
         raise FormatError(f"bad annotation JSON: {exc}") from exc
     try:
         height, width = map(int, doc["shape"])
@@ -434,7 +438,7 @@ def save_manifest(manifest: Manifest, path: str) -> None:
 def load_manifest(path: str) -> Manifest:
     try:
         doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: bad manifest JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .fmap import FeatureMap, iou
 from .formats import ModelBundle, ObjectRecord, SceneAnnotation
-from .orm import SceneResult, _chain, _scene_result, feed_forward, segment_scene
+from .orm import SceneResult, _chain, feed_forward, segment_scene
 from .synth import LEVELS, OVER_LIMIT, level_of
 
 __all__ = [
@@ -167,11 +167,13 @@ def _annotation(
 
     The record deliberately carries no run configuration: depth and
     occlusion are sentinels, level is blank, and only the masks, the class
-    decision, and the recovered order edges describe the output.
+    decision, and the recovered order edges describe the output. The masks
+    are derived here, so only states that become records build them.
     """
     objects = []
     for idx, rec in enumerate(truth.objects):
         obj = result.objects[idx]
+        amodal, modal = result.masks(idx, truth.shape)
         objects.append(
             ObjectRecord(
                 oid=rec.oid,
@@ -181,8 +183,8 @@ def _annotation(
                 depth=-1,
                 occlusion=-1.0,
                 level="",
-                amodal=result.amodal[idx],
-                modal=result.modal[idx],
+                amodal=amodal,
+                modal=modal,
                 score=obj.score,
             )
         )
@@ -281,8 +283,7 @@ def _variant_results(
         chain = chains[kwargs.get("no_order", False)]
         state = chain[min(kwargs["iters"], len(chain) - 1)]
         if id(state) not in packaged:
-            result = _scene_result(state, fm.shape)
-            packaged[id(state)] = (_annotation(truth, bundle, result), result)
+            packaged[id(state)] = (_annotation(truth, bundle, state), state)
         out.append(packaged[id(state)])
     return out
 

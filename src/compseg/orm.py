@@ -32,6 +32,10 @@ object's maps, labels, amodal mask, box and id but never its score, so the
 next pass would give the same owners and edges, every visibility grid would
 equal the one before it, and nothing would be re-scored. Every pass after
 that one returns what it does.
+
+A state of the chain, before or after a pass, is a `SceneResult`: the
+objects, the owners grid and the edges. An object's full-lattice masks are
+derived from it by `SceneResult.masks` only when a record is written.
 """
 from __future__ import annotations
 
@@ -101,15 +105,28 @@ class OrderEdge:
         return (self.front, self.back, self.votes_front, self.votes_back, self.conflict_size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneResult:
-    """The objects after the last pass, with that pass's owners grid and edges."""
+    """A state of the reasoning chain: the objects after a pass, with that
+    pass's owners grid and edges. Before the first pass the owners grid is
+    None and there are no edges."""
 
     objects: list[SceneObject]
     owners: np.ndarray | None  # (H, W) int16 codes as above; None before the first pass
     edges: tuple[OrderEdge, ...]
-    amodal: list[np.ndarray]   # full-lattice masks, one per object
-    modal: list[np.ndarray]
+
+    def masks(self, idx: int, scene_shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Object `idx`'s full-lattice (amodal, modal) masks: modal is amodal
+        where the owners grid gives the pixel to the object or, before the
+        first pass, where the object labels it F."""
+        obj = self.objects[idx]
+        sl = obj.box.slices
+        visible = obj.labels == LABEL_FG if self.owners is None else self.owners[sl] == idx
+        amodal = np.zeros(scene_shape, dtype=np.bool_)
+        modal = np.zeros(scene_shape, dtype=np.bool_)
+        amodal[sl] = obj.amodal
+        modal[sl] = obj.amodal & visible
+        return amodal, modal
 
 
 def compete_pixels(fg_values: np.ndarray, occ_values: np.ndarray) -> np.ndarray:
@@ -285,20 +302,15 @@ def feed_forward(
     return objects
 
 
-# The state after a reasoning pass: the objects, that pass's owners grid and
-# its edges. Before the first pass the owners grid is None and there are no
-# edges.
-_PassState = tuple[list[SceneObject], np.ndarray | None, tuple[OrderEdge, ...]]
-
-
 def _chain(
     objects: list[SceneObject],
     scene_shape: tuple[int, int],
     bundle: ModelBundle,
     no_order: bool = False,
-) -> Iterator[_PassState]:
-    """The states of the reasoning chain from the feed-forward `objects`:
-    first the feed-forward state itself, then one state after each pass.
+) -> Iterator[SceneResult]:
+    """The states of the reasoning chain from the feed-forward `objects`, each
+    a `SceneResult`: first the feed-forward state itself, then one state
+    after each pass.
 
     Each pass recomputes ownership and order from the current maps, then
     re-scores exactly the objects whose visibility grid changed (the
@@ -313,7 +325,7 @@ def _chain(
     holds its own object list, and `objects` is never written, so one
     feed-forward can start several chains.
     """
-    yield objects, None, ()
+    yield SceneResult(objects, None, ())
     prev_vis = [_self_visibility(o) for o in objects]
     while True:
         owners, edges = orm_pass(objects, scene_shape, no_order)
@@ -331,33 +343,9 @@ def _chain(
             else:
                 objects[idx] = _scene_object(obj.oid, obj.box, result, bundle)
                 repicked = True
-        yield objects, owners, edges
+        yield SceneResult(objects, owners, edges)
         if not repicked:
             return
-
-
-def _scene_result(state: _PassState, scene_shape: tuple[int, int]) -> SceneResult:
-    """A pass state with its full-lattice amodal and modal masks."""
-    objects, owners, edges = state
-    amodal_out, modal_out = [], []
-    for idx, obj in enumerate(objects):
-        full_amodal = np.zeros(scene_shape, dtype=np.bool_)
-        full_amodal[obj.box.slices] = obj.amodal
-        if owners is None:
-            visible = obj.labels == LABEL_FG
-        else:
-            visible = owners[obj.box.slices] == idx
-        full_modal = np.zeros(scene_shape, dtype=np.bool_)
-        full_modal[obj.box.slices] = obj.amodal & visible
-        amodal_out.append(full_amodal)
-        modal_out.append(full_modal)
-    return SceneResult(
-        objects=list(objects),
-        owners=owners,
-        edges=edges,
-        amodal=amodal_out,
-        modal=modal_out,
-    )
 
 
 def segment_scene(
@@ -374,11 +362,11 @@ def segment_scene(
     stop is exact: a pass never reads a score, so once no pick changes the
     next pass gives the same owners and edges, every visibility grid equals
     its predecessor and nothing is re-scored; the result is the one `iters`
-    full passes give. Masks are built for the returned state only.
+    full passes give. The result is the chain's last state; it holds no masks.
     """
     if iters < 0:
         raise ValidationError(f"iteration count must be non-negative, got {iters}")
     objects = feed_forward(scene, boxes, bundle)
     for state in islice(_chain(objects, scene.shape, bundle, no_order), iters + 1):
         pass
-    return _scene_result(state, scene.shape)
+    return state

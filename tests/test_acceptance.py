@@ -272,7 +272,7 @@ def test_criterion_09_structural_invariants(predictions, desk_bundle, desk_chall
             assert np.array_equal(owners != OWNER_OUTSIDE, covered)
             stack = np.zeros(truth.shape, dtype=np.int64)
             for idx in range(n):
-                amodal, modal = result.amodal[idx], result.modal[idx]
+                amodal, modal = result.masks(idx, truth.shape)
                 assert not (modal & ~amodal).any()
                 assert not (modal & (owners != idx)).any()
                 stack += modal

@@ -327,6 +327,46 @@ def test_annotation_shape_of_one_entry_is_a_format_error(pipeline, tmp_path):
     assert not (tmp_path / "e.txt").exists()
 
 
+def test_deeply_nested_json_is_a_format_error(pipeline, tmp_path):
+    # 1,500 nested arrays: deeper than `json.loads` can recurse
+    root, data, model = pipeline
+    deep = "[" * 1500 + "]" * 1500
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / "two-L1-0000.json").write_text(deep)
+    _assert_format_error(run_cli("evaluate", "--pred", preds, "--truth", data / "annotations",
+                                 "--out", tmp_path / "e.txt"))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(deep)
+    _assert_format_error(run_cli("train", "--manifest", manifest, "--out", tmp_path / "m.bin"))
+    _assert_format_error(run_cli("ablate", "--model", model, "--manifest", manifest,
+                                 "--out", tmp_path / "a.txt"))
+    shutil.copy(data / "scenes" / "two-L1-0000.fmap", preds / "two-L1-0000.fmap")
+    _assert_format_error(run_cli("segment", "--model", model, "--scene",
+                                 preds / "two-L1-0000.fmap", "--out", tmp_path / "seg"))
+    for out in ("e.txt", "m.bin", "a.txt", "seg"):
+        assert not (tmp_path / out).exists()
+
+
+def test_lattice_too_large_to_allocate_is_a_format_error(pipeline, tmp_path):
+    # runs summing to the claimed 10**18 pixels pass the RLE's sum check
+    root, data, model = pipeline
+    sid = "two-L1-0000"
+    doc = json.loads((data / "annotations" / f"{sid}.json").read_text())
+    doc["shape"] = [10**9, 10**9]
+    for obj in doc["objects"]:
+        obj["amodal_rle"] = obj["modal_rle"] = f"0 {10**18}"
+    doc["unknown_rle"] = None
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / f"{sid}.json").write_text(json.dumps(doc))
+    r = run_cli("evaluate", "--pred", preds, "--truth", data / "annotations",
+                "--out", tmp_path / "e.txt")
+    _assert_format_error(r)
+    assert "1000000000x1000000000" in r.stderr
+    assert not (tmp_path / "e.txt").exists()
+
+
 def test_signalling_nan_payloads_are_one_error_line(pipeline, tmp_path):
     # float32 bits of a signalling NaN; widening one used to print numpy's
     # RuntimeWarning above the error line

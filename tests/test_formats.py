@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import math
 import os
 import re
 import struct
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compseg.errors import FormatError, ValidationError
+from compseg.errors import CompsegError, FormatError, ValidationError
 from compseg.fmap import BoundingBox
 from compseg.formats import (
+    ModelBundle,
     ObjectRecord,
     SceneAnnotation,
     annotation_from_json,
@@ -26,7 +29,8 @@ from compseg.formats import (
     quantize_bundle,
     save_model,
 )
-from compseg.models import SIMPLEX_TOL
+from compseg.models import SIMPLEX_TOL, ClassModel, MixtureModel, OccluderModel
+from compseg.vmf import VmfDictionary
 
 
 def test_rle_known_strings():
@@ -384,3 +388,232 @@ def test_manifest_rejects_duplicate_scene_ids(tmp_path):
         json.dump({"version": 1, "scenes": [scene, other, scene]}, fh)
     with pytest.raises(FormatError, match=r"manifest\.json: duplicate scene id 'two-L1-0000'"):
         load_manifest(p)
+
+
+# 1,500 nested arrays: deeper than `json.loads` can recurse
+DEEPLY_NESTED = "[" * 1500 + "]" * 1500
+
+
+def test_annotation_nested_too_deeply_is_a_format_error():
+    with pytest.raises(FormatError, match="bad annotation JSON"):
+        annotation_from_json(DEEPLY_NESTED)
+
+
+def test_manifest_nested_too_deeply_is_a_format_error(tmp_path):
+    p = tmp_path / "manifest.json"
+    p.write_text(DEEPLY_NESTED)
+    with pytest.raises(FormatError, match="bad manifest JSON"):
+        load_manifest(str(p))
+
+
+def _huge_lattice_doc():
+    """An annotation of a 10**9 x 10**9 lattice whose runs sum to its size."""
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    doc["shape"] = [10**9, 10**9]
+    for obj in doc["objects"]:
+        obj["amodal_rle"] = obj["modal_rle"] = f"0 {10**18}"
+    doc["unknown_rle"] = None
+    return doc
+
+
+def test_annotation_lattice_too_large_to_allocate_is_a_format_error():
+    with pytest.raises(FormatError, match="lattice 1000000000x1000000000 is too large"):
+        annotation_from_json(json.dumps(_huge_lattice_doc()))
+
+
+# Replacement values for the JSON fuzzers: every JSON type, numbers at the
+# edges of int64 and of float64, RLE-like strings and short shapes.
+JSON_VALUES = (
+    None, True, False, 0, -1, 1, 7, 2**31, 2**63, 2**64, -(2**63), 0.5, -0.0, 1e-300,
+    math.inf, -math.inf, math.nan, "", "x", "0", "-1", "1e400", "0 42", "42 0", "L1",
+    [], [0], [6, 7], [-6, -7], [7, 6, 0], [0, 0, 0, 0], {}, {"a": 1},
+)
+
+
+def _json_slots(node, path=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield from _json_slots(value, (*path, key))
+
+
+def _json_mutations(doc, rng: np.random.Generator, count: int):
+    """`count` seeded corruptions of a JSON document, each one to three
+    edits: a value replaced by one of `JSON_VALUES`, or a key or an item
+    deleted."""
+    for _ in range(count):
+        out = copy.deepcopy(doc)
+        for _ in range(rng.integers(1, 4)):
+            slots = list(_json_slots(out))
+            path = slots[rng.integers(len(slots))]
+            if not path:
+                out = JSON_VALUES[rng.integers(len(JSON_VALUES))]
+                continue
+            parent = out
+            for key in path[:-1]:
+                parent = parent[key]
+            if rng.integers(3) == 0:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(JSON_VALUES[rng.integers(len(JSON_VALUES))])
+        yield json.dumps(out)
+
+
+@pytest.mark.filterwarnings("error")
+def test_annotation_survives_seeded_mutations():
+    """A corrupted annotation either loads as one whose masks cover its
+    lattice and that serializes to a fixed point, or raises a
+    `CompsegError`: no other exception and no warning."""
+    rng = np.random.default_rng(41)
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    loaded = 0
+    for text in [DEEPLY_NESTED, json.dumps(_huge_lattice_doc())] + list(
+        _json_mutations(doc, rng, 6000)
+    ):
+        try:
+            ann = annotation_from_json(text)
+        except CompsegError:
+            continue
+        loaded += 1
+        for rec in ann.objects:
+            assert rec.amodal.shape == rec.modal.shape == ann.shape
+        again = annotation_to_json(ann)
+        assert annotation_to_json(annotation_from_json(again)) == again
+    assert 0 < loaded < 6000
+
+
+def _manifest_doc():
+    scene = {"id": "two-L1-0000", "fmap": "scenes/a.fmap", "annotation": "annotations/a.json",
+             "split": "test", "scenario": "two", "level": "L1"}
+    return {"version": 1, "config": {"seed": 7, "per_level": 1},
+            "scenes": [scene, dict(scene, id="four-L2-0000", scenario="four", level="L2")]}
+
+
+@pytest.mark.filterwarnings("error")
+def test_manifest_survives_seeded_mutations(tmp_path):
+    """A corrupted manifest either loads with one entry per scene and unique
+    ids, or raises a `CompsegError`: no other exception and no warning."""
+    rng = np.random.default_rng(43)
+    path = tmp_path / "manifest.json"
+    loaded = 0
+    for text in [DEEPLY_NESTED] + list(_json_mutations(_manifest_doc(), rng, 3000)):
+        path.write_text(text)
+        try:
+            man = load_manifest(str(path))
+        except CompsegError:
+            continue
+        loaded += 1
+        ids = [e.scene_id for e in man.entries]
+        assert len(ids) == len(set(ids)) == len(json.loads(text)["scenes"])
+    assert 0 < loaded < 3000
+
+
+def _small_bundle() -> ModelBundle:
+    """Two classes, three mixtures, K = 3 and D = 4: a MODEL file of 607 bytes."""
+    rng = np.random.default_rng(5)
+    k, dim = 3, 4
+    means = rng.normal(size=(k, dim))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+
+    def mixture(h, w):
+        fg, ctx = rng.random((2, h, w, k)) + 0.1
+        return MixtureModel(rng.random((h, w)), fg / fg.sum(-1, keepdims=True),
+                            ctx / ctx.sum(-1, keepdims=True))
+
+    classes = (ClassModel("disc", (mixture(2, 3),)),
+               ClassModel("brick", (mixture(3, 2), mixture(2, 2))))
+    occluder = OccluderModel(np.array([0.5, 0.25, 0.25]))
+    return quantize_bundle(ModelBundle(VmfDictionary(means, np.full(k, 2.0)), classes, occluder))
+
+
+def _model_layout(bundle: ModelBundle, size: int):
+    """(integer header fields, float slots) of `bundle`'s MODEL file, each
+    an (offset, struct format) pair."""
+    k, dim = bundle.dictionary.size, bundle.dictionary.dim
+    fields, floats = [(4, "<H"), (6, "<I"), (10, "<I")], []
+    at = 14
+    for _ in range(k):
+        floats += [(at + 4 * d, "<f") for d in range(dim)] + [(at + 4 * dim, "<d")]
+        at += 4 * dim + 8
+    floats += [(at + 8 * i, "<d") for i in range(k)]
+    at += 8 * k
+    fields.append((at, "<I"))
+    at += 4
+    for cls in bundle.classes:
+        fields.append((at, "<H"))
+        at += 2 + len(cls.label.encode("utf-8"))
+        fields.append((at, "<I"))
+        at += 4
+        for mix in cls.mixtures:
+            fields += [(at, "<I"), (at + 4, "<I")]
+            at += 8
+            n = mix.fg_prior.size * (1 + 2 * k)
+            floats += [(at + 4 * i, "<f") for i in range(n)]
+            at += 4 * n
+    assert at == size
+    return fields, floats
+
+
+FIELD_VALUES = {"<H": (0, 1, 2, 5, 2**16 - 1), "<I": (0, 1, 2, 3, 4, 6, 2**31, 2**32 - 1)}
+SPECIAL_FLOATS = {
+    # the last of each is a signalling NaN
+    "<f": [struct.pack("<f", v) for v in (0.0, -0.0, 1e-45, 1e-30, 1.0, 3.4e38, math.inf,
+                                          -math.inf, math.nan)] + [struct.pack("<I", 0x7F800001)],
+    "<d": [struct.pack("<d", v) for v in (0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308,
+                                          math.inf, -math.inf, math.nan)]
+    + [struct.pack("<Q", 0x7FF0000000000001)],
+}
+
+
+def _model_mutations(blob: bytes, fields, floats, rng: np.random.Generator, count: int):
+    """`count` seeded corruptions of a MODEL file: byte flips, truncations,
+    extensions, rewritten header fields and floats set to special values."""
+    for _ in range(count):
+        out = bytearray(blob)
+        kind = rng.integers(5)
+        if kind == 0:
+            for pos in rng.integers(len(out), size=rng.integers(1, 4)):
+                out[pos] ^= int(rng.integers(1, 256))
+        elif kind == 1:
+            del out[rng.integers(len(out)):]
+        elif kind == 2:
+            out += rng.bytes(int(rng.integers(1, 40)))
+        elif kind == 3:
+            at, fmt = fields[rng.integers(len(fields))]
+            values = FIELD_VALUES[fmt]
+            out[at : at + struct.calcsize(fmt)] = struct.pack(fmt, values[rng.integers(len(values))])
+        else:
+            at, fmt = floats[rng.integers(len(floats))]
+            values = SPECIAL_FLOATS[fmt]
+            out[at : at + struct.calcsize(fmt)] = values[rng.integers(len(values))]
+        yield bytes(out)
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_model_survives_seeded_mutations(tmp_path):
+    """A corrupted MODEL file either loads as a model that saves back to the
+    same bytes, or raises a `CompsegError`: no other exception and no
+    warning."""
+    rng = np.random.default_rng(47)
+    path, again = str(tmp_path / "model.bin"), str(tmp_path / "again.bin")
+    bundle = _small_bundle()
+    save_model(bundle, path)
+    blob = Path(path).read_bytes()
+    fields, floats = _model_layout(bundle, len(blob))
+    loaded = 0
+    for mutant in _model_mutations(blob, fields, floats, rng, 3000):
+        Path(path).write_bytes(mutant)
+        try:
+            back = load_model(path)
+        except CompsegError:
+            continue
+        loaded += 1
+        save_model(back, again)
+        assert Path(again).read_bytes() == mutant
+    assert 0 < loaded < 3000

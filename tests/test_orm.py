@@ -253,7 +253,7 @@ def test_scene_invariants(segmented):
 
         union = np.zeros(fm.shape, dtype=np.int64)
         for idx in range(n):
-            amodal, modal = result.amodal[idx], result.modal[idx]
+            amodal, modal = result.masks(idx, fm.shape)
             assert not (modal & ~amodal).any()          # modal inside amodal
             assert not (modal & (owners != idx)).any()  # modal on owned pixels
             union += modal
@@ -267,8 +267,8 @@ def test_segment_scene_deterministic(tiny_challenge, tiny_bundle):
     b = segment_scene(fm, boxes, tiny_bundle, iters=2)
     assert np.array_equal(a.owners, b.owners)
     assert a.edges == b.edges
-    for ma, mb in zip(a.modal, b.modal):
-        assert ma.tobytes() == mb.tobytes()
+    for idx in range(len(a.objects)):
+        assert a.masks(idx, fm.shape)[1].tobytes() == b.masks(idx, fm.shape)[1].tobytes()
     assert [o.score for o in a.objects] == [o.score for o in b.objects]
 
 
@@ -280,7 +280,7 @@ def test_iters_zero_is_feed_forward(tiny_challenge, tiny_bundle):
     assert result.edges == ()
     for idx, obj in enumerate(result.objects):
         visible = obj.labels == LABEL_FG
-        inside = result.modal[idx][obj.box.slices]
+        inside = result.masks(idx, fm.shape)[1][obj.box.slices]
         assert not (inside & ~visible).any()
     with pytest.raises(ValidationError):
         segment_scene(fm, boxes, tiny_bundle, iters=-1)
@@ -358,7 +358,7 @@ def _exactly_k_passes(scene, boxes, bundle, iters, no_order):
             prev_vis[idx] = vis
             result = orm.rescore(obj.candidates, vis)
             objects[idx] = orm._scene_object(obj.oid, obj.box, result, bundle)
-    return orm._scene_result((objects, owners, edges), scene.shape)
+    return orm.SceneResult(objects, owners, edges)
 
 
 def _test_scenes(challenge):
@@ -383,8 +383,10 @@ def test_fixed_point_stop_is_exact(tiny_challenge, tiny_bundle):
                 else:
                     assert got.owners.tobytes() == want.owners.tobytes(), where
                 assert got.edges == want.edges, where
-                for a, b in zip(got.amodal + got.modal, want.amodal + want.modal, strict=True):
-                    assert a.tobytes() == b.tobytes(), where
+                assert len(got.objects) == len(want.objects), where
+                for idx in range(len(got.objects)):
+                    for a, b in zip(got.masks(idx, fm.shape), want.masks(idx, fm.shape)):
+                        assert a.tobytes() == b.tobytes(), where
     assert scenarios == {"two", "four", "unknown"}
 
 
