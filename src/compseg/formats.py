@@ -232,7 +232,13 @@ def encode_rle(mask: np.ndarray) -> str:
     return " ".join(map(str, runs))
 
 
+def _check_lattice(shape: tuple[int, int]) -> None:
+    if shape[0] < 0 or shape[1] < 0:
+        raise FormatError(f"lattice {shape[0]}x{shape[1]} has a negative side")
+
+
 def decode_rle(text: str, shape: tuple[int, int]) -> np.ndarray:
+    _check_lattice(shape)
     if not isinstance(text, str):
         raise FormatError(f"RLE must be a string, got {type(text).__name__}")
     try:
@@ -247,7 +253,8 @@ def decode_rle(text: str, shape: tuple[int, int]) -> np.ndarray:
     # Runs alternate False, True, False, ...: each run repeats its parity.
     try:
         return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
-    except MemoryError as exc:
+    except (MemoryError, OverflowError, ValueError) as exc:
+        # numpy cannot allocate the lattice, index its runs or give it its shape
         raise FormatError(f"RLE lattice {shape[0]}x{shape[1]} is too large to allocate") from exc
 
 
@@ -350,6 +357,7 @@ def annotation_from_json(text: str) -> SceneAnnotation:
     try:
         height, width = map(int, doc["shape"])
         shape = (height, width)
+        _check_lattice(shape)
         objects = []
         for o in doc["objects"]:
             box = BoundingBox(*[int(v) for v in o["box"]])

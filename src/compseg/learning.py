@@ -46,7 +46,7 @@ from .errors import TrainingError, ValidationError
 from .fmap import FeatureMap, crop, resample_nearest
 from .formats import ModelBundle, SceneAnnotation, quantize_bundle
 from .models import ClassModel, MixtureModel, OccluderModel
-from .vmf import VmfDictionary, fit_dictionary_traced, responsibilities
+from .vmf import VmfDictionary, fit_dictionary_traced, kmeanspp_centers, responsibilities
 
 SHRINK = 0.10          # share of a box's height and width cut off as its ring
 DICT_SAMPLE = 150_000  # most rows the dictionary fit draws
@@ -65,14 +65,11 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Side-channel diagnostics; the model bundle never depends on these."""
+    """How the dictionary fit ended; the model bundle never depends on it."""
 
     dictionary_objective: list[float] = field(default_factory=list)
     dictionary_iterations: int = 0
     dictionary_stop: str = ""  # which rule ended the fit, a `vmf.STOP_*` string
-    crop_index: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
-    mixture_groups: dict[str, list[int]] = field(default_factory=dict)
-    group_shapes: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
 
 
 def _inner_slices(shape: tuple[int, int]) -> tuple[slice, slice]:
@@ -202,11 +199,16 @@ class GroupSums:
         return out / out.sum(axis=-1, keepdims=True)
 
 
+def _sq_euclidean(points: np.ndarray, center: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.sum((points - center) ** 2, axis=1, out=out)
+
+
 def assign_mixtures(pooled: np.ndarray, m: int, seed) -> np.ndarray:
     """Partition crops into M groups by k-means on pooled responsibilities.
 
-    Euclidean k-means with k-means++ seeding, at most `MAX_ITER` sweeps; an
-    empty group is reseeded from the farthest point, so none stays empty.
+    Euclidean k-means with `vmf.kmeanspp_centers` seeding under squared
+    Euclidean distance, at most `MAX_ITER` sweeps; an empty group is
+    reseeded from the farthest point, so none stays empty.
     """
     vectors = np.asarray(pooled, dtype=np.float64)
     n = vectors.shape[0]
@@ -214,21 +216,7 @@ def assign_mixtures(pooled: np.ndarray, m: int, seed) -> np.ndarray:
         raise TrainingError("mixtures", f"mixture count must be >= 1, got {m}")
     if n < m:
         raise TrainingError("mixtures", f"{n} crops cannot fill {m} mixture groups")
-    if m == 1:
-        return np.zeros(n, dtype=np.int64)
-
-    rng = np.random.default_rng(seed)
-    centers = np.empty((m, vectors.shape[1]))
-    centers[0] = vectors[int(rng.integers(n))]
-    d2 = np.sum((vectors - centers[0]) ** 2, axis=1)
-    for j in range(1, m):
-        total = d2.sum()
-        if total <= 0:
-            centers[j] = vectors[int(rng.integers(n))]
-        else:
-            centers[j] = vectors[int(rng.choice(n, p=d2 / total))]
-        d2 = np.minimum(d2, np.sum((vectors - centers[j]) ** 2, axis=1))
-
+    centers = kmeanspp_centers(vectors, m, np.random.default_rng(seed), _sq_euclidean)
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(MAX_ITER):
         dists = ((vectors[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -306,44 +294,37 @@ def _fit_mixture(
     return MixtureModel(prior, sums.coeffs(), sums.context_coeffs())
 
 
-def _gather_crops(scenes: Sequence[tuple[FeatureMap, SceneAnnotation]]):
-    """(label -> [(crop, scene_id)]) over all annotated objects.
+def _gather_crops(
+    scenes: Sequence[tuple[FeatureMap, SceneAnnotation]]
+) -> dict[str, list[FeatureMap]]:
+    """(label -> crops) over all annotated objects, in scene and object order.
 
     Each crop is a view of its scene map: its readers widen or resample it
     into a copy of their own anyway.
     """
-    by_class: dict[str, list] = {}
+    by_class: dict[str, list[FeatureMap]] = {}
     for fm, ann in scenes:
         for obj in ann.objects:
-            patch = crop(fm, obj.box)
-            by_class.setdefault(obj.label, []).append((patch, ann.scene_id))
+            by_class.setdefault(obj.label, []).append(crop(fm, obj.box))
     return by_class
 
 
 def _fit_classes(
-    by_class: dict[str, list], dictionary: VmfDictionary, config: TrainConfig, report: TrainReport
+    by_class: dict[str, list[FeatureMap]], dictionary: VmfDictionary, config: TrainConfig
 ) -> list[ClassModel]:
     """One class model per label, in label order, from `_gather_crops`'s crops."""
     if not by_class:
         raise TrainingError("dataset", "no annotated objects in training scenes")
     classes = []
     for class_index, label in enumerate(sorted(by_class)):
-        entries = by_class[label]
-        crops = [e[0] for e in entries]
-        report.crop_index[label] = [(e[1], i) for i, e in enumerate(entries)]
-
+        crops = by_class[label]
         pooled = np.stack([pooled_responsibility(c, dictionary) for c in crops])
         groups = assign_mixtures(pooled, config.m, seed=[config.seed, 1, class_index])
-        report.mixture_groups[label] = groups.tolist()
-
         mixtures = []
-        shapes = []
         for g in range(config.m):
             members = [crops[i] for i in np.flatnonzero(groups == g)]
             shape = canonical_shape([c.shape[:2] for c in members])
-            shapes.append(shape)
             mixtures.append(_fit_mixture(members, shape, dictionary))
-        report.group_shapes[label] = shapes
         classes.append(ClassModel(label, tuple(mixtures)))
     return classes
 
@@ -382,7 +363,7 @@ def train(
     except (ValidationError, ValueError) as exc:
         raise TrainingError("dictionary", str(exc)) from exc
 
-    classes = _fit_classes(_gather_crops(scenes), dictionary, config, report)
+    classes = _fit_classes(_gather_crops(scenes), dictionary, config)
     occluder = learn_occluder(backgrounds, dictionary)
     bundle = ModelBundle(dictionary, tuple(classes), occluder)
     return quantize_bundle(bundle), report

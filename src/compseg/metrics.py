@@ -194,7 +194,7 @@ def _annotation(
         split=truth.split,
         shape=truth.shape,
         objects=objects,
-        order_edges=[e.as_tuple() for e in result.edges],
+        order_edges=list(result.edges),
     )
 
 

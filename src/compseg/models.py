@@ -33,12 +33,10 @@ candidate's maps for a crop once and picks the best; `rescore` re-picks over
 those same candidates under a visibility grid, as the ORM does for an
 occluded object, without touching the crop again.
 
-Inputs are validated where they enter. The model dataclasses check their
-arrays when built, `crop_evidence` checks the crop against the dictionary
-and `likelihood_maps` checks K; the maps it returns come through
-`LikelihoodMaps._trusted`, which skips the checks of arrays it just built.
-`rescore` checks its visibility grid once per call against the candidates'
-shared crop shape.
+Inputs are validated where they enter. The model dataclasses, the maps
+included, check their arrays when built, `crop_evidence` checks the crop
+against the dictionary and `likelihood_maps` checks K. `rescore` checks its
+visibility grid once per call against the candidates' shared crop shape.
 """
 from __future__ import annotations
 
@@ -173,18 +171,6 @@ class LikelihoodMaps:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def _trusted(cls, fg: np.ndarray, ctx: np.ndarray, occ: np.ndarray) -> "LikelihoodMaps":
-        """Maps that `likelihood_maps` just built: float64, one 2-d shape.
-
-        This skips the conversions and checks and only makes them read-only.
-        """
-        maps = object.__new__(cls)
-        for name, arr in (("fg", fg), ("ctx", ctx), ("occ", occ)):
-            arr.setflags(write=False)
-            object.__setattr__(maps, name, arr)
-        return maps
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.fg.shape
@@ -304,7 +290,7 @@ def likelihood_maps(evidence: CropEvidence, mixture: MixtureModel) -> Likelihood
     log_1mp = mixture._log_1mp.reshape(-1)[idx]
     fg_ll = _mixture_loglik(evidence, np.take(mixture.fg_coeffs.reshape(-1, k), idx, axis=0))
     ctx_ll = _mixture_loglik(evidence, np.take(mixture.ctx_coeffs.reshape(-1, k), idx, axis=0))
-    return LikelihoodMaps._trusted(
+    return LikelihoodMaps(
         (log_p + fg_ll).reshape(h, w),
         (log_1mp + ctx_ll).reshape(h, w),
         (log_p + evidence.occ).reshape(h, w),

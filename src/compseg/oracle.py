@@ -328,7 +328,7 @@ def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int,
             competition, claimants, [e[:4] for e in edges], n
         )
         owners, got_edges = orm_pass(objects, (h, w))
-        same_edges = sorted(e.as_tuple() for e in got_edges) == sorted(edges)
+        same_edges = sorted(got_edges) == sorted(edges)
         if not same_edges or owners.reshape(-1).tolist() != want:
             mismatches += 1
     return mismatches, cases

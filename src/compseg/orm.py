@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,16 +93,14 @@ class SceneObject:
             )
 
 
-@dataclass(frozen=True)
-class OrderEdge:
+class OrderEdge(NamedTuple):
+    """One recovered order edge, as the prediction record stores it."""
+
     front: int
     back: int
     votes_front: int
     votes_back: int
     conflict_size: int
-
-    def as_tuple(self):
-        return (self.front, self.back, self.votes_front, self.votes_back, self.conflict_size)
 
 
 @dataclass(frozen=True)

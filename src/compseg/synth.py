@@ -316,9 +316,7 @@ class PlacedObject:
         return _part_grid(self.class_index, self.template_id, self.box.shape)
 
     def lattice_mask(self, shape: tuple[int, int]) -> np.ndarray:
-        out = np.zeros(shape, dtype=np.bool_)
-        out[self.box.slices] = self.part_grid >= 0
-        return out
+        return _placed_at(shape, self.part_grid >= 0, self.box.y0, self.box.x0)
 
 
 # The placement code draws one scalar at a time, in a fixed order, and that
@@ -329,20 +327,9 @@ class PlacedObject:
 # move the stream and so rewrite every dataset. The one exception is the
 # training-pair search, whose tries `make_train_scene` computes from raw
 # PCG64 words with the same values and the same stream position afterwards.
-# Elsewhere, what is cut is the work around the draws: candidate boxes skip
-# validation, overlap is counted on the box window, and a full-lattice mask
-# is placed only where a veto reads one.
-
-
-def _box(x0: int, y0: int, x1: int, y1: int) -> BoundingBox:
-    """A box from in-bounds integer corners the placement code computed.
-
-    Skips `BoundingBox`'s checks, as `FeatureMap._trusted` skips its own;
-    boxes read from files keep the checked constructor.
-    """
-    box = object.__new__(BoundingBox)
-    box.__dict__.update(x0=x0, y0=y0, x1=x1, y1=y1)
-    return box
+# Elsewhere, what is cut is the work around the draws: overlap is counted on
+# the box window, and a full-lattice mask is placed only where a veto reads
+# one.
 
 
 def _placed_at(shape, mask, y0: int, x0: int) -> np.ndarray:
@@ -421,14 +408,14 @@ def _approach_search(
                 if f < 0.0 or not lo_f <= f < hi_f:
                     continue
                 if veto is None or not veto(_placed_at(shape, mask, y0, x0)):
-                    return _box(x0, y0, x0 + w, y0 + h)
+                    return BoundingBox(x0, y0, x0 + w, y0 + h)
     return None
 
 
 def _random_fit_box(rng, shape, h, w, margin=0) -> BoundingBox:
     y0 = int(rng.integers(margin, shape[0] - h - margin + 1))
     x0 = int(rng.integers(margin, shape[1] - w - margin + 1))
-    return _box(x0, y0, x0 + w, y0 + h)
+    return BoundingBox(x0, y0, x0 + w, y0 + h)
 
 
 def _side(s: float) -> int:
@@ -659,10 +646,10 @@ def make_unknown_scene(rng, space, level: str, scene_id: str):
 
     def overcovers(pm: np.ndarray) -> bool:
         # Totals must stay inside measurable buckets for both objects.
-        if _coverage(amodal_a, pm) >= OCCLUSION_CAP:
-            return True
-        hidden_b = (amodal_b & amodal_a) | (amodal_b & pm)
-        return hidden_b.sum() / amodal_b.sum() >= OCCLUSION_CAP
+        return (
+            _coverage(amodal_a, pm) >= OCCLUSION_CAP
+            or _coverage(amodal_b, amodal_a | pm) >= OCCLUSION_CAP
+        )
 
     if level == "L0":
         blob_box = _disjoint_box(rng, shape, blob, amodal_a | amodal_b, tries=200)
@@ -796,8 +783,8 @@ def make_train_scene(rng, space, scene_id: str):
 
 def _train_pair(rng, space, scene_id, ci_a, tid_a, ci_b, tid_b, side_a, side_b, ya, xa, yb, xb):
     placed = [
-        PlacedObject(ci_a, tid_a, _box(xa, ya, xa + side_a, ya + side_a)),
-        PlacedObject(ci_b, tid_b, _box(xb, yb, xb + side_b, yb + side_b)),
+        PlacedObject(ci_a, tid_a, BoundingBox(xa, ya, xa + side_a, ya + side_a)),
+        PlacedObject(ci_b, tid_b, BoundingBox(xb, yb, xb + side_b, yb + side_b)),
     ]
     return _scene(rng, space, scene_id, "two", "train", (TWO_SIZE, TWO_SIZE), placed)
 

@@ -281,22 +281,36 @@ def _draw(rng: np.random.Generator, weights: np.ndarray, total: float, out: np.n
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _kmeanspp_init(feats: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = feats.shape[0]
-    centers = np.empty((k, feats.shape[1]))
-    dist = np.full(n, np.inf)  # squared cosine distance to the nearest chosen center
+def kmeanspp_centers(
+    points: np.ndarray, k: int, rng: np.random.Generator, sq_dist
+) -> np.ndarray:
+    """k-means++ seeding: (k, D) float64 centers drawn from the rows of `points`.
+
+    `sq_dist(points, center, out)` writes each row's squared distance to
+    `center` into the float64 vector `out` and returns it. The first center
+    is a uniform row; each next one is drawn with probability proportional to
+    the squared distance to the nearest center so far, by `Generator.choice`'s
+    own steps (`_draw`), or uniformly once every distance is 0.
+    """
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    dist = np.full(n, np.inf)  # squared distance to the nearest chosen center
     scratch = np.empty(n)  # the newest center's distances, then the draw's cdf
     idx = int(rng.integers(n))
     for j in range(k):
-        centers[j] = feats[idx]
+        centers[j] = points[idx]
         if j == k - 1:
             break
-        cand = _cosines(feats, centers[j], scratch)
-        np.square(np.subtract(1.0, cand, out=cand), out=cand)
-        np.minimum(dist, cand, out=dist)
+        np.minimum(dist, sq_dist(points, centers[j], scratch), out=dist)
         total = float(dist.sum())
         idx = int(rng.integers(n)) if total <= 0 else _draw(rng, dist, total, scratch)
     return centers
+
+
+def _cosine_sq_dist(feats: np.ndarray, center: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(1 - cos)^2 of each unit row to `center`, into `out`."""
+    cos = _cosines(feats, center, out)
+    return np.square(np.subtract(1.0, cos, out=cos), out=cos)
 
 
 STOP_MAX_ITER = "max_iter reached"
@@ -380,7 +394,7 @@ def fit_dictionary_traced(
         raise ValidationError("features must be unit-norm")
 
     rng = np.random.default_rng(seed)
-    centers = _kmeanspp_init(feats, k, rng)
+    centers = kmeanspp_centers(feats, k, rng, _cosine_sq_dist)
     assign = np.full(n, -1, dtype=np.int64)
     new_assign = np.empty(n, dtype=np.int64)
     own = np.empty(n)

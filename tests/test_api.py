@@ -237,3 +237,34 @@ def test_every_top_level_name_is_read():
         if name not in in_package and (name.startswith("_") or name not in elsewhere)
     ]
     assert unread == []
+
+
+def _object_new_scopes(tree: ast.Module) -> list[str]:
+    """The qualified name of the scope of each `object.__new__` in `tree`."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = (*scope, child.name)
+            elif (isinstance(child, ast.Attribute) and child.attr == "__new__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"):
+                found.append(".".join(scope))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_one_unchecked_constructor():
+    """Each type has one constructor, its checked one, save one exception:
+    `FeatureMap._trusted` wraps a crop's view without copying or renormalising
+    rows its scene map already checked. A second way to build a type past
+    its checks fails here."""
+    scopes = [
+        f"{path.name}:{scope}"
+        for path in sorted((ROOT / "src" / "compseg").glob("*.py"))
+        for scope in _object_new_scopes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert scopes == ["fmap.py:FeatureMap._trusted"]

@@ -7,11 +7,14 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from test_fmap import _mutations as _fmap_mutations
+from test_formats import _json_mutations, _model_layout, _model_mutations
 
 from compseg import cli, synth
 from compseg.errors import ValidationError
-from compseg.formats import annotation_from_json, annotation_to_json
+from compseg.formats import annotation_from_json, annotation_to_json, load_model
 
 
 def run_cli(*args):
@@ -396,3 +399,109 @@ def test_signalling_nan_payloads_are_one_error_line(pipeline, tmp_path):
     assert r.stderr.startswith("compseg: error code=INVALID msg=")
     assert r.stderr.count("\n") == 1 and "non-finite" in r.stderr
     assert not (tmp_path / "seg").exists()
+
+
+def _ok_or_one_error_line(capsys, *args):
+    """Run `compseg args` in-process: it exits 0 with nothing on stderr, or
+    2 with exactly one error line."""
+    code = cli.main([str(a) for a in args])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and re.fullmatch(r"compseg: error code=[A-Z]+ msg=.+", lines[0])
+
+
+@pytest.mark.parametrize(
+    "doc, shape",
+    [
+        (dict(shape=[-2, -3], objects=[], order_edges=[], unknown_rle=None), "-2x-3"),
+        (dict(shape=[2**32, 2**32], unknown_rle=None), "4294967296x4294967296"),
+    ],
+    ids=["negative-sides", "past-intp"],
+)
+def test_bad_annotation_shape_is_one_format_line(pipeline, tmp_path, capsys, doc, shape):
+    root, data, model = pipeline
+    sid = "two-L1-0000"
+    pred = json.loads((data / "annotations" / f"{sid}.json").read_text())
+    pred.update(doc)
+    for obj in pred["objects"]:
+        obj["amodal_rle"] = obj["modal_rle"] = f"0 {2**64}"
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / f"{sid}.json").write_text(json.dumps(pred))
+    code = cli.main(["evaluate", "--pred", str(preds), "--truth", str(data / "annotations"),
+                     "--out", str(tmp_path / "e.txt")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("compseg: error code=FORMAT msg=") and err.count("\n") == 1
+    assert f"lattice {shape}" in err
+    assert not (tmp_path / "e.txt").exists()
+
+
+# Each command below runs on seeded mutants made by the reader fuzzers'
+# mutators: a bad input ends in one error line, whatever reader it reaches.
+# With these seeds each command also gets mutants that it runs to the end.
+
+
+@pytest.mark.filterwarnings("error")
+def test_segment_survives_mutated_inputs(pipeline, tmp_path, capsys):
+    root, data, model = pipeline
+    rng = np.random.default_rng(53)
+    sid = "four-L2-0000"
+    scene = data / "scenes" / f"{sid}.fmap"
+    blob = model.read_bytes()
+    fields, floats = _model_layout(load_model(str(model)), len(blob))
+    bad_model = tmp_path / "model.bin"
+    for mutant in _model_mutations(blob, fields, floats, rng, 12):
+        bad_model.write_bytes(mutant)
+        _ok_or_one_error_line(capsys, "segment", "--model", bad_model, "--scene", scene,
+                              "--out", tmp_path / "seg")
+
+    solo = tmp_path / "solo"
+    solo.mkdir()
+    doc = (data / "annotations" / f"{sid}.json").read_text()
+    (solo / f"{sid}.json").write_text(doc)
+    for mutant in _fmap_mutations(scene.read_bytes(), rng, 12):
+        (solo / f"{sid}.fmap").write_bytes(mutant)
+        _ok_or_one_error_line(capsys, "segment", "--model", model, "--scene",
+                              solo / f"{sid}.fmap", "--out", tmp_path / "seg")
+    shutil.copy(scene, solo / f"{sid}.fmap")
+    for mutant in _json_mutations(json.loads(doc), rng, 12):
+        (solo / f"{sid}.json").write_text(mutant)
+        _ok_or_one_error_line(capsys, "segment", "--model", model, "--scene",
+                              solo / f"{sid}.fmap", "--out", tmp_path / "seg")
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_survives_mutated_annotations(pipeline, tmp_path, capsys):
+    root, data, model = pipeline
+    rng = np.random.default_rng(59)
+    sid = "four-L2-0000"
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    doc = json.loads((data / "annotations" / f"{sid}.json").read_text())
+    for mutant in _json_mutations(doc, rng, 24):
+        (preds / f"{sid}.json").write_text(mutant)
+        _ok_or_one_error_line(capsys, "evaluate", "--pred", preds, "--truth",
+                              data / "annotations", "--out", tmp_path / "e.txt")
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_and_ablate_survive_mutated_manifests(pipeline, tmp_path, capsys):
+    # the mutants sit next to the manifest, whose paths are relative to it
+    root, data, model = pipeline
+    rng = np.random.default_rng(61)
+    doc = json.loads((data / "manifest.json").read_text())
+    path = data / "mutant-manifest.json"
+    try:
+        for mutant in _json_mutations(doc, rng, 12):
+            path.write_text(mutant)
+            _ok_or_one_error_line(capsys, "train", "--manifest", path, "--k", 8,
+                                  "--out", tmp_path / "m.bin")
+            _ok_or_one_error_line(capsys, "ablate", "--model", model, "--manifest", path,
+                                  "--out", tmp_path / "a.txt")
+    finally:
+        path.unlink(missing_ok=True)

@@ -421,6 +421,49 @@ def test_annotation_lattice_too_large_to_allocate_is_a_format_error():
         annotation_from_json(json.dumps(_huge_lattice_doc()))
 
 
+@pytest.mark.parametrize(
+    "text, shape, match",
+    [
+        # the runs sum to the product of the two negative sides
+        ("6", (-2, -3), "lattice -2x-3 has a negative side"),
+        # 2**64 pixels, a run numpy cannot index
+        (f"0 {2**64}", (2**32, 2**32), "lattice 4294967296x4294967296 is too large"),
+        # no pixels, but a side numpy cannot give an array
+        ("", (0, 2**70), f"lattice 0x{2**70} is too large"),
+    ],
+    ids=["negative-sides", "run-past-intp", "side-past-intp"],
+)
+def test_decode_rle_bad_lattice_is_a_format_error(text, shape, match):
+    with pytest.raises(FormatError, match=match):
+        decode_rle(text, shape)
+
+
+def _negative_shape_doc():
+    """An annotation of a -2x-3 lattice with nothing to decode on it."""
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    doc.update(shape=[-2, -3], objects=[], order_edges=[], unknown_rle=None)
+    return doc
+
+
+def _intp_overflow_doc():
+    """An annotation of a 2**32 x 2**32 lattice whose runs sum to its 2**64 pixels."""
+    doc = _huge_lattice_doc()
+    doc["shape"] = [2**32, 2**32]
+    for obj in doc["objects"]:
+        obj["amodal_rle"] = obj["modal_rle"] = f"0 {2**64}"
+    return doc
+
+
+def test_annotation_negative_shape_is_a_format_error():
+    with pytest.raises(FormatError, match="lattice -2x-3 has a negative side"):
+        annotation_from_json(json.dumps(_negative_shape_doc()))
+
+
+def test_annotation_lattice_past_intp_is_a_format_error():
+    with pytest.raises(FormatError, match="lattice 4294967296x4294967296 is too large"):
+        annotation_from_json(json.dumps(_intp_overflow_doc()))
+
+
 # Replacement values for the JSON fuzzers: every JSON type, numbers at the
 # edges of int64 and of float64, RLE-like strings and short shapes.
 JSON_VALUES = (
@@ -469,13 +512,16 @@ def _json_mutations(doc, rng: np.random.Generator, count: int):
 def test_annotation_survives_seeded_mutations():
     """A corrupted annotation either loads as one whose masks cover its
     lattice and that serializes to a fixed point, or raises a
-    `CompsegError`: no other exception and no warning."""
+    `CompsegError`: no other exception and no warning. The fixed cases,
+    each a bug once, must raise."""
+    fixed = [_huge_lattice_doc(), _negative_shape_doc(), _intp_overflow_doc()]
+    for text in [DEEPLY_NESTED, *map(json.dumps, fixed)]:
+        with pytest.raises(CompsegError):
+            annotation_from_json(text)
     rng = np.random.default_rng(41)
     doc = json.loads(annotation_to_json(_tiny_annotation()))
     loaded = 0
-    for text in [DEEPLY_NESTED, json.dumps(_huge_lattice_doc())] + list(
-        _json_mutations(doc, rng, 6000)
-    ):
+    for text in _json_mutations(doc, rng, 6000):
         try:
             ann = annotation_from_json(text)
         except CompsegError:

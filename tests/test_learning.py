@@ -262,12 +262,21 @@ def test_train_model_bytes_pinned(tiny_train_pairs, tiny_backgrounds, tmp_path, 
 
 
 def test_training_crops_are_views_of_their_scene_maps(tiny_train_pairs):
+    # crops come in scene and object order, so each label's list pairs with
+    # the scene maps of that label's objects
     by_class = _gather_crops(tiny_train_pairs)
-    scene_of = {ann.scene_id: fm for fm, ann in tiny_train_pairs}
-    crops = [entry for entries in by_class.values() for entry in entries]
+    scene_maps: dict[str, list] = {}
+    for fm, ann in tiny_train_pairs:
+        for obj in ann.objects:
+            scene_maps.setdefault(obj.label, []).append(fm)
+    crops = [
+        (patch, fm)
+        for label, patches in by_class.items()
+        for patch, fm in zip(patches, scene_maps[label], strict=True)
+    ]
     assert len(crops) == sum(len(ann.objects) for _, ann in tiny_train_pairs)
-    for patch, scene_id in crops:
-        assert np.shares_memory(patch.data, scene_of[scene_id].data)
+    for patch, fm in crops:
+        assert np.shares_memory(patch.data, fm.data)
         assert not patch.data.flags.writeable
 
 
@@ -346,12 +355,6 @@ def test_train_report_structure(tiny_train_pairs, tiny_backgrounds, small_fit, m
 
     labels = sorted({o.label for _, ann in pairs for o in ann.objects})
     assert list(bundle.labels) == labels
-    assert sorted(report.mixture_groups) == labels
-    for label in labels:
-        n_crops = len(report.crop_index[label])
-        assert len(report.mixture_groups[label]) == n_crops
-        assert set(report.mixture_groups[label]) == set(range(cfg.m))
-        assert len(report.group_shapes[label]) == cfg.m
     assert report.dictionary_objective
     assert 1 <= report.dictionary_iterations <= learning.MAX_ITER
     assert len(report.dictionary_objective) == report.dictionary_iterations + 1

@@ -9,7 +9,7 @@ from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compseg import vmf
+from compseg import learning, vmf
 from compseg.errors import ValidationError
 from compseg.oracle import closed_form_log_normalizer_3d
 from compseg.vmf import (
@@ -239,20 +239,30 @@ def test_fit_dictionary_rejects_bad_shared_concentration_before_fitting(monkeypa
     def seeding_must_not_run(*args):
         raise AssertionError("the fit started before the concentration was checked")
 
-    monkeypatch.setattr(vmf, "_kmeanspp_init", seeding_must_not_run)
+    monkeypatch.setattr(vmf, "kmeanspp_centers", seeding_must_not_run)
     feats = sample_uniform_sphere(np.random.default_rng(12), 10, 4)
     for sigma in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="concentrations must be finite and >= 0"):
             fit_dictionary_traced(feats, 3, seed=0, shared_concentration=sigma, max_iter=100)
 
 
-def straightforward_kmeanspp(feats, k, rng):
-    """k-means++ over the whole array: one matrix-vector product per center,
-    and each center drawn by `Generator.choice` with p = dist / dist.sum()."""
+def cosine_sq_dist(feats, center):
+    """The dictionary fit's distance: one matrix-vector product over the whole array."""
+    return (1.0 - feats @ center) ** 2
+
+
+def euclidean_sq_dist(points, center):
+    """The mixture assignment's distance."""
+    return np.sum((points - center) ** 2, axis=1)
+
+
+def straightforward_kmeanspp(feats, k, rng, sq_dist=cosine_sq_dist):
+    """k-means++ over the whole array: each center drawn by `Generator.choice`
+    with p = dist / dist.sum(), dist the squared distance to the nearest center."""
     n = feats.shape[0]
     centers = np.empty((k, feats.shape[1]))
     centers[0] = feats[int(rng.integers(n))]
-    dist = (1.0 - feats @ centers[0]) ** 2
+    dist = sq_dist(feats, centers[0])
     for j in range(1, k):
         total = float(dist.sum())
         if total <= 0:
@@ -260,8 +270,29 @@ def straightforward_kmeanspp(feats, k, rng):
         else:
             idx = int(rng.choice(n, p=dist / total))
         centers[j] = feats[idx]
-        np.minimum(dist, (1.0 - feats @ centers[j]) ** 2, out=dist)
+        np.minimum(dist, sq_dist(feats, centers[j]), out=dist)
     return centers
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_kmeanspp_centers_under_euclidean_distance_is_the_straightforward_seeding(m):
+    """The seeding `assign_mixtures` takes: squared Euclidean distance over
+    non-unit rows, duplicates and all-equal rows included, bit for bit, with
+    the generator left where the straightforward seeding leaves it."""
+    rng = np.random.default_rng(17)
+    for case in range(60):
+        n = int(rng.integers(m, 40))
+        points = rng.random((n, int(rng.integers(1, 6)))) * 10.0 ** rng.integers(-3, 3)
+        if case % 5 == 1:
+            points[rng.integers(n, size=n // 2)] = points[0]
+        elif case % 5 == 2:
+            points[:] = points[0]
+        seed = int(rng.integers(2**32))
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = straightforward_kmeanspp(points, m, want_rng, euclidean_sq_dist)
+        got = vmf.kmeanspp_centers(points, m, got_rng, learning._sq_euclidean)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
 
 
 def straightforward_fit(feats, k, seed, shared_concentration, max_iter):
