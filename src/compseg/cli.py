@@ -214,6 +214,12 @@ def _cmd_evaluate(args) -> int:
         raise ValidationError(f"predictions without ground truth: {missing[:5]}")
     truths = [truths_all[sid] for sid in sorted(preds)]
     predictions = [preds[sid] for sid in sorted(preds)]
+    for pred, truth in zip(predictions, truths):
+        if pred.shape != truth.shape:
+            raise ValidationError(
+                f"{truth.scene_id}: prediction lattice {pred.shape[0]}x{pred.shape[1]}"
+                f" != truth lattice {truth.shape[0]}x{truth.shape[1]}"
+            )
 
     table = miou_by_level(predictions, truths, args.mode)
     order = dataset_order_accuracy(zip(predictions, truths))

@@ -25,6 +25,12 @@ dimensions can tell apart, and the placement searches (scale range, slide
 scan, retry counts) to 24-pixel templates in 44- and 56-pixel scenes; other
 values would need a new tuning, not a new argument.
 
+A builder only places: it draws its scene's objects, depth-ordered with
+index 0 frontmost, and any unknown blob, and returns `(shape, placed, blob)`.
+`_build_scene` retries it on the scene's next stream when a placement
+search comes up dry, then renders, annotates and writes the scene through
+`_scene`, the one place where pixels are sampled and ground truth is read.
+
 `generate_challenge` builds the scenes in worker processes, one per CPU the
 calling process may run on, forked so that they share the modules it has
 already imported. Each scene draws only from its own seed-derived streams
@@ -77,6 +83,7 @@ GRID = 24                 # canonical template size
 TWO_SIZE = 44             # side of two-object, unknown, train and background scenes
 FOUR_SIZE = 56            # side of four-object scenes
 SAME_CLASS_PROB = 0.5     # chance that a planted pair shares its class
+N_UNKNOWN = 6             # held-out unknown-occluder directions
 # Class labels in class-index order: a scene's class index picks its label
 # here and its part directions in `PartSpace.class_parts`.
 _LABELS = ("brick", "disc")
@@ -214,7 +221,7 @@ def build_part_space(rng: np.random.Generator) -> PartSpace:
 
     unknown_dirs = _fill_pool(
         rng,
-        6,
+        N_UNKNOWN,
         lambda: _cap_sample(rng, bg_center, 30.0, 50.0),
         lambda cand, pool: (
             all(_angle_deg(cand, p) >= 60.0 for p in all_parts)
@@ -319,17 +326,18 @@ class PlacedObject:
         return _placed_at(shape, self.part_grid >= 0, self.box.y0, self.box.x0)
 
 
-# The placement code draws one scalar at a time, in a fixed order, and that
-# order is the challenge: every byte of a generated scene follows from it.
-# Drawing a try's scalars as one vector gives the same values but costs more
+# Builders place and `_build_scene` renders, so a scene's stream gives its
+# placement draws first and its pixels' draws after them. The placement code
+# draws one scalar at a time, in a fixed order, and that order is the
+# challenge: every byte of a generated scene follows from it. Drawing a try's
+# scalars as one vector gives the same values but costs more
 # (`integers(2, size=4)` takes about 3.5 scalar calls' time, an array-bound
 # `integers` about 4.5), and batching draws across tries or directions would
 # move the stream and so rewrite every dataset. The one exception is the
-# training-pair search, whose tries `make_train_scene` computes from raw
-# PCG64 words with the same values and the same stream position afterwards.
-# Elsewhere, what is cut is the work around the draws: overlap is counted on
-# the box window, and a full-lattice mask is placed only where a veto reads
-# one.
+# training-pair search, which finds the try to keep from raw PCG64 words
+# (`make_train_scene`). Elsewhere, what is cut is the work around the draws:
+# overlap is counted on the box window, and a full-lattice mask is placed
+# only where a veto reads one.
 
 
 def _placed_at(shape, mask, y0: int, x0: int) -> np.ndarray:
@@ -460,31 +468,28 @@ def render_composition(
     (lattice mask, per-pixel unknown-direction index) and sits in front of
     everything. Returns the feature map and the per-pixel matter owner grid
     (-1 background, -2 unknown blob, else index into `placed`).
-    """
-    owner = np.full(shape, -1, dtype=np.int64)
-    for i in reversed(range(len(placed))):
-        obj = placed[i]
-        window = owner[obj.box.slices]
-        window[obj.part_grid >= 0] = i
-    if blob is not None:
-        owner[blob[0]] = -2
 
-    # One direction id per pixel: background pixels pick uniformly from the
-    # background pool; object pixels read their part grid; blob pixels use
-    # the blob's held-out directions.
+    Every pixel gets one direction id: background pixels pick uniformly from
+    the background pool, object pixels read their part grid and blob pixels
+    use the blob's held-out directions. The owner grid and the ids are
+    painted in one pass, only inside each object's own mask.
+    """
     n_classes, ppc, dim = space.class_parts.shape
     flat_parts = space.class_parts.reshape(-1, dim)
     dir_table = np.concatenate([flat_parts, space.bg_dirs, space.unknown_dirs])
     bg_base = n_classes * ppc
     unk_base = bg_base + space.bg_dirs.shape[0]
 
+    owner = np.full(shape, -1, dtype=np.int64)
     dir_idx = rng.integers(bg_base, unk_base, size=shape)
-    for i, obj in enumerate(placed):
-        window_owner = owner[obj.box.slices]
-        mine = window_owner == i
-        dir_window = dir_idx[obj.box.slices]
-        dir_window[mine] = obj.class_index * ppc + obj.part_grid[mine]
+    for i in reversed(range(len(placed))):
+        obj = placed[i]
+        grid = obj.part_grid
+        mine = grid >= 0
+        owner[obj.box.slices][mine] = i
+        dir_idx[obj.box.slices][mine] = obj.class_index * ppc + grid[mine]
     if blob is not None:
+        owner[blob[0]] = -2
         dir_idx[blob[0]] = unk_base + blob[1][blob[0]]
 
     # Directions draw in index order, and each direction's samples fill its
@@ -504,7 +509,7 @@ def render_composition(
 
 
 def _scene(
-    rng, space, scene_id, scenario, split, shape, placed, blob=None
+    rng, space, scene_id, scenario, split, shape, placed, blob
 ) -> tuple[FeatureMap, SceneAnnotation]:
     """Render `placed` (index 0 frontmost) and annotate it.
 
@@ -516,7 +521,7 @@ def _scene(
     amodal = [p.lattice_mask(shape) for p in placed]
     objects = [None] * len(placed)
     for i, obj in enumerate(placed):
-        modal = amodal[i] & (owner == i)
+        modal = owner == i  # owners are painted only inside their own masks
         fraction = 1.0 - int(modal.sum()) / int(amodal[i].sum())
         objects[oids[i]] = ObjectRecord(
             oid=oids[i],
@@ -550,63 +555,53 @@ def _scene(
 # Scenario builders
 
 
-def _notice(scenario: str, level: str) -> str:
-    return f"{scenario} scene at {level}: placement search exhausted"
+def _behind(rng, shape, mask, taken, front_box: BoundingBox, level: str, tries: int):
+    """A box that puts `mask` behind the matter `taken` at `level`.
 
-
-def _plant_pair(rng, shape, level: str, what: str):
-    """Two placed objects, the second behind the first at `level`.
-
-    At L0 the masks stay disjoint: a graze of one or two pixels would plant
-    an order edge no amount of evidence could recover.
+    At L0 it is the first of `tries` random boxes, one pixel in from the
+    border, where `mask` misses `taken`: a graze of one or two pixels would
+    plant an order edge no amount of evidence could recover. At other levels
+    `mask` slides toward the centre of `front_box` until the share of it
+    that `taken` covers lands in the level's bucket.
     """
+    if level == "L0":
+        box = _disjoint_box(rng, shape, mask, taken, tries, margin=1)
+    else:
+        anchor = ((front_box.y0 + front_box.y1) / 2.0, (front_box.x0 + front_box.x1) / 2.0)
+        box = _approach_search(rng, shape, mask, taken, anchor, LEVEL_EDGES[level])
+    if box is None:
+        raise ValidationError(f"no room behind the front matter at {level}: search exhausted")
+    return box
+
+
+def _plant_pair(rng, shape, level: str) -> list[PlacedObject]:
+    """Two placed objects, the second behind the first at `level`."""
     a = _pick_template(rng)
     b = _pick_template(rng, a[0] if rng.random() < SAME_CLASS_PROB else 1 - a[0])
-    ha, wa = _scaled_shape(rng)
-    shape_b = _scaled_shape(rng)
-    mask_a = _part_grid(*a, (ha, wa)) >= 0
+    shape_a, shape_b = _scaled_shape(rng), _scaled_shape(rng)
+    front = PlacedObject(*a, _random_fit_box(rng, shape, *shape_a, margin=1))
     mask_b = _part_grid(*b, shape_b) >= 0
-
-    box_a = _random_fit_box(rng, shape, ha, wa, margin=1)
-    front = _placed_at(shape, mask_a, box_a.y0, box_a.x0)
-    if level == "L0":
-        box_b = _disjoint_box(rng, shape, mask_b, front, tries=200, margin=1)
-    else:
-        anchor = ((box_a.y0 + box_a.y1) / 2.0, (box_a.x0 + box_a.x1) / 2.0)
-        box_b = _approach_search(rng, shape, mask_b, front, anchor, LEVEL_EDGES[level])
-    if box_b is None:
-        raise ValidationError(_notice(what, level))
-    return [PlacedObject(*a, box_a), PlacedObject(*b, box_b)]
+    box_b = _behind(rng, shape, mask_b, front.lattice_mask(shape), front.box, level, tries=200)
+    return [front, PlacedObject(*b, box_b)]
 
 
-def make_two_scene(rng, space, level: str, scene_id: str):
+def make_two_scene(rng, level: str):
     shape = (TWO_SIZE, TWO_SIZE)
-    placed = _plant_pair(rng, shape, level, "two-object")
-    return _scene(rng, space, scene_id, "two", "test", shape, placed)
+    return shape, _plant_pair(rng, shape, level), None
 
 
-def make_four_scene(rng, space, level: str, scene_id: str):
+def make_four_scene(rng, level: str):
     shape = (FOUR_SIZE, FOUR_SIZE)
     ci, tid = _pick_template(rng)
-    h, w = _scaled_shape(rng)
-    placed = [PlacedObject(ci, tid, _random_fit_box(rng, shape, h, w, margin=6))]
+    placed = [PlacedObject(ci, tid, _random_fit_box(rng, shape, *_scaled_shape(rng), margin=6))]
     union = placed[0].lattice_mask(shape)
-
     for _ in range(3):
         ci, tid = _pick_template(rng)
         mask = _part_grid(ci, tid, _scaled_shape(rng)) >= 0
-        if level == "L0":
-            box = _disjoint_box(rng, shape, mask, union, tries=300, margin=1)
-        else:
-            prev = placed[-1].box
-            anchor = ((prev.y0 + prev.y1) / 2.0, (prev.x0 + prev.x1) / 2.0)
-            box = _approach_search(rng, shape, mask, union, anchor, LEVEL_EDGES[level])
-        if box is None:
-            raise ValidationError(_notice("four-object", level))
+        box = _behind(rng, shape, mask, union, placed[-1].box, level, tries=300)
         placed.append(PlacedObject(ci, tid, box))
         union |= placed[-1].lattice_mask(shape)
-
-    return _scene(rng, space, scene_id, "four", "test", shape, placed)
+    return shape, placed, None
 
 
 def _ellipse_blob(rng, target_box: BoundingBox) -> np.ndarray:
@@ -627,7 +622,7 @@ BLOB_ZONE_BUCKET = (0.35, 0.95)
 OCCLUSION_CAP = 0.88
 
 
-def make_unknown_scene(rng, space, level: str, scene_id: str):
+def make_unknown_scene(rng, level: str):
     """An occluding pair at the scene's level plus a frontmost unknown blob.
 
     The pair is planted exactly like a two-object scene; the blob is then
@@ -638,7 +633,7 @@ def make_unknown_scene(rng, space, level: str, scene_id: str):
     the scene's level names the planted pair bucket alone.
     """
     shape = (TWO_SIZE, TWO_SIZE)
-    placed = _plant_pair(rng, shape, level, "two-plus-unknown")
+    placed = _plant_pair(rng, shape, level)
     amodal_a = placed[0].lattice_mask(shape)
     amodal_b = placed[1].lattice_mask(shape)
     zone = amodal_a & amodal_b
@@ -661,16 +656,13 @@ def make_unknown_scene(rng, space, level: str, scene_id: str):
             measure="other", veto=overcovers,
         )
     if blob_box is None:
-        raise ValidationError(_notice("two-plus-unknown", level))
+        raise ValidationError(f"no room for the unknown blob at {level}: search exhausted")
 
     blob_lattice = _placed_at(shape, blob, blob_box.y0, blob_box.x0)
     blob_dirs = np.zeros(shape, dtype=np.int64)
-    n_unknown = space.unknown_dirs.shape[0]
-    pick = rng.integers(n_unknown, size=2)
+    pick = rng.integers(N_UNKNOWN, size=2)
     blob_dirs[blob_lattice] = rng.choice(pick, size=int(blob_lattice.sum()))
-    return _scene(
-        rng, space, scene_id, "unknown", "test", shape, placed, (blob_lattice, blob_dirs)
-    )
+    return shape, placed, (blob_lattice, blob_dirs)
 
 
 # Tries `make_train_scene` makes before the stream counts as exhausted.
@@ -727,7 +719,7 @@ def _apart(side_a, side_b, ya, xa, yb, xb):
     return (xa >= xb + side_b) | (xb >= xa + side_a) | (ya >= yb + side_b) | (yb >= ya + side_a)
 
 
-def make_train_scene(rng, space, scene_id: str):
+def make_train_scene(rng):
     """Two clean objects, boxes fully disjoint.
 
     A try makes ten draws, in the order of two `_pick_template`, two
@@ -736,17 +728,19 @@ def make_train_scene(rng, space, scene_id: str):
     exhausted. Two boxes of 20-25 pixels placed anywhere in 44 rarely miss
     each other, so about one try in 125 is kept.
 
-    The tries are not drawn one scalar at a time. Each draw is a fixed
-    function of the raw PCG64 words, so one `random_raw` block of six words
-    per try gives all 400 tries at once (`_pair_tries`). The generator's
-    state is then restored and exactly the words up to and including the
-    kept try are consumed, which leaves the stream where the scalar draws
-    leave it; when no try fits, all 2,400 words stay consumed, as 400
-    scalar tries would consume them. The scalar loop still runs, from the try where the block stops
-    following the stream, when an integer draw needs Lemire's redraw (fewer
-    than one half-word in 170 million), when a half-word is already
-    buffered on entry, or when the generator is not PCG64.
+    The tries before the kept one are not drawn one scalar at a time. Each
+    draw is a fixed function of the raw PCG64 words, so one `random_raw`
+    block of six words per try gives all 400 tries at once (`_pair_tries`);
+    when none fits, all 2,400 words stay consumed, as 400 scalar tries would
+    consume them. Otherwise the generator's state is restored, the words of
+    the tries before the first that fits are consumed, and the scalar loop
+    draws from there and keeps its first try. The loop starts earlier, at
+    the first try where the block stops following the stream, when an
+    integer draw needs Lemire's redraw (fewer than one half-word in 170
+    million), and at try 0 when a half-word is already buffered on entry or
+    the generator is not PCG64.
     """
+    shape = (TWO_SIZE, TWO_SIZE)
     bitgen = rng.bit_generator
     state = bitgen.state
     start = 0
@@ -757,41 +751,20 @@ def make_train_scene(rng, space, scene_id: str):
             raise ValidationError("could not place disjoint training pair")
         start = int(stop[0])
         bitgen.state = state
-        if not redraw[start]:
-            bitgen.random_raw(6 * (start + 1))
-            return _train_pair(rng, space, scene_id, *tries[start].tolist())
         bitgen.random_raw(6 * start)
 
-    integers, uniform = rng.integers, rng.uniform
     for _ in range(start, _TRAIN_TRIES):
-        ci_a = int(integers(len(_LABELS)))
-        tid_a = int(integers(len(_TEMPLATES[ci_a])))
-        ci_b = int(integers(len(_LABELS)))
-        tid_b = int(integers(len(_TEMPLATES[ci_b])))
-        side_a = _side(uniform(0.85, 1.05))
-        side_b = _side(uniform(0.85, 1.05))
-        ya = int(integers(0, TWO_SIZE - side_a + 1))
-        xa = int(integers(0, TWO_SIZE - side_a + 1))
-        yb = int(integers(0, TWO_SIZE - side_b + 1))
-        xb = int(integers(0, TWO_SIZE - side_b + 1))
-        if _apart(side_a, side_b, ya, xa, yb, xb):
-            return _train_pair(
-                rng, space, scene_id, ci_a, tid_a, ci_b, tid_b, side_a, side_b, ya, xa, yb, xb
-            )
+        a, b = _pick_template(rng), _pick_template(rng)
+        shape_a, shape_b = _scaled_shape(rng), _scaled_shape(rng)
+        box_a = _random_fit_box(rng, shape, *shape_a)
+        box_b = _random_fit_box(rng, shape, *shape_b)
+        if _apart(shape_a[0], shape_b[0], box_a.y0, box_a.x0, box_b.y0, box_b.x0):
+            return shape, [PlacedObject(*a, box_a), PlacedObject(*b, box_b)], None
     raise ValidationError("could not place disjoint training pair")
 
 
-def _train_pair(rng, space, scene_id, ci_a, tid_a, ci_b, tid_b, side_a, side_b, ya, xa, yb, xb):
-    placed = [
-        PlacedObject(ci_a, tid_a, BoundingBox(xa, ya, xa + side_a, ya + side_a)),
-        PlacedObject(ci_b, tid_b, BoundingBox(xb, yb, xb + side_b, yb + side_b)),
-    ]
-    return _scene(rng, space, scene_id, "two", "train", (TWO_SIZE, TWO_SIZE), placed)
-
-
-def make_background_map(rng, space, scene_id: str):
-    shape = (TWO_SIZE, TWO_SIZE)
-    return _scene(rng, space, scene_id, "background", "background", shape, [])
+def make_background_map(rng):
+    return (TWO_SIZE, TWO_SIZE), [], None
 
 
 # --------------------------------------------------------------------------
@@ -832,23 +805,26 @@ def _start_worker(root: str, space: PartSpace) -> None:
 
 
 def _build_scene(job) -> ManifestEntry:
-    """Build one scene from its first stream that yields one, write its FMAP
-    and annotation under the worker's root, and return its manifest entry."""
-    streams, build, args, scene_id, level = job
+    """Place one scene from its first stream that yields a placement, render
+    and annotate it, write its FMAP and annotation under the worker's root,
+    and return its manifest entry."""
+    streams, build, args, scene_id, scenario, split, level = job
     root, space = _worker
     for stream in streams:
+        rng = np.random.default_rng(stream)
         try:
-            fm, ann = build(np.random.default_rng(stream), space, *args, scene_id)
+            shape, placed, blob = build(rng, *args)
             break
         except ValidationError as exc:
             last = exc
     else:
-        raise last
+        raise ValidationError(f"{scene_id}: {last}")
+    fm, ann = _scene(rng, space, scene_id, scenario, split, shape, placed, blob)
     fpath = os.path.join("scenes", f"{scene_id}.fmap")
     apath = os.path.join("annotations", f"{scene_id}.json")
     save_feature_map(fm, os.path.join(root, fpath))
     atomic_write_text(os.path.join(root, apath), annotation_to_json(ann))
-    return ManifestEntry(scene_id, fpath, apath, ann.split, ann.scenario, level)
+    return ManifestEntry(scene_id, fpath, apath, split, scenario, level)
 
 
 def generate_challenge(
@@ -877,20 +853,22 @@ def generate_challenge(
     os.makedirs(os.path.join(root, "scenes"), exist_ok=True)
     os.makedirs(os.path.join(root, "annotations"), exist_ok=True)
 
-    # (seed streams tried in turn, builder, builder args, scene id, level)
+    # (seed streams tried in turn, builder, builder args, scene id, scenario,
+    # split, level)
     jobs = [
-        (_retried([cfg.seed, 1, i]), make_train_scene, (), f"train-{i:04d}", "L0")
+        (_retried([cfg.seed, 1, i]), make_train_scene, (), f"train-{i:04d}", "two", "train", "L0")
         for i in range(cfg.train_scenes)
     ]
     jobs += [
-        (([cfg.seed, 2, i],), make_background_map, (), f"bg-{i:04d}", "L0")
+        (([cfg.seed, 2, i],), make_background_map, (), f"bg-{i:04d}", "background",
+         "background", "L0")
         for i in range(cfg.backgrounds)
     ]
     for scenario in scenarios:
         code, builder = _SCENARIOS[scenario]
         jobs += [
             (_retried([cfg.seed, code, li, i]), builder, (level,),
-             f"{scenario}-{level}-{i:04d}", level)
+             f"{scenario}-{level}-{i:04d}", scenario, "test", level)
             for li, level in enumerate(LEVELS)
             for i in range(cfg.per_level)
         ]

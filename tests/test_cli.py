@@ -219,18 +219,18 @@ def test_negative_seed_is_one_invalid_line(pipeline, tmp_path):
 
 # Stand-ins for `synth.make_train_scene`: module level, because a job is
 # pickled with its builder; forked workers see the patched attribute.
-def _no_room(rng, space, scene_id):
-    raise ValidationError(f"no room for {scene_id}")
+def _no_room(rng):
+    raise ValidationError("no room")
 
 
-def _worker_dies(rng, space, scene_id):
+def _worker_dies(rng):
     os._exit(1)
 
 
 @pytest.mark.parametrize(
     "builder, line",
     [
-        (_no_room, "compseg: error code=INVALID msg=no room for train-0000"),
+        (_no_room, "compseg: error code=INVALID msg=train-0000: no room"),
         (_worker_dies, "compseg: error code=ERROR msg=a scene worker process died: "),
     ],
     ids=["no-room", "worker-dies"],
@@ -438,6 +438,28 @@ def test_bad_annotation_shape_is_one_format_line(pipeline, tmp_path, capsys, doc
     assert code == 2 and out == ""
     assert err.startswith("compseg: error code=FORMAT msg=") and err.count("\n") == 1
     assert f"lattice {shape}" in err
+    assert not (tmp_path / "e.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "shape", [[1000000000, 1000000000], [0, 1180591620717411303424]], ids=["huge", "zero-side"]
+)
+def test_prediction_on_another_lattice_is_one_invalid_line(pipeline, tmp_path, capsys, shape):
+    """A prediction is scored only on its truth's lattice, even one with no
+    object whose masks would meet the truth's."""
+    root, data, model = pipeline
+    sid = "two-L1-0000"
+    pred = json.loads((data / "annotations" / f"{sid}.json").read_text())
+    pred.update(shape=shape, objects=[], order_edges=[], unknown_rle=None)
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / f"{sid}.json").write_text(json.dumps(pred))
+    code = cli.main(["evaluate", "--pred", str(preds), "--truth", str(data / "annotations"),
+                     "--out", str(tmp_path / "e.txt")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"compseg: error code=INVALID msg={sid}: prediction lattice "
+                   f"{shape[0]}x{shape[1]} != truth lattice {synth.TWO_SIZE}x{synth.TWO_SIZE}\n")
     assert not (tmp_path / "e.txt").exists()
 
 

@@ -11,7 +11,8 @@ import pytest
 
 from compseg import synth
 from compseg.errors import ValidationError
-from compseg.formats import annotation_to_json, load_scene
+from compseg.fmap import BoundingBox
+from compseg.formats import load_scene
 from compseg.synth import (
     LEVEL_EDGES,
     LEVELS,
@@ -24,7 +25,6 @@ from compseg.synth import (
     _pair_tries,
     _part_grid,
     _side,
-    build_part_space,
     generate_challenge,
     level_of,
     make_train_scene,
@@ -169,8 +169,8 @@ def test_zero_scenes_start_no_pool(tmp_path, monkeypatch):
 # Stand-ins for `make_train_scene` and `atomic_write_text`. A patched module
 # attribute reaches the workers because they are forked after the patch; a
 # builder lives at module level because a job is pickled with its builder.
-def _never_placed(rng, space, scene_id):
-    raise ValidationError(f"no room for {scene_id}")
+def _never_placed(rng):
+    raise ValidationError("no room")
 
 
 def _disk_full(path, text):
@@ -179,7 +179,8 @@ def _disk_full(path, text):
 
 def test_job_errors_re_raise_with_their_type_and_message(tmp_path, monkeypatch):
     monkeypatch.setattr(synth, "make_train_scene", _never_placed)
-    with pytest.raises(ValidationError, match="^no room for train-0000$"):
+    # every stream fails, and the error names the scene
+    with pytest.raises(ValidationError, match="^train-0000: no room$"):
         generate_challenge(str(tmp_path / "placed"), MINI)
     assert not multiprocessing.active_children()
 
@@ -352,11 +353,21 @@ def _stream_position(rng):
     return state["state"], state["has_uint32"]
 
 
-def test_pair_tries_follow_the_scalar_draws(monkeypatch):
+def _pair(values):
+    """What `make_train_scene` returns for a kept try's ten values."""
+    ci_a, tid_a, ci_b, tid_b, side_a, side_b, ya, xa, yb, xb = values
+    placed = [
+        synth.PlacedObject(ci_a, tid_a, BoundingBox(xa, ya, xa + side_a, ya + side_a)),
+        synth.PlacedObject(ci_b, tid_b, BoundingBox(xb, yb, xb + side_b, yb + side_b)),
+    ]
+    return (TWO_SIZE, TWO_SIZE), placed, None
+
+
+def test_pair_tries_follow_the_scalar_draws():
     """Try by try, `_pair_tries` gives the scalar draws' values, and
-    `make_train_scene` leaves the stream where the scalar search does. This
-    also fails if numpy changes its bounded-integer or uniform sampler."""
-    monkeypatch.setattr(synth, "_train_pair", lambda rng, space, sid, *values: values)
+    `make_train_scene` places the scalar search's pair and leaves the stream
+    where that search does. This also fails if numpy changes its
+    bounded-integer or uniform sampler."""
     exhausted = 0
     for i in range(240):
         seed = [7, 1, i, 0]
@@ -374,16 +385,16 @@ def test_pair_tries_follow_the_scalar_draws(monkeypatch):
         if not buffered:
             assert [tuple(v) for v in values[: len(expected)].tolist()] == expected
         if found:
-            assert make_train_scene(block, None, "t") == expected[-1]
+            assert make_train_scene(block) == _pair(expected[-1])
         else:
             exhausted += 1
             with pytest.raises(ValidationError, match="disjoint training pair"):
-                make_train_scene(block, None, "t")
+                make_train_scene(block)
         assert _stream_position(block) == _stream_position(scalar)
     assert exhausted  # the no-fit path is among the streams
     # another bit generator's words are not PCG64's: the scalar search runs
     scalar, other = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
-    assert make_train_scene(other, None, "t") == _scalar_tries(scalar)[0][-1]
+    assert make_train_scene(other) == _pair(_scalar_tries(scalar)[0][-1])
 
 
 def test_zero_position_half_word_flags_a_redraw():
@@ -400,12 +411,16 @@ def test_zero_position_half_word_flags_a_redraw():
 
 def test_scalar_search_takes_over_at_a_redraw(monkeypatch):
     """A try flagged for a redraw is drawn by the scalar loop, and so is every
-    try after it; the scene is the one the all-scalar search makes."""
-    space = build_part_space(np.random.default_rng([5, 17]))
+    try after it. The pair and the stream position it leaves, which fix the
+    scene's rendered bytes, are the ones the unflagged and the all-scalar
+    searches give."""
     seed = [5, 1, 2, 0]
-    tries, found = _scalar_tries(np.random.default_rng(seed))
+    scalar = np.random.default_rng(seed)
+    tries, found = _scalar_tries(scalar)
     assert found and len(tries) >= 3
-    fm, ann = make_train_scene(np.random.default_rng(seed), space, "t")
+    rng = np.random.default_rng(seed)
+    want = make_train_scene(rng), _stream_position(rng)
+    assert want == (_pair(tries[-1]), _stream_position(scalar))
 
     pair_tries, side = synth._pair_tries, synth._side
     scalar_sides = []
@@ -424,7 +439,7 @@ def test_scalar_search_takes_over_at_a_redraw(monkeypatch):
 
         monkeypatch.setattr(synth, "_pair_tries", flag_at_k)
         scalar_sides.clear()
-        fm_k, ann_k = make_train_scene(np.random.default_rng(seed), space, "t")
+        rng = np.random.default_rng(seed)
+        got = make_train_scene(rng), _stream_position(rng)
         assert len(scalar_sides) == 2 * (len(tries) - k)
-        assert np.array_equal(fm_k.data, fm.data)
-        assert annotation_to_json(ann_k) == annotation_to_json(ann)
+        assert got == want
