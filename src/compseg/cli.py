@@ -161,6 +161,10 @@ def _cmd_segment(args) -> int:
     bundle = load_model(args.model)
     fm = load_feature_map(args.scene)
     truth = annotation_from_json(read_text(_annotation_path_for(args.scene)))
+    # The scene id names the two output files, which must land inside --out.
+    sid = truth.scene_id
+    if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+        raise ValidationError(f"scene id {sid!r} is not a plain file name")
     if truth.shape != fm.shape:
         raise ValidationError(
             f"annotation lattice {truth.shape} != feature map {fm.shape}"

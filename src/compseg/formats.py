@@ -250,6 +250,10 @@ def decode_rle(text: str, shape: tuple[int, int]) -> np.ndarray:
         raise FormatError(f"RLE sums to {sum(runs)}, lattice has {total} pixels")
     if any(x < 0 for x in runs):
         raise FormatError("RLE runs must be non-negative")
+    # One mask, one string: a reader that took "42 0" for "42" would change the field.
+    if 0 in runs[1:] or " ".join(map(str, runs)) != text:
+        raise FormatError("RLE is not canonical: runs after the first must be positive, "
+                          "single-spaced decimals")
     # Runs alternate False, True, False, ...: each run repeats its parity.
     try:
         return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
@@ -318,10 +322,22 @@ def annotation_to_json(ann: SceneAnnotation) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def _order_edge(edge) -> tuple:
-    if not (isinstance(edge, list) and len(edge) in (2, 5) and all(type(v) is int for v in edge)):
-        raise FormatError(f"order edge must be 2 or 5 integers, got {edge!r}")
-    return tuple(edge)
+def _field(value, kinds: tuple[type, ...], name: str):
+    """`value` when its exact type is one of `kinds`, so a bool is never an
+    int and nothing is converted; otherwise a TypeError naming the field,
+    which each reader reports as a FormatError."""
+    if type(value) not in kinds:
+        raise TypeError(
+            f"field {name!r} must be {' or '.join(k.__name__ for k in kinds)}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _integers(value, lengths: tuple[int, ...], name: str) -> tuple[int, ...]:
+    if len(_field(value, (list,), name)) not in lengths:
+        raise TypeError(f"field {name!r} must hold {' or '.join(map(str, lengths))} integers")
+    return tuple(_field(v, (int,), name) for v in value)
 
 
 def _check_order_graph(objects: list[ObjectRecord], edges: list[tuple]) -> None:
@@ -355,40 +371,39 @@ def annotation_from_json(text: str) -> SceneAnnotation:
         # RecursionError: arrays or objects nested deeper than the parser recurses
         raise FormatError(f"bad annotation JSON: {exc}") from exc
     try:
-        height, width = map(int, doc["shape"])
-        shape = (height, width)
+        shape = _integers(doc["shape"], (2,), "shape")
         _check_lattice(shape)
         objects = []
-        for o in doc["objects"]:
-            box = BoundingBox(*[int(v) for v in o["box"]])
+        for o in _field(doc["objects"], (list,), "objects"):
             objects.append(
                 ObjectRecord(
-                    oid=int(o["id"]),
-                    label=str(o["class"]),
-                    template=int(o["template"]),
-                    box=box,
-                    depth=int(o["depth"]),
-                    occlusion=float(o["occlusion"]),
-                    level=str(o["level"]),
+                    oid=_field(o["id"], (int,), "id"),
+                    label=_field(o["class"], (str,), "class"),
+                    template=_field(o["template"], (int,), "template"),
+                    box=BoundingBox(*_integers(o["box"], (4,), "box")),
+                    depth=_field(o["depth"], (int,), "depth"),
+                    occlusion=float(_field(o["occlusion"], (int, float), "occlusion")),
+                    level=_field(o["level"], (str,), "level"),
                     amodal=decode_rle(o["amodal_rle"], shape),
                     modal=decode_rle(o["modal_rle"], shape),
-                    score=float(o.get("score", 0.0)),
+                    score=float(_field(o.get("score", 0.0), (int, float), "score")),
                 )
             )
-        edges = [_order_edge(e) for e in doc.get("order_edges", [])]
+        edges = [
+            _integers(e, (2, 5), "order_edges")
+            for e in _field(doc.get("order_edges", []), (list,), "order_edges")
+        ]
         _check_order_graph(objects, edges)
-        unknown = None
-        if doc.get("unknown_rle"):
-            unknown = decode_rle(doc["unknown_rle"], shape)
+        unknown_rle = doc.get("unknown_rle")
         return SceneAnnotation(
-            scene_id=str(doc["scene_id"]),
-            scenario=str(doc["scenario"]),
-            split=str(doc["split"]),
+            scene_id=_field(doc["scene_id"], (str,), "scene_id"),
+            scenario=_field(doc["scenario"], (str,), "scenario"),
+            split=_field(doc["split"], (str,), "split"),
             shape=shape,
             objects=objects,
             order_edges=edges,
-            unknown=unknown,
-            extra=dict(doc.get("extra", {})),
+            unknown=None if unknown_rle is None else decode_rle(unknown_rle, shape),
+            extra=dict(_field(doc.get("extra", {}), (dict,), "extra")),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # OverflowError: an integer field holding a JSON number like 1e400
@@ -450,22 +465,23 @@ def load_manifest(path: str) -> Manifest:
         raise FormatError(f"{path}: bad manifest JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != 1:
-        raise FormatError(f"{path}: unsupported manifest version {doc.get('version')}")
+    version = doc.get("version")
+    if type(version) is not int or version != 1:
+        raise FormatError(f"{path}: unsupported manifest version {version!r}")
     entries = []
     try:
-        for s in doc["scenes"]:
+        for s in _field(doc["scenes"], (list,), "scenes"):
             entries.append(
                 ManifestEntry(
-                    scene_id=str(s["id"]),
-                    fmap_path=str(s["fmap"]),
-                    annotation_path=str(s["annotation"]),
-                    split=str(s["split"]),
-                    scenario=str(s["scenario"]),
-                    level=str(s["level"]),
+                    scene_id=_field(s["id"], (str,), "id"),
+                    fmap_path=_field(s["fmap"], (str,), "fmap"),
+                    annotation_path=_field(s["annotation"], (str,), "annotation"),
+                    split=_field(s["split"], (str,), "split"),
+                    scenario=_field(s["scenario"], (str,), "scenario"),
+                    level=_field(s["level"], (str,), "level"),
                 )
             )
-        config = dict(doc.get("config", {}))
+        config = dict(_field(doc.get("config", {}), (dict,), "config"))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad manifest entry: {exc}") from exc
     seen: set[str] = set()

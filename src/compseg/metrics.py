@@ -172,20 +172,20 @@ def _annotation(
     """
     objects = []
     for idx, rec in enumerate(truth.objects):
-        obj = result.objects[idx]
+        pick = result.objects[idx].pick
         amodal, modal = result.masks(idx, truth.shape)
         objects.append(
             ObjectRecord(
                 oid=rec.oid,
-                label=bundle.classes[obj.class_index].label,
-                template=obj.mixture_index,
+                label=bundle.classes[pick.class_index].label,
+                template=pick.mixture_index,
                 box=rec.box,
                 depth=-1,
                 occlusion=-1.0,
                 level="",
                 amodal=amodal,
                 modal=modal,
-                score=obj.score,
+                score=pick.score,
             )
         )
     return SceneAnnotation(

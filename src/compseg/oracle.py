@@ -14,7 +14,6 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -201,7 +200,7 @@ def table_objects(logliks: np.ndarray, shape: tuple[int, int]):
     there. Each amodal mask covers the whole box.
     """
     from .fmap import BoundingBox
-    from .models import LikelihoodMaps, segment_single
+    from .models import ClassifyResult, LikelihoodMaps, segment_single
     from .orm import SceneObject
 
     arr = np.asarray(logliks, dtype=np.float64)
@@ -217,12 +216,8 @@ def table_objects(logliks: np.ndarray, shape: tuple[int, int]):
         maps = LikelihoodMaps(
             fg=arr[:, k].reshape(h, w).copy(), ctx=ctx.copy(), occ=occ.copy()
         )
-        objects.append(
-            SceneObject(
-                oid=k, box=box, class_index=0, mixture_index=0, score=0.0,
-                maps=maps, labels=segment_single(maps), amodal=np.ones((h, w), np.bool_),
-            )
-        )
+        pick = ClassifyResult(0, 0, 0.0, ((maps,),))
+        objects.append(SceneObject(k, box, pick, segment_single(maps), np.ones((h, w), np.bool_)))
     return objects
 
 
@@ -272,8 +267,8 @@ def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int,
     edge or any owner differs.
     """
     from .fmap import BoundingBox
-    from .models import LikelihoodMaps
-    from .orm import OWNER_OUTSIDE, orm_pass
+    from .models import ClassifyResult, LikelihoodMaps
+    from .orm import OWNER_OUTSIDE, SceneObject, orm_pass
 
     mismatches = 0
     for _ in range(cases):
@@ -292,10 +287,8 @@ def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int,
             box = BoundingBox(x0, y0, x1, y1)
             sl = box.slices
             maps = LikelihoodMaps(obj.maps.fg[sl], obj.maps.ctx[sl], obj.maps.occ[sl])
-            objects.append(replace(
-                obj, box=box, maps=maps, labels=obj.labels[sl],
-                amodal=amodal[k].reshape(h, w)[sl],
-            ))
+            pick = ClassifyResult(0, 0, 0.0, ((maps,),))
+            objects.append(SceneObject(k, box, pick, obj.labels[sl], amodal[k].reshape(h, w)[sl]))
             inside[k].reshape(h, w)[sl] = True
         boxed = [
             [table[p, k] if inside[k, p] else -math.inf for k in range(n)] + [table[p, n]]
@@ -415,6 +408,19 @@ def _random_simplex(rng: np.random.Generator, shape) -> np.ndarray:
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
+def _random_crop_and_dictionary(rng: np.random.Generator):
+    """A crop lattice (h, w) and a dictionary of 2-4 random atoms in 3-6
+    dimensions, drawn in that order: the opening of both map suites."""
+    from .vmf import VmfDictionary, sample_uniform_sphere
+
+    h = int(rng.integers(1, 5))
+    w = int(rng.integers(1, 5))
+    d = int(rng.integers(3, 7))
+    k = int(rng.integers(2, 5))
+    means = sample_uniform_sphere(rng, k, d)
+    return h, w, VmfDictionary(means, rng.uniform(0.5, 20.0, size=k))
+
+
 def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, int]:
     """Factored maps vs the scalar fsum recomputation."""
     from .fmap import FeatureMap
@@ -425,24 +431,19 @@ def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, in
         crop_evidence,
         likelihood_maps,
     )
-    from .vmf import VmfDictionary, sample_uniform_sphere
+    from .vmf import sample_uniform_sphere
 
     mismatches = 0
     for _ in range(cases):
-        h = int(rng.integers(1, 5))
-        w = int(rng.integers(1, 5))
-        d = int(rng.integers(3, 7))
-        k = int(rng.integers(2, 5))
-        means = sample_uniform_sphere(rng, k, d)
-        concentrations = rng.uniform(0.5, 20.0, size=k)
-        dictionary = VmfDictionary(means, concentrations)
+        h, w, dictionary = _random_crop_and_dictionary(rng)
+        k = dictionary.size
         mixture = MixtureModel(
             fg_prior=rng.uniform(0.0, 1.0, size=(h, w)),
             fg_coeffs=_random_simplex(rng, (h, w, k)),
             ctx_coeffs=_random_simplex(rng, (h, w, k)),
         )
         occluder = OccluderModel(coeffs=_random_simplex(rng, k))
-        grid = sample_uniform_sphere(rng, h * w, d).reshape(h, w, d)
+        grid = sample_uniform_sphere(rng, h * w, dictionary.dim).reshape(h, w, -1)
         fm = FeatureMap(grid.astype(np.float32))
         got: LikelihoodMaps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
         want = perpixel_maps_reference(
@@ -451,8 +452,8 @@ def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, in
             mixture.fg_coeffs,
             mixture.ctx_coeffs,
             occluder.coeffs,
-            means,
-            concentrations,
+            dictionary.means,
+            dictionary.concentrations,
         )
         for got_map, want_map in zip((got.fg, got.ctx, got.occ), want):
             if not np.allclose(got_map, want_map, rtol=1e-7, atol=1e-7):
@@ -481,17 +482,12 @@ def check_rescore(rng: np.random.Generator, cases: int) -> tuple[int, int]:
     """
     from .fmap import FeatureMap, resample_nearest
     from .models import ClassModel, MixtureModel, OccluderModel, classify, rescore
-    from .vmf import VmfDictionary, sample_uniform_sphere
+    from .vmf import sample_uniform_sphere
 
     mismatches = 0
     for _ in range(cases):
-        h = int(rng.integers(1, 5))
-        w = int(rng.integers(1, 5))
-        d = int(rng.integers(3, 7))
-        k = int(rng.integers(2, 5))
-        means = sample_uniform_sphere(rng, k, d)
-        concentrations = rng.uniform(0.5, 20.0, size=k)
-        dictionary = VmfDictionary(means, concentrations)
+        h, w, dictionary = _random_crop_and_dictionary(rng)
+        k = dictionary.size
         occluder = OccluderModel(coeffs=_random_simplex(rng, k))
 
         def mixture() -> MixtureModel:
@@ -509,7 +505,7 @@ def check_rescore(rng: np.random.Generator, cases: int) -> tuple[int, int]:
         if rng.random() < 0.5:
             rows[-1].append(rows[0][0])
         classes = [ClassModel(f"c{ci}", tuple(row)) for ci, row in enumerate(rows)]
-        grid = sample_uniform_sphere(rng, h * w, d).reshape(h, w, d)
+        grid = sample_uniform_sphere(rng, h * w, dictionary.dim).reshape(h, w, -1)
         fm = FeatureMap(grid.astype(np.float32))
         visibility = rng.integers(0, 2, size=(h, w))
         got = rescore(classify(fm, classes, dictionary, occluder).candidates, visibility)
@@ -525,8 +521,8 @@ def check_rescore(rng: np.random.Generator, cases: int) -> tuple[int, int]:
                     resample_nearest(m.fg_coeffs, (h, w)),
                     resample_nearest(m.ctx_coeffs, (h, w)),
                     occluder.coeffs,
-                    means,
-                    concentrations,
+                    dictionary.means,
+                    dictionary.concentrations,
                 )
                 score = math.fsum(
                     float(fg[y, x]) if visibility[y, x] == 1 else float(occ[y, x])

@@ -69,17 +69,17 @@ OWNER_OUTSIDE = -2
 
 @dataclass
 class SceneObject:
-    """One boxed object with its current prediction and scene-aligned maps."""
+    """One boxed object: the pick that chose it, with that pick's labels and amodal mask."""
 
     oid: int
     box: BoundingBox
-    class_index: int
-    mixture_index: int
-    score: float
-    maps: LikelihoodMaps      # box-shaped, scene coordinates
+    pick: ClassifyResult      # its maps are the object's, in scene coordinates
     labels: np.ndarray        # box-shaped int8 per-pixel F/C/O
-    amodal: np.ndarray        # box-shaped bool, the current mixture's amodal mask
-    candidates: tuple[tuple[LikelihoodMaps, ...], ...] = ()  # per class, per mixture
+    amodal: np.ndarray        # box-shaped bool, the picked mixture's amodal mask
+
+    @property
+    def maps(self) -> LikelihoodMaps:
+        return self.pick.candidates[self.pick.class_index][self.pick.mixture_index]
 
     def __post_init__(self):
         if self.maps.shape != self.box.shape:
@@ -261,28 +261,13 @@ def _visibility_from_owners(obj_index: int, obj: SceneObject, owners: np.ndarray
     return (window < 0) | (window == obj_index)
 
 
-def _self_visibility(obj: SceneObject) -> np.ndarray:
-    # Feed-forward belief: only the object's own occluder pixels are hidden.
-    return obj.labels != LABEL_OCC
-
-
 def _scene_object(
     oid: int, box: BoundingBox, result: ClassifyResult, bundle: ModelBundle
 ) -> SceneObject:
-    """The object as `classify` or `rescore` decided it, with its candidate maps."""
+    """The object as `classify` or `rescore` decided it."""
     mixture = bundle.classes[result.class_index].mixtures[result.mixture_index]
     maps = result.candidates[result.class_index][result.mixture_index]
-    return SceneObject(
-        oid=oid,
-        box=box,
-        class_index=result.class_index,
-        mixture_index=result.mixture_index,
-        score=result.score,
-        maps=maps,
-        labels=segment_single(maps),
-        amodal=amodal_mask(mixture, box),
-        candidates=result.candidates,
-    )
+    return SceneObject(oid, box, result, segment_single(maps), amodal_mask(mixture, box))
 
 
 def feed_forward(
@@ -315,7 +300,8 @@ def _chain(
     occluded ones) by re-picking over the candidate maps feed-forward built;
     a re-scored object takes the maps of the mixture it now wins, so after a
     label flip the next pass sees corrected predictions. One that keeps its
-    pick keeps its maps, labels and amodal mask and takes only the new score.
+    (class, mixture) keeps its maps, labels and amodal mask and takes the new
+    result as its pick, whose score is the new one.
 
     The passes end after the first one that re-picks no object, whose state
     every later pass would repeat (see the module docstring); while picks
@@ -324,7 +310,8 @@ def _chain(
     feed-forward can start several chains.
     """
     yield SceneResult(objects, None, ())
-    prev_vis = [_self_visibility(o) for o in objects]
+    # Feed-forward belief: only an object's own occluder pixels are hidden.
+    prev_vis = [o.labels != LABEL_OCC for o in objects]
     while True:
         owners, edges = orm_pass(objects, scene_shape, no_order)
         objects = list(objects)
@@ -334,10 +321,11 @@ def _chain(
             if np.array_equal(vis, prev_vis[idx]):
                 continue
             prev_vis[idx] = vis
-            result = rescore(obj.candidates, vis)
-            if (result.class_index, result.mixture_index) == (obj.class_index, obj.mixture_index):
-                # Same pick: same maps, labels and amodal mask; only the score moves.
-                objects[idx] = replace(obj, score=result.score)
+            pick = obj.pick
+            result = rescore(pick.candidates, vis)
+            if (result.class_index, result.mixture_index) == (pick.class_index, pick.mixture_index):
+                # Same pick: same maps, labels and amodal mask; the score moves with it.
+                objects[idx] = replace(obj, pick=result)
             else:
                 objects[idx] = _scene_object(obj.oid, obj.box, result, bundle)
                 repicked = True

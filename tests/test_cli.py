@@ -316,6 +316,22 @@ def test_malformed_order_graph_is_a_format_error(pipeline, tmp_path):
         assert not (tmp_path / "e.txt").exists()
 
 
+def test_annotation_field_of_another_type_is_a_format_error(pipeline, tmp_path):
+    # an id of 1.7 used to be read as 1
+    root, data, model = pipeline
+    sid = "two-L1-0000"
+    doc = json.loads((data / "annotations" / f"{sid}.json").read_text())
+    doc["objects"][0]["id"] = doc["objects"][0]["id"] + 0.7
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / f"{sid}.json").write_text(json.dumps(doc))
+    r = run_cli("evaluate", "--pred", preds, "--truth", data / "annotations",
+                "--out", tmp_path / "e.txt")
+    _assert_format_error(r)
+    assert "field 'id' must be int, got float" in r.stderr
+    assert not (tmp_path / "e.txt").exists()
+
+
 def test_annotation_shape_of_one_entry_is_a_format_error(pipeline, tmp_path):
     root, data, model = pipeline
     sid = "two-L1-0000"
@@ -399,6 +415,32 @@ def test_signalling_nan_payloads_are_one_error_line(pipeline, tmp_path):
     assert r.stderr.startswith("compseg: error code=INVALID msg=")
     assert r.stderr.count("\n") == 1 and "non-finite" in r.stderr
     assert not (tmp_path / "seg").exists()
+
+
+def test_segment_rejects_scene_ids_that_are_not_file_names(pipeline, tmp_path, capsys):
+    """The scene id names the two output files, so one that is not a plain
+    file name is one INVALID line, and nothing is written, in --out or
+    outside it."""
+    root, data, model = pipeline
+    sid = "two-L1-0000"
+    solo = tmp_path / "solo"
+    solo.mkdir()
+    shutil.copy(data / "scenes" / f"{sid}.fmap", solo / f"{sid}.fmap")
+    doc = json.loads((data / "annotations" / f"{sid}.json").read_text())
+    out = tmp_path / "out" / "preds"
+    escapes = ("../escaped", str(tmp_path / "abs_escape"), "sub/dir", "", ".", "..",
+               "back\\slash", "nul\0byte")
+    for scene_id in escapes:
+        (solo / f"{sid}.json").write_text(json.dumps(dict(doc, scene_id=scene_id)))
+        before = sorted(tmp_path.rglob("*"))
+        code = cli.main(["segment", "--model", str(model), "--scene", str(solo / f"{sid}.fmap"),
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", scene_id
+        assert captured.err.startswith("compseg: error code=INVALID msg=scene id ")
+        assert captured.err.count("\n") == 1, scene_id
+        assert sorted(tmp_path.rglob("*")) == before, scene_id
+    assert not (tmp_path / "abs_escape.json").exists()
 
 
 def _ok_or_one_error_line(capsys, *args):

@@ -27,6 +27,7 @@ from compseg.formats import (
     load_scene,
     order_graph_lines,
     quantize_bundle,
+    save_manifest,
     save_model,
 )
 from compseg.models import SIMPLEX_TOL, ClassModel, MixtureModel, OccluderModel
@@ -67,6 +68,14 @@ def test_rle_rejects():
         decode_rle("x 6", (2, 3))
     with pytest.raises(FormatError):
         decode_rle("-1 7", (2, 3))
+
+
+def test_rle_decode_rejects_text_the_encoder_would_rewrite():
+    # one mask has one string: a zero run after the first, or any other
+    # spelling of the runs, would be rewritten by the next save
+    for text in ("6 0", "1 0 2 3", "0 0 6", "06", "+6", " 6", "1  5", "1\t5"):
+        with pytest.raises(FormatError, match="not canonical"):
+            decode_rle(text, (2, 3))
 
 
 def _tiny_annotation():
@@ -179,6 +188,85 @@ def test_annotation_rejects_malformed_order_edges():
     for edges in ([[1, 0]], [[0, 1, 9, 2, 11]]):
         doc["order_edges"] = edges
         assert annotation_from_json(json.dumps(doc)).order_edges == [tuple(edges[0])]
+
+
+@pytest.mark.parametrize(
+    "where, field, value",
+    [
+        ("doc", "shape", [4.9, 4]),
+        ("doc", "shape", [6, True]),
+        ("object", "id", 1.7),
+        ("object", "id", True),
+        ("object", "id", "1"),
+        ("object", "template", 0.0),
+        ("object", "depth", None),
+        ("object", "box", [0.9, 0, 3, 3.99]),
+        ("object", "class", None),
+        ("object", "class", 3),
+        ("object", "level", 1),
+        ("object", "occlusion", "0.5"),
+        ("object", "occlusion", False),
+        ("object", "score", True),
+        ("doc", "scene_id", 5),
+        ("doc", "scenario", None),
+        ("doc", "split", ["test"]),
+        ("doc", "objects", {}),
+        ("doc", "order_edges", {}),
+        ("doc", "extra", [["note", 3]]),
+    ],
+)
+def test_annotation_fields_keep_their_json_types(where, field, value):
+    """Integers are JSON integers, strings are strings and numbers are int or
+    float, never bool: a field of another type is a FormatError that names
+    it, not a value converted on load."""
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    (doc if where == "doc" else doc["objects"][0])[field] = value
+    with pytest.raises(FormatError, match=f"bad annotation record: field '{field}'"):
+        annotation_from_json(json.dumps(doc))
+
+
+def test_empty_unknown_rle_is_decoded_not_dropped():
+    # "" was read as no unknown mask; it is the RLE of a lattice without pixels
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    doc["unknown_rle"] = ""
+    with pytest.raises(FormatError, match="RLE sums to 0, lattice has 42 pixels"):
+        annotation_from_json(json.dumps(doc))
+    doc.update(shape=[0, 3], objects=[], order_edges=[])
+    assert annotation_from_json(json.dumps(doc)).unknown.shape == (0, 3)
+
+
+def test_annotation_numbers_may_be_integers():
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    doc["objects"][0].update(occlusion=1, score=-12)
+    rec = annotation_from_json(json.dumps(doc)).objects[0]
+    assert (rec.occlusion, rec.score) == (1.0, -12.0)
+    assert type(rec.occlusion) is type(rec.score) is float
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"version": True},
+        {"version": 1.0},
+        {"version": "1"},
+        {"config": [1]},
+        {"scenes": {}},
+        {"fmap": None},
+        {"level": 7},
+        {"id": 0},
+        {"split": False},
+    ],
+    ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()),
+)
+def test_manifest_fields_keep_their_json_types(tmp_path, change):
+    doc = _manifest_doc()
+    ((field, value),) = change.items()
+    (doc if field in doc else doc["scenes"][0])[field] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="unsupported manifest version" if field == "version"
+                       else f"bad manifest entry: field '{field}'"):
+        load_manifest(str(path))
 
 
 def test_annotation_rejects_duplicate_object_ids():
@@ -486,6 +574,40 @@ def _json_slots(node, path=()):
         yield from _json_slots(value, (*path, key))
 
 
+def _same_json(a, b) -> bool:
+    """`a` and `b` have one JSON type and one value, numbers compared after
+    the writers' 9-digit rounding (NaN equals NaN)."""
+    if type(a) in (int, float) and type(b) in (int, float):
+        x, y = round(float(a), 9), round(float(b), 9)
+        return x == y or (math.isnan(x) and math.isnan(y))
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _fields_kept(mutant: dict, written: dict, where="") -> list[str]:
+    """The fields of `mutant` that `written`, its load saved again, lacks or
+    holds with another JSON type or value. A field the mutant lacks is a
+    reader's default, not a change."""
+    changed = []
+    for key, value in mutant.items():
+        path = f"{where}/{key}"
+        if key not in written:
+            changed.append(path)
+        elif key in ("objects", "scenes") and type(value) is list:
+            if len(value) != len(written[key]):
+                changed.append(path)
+            for i, (m, w) in enumerate(zip(value, written[key])):
+                changed += _fields_kept(m, w, f"{path}/{i}")
+        elif not _same_json(value, written[key]):
+            changed.append(path)
+    return changed
+
+
 def _json_mutations(doc, rng: np.random.Generator, count: int):
     """`count` seeded corruptions of a JSON document, each one to three
     edits: a value replaced by one of `JSON_VALUES`, or a key or an item
@@ -511,9 +633,9 @@ def _json_mutations(doc, rng: np.random.Generator, count: int):
 @pytest.mark.filterwarnings("error")
 def test_annotation_survives_seeded_mutations():
     """A corrupted annotation either loads as one whose masks cover its
-    lattice and that serializes to a fixed point, or raises a
-    `CompsegError`: no other exception and no warning. The fixed cases,
-    each a bug once, must raise."""
+    lattice, that keeps every field's JSON type and value and that
+    serializes to a fixed point, or raises a `CompsegError`: no other
+    exception and no warning. The fixed cases, each a bug once, must raise."""
     fixed = [_huge_lattice_doc(), _negative_shape_doc(), _intp_overflow_doc()]
     for text in [DEEPLY_NESTED, *map(json.dumps, fixed)]:
         with pytest.raises(CompsegError):
@@ -530,6 +652,7 @@ def test_annotation_survives_seeded_mutations():
         for rec in ann.objects:
             assert rec.amodal.shape == rec.modal.shape == ann.shape
         again = annotation_to_json(ann)
+        assert _fields_kept(json.loads(text), json.loads(again)) == [], text
         assert annotation_to_json(annotation_from_json(again)) == again
     assert 0 < loaded < 6000
 
@@ -544,9 +667,11 @@ def _manifest_doc():
 @pytest.mark.filterwarnings("error")
 def test_manifest_survives_seeded_mutations(tmp_path):
     """A corrupted manifest either loads with one entry per scene and unique
-    ids, or raises a `CompsegError`: no other exception and no warning."""
+    ids, keeping every field's JSON type and value, or raises a
+    `CompsegError`: no other exception and no warning."""
     rng = np.random.default_rng(43)
     path = tmp_path / "manifest.json"
+    again = tmp_path / "again.json"
     loaded = 0
     for text in [DEEPLY_NESTED] + list(_json_mutations(_manifest_doc(), rng, 3000)):
         path.write_text(text)
@@ -557,6 +682,8 @@ def test_manifest_survives_seeded_mutations(tmp_path):
         loaded += 1
         ids = [e.scene_id for e in man.entries]
         assert len(ids) == len(set(ids)) == len(json.loads(text)["scenes"])
+        save_manifest(man, str(again))
+        assert _fields_kept(json.loads(text), json.loads(again.read_text())) == [], text
     assert 0 < loaded < 3000
 
 

@@ -5,7 +5,14 @@ import compseg.orm as orm
 from compseg.errors import ValidationError
 from compseg.fmap import BoundingBox
 from compseg.formats import load_scene
-from compseg.models import LABEL_FG, LABEL_OCC, LikelihoodMaps, amodal_mask, segment_single
+from compseg.models import (
+    LABEL_FG,
+    LABEL_OCC,
+    ClassifyResult,
+    LikelihoodMaps,
+    amodal_mask,
+    segment_single,
+)
 from compseg.orm import (
     OWNER_NONE,
     OWNER_OUTSIDE,
@@ -41,8 +48,8 @@ def _object(oid, box, fg, ctx_fill=-20.0, occ_fill=-10.0, amodal=None):
     if amodal is None:
         amodal = np.ones(box.shape, dtype=np.bool_)
     return SceneObject(
-        oid=oid, box=box, class_index=0, mixture_index=0, score=0.0,
-        maps=maps, labels=segment_single(maps), amodal=amodal,
+        oid=oid, box=box, pick=ClassifyResult(0, 0, 0.0, ((maps,),)),
+        labels=segment_single(maps), amodal=amodal,
     )
 
 
@@ -213,8 +220,8 @@ def test_foreground_pixel_with_no_finite_map_goes_to_the_outlier():
     maps = LikelihoodMaps(fg, np.array([[-np.inf, -20.0]]), np.array([[-np.inf, -10.0]]))
     box = BoundingBox(0, 0, 2, 1)
     a = SceneObject(
-        oid=0, box=box, class_index=0, mixture_index=0, score=0.0,
-        maps=maps, labels=segment_single(maps), amodal=np.ones(box.shape, dtype=np.bool_),
+        oid=0, box=box, pick=ClassifyResult(0, 0, 0.0, ((maps,),)),
+        labels=segment_single(maps), amodal=np.ones(box.shape, dtype=np.bool_),
     )
     assert (a.labels == LABEL_FG).all()
     owners, edges = orm_pass([a], (1, 2))
@@ -269,7 +276,7 @@ def test_segment_scene_deterministic(tiny_challenge, tiny_bundle):
     assert a.edges == b.edges
     for idx in range(len(a.objects)):
         assert a.masks(idx, fm.shape)[1].tobytes() == b.masks(idx, fm.shape)[1].tobytes()
-    assert [o.score for o in a.objects] == [o.score for o in b.objects]
+    assert [o.pick.score for o in a.objects] == [o.pick.score for o in b.objects]
 
 
 def test_iters_zero_is_feed_forward(tiny_challenge, tiny_bundle):
@@ -310,9 +317,9 @@ def test_reclassification_skipped_when_visibility_static(
 def test_rescore_rebuilds_an_object_only_when_its_pick_changes(
     tiny_challenge, tiny_bundle, monkeypatch
 ):
-    # A re-score that keeps its (class, mixture) updates the score alone; the
+    # A re-score that keeps its (class, mixture) replaces the pick alone; the
     # maps, labels and amodal mask it keeps are what a rebuild would give.
-    picks, scores, built, changed = {}, {}, [], []
+    picks, results, built, changed = {}, {}, [], []
     real_build, real_rescore = orm._scene_object, orm.rescore
 
     def build(oid, box, result, bundle):
@@ -323,7 +330,7 @@ def test_rescore_rebuilds_an_object_only_when_its_pick_changes(
     def rescore(candidates, visibility=None):
         result = real_rescore(candidates, visibility)
         changed.append((result.class_index, result.mixture_index) != picks[id(candidates)])
-        scores[id(candidates)] = result.score
+        results[id(candidates)] = result
         return result
 
     monkeypatch.setattr(orm, "_scene_object", build)
@@ -334,11 +341,12 @@ def test_rescore_rebuilds_an_object_only_when_its_pick_changes(
         result = segment_scene(fm, boxes, tiny_bundle, iters=2)
         n_objects += len(ann.objects)
         for obj in result.objects:
-            mixture = tiny_bundle.classes[obj.class_index].mixtures[obj.mixture_index]
-            assert obj.maps is obj.candidates[obj.class_index][obj.mixture_index]
+            pick = obj.pick
+            mixture = tiny_bundle.classes[pick.class_index].mixtures[pick.mixture_index]
+            assert obj.maps is pick.candidates[pick.class_index][pick.mixture_index]
             assert np.array_equal(obj.labels, segment_single(obj.maps))
             assert np.array_equal(obj.amodal, amodal_mask(mixture, obj.box))
-            assert obj.score == scores.get(id(obj.candidates), obj.score)
+            assert pick is results.get(id(pick.candidates), pick)
     assert changed.count(False) > 0
     assert len(built) == n_objects + changed.count(True)
 
@@ -356,9 +364,13 @@ def _exactly_k_passes(scene, boxes, bundle, iters, no_order):
             if np.array_equal(vis, prev_vis[idx]):
                 continue
             prev_vis[idx] = vis
-            result = orm.rescore(obj.candidates, vis)
+            result = orm.rescore(obj.pick.candidates, vis)
             objects[idx] = orm._scene_object(obj.oid, obj.box, result, bundle)
     return orm.SceneResult(objects, owners, edges)
+
+
+def _pick_figures(obj):
+    return obj.pick.class_index, obj.pick.mixture_index, obj.pick.score
 
 
 def _test_scenes(challenge):
@@ -375,8 +387,8 @@ def test_fixed_point_stop_is_exact(tiny_challenge, tiny_bundle):
                 got = segment_scene(fm, boxes, tiny_bundle, iters=iters, no_order=no_order)
                 want = _exactly_k_passes(fm, boxes, tiny_bundle, iters, no_order)
                 where = (ann.scene_id, iters, no_order)
-                assert [(o.class_index, o.mixture_index, o.score) for o in got.objects] == [
-                    (o.class_index, o.mixture_index, o.score) for o in want.objects
+                assert [_pick_figures(o) for o in got.objects] == [
+                    _pick_figures(o) for o in want.objects
                 ], where
                 if iters == 0:
                     assert got.owners is None and want.owners is None, where
@@ -403,7 +415,7 @@ def test_passes_stop_after_a_pass_that_repicks_nothing(tiny_challenge, tiny_bund
     for fm, ann in _test_scenes(tiny_challenge):
         boxes = [(rec.oid, rec.box) for rec in ann.objects]
         picks = [
-            [(o.class_index, o.mixture_index) for o in result.objects]
+            [(o.pick.class_index, o.pick.mixture_index) for o in result.objects]
             for result in (segment_scene(fm, boxes, tiny_bundle, iters=i) for i in (0, 1))
         ]
         repicked = picks[0] != picks[1]
