@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -20,16 +19,17 @@ import numpy as np
 
 from . import oracle
 from .errors import CompsegError, FormatError, ValidationError
-from .fmap import load_feature_map
 from .formats import (
     SceneAnnotation,
     annotation_from_json,
     annotation_to_json,
     atomic_write_text,
+    json_text,
     load_manifest,
     load_model,
     load_scene,
     order_graph_lines,
+    read_scene,
     read_text,
     save_model,
 )
@@ -159,16 +159,11 @@ def _annotation_path_for(scene_path: str) -> str:
 
 def _cmd_segment(args) -> int:
     bundle = load_model(args.model)
-    fm = load_feature_map(args.scene)
-    truth = annotation_from_json(read_text(_annotation_path_for(args.scene)))
+    fm, truth = read_scene(args.scene, _annotation_path_for(args.scene))
     # The scene id names the two output files, which must land inside --out.
     sid = truth.scene_id
     if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
         raise ValidationError(f"scene id {sid!r} is not a plain file name")
-    if truth.shape != fm.shape:
-        raise ValidationError(
-            f"annotation lattice {truth.shape} != feature map {fm.shape}"
-        )
     ann, _ = predict_scene(
         fm,
         truth,
@@ -246,7 +241,7 @@ def _cmd_evaluate(args) -> int:
         "scenes": len(truths),
     }
     atomic_write_text(args.out, text + "\n")
-    atomic_write_text(args.out + ".json", json.dumps(record, indent=1, sort_keys=True))
+    atomic_write_text(args.out + ".json", json_text(record))
     print(text)
     return 0
 
@@ -280,9 +275,7 @@ def _cmd_ablate(args) -> int:
         }
     text = ("\n\n" + "=" * 66 + "\n\n").join(blocks)
     atomic_write_text(args.out, text + "\n")
-    atomic_write_text(
-        args.out + ".json", json.dumps(records, indent=1, sort_keys=True)
-    )
+    atomic_write_text(args.out + ".json", json_text(records))
     print(text)
     return 0
 

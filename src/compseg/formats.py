@@ -35,6 +35,29 @@ def read_text(path: str) -> str:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def json_text(doc) -> str:
+    """`doc` as canonical JSON text; a NaN or infinite number raises ValidationError."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"not JSON: {exc}") from exc
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _parse_json(text: str, what: str):
+    """`json.loads(text)`; bad JSON, NaN and Infinity included, raise FormatError."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, a NaN or Infinity token, or an integer
+        # with more digits than `int` converts; RecursionError: arrays or
+        # objects nested deeper than the parser recurses
+        raise FormatError(f"{what}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # model bundle
 
@@ -319,7 +342,7 @@ def annotation_to_json(ann: SceneAnnotation) -> str:
         "unknown_rle": None if ann.unknown is None else encode_rle(ann.unknown),
         "extra": ann.extra,
     }
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return json_text(doc)
 
 
 def _field(value, kinds: tuple[type, ...], name: str):
@@ -365,11 +388,7 @@ def _check_order_graph(objects: list[ObjectRecord], edges: list[tuple]) -> None:
 
 def annotation_from_json(text: str) -> SceneAnnotation:
     """A scene annotation; a malformed record or order graph raises FormatError."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested deeper than the parser recurses
-        raise FormatError(f"bad annotation JSON: {exc}") from exc
+    doc = _parse_json(text, "bad annotation JSON")
     try:
         shape = _integers(doc["shape"], (2,), "shape")
         _check_lattice(shape)
@@ -455,14 +474,11 @@ def save_manifest(manifest: Manifest, path: str) -> None:
             for e in manifest.entries
         ],
     }
-    atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=1))
+    atomic_write_text(path, json_text(doc))
 
 
 def load_manifest(path: str) -> Manifest:
-    try:
-        doc = json.loads(read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: bad manifest JSON: {exc}") from exc
+    doc = _parse_json(read_text(path), f"{path}: bad manifest JSON")
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")
     version = doc.get("version")
@@ -492,14 +508,25 @@ def load_manifest(path: str) -> Manifest:
     return Manifest(os.path.dirname(os.path.abspath(path)), entries, config)
 
 
-def load_scene(manifest: Manifest, entry: ManifestEntry) -> tuple[FeatureMap, SceneAnnotation]:
-    fmap = load_feature_map(os.path.join(manifest.root, entry.fmap_path))
-    ann = annotation_from_json(read_text(os.path.join(manifest.root, entry.annotation_path)))
+def read_scene(fmap_path: str, annotation_path: str) -> tuple[FeatureMap, SceneAnnotation]:
+    """A scene's feature map and annotation; differing lattices raise FormatError."""
+    fmap = load_feature_map(fmap_path)
+    ann = annotation_from_json(read_text(annotation_path))
     if ann.shape != fmap.shape:
         raise FormatError(
-            f"{entry.scene_id}: annotation lattice {ann.shape} != feature map {fmap.shape}"
+            f"{ann.scene_id}: annotation lattice {ann.shape} != feature map {fmap.shape}"
         )
     return fmap, ann
+
+
+def load_scene(manifest: Manifest, entry: ManifestEntry) -> tuple[FeatureMap, SceneAnnotation]:
+    """An entry's scene; a path that is absolute or leaves `manifest.root` raises FormatError."""
+    paths = []
+    for path in (entry.fmap_path, entry.annotation_path):
+        if os.path.isabs(path) or os.path.normpath(path).split(os.sep)[0] == os.pardir:
+            raise FormatError(f"{entry.scene_id}: {path!r} is not inside the manifest directory")
+        paths.append(os.path.join(manifest.root, path))
+    return read_scene(*paths)
 
 
 # ---------------------------------------------------------------------------

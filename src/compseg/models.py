@@ -145,8 +145,6 @@ class OccluderModel:
             raise ValidationError(f"occluder coeffs must be 1-d, got {c.shape}")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        with np.errstate(divide="ignore"):
-            object.__setattr__(self, "_log_coeffs", np.log(c))
 
     @property
     def n_components(self) -> int:
@@ -200,18 +198,21 @@ class CropEvidence:
     occ: np.ndarray       # (P,)
 
 
-def _cosines(features: np.ndarray, dictionary: VmfDictionary, rows: np.ndarray) -> np.ndarray:
-    """Cosine rows for the exact fallback, from the same product `crop_evidence` takes."""
-    return (features @ dictionary.means.T)[rows]
-
-
-def _factored_loglik(peak: np.ndarray, total: np.ndarray, exact) -> np.ndarray:
-    """peak + log(total); rows whose total is not a normal float come from exact(rows)."""
+def _factored_loglik(
+    peak: np.ndarray, total: np.ndarray, kernel, features: np.ndarray,
+    dictionary: VmfDictionary, coeffs: np.ndarray,
+) -> np.ndarray:
+    """peak + log(total). Rows whose total is not a normal float come from the
+    exact `kernel`, fed their cosines (the product `crop_evidence` takes) and
+    the log of `coeffs`: one (K,) row every position shares, or (P, K)."""
     if total.min() >= _TINY:
         return peak + np.log(total)
     low = np.flatnonzero(total < _TINY)
     out = peak + np.log(np.maximum(total, _TINY))
-    out[low] = exact(low)
+    with np.errstate(divide="ignore"):
+        log_coeffs = np.log(coeffs if coeffs.ndim == 1 else coeffs[low])
+    out[low] = kernel((features @ dictionary.means.T)[low], dictionary.concentrations,
+                      dictionary.log_normalizers, log_coeffs)
     return out
 
 
@@ -240,32 +241,16 @@ def crop_evidence(
     # a process whose heap is still small, page faults; the rare exact
     # fallback takes the same product again.
     peak, scaled = shifted_densities(features, dictionary)
-    occ = _factored_loglik(
-        peak,
-        scaled @ occluder.coeffs,
-        lambda rows: _kernels.shared_mixture_loglik(
-            _cosines(features, dictionary, rows),
-            dictionary.concentrations,
-            dictionary.log_normalizers,
-            occluder._log_coeffs,
-        ),
-    )
+    occ = _factored_loglik(peak, scaled @ occluder.coeffs, _kernels.shared_mixture_loglik,
+                           features, dictionary, occluder.coeffs)
     return CropEvidence(crop.shape, dictionary, features, peak, scaled, occ)
 
 
 def _mixture_loglik(evidence: CropEvidence, coeffs: np.ndarray) -> np.ndarray:
     """Per-position log-likelihood under (P, K) linear coefficients."""
-
-    def exact(rows):
-        with np.errstate(divide="ignore"):
-            log_coeffs = np.log(coeffs[rows])
-        d = evidence.dictionary
-        return _kernels.mixture_loglik(
-            _cosines(evidence.features, d, rows), d.concentrations, d.log_normalizers, log_coeffs
-        )
-
     total = np.einsum("ik,ik->i", coeffs, evidence.scaled)
-    return _factored_loglik(evidence.peak, total, exact)
+    return _factored_loglik(evidence.peak, total, _kernels.mixture_loglik,
+                            evidence.features, evidence.dictionary, coeffs)
 
 
 @functools.lru_cache(maxsize=1024)

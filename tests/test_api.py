@@ -268,3 +268,31 @@ def test_one_unchecked_constructor():
         for scope in _object_new_scopes(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert scopes == ["fmap.py:FeatureMap._trusted"]
+
+
+_JSON_CALLS = {"dumps", "dump", "loads", "load"}
+
+
+def _json_uses(tree: ast.Module) -> list[str]:
+    """Each `json.dumps`, `json.dump`, `json.loads` or `json.load` that `tree`
+    reaches, through the module or through a name imported from it."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _JSON_CALLS
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append(f"json.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"json.{a.name}" for a in node.names if a.name in _JSON_CALLS | {"*"}]
+    return found
+
+
+def test_json_is_written_and_parsed_in_formats_only():
+    """`formats.json_text` writes JSON text and one parser reads it, so that
+    every file keeps one spelling and none holds a NaN or Infinity token. A
+    module that called `json` itself would bypass both."""
+    uses = [
+        f"{path.name}:{use}"
+        for path in sorted((ROOT / "src" / "compseg").glob("*.py"))
+        for use in _json_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(uses) == ["formats.py:json.dumps", "formats.py:json.loads"]

@@ -14,7 +14,8 @@ from test_formats import _json_mutations, _model_layout, _model_mutations
 
 from compseg import cli, synth
 from compseg.errors import ValidationError
-from compseg.formats import annotation_from_json, annotation_to_json, load_model
+from compseg.formats import annotation_from_json, annotation_to_json, load_model, read_scene
+from compseg.metrics import predict_scene
 
 
 def run_cli(*args):
@@ -415,6 +416,38 @@ def test_signalling_nan_payloads_are_one_error_line(pipeline, tmp_path):
     assert r.stderr.startswith("compseg: error code=INVALID msg=")
     assert r.stderr.count("\n") == 1 and "non-finite" in r.stderr
     assert not (tmp_path / "seg").exists()
+
+
+def test_segment_lattice_mismatch_is_one_format_line(pipeline, tmp_path, capsys):
+    """A scene whose annotation is on another lattice than its feature map is
+    the same FormatError, naming the scene, that `load_scene` gives."""
+    root, data, model = pipeline
+    solo = tmp_path / "solo"
+    solo.mkdir()
+    shutil.copy(data / "scenes" / "two-L1-0000.fmap", solo / "two-L1-0000.fmap")
+    shutil.copy(data / "annotations" / "four-L1-0000.json", solo / "two-L1-0000.json")
+    code = cli.main(["segment", "--model", str(model), "--scene", str(solo / "two-L1-0000.fmap"),
+                     "--out", str(tmp_path / "seg")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"compseg: error code=FORMAT msg=four-L1-0000: annotation lattice "
+                   f"({synth.FOUR_SIZE}, {synth.FOUR_SIZE}) != feature map "
+                   f"({synth.TWO_SIZE}, {synth.TWO_SIZE})\n")
+    assert not (tmp_path / "seg").exists()
+
+
+def test_segment_no_order_writes_the_unordered_prediction(pipeline, tmp_path):
+    root, data, model = pipeline
+    sid = "four-L2-0000"
+    scene = data / "scenes" / f"{sid}.fmap"
+    r = run_cli("segment", "--model", model, "--scene", scene, "--no-order",
+                "--out", tmp_path / "seg")
+    assert r.returncode == 0, r.stderr
+    fm, truth = read_scene(str(scene), str(data / "annotations" / f"{sid}.json"))
+    bundle = load_model(str(model))
+    want = annotation_to_json(predict_scene(fm, truth, bundle, no_order=True)[0])
+    assert (tmp_path / "seg" / f"{sid}.json").read_text() == want
+    assert want != annotation_to_json(predict_scene(fm, truth, bundle)[0])
 
 
 def test_segment_rejects_scene_ids_that_are_not_file_names(pipeline, tmp_path, capsys):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from compseg.errors import CompsegError, FormatError, ValidationError
 from compseg.fmap import BoundingBox
 from compseg.formats import (
+    Manifest,
     ModelBundle,
     ObjectRecord,
     SceneAnnotation,
@@ -22,11 +23,13 @@ from compseg.formats import (
     annotation_to_json,
     decode_rle,
     encode_rle,
+    json_text,
     load_manifest,
     load_model,
     load_scene,
     order_graph_lines,
     quantize_bundle,
+    read_scene,
     save_manifest,
     save_model,
 )
@@ -447,16 +450,94 @@ def test_manifest_must_be_a_json_object(tmp_path):
 
 def test_text_that_is_not_utf8_is_a_format_error(tiny_challenge, tmp_path):
     entry = tiny_challenge.select(split="test")[0]
-    manifest = load_manifest(os.path.join(tiny_challenge.root, "manifest.json"))
     with open(os.path.join(tiny_challenge.root, "manifest.json"), "rb") as fh:
         raw = fh.read()
     (tmp_path / "manifest.json").write_bytes(b"\xff\xfe" + raw)
     with pytest.raises(FormatError):
         load_manifest(str(tmp_path / "manifest.json"))
+    # a manifest rooted in tmp_path, so that nothing is written into the
+    # shared challenge, whose bytes the pins hash
+    (tmp_path / "scene.fmap").write_bytes(
+        Path(tiny_challenge.root, entry.fmap_path).read_bytes())
     (tmp_path / "bad.json").write_bytes(b"{\"scene_id\": \"\xff\"}")
-    moved = dataclasses.replace(entry, annotation_path=str(tmp_path / "bad.json"))
-    with pytest.raises(FormatError):
-        load_scene(manifest, moved)
+    moved = dataclasses.replace(entry, fmap_path="scene.fmap", annotation_path="bad.json")
+    with pytest.raises(FormatError, match="bad.json: not UTF-8 text"):
+        load_scene(Manifest(str(tmp_path), [moved]), moved)
+
+
+@pytest.mark.parametrize("field", ["fmap_path", "annotation_path"])
+def test_scene_paths_stay_inside_the_manifest_directory(tiny_challenge, tmp_path, field):
+    """A manifest's paths are relative to its directory: an absolute path or
+    one that climbs out of it is a FormatError naming the entry, even where
+    the file it names exists."""
+    entry = tiny_challenge.select(split="test")[0]
+    root = tmp_path / "root"
+    root.mkdir()
+    inside = getattr(entry, field)
+    outside = tmp_path / os.path.basename(inside)
+    outside.write_bytes(Path(tiny_challenge.root, inside).read_bytes())
+    for path in (str(outside), os.path.join("..", outside.name),
+                 os.path.join("scenes", "..", "..", outside.name)):
+        moved = dataclasses.replace(entry, **{field: path})
+        manifest = Manifest(str(root), [moved])
+        with pytest.raises(FormatError, match=f"{entry.scene_id}: .* is not inside the manifest"):
+            load_scene(manifest, moved)
+    # a path that climbs but stays inside is read
+    local = dataclasses.replace(entry, **{field: os.path.join("scenes", "..", inside)})
+    fmap, ann = load_scene(tiny_challenge, local)
+    assert ann.scene_id == entry.scene_id
+
+
+def test_scene_lattices_must_agree(tiny_challenge):
+    two, four = (tiny_challenge.select(split="test", scenario=s)[0] for s in ("two", "four"))
+    fmap_path = os.path.join(tiny_challenge.root, two.fmap_path)
+    with pytest.raises(FormatError, match=f"{four.scene_id}: annotation lattice"):
+        read_scene(fmap_path, os.path.join(tiny_challenge.root, four.annotation_path))
+    fmap, ann = read_scene(fmap_path, os.path.join(tiny_challenge.root, two.annotation_path))
+    assert ann.scene_id == two.scene_id and fmap.shape == ann.shape
+
+
+def test_integer_longer_than_int_converts_is_a_format_error(tmp_path):
+    """Python refuses to convert an integer of more than 4,300 digits, and
+    `json.loads` raises that as a bare ValueError."""
+    digits = "9" * 5000
+    text = annotation_to_json(_tiny_annotation())
+    with pytest.raises(FormatError, match="bad annotation JSON: Exceeds the limit"):
+        annotation_from_json(text.replace('"template": 0', f'"template": {digits}'))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(_manifest_doc()).replace('"seed": 7', f'"seed": {digits}'))
+    with pytest.raises(FormatError, match="bad manifest JSON: Exceeds the limit"):
+        load_manifest(str(path))
+
+
+@pytest.mark.parametrize("field, value", [("occlusion", math.nan), ("score", -math.inf),
+                                          ("score", math.inf)])
+def test_writers_refuse_numbers_json_cannot_hold(tmp_path, field, value):
+    ann = _tiny_annotation()
+    setattr(ann.objects[1], field, value)
+    with pytest.raises(ValidationError, match="not JSON"):
+        annotation_to_json(ann)
+    with pytest.raises(ValidationError, match="not JSON"):
+        annotation_to_json(dataclasses.replace(_tiny_annotation(), extra={"x": value}))
+    path = tmp_path / "manifest.json"
+    with pytest.raises(ValidationError, match="not JSON"):
+        save_manifest(Manifest(str(tmp_path), [], {"seed": value}), str(path))
+    assert not path.exists()
+    with pytest.raises(ValidationError, match="not JSON"):
+        json_text({"a": [value]})
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_readers_refuse_nan_and_infinity_tokens(tmp_path, token):
+    """`json.loads` reads these tokens, which are not JSON, as floats."""
+    text = annotation_to_json(_tiny_annotation())
+    assert text.count('"occlusion": 0.25') == 1
+    with pytest.raises(FormatError, match=f"bad annotation JSON: {token} is not a JSON number"):
+        annotation_from_json(text.replace('"occlusion": 0.25', f'"occlusion": {token}'))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(_manifest_doc()).replace('"seed": 7', f'"seed": {token}'))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: bad manifest JSON: {token} is not")):
+        load_manifest(str(path))
 
 
 def test_manifest_bad_version(tmp_path):
