@@ -45,7 +45,7 @@ from .metrics import (
     predict_scene,
     run_ablation,
 )
-from .synth import ChallengeConfig, generate_challenge
+from .synth import SCENARIOS, ChallengeConfig, generate_challenge
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,7 +254,7 @@ def _cmd_ablate(args) -> int:
     bundle = load_model(args.model)
     manifest = load_manifest(args.manifest)
     present = [e.scenario for e in manifest.entries if e.split == "test"]
-    scenarios = [s for s in ("two", "four", "unknown") if s in present]
+    scenarios = [s for s in SCENARIOS if s in present]
     if not scenarios:
         raise ValidationError("manifest has no test scenarios to ablate")
 
@@ -325,7 +325,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a planted scene challenge")
-    p.add_argument("--scenarios", default="two,four,unknown")
+    p.add_argument("--scenarios", default=",".join(SCENARIOS))
     challenge = ChallengeConfig()
     p.add_argument("--per-level", type=int, default=challenge.per_level)
     p.add_argument("--train-scenes", type=int, default=challenge.train_scenes)

@@ -8,6 +8,7 @@ x = column and y = row.
 """
 from __future__ import annotations
 
+import operator
 import os
 import struct
 import tempfile
@@ -51,8 +52,16 @@ class BoundingBox:
 
     def __post_init__(self):
         coords = (self.x0, self.y0, self.x1, self.y1)
-        if any(int(c) != c for c in coords):
-            raise ValidationError(f"box coordinates must be integers: {coords}")
+        try:
+            # operator.index takes Python and numpy integers and nothing that
+            # merely compares equal to one, like 2.0; a bool is refused too
+            if any(isinstance(c, (bool, np.bool_)) for c in coords):
+                raise TypeError
+            coords = tuple(operator.index(c) for c in coords)
+        except TypeError:
+            raise ValidationError(f"box coordinates must be integers: {coords}") from None
+        for name, value in zip(("x0", "y0", "x1", "y1"), coords):
+            object.__setattr__(self, name, value)
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise ValidationError(f"box must have positive area: {coords}")
         if self.x0 < 0 or self.y0 < 0:

@@ -7,6 +7,7 @@ bytes. All writers go through an atomic temp-file + rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -357,6 +358,21 @@ def _field(value, kinds: tuple[type, ...], name: str):
     return value
 
 
+def _check_finite(doc) -> None:
+    """A ValueError when a number anywhere in parsed JSON is NaN or infinite:
+    `json.loads` reads an overflowing literal like 1e400 as inf. The walk
+    keeps its own stack, so nesting the parser accepts cannot overflow it."""
+    stack = [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{value} is not a finite number")
+
+
 def _integers(value, lengths: tuple[int, ...], name: str) -> tuple[int, ...]:
     if len(_field(value, (list,), name)) not in lengths:
         raise TypeError(f"field {name!r} must hold {' or '.join(map(str, lengths))} integers")
@@ -390,6 +406,7 @@ def annotation_from_json(text: str) -> SceneAnnotation:
     """A scene annotation; a malformed record or order graph raises FormatError."""
     doc = _parse_json(text, "bad annotation JSON")
     try:
+        _check_finite(doc)
         shape = _integers(doc["shape"], (2,), "shape")
         _check_lattice(shape)
         objects = []

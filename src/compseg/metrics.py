@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .fmap import FeatureMap, iou
 from .formats import ModelBundle, ObjectRecord, SceneAnnotation
-from .orm import SceneResult, _chain, feed_forward, segment_scene
+from .orm import SceneResult, _chain, feed_forward, orm_pass, segment_scene
 from .synth import LEVELS, OVER_LIMIT, level_of
 
 __all__ = [
@@ -215,7 +215,7 @@ def predict_scene(
 # variant comparison
 
 # name -> segment_scene arguments; "independent" never runs competition,
-# "no-order" competes but skips the reassignment step.
+# "no-order" reads each pass's competition grid, before reassignment.
 VARIANTS: tuple[tuple[str, dict], ...] = (
     ("independent", dict(iters=0)),
     ("no-order", dict(iters=1, no_order=True)),
@@ -261,30 +261,20 @@ def _variant_results(
 ) -> list[tuple[SceneAnnotation, SceneResult]]:
     """`predict_scene` under each of `VARIANTS`, in order, from one feed-forward.
 
-    `segment_scene` at iters k is a prefix of iters k + 1, so one chain of
-    passes per `no_order` value gives every variant; a variant deeper than
-    the chain's fixed point takes its last state, as `segment_scene` does,
-    and shares that state's prediction. The chains never write the
-    feed-forward objects, so both start from the same list.
+    Each variant is the last of its own chain's `iters + 1` states, as in
+    `segment_scene`. Every chain's first pass is the same `orm_pass` of the
+    feed-forward objects, so it runs once; the chains never write those
+    objects, so all start from the same list.
     """
     boxes = [(rec.oid, rec.box) for rec in truth.objects]
     objects = feed_forward(fm, boxes, bundle)
-    depth: dict[bool, int] = {}
-    for _, kwargs in VARIANTS:
-        flag = kwargs.get("no_order", False)
-        depth[flag] = max(depth.get(flag, 0), kwargs["iters"])
-    chains = {
-        flag: list(islice(_chain(objects, fm.shape, bundle, flag), n + 1))
-        for flag, n in depth.items()
-    }
-    packaged: dict[int, tuple[SceneAnnotation, SceneResult]] = {}
+    first = orm_pass(objects, fm.shape)
     out = []
     for _, kwargs in VARIANTS:
-        chain = chains[kwargs.get("no_order", False)]
-        state = chain[min(kwargs["iters"], len(chain) - 1)]
-        if id(state) not in packaged:
-            packaged[id(state)] = (_annotation(truth, bundle, state), state)
-        out.append(packaged[id(state)])
+        chain = _chain(objects, fm.shape, bundle, kwargs.get("no_order", False), first)
+        for state in islice(chain, kwargs["iters"] + 1):
+            pass
+        out.append((_annotation(truth, bundle, state), state))
     return out
 
 

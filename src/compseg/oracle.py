@@ -246,7 +246,7 @@ def check_pixel_competition(rng: np.random.Generator, cases: int) -> tuple[int, 
         n = int(rng.integers(1, 5))
         table = _random_table(rng, h * w, n)
         objects = table_objects(table, (h, w))
-        got = orm_pass(objects, (h, w), no_order=True)[0].reshape(-1)
+        got = orm_pass(objects, (h, w))[0].reshape(-1)
         want = np.asarray(perpixel_owner_reference(table))
         total += h * w
         mismatches += int(np.sum(got != want))
@@ -254,17 +254,18 @@ def check_pixel_competition(rng: np.random.Generator, cases: int) -> tuple[int, 
 
 
 def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int, int]:
-    """orm_pass edges and reassigned owners vs scalar recomputations.
+    """orm_pass grids and edges vs scalar recomputations.
 
     Random tables as in the competition suite, two to five objects, each
     on a random sub-box of the lattice with its maps cropped to it and a
     random amodal mask, so box offsets and claims outside the amodal mask
     both occur. A pixel outside an object's box is not that object's: it
     neither competes nor claims there, and a pixel outside every box is
-    `OWNER_OUTSIDE`. Edges are recounted pair by pair over the pixels both
-    objects claim; owners come from `reassignment_reference` under those
-    edges. Returns (mismatching cases, cases): a case mismatches when any
-    edge or any owner differs.
+    `OWNER_OUTSIDE`. The competition grid is the per-pixel MAP rule over
+    the covering objects; edges are recounted pair by pair over the pixels
+    both objects claim; owners come from `reassignment_reference` under
+    those edges. Returns (mismatching cases, cases): a case mismatches when
+    any grid pixel or any edge differs.
     """
     from .fmap import BoundingBox
     from .models import ClassifyResult, LikelihoodMaps
@@ -320,9 +321,9 @@ def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int,
         want = reassignment_reference(
             competition, claimants, [e[:4] for e in edges], n
         )
-        owners, got_edges = orm_pass(objects, (h, w))
-        same_edges = sorted(got_edges) == sorted(edges)
-        if not same_edges or owners.reshape(-1).tolist() != want:
+        competed, got_edges, owners = orm_pass(objects, (h, w))
+        got = (competed.reshape(-1).tolist(), sorted(got_edges), owners.reshape(-1).tolist())
+        if got != (competition, sorted(edges), want):
             mismatches += 1
     return mismatches, cases
 

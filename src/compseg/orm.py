@@ -19,7 +19,8 @@ object (-inf or False elsewhere), and runs steps 1-3 from those planes:
      of every other claimant there; a tied vote puts neither object in
      front, and a pixel without such a claimant keeps its competition owner
   4. per-object boolean visibility grids, False where another object or
-     the outlier owns the pixel; objects whose visibility changed are
+     the outlier owns the pixel after step 3 (after step 1 for the no-order
+     ablation); objects whose visibility changed are
      re-scored with the occluder branch forced at pixels they lost, a
      re-pick (`rescore`) over the candidate maps feed-forward built, with
      no new crop or map
@@ -34,8 +35,9 @@ equal the one before it, and nothing would be re-scored. Every pass after
 that one returns what it does.
 
 A state of the chain, before or after a pass, is a `SceneResult`: the
-objects, the owners grid and the edges. An object's full-lattice masks are
-derived from it by `SceneResult.masks` only when a record is written.
+objects, the grid step 4 read and the edges; the chain keeps nothing else.
+An object's full-lattice masks are derived from it by `SceneResult.masks`
+only when a record is written.
 """
 from __future__ import annotations
 
@@ -106,8 +108,8 @@ class OrderEdge(NamedTuple):
 @dataclass(frozen=True)
 class SceneResult:
     """A state of the reasoning chain: the objects after a pass, with that
-    pass's owners grid and edges. Before the first pass the owners grid is
-    None and there are no edges."""
+    pass's edges and the grid its visibility was read from. Before the first
+    pass the owners grid is None and there are no edges."""
 
     objects: list[SceneObject]
     owners: np.ndarray | None  # (H, W) int16 codes as above; None before the first pass
@@ -160,13 +162,12 @@ def recover_order(votes_a: int, votes_b: int) -> int:
 
 
 def orm_pass(
-    objects: Sequence[SceneObject],
-    scene_shape: tuple[int, int],
-    no_order: bool = False,
-) -> tuple[np.ndarray, tuple[OrderEdge, ...]]:
+    objects: Sequence[SceneObject], scene_shape: tuple[int, int]
+) -> tuple[np.ndarray, tuple[OrderEdge, ...], np.ndarray]:
     """One competition + order-recovery + reassignment sweep over a scene.
 
-    Returns the (H, W) int16 owners grid and the edges. Each object's
+    Returns (competed, edges, owners): the (H, W) int16 grids after the
+    competition and after reassignment, around the edges. Each object's
     foreground map where it labels F, its occluder map and its claims (its
     F pixels inside its amodal mask) are laid on the scene lattice once,
     -inf and False elsewhere, and all three steps read those planes.
@@ -244,21 +245,24 @@ def orm_pass(
         if votes_a != votes_b:
             ahead.add((i, j) if votes_a > votes_b else (j, i))
 
-    if not no_order:
-        movable = (claims.sum(axis=0) >= 2) & (owners != n)
-        for front in range(n):
-            take = movable & claims[front]
-            for other in range(n):
-                if other != front and (front, other) not in ahead:
-                    take &= ~claims[other]
-            owners[take] = front
-    return owners, tuple(edges)
+    competed = owners.copy()
+    movable = (claims.sum(axis=0) >= 2) & (owners != n)
+    for front in range(n):
+        take = movable & claims[front]
+        for other in range(n):
+            if other != front and (front, other) not in ahead:
+                take &= ~claims[other]
+        owners[take] = front
+    return competed, tuple(edges), owners
 
 
-def _visibility_from_owners(obj_index: int, obj: SceneObject, owners: np.ndarray) -> np.ndarray:
-    """Box-lattice bool visibility: False where another model or the outlier holds the pixel."""
+def _visibility(idx: int, obj: SceneObject, owners: np.ndarray | None) -> np.ndarray:
+    """Box-lattice bool visibility: with no `owners` (feed-forward) all but the
+    object's O pixels, else False where another model or the outlier holds the pixel."""
+    if owners is None:
+        return obj.labels != LABEL_OCC
     window = owners[obj.box.slices]
-    return (window < 0) | (window == obj_index)
+    return (window < 0) | (window == idx)
 
 
 def _scene_object(
@@ -290,18 +294,21 @@ def _chain(
     scene_shape: tuple[int, int],
     bundle: ModelBundle,
     no_order: bool = False,
+    first: tuple[np.ndarray, tuple[OrderEdge, ...], np.ndarray] | None = None,
 ) -> Iterator[SceneResult]:
     """The states of the reasoning chain from the feed-forward `objects`, each
     a `SceneResult`: first the feed-forward state itself, then one state
     after each pass.
 
-    Each pass recomputes ownership and order from the current maps, then
-    re-scores exactly the objects whose visibility grid changed (the
-    occluded ones) by re-picking over the candidate maps feed-forward built;
-    a re-scored object takes the maps of the mixture it now wins, so after a
-    label flip the next pass sees corrected predictions. One that keeps its
-    (class, mixture) keeps its maps, labels and amodal mask and takes the new
-    result as its pick, whose score is the new one.
+    Each pass recomputes ownership and order from the current maps (`first`,
+    when given, is the first pass, already run on `objects`) and reads its
+    reassigned grid, or with `no_order` its competition grid. It re-scores
+    exactly the objects whose visibility there differs from the state before
+    (the occluded ones) by re-picking over the candidate maps feed-forward
+    built; a re-scored object takes the maps of the mixture it now wins, so
+    after a label flip the next pass sees corrected predictions. One that
+    keeps its (class, mixture) keeps its maps, labels and amodal mask and
+    takes the new result as its pick, whose score is the new one.
 
     The passes end after the first one that re-picks no object, whose state
     every later pass would repeat (see the module docstring); while picks
@@ -309,18 +316,18 @@ def _chain(
     holds its own object list, and `objects` is never written, so one
     feed-forward can start several chains.
     """
-    yield SceneResult(objects, None, ())
-    # Feed-forward belief: only an object's own occluder pixels are hidden.
-    prev_vis = [o.labels != LABEL_OCC for o in objects]
+    state = SceneResult(objects, None, ())
+    yield state
     while True:
-        owners, edges = orm_pass(objects, scene_shape, no_order)
-        objects = list(objects)
+        competed, edges, owners = first or orm_pass(state.objects, scene_shape)
+        first = None
+        grid = competed if no_order else owners
+        objects = list(state.objects)
         repicked = False
         for idx, obj in enumerate(objects):
-            vis = _visibility_from_owners(idx, obj, owners)
-            if np.array_equal(vis, prev_vis[idx]):
+            vis = _visibility(idx, obj, grid)
+            if np.array_equal(vis, _visibility(idx, obj, state.owners)):
                 continue
-            prev_vis[idx] = vis
             pick = obj.pick
             result = rescore(pick.candidates, vis)
             if (result.class_index, result.mixture_index) == (pick.class_index, pick.mixture_index):
@@ -329,7 +336,8 @@ def _chain(
             else:
                 objects[idx] = _scene_object(obj.oid, obj.box, result, bundle)
                 repicked = True
-        yield SceneResult(objects, owners, edges)
+        state = SceneResult(objects, grid, edges)
+        yield state
         if not repicked:
             return
 

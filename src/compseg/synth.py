@@ -777,6 +777,8 @@ _SCENARIOS = {
     "four": (4, make_four_scene),
     "unknown": (5, make_unknown_scene),
 }
+# The test scenarios, in the order they are generated and reported.
+SCENARIOS: tuple[str, ...] = tuple(_SCENARIOS)
 
 
 # A placement search can come up dry for an unlucky geometry draw; such a
@@ -828,7 +830,7 @@ def _build_scene(job) -> ManifestEntry:
 
 
 def generate_challenge(
-    root: str, cfg: ChallengeConfig = ChallengeConfig(), scenarios: Sequence[str] = ("two", "four", "unknown")
+    root: str, cfg: ChallengeConfig = ChallengeConfig(), scenarios: Sequence[str] = SCENARIOS
 ) -> Manifest:
     """Write the full challenge under `root` and return its manifest.
 

@@ -33,11 +33,10 @@ from compseg.oracle import (
     check_pixel_competition,
 )
 from compseg.orm import OWNER_OUTSIDE
-from compseg.synth import ChallengeConfig, generate_challenge
+from compseg.synth import SCENARIOS, ChallengeConfig, generate_challenge
 
 DESK = ChallengeConfig()          # 75 scenes per level, 300 train, seed 7
 TRAIN = TrainConfig()             # K=64, M=2, shared concentration 30
-SCENARIOS = ("two", "four", "unknown")
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +70,8 @@ def desk_bundle(desk_challenge, desk_train_pairs):
 def predictions(desk_challenge, desk_bundle):
     """scenario -> variant -> list of (predicted, truth, result-or-None).
 
-    Every variant of a scene comes from one feed-forward and one chain of
-    passes per `no_order` value, as in `run_ablation`. Scene results
+    Every variant of a scene comes from one feed-forward and one first
+    pass shared by its chains, as in `run_ablation`. Scene results
     (ownership grids) are kept for the shipping variant only; the tables
     need just the annotations.
     """
@@ -91,7 +90,9 @@ def predictions(desk_challenge, desk_bundle):
     t0 = time.perf_counter()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "feed_forward", counted(metrics, "feed_forward"))
+        # `_chain` calls `orm.orm_pass`, `_variant_results` the name it imports
         mp.setattr(orm, "orm_pass", counted(orm, "orm_pass"))
+        mp.setattr(metrics, "orm_pass", counted(metrics, "orm_pass"))
         for scenario in SCENARIOS:
             out[scenario] = {name: [] for name, _ in VARIANTS}
             for entry in desk_challenge.select(split="test", scenario=scenario):

@@ -51,6 +51,27 @@ def test_box_rejects_degenerate(coords):
         BoundingBox(*coords)
 
 
+@pytest.mark.parametrize(
+    "coords",
+    [
+        (2.0, 0, 4, 4), (0, 0, 4.5, 4), (float("nan"), 0, 4, 4), (0, float("inf"), 4, 4),
+        ("1", 0, 4, 4), (None, 0, 4, 4), (True, 0, 4, 4), (0, 0, np.bool_(True), 4),
+        (0, 0, np.float64(4), 4),
+    ],
+)
+def test_box_accepts_integers_only(coords):
+    # anything but an integer is a ValidationError naming the coordinates,
+    # never a bare ValueError, OverflowError or TypeError
+    with pytest.raises(ValidationError, match="box coordinates must be integers"):
+        BoundingBox(*coords)
+
+
+def test_box_stores_numpy_integers_as_python_ints():
+    box = BoundingBox(np.int64(1), np.uint8(0), np.int32(3), 2)
+    assert box.as_tuple() == (1, 0, 3, 2)
+    assert all(type(c) is int for c in box.as_tuple())
+
+
 def _share_a_pixel(a: BoundingBox, b: BoundingBox) -> bool:
     """Whether the two boxes' slices pick a common pixel of an 8 x 8 lattice."""
     ma = np.zeros((8, 8), dtype=bool)

@@ -164,6 +164,21 @@ def test_annotation_integer_field_overflow_is_a_format_error():
         where[field] = kept
 
 
+def test_annotation_overflowing_number_is_a_format_error():
+    # JSON reads 1e400 as inf, a number the writer refuses, so a record
+    # holding one anywhere could be loaded but never saved again
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    obj = doc["objects"][0]
+    for where, field, literal in (
+        (obj, "occlusion", "1e400"), (obj, "score", "-1e400"), (doc, "extra", '{"x": -1e999}'),
+    ):
+        kept = where[field]
+        where[field] = "INF"
+        with pytest.raises(FormatError, match="bad annotation record"):
+            annotation_from_json(json.dumps(doc).replace('"INF"', literal))
+        where[field] = kept
+
+
 def test_annotation_rejects_non_string_rle():
     doc = json.loads(annotation_to_json(_tiny_annotation()))
     for key in ("amodal_rle", "modal_rle", "unknown_rle"):

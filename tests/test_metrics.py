@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import compseg.metrics as metrics
+import compseg.orm as orm
 from compseg.errors import ValidationError
 from compseg.fmap import BoundingBox, iou
 from compseg.formats import ObjectRecord, SceneAnnotation, annotation_to_json, load_scene
@@ -274,3 +276,31 @@ def test_shared_sweep_matches_per_variant_prediction(tiny_challenge, tiny_bundle
         want = tabulate(reference, [t for _, t in pairs], scenario)
         # repr spells every float exactly and matches the NaN of empty buckets.
         assert repr(run_ablation(pairs, tiny_bundle, scenario)) == repr(want)
+
+
+def test_shared_sweep_runs_one_first_pass_per_scene(tiny_challenge, tiny_bundle, monkeypatch):
+    """Every variant's chain starts from one `orm_pass` of the scene's
+    feed-forward; only `ordered-2` runs a second pass, and only where the
+    `ordered-1` state re-picked an object."""
+    calls = []
+    real = orm.orm_pass
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orm, "orm_pass", counting)
+    monkeypatch.setattr(metrics, "orm_pass", counting)
+    names = [name for name, _ in VARIANTS]
+    entries = tiny_challenge.select(split="test")
+    repicked = 0
+    for entry in entries:
+        fm, truth = load_scene(tiny_challenge, entry)
+        states = [state for _, state in _variant_results(fm, truth, tiny_bundle)]
+        picks = [
+            [(o.pick.class_index, o.pick.mixture_index) for o in states[names.index(name)].objects]
+            for name in ("independent", "ordered-1")
+        ]
+        repicked += picks[0] != picks[1]
+    assert 0 < repicked < len(entries)
+    assert len(calls) == len(entries) + repicked

@@ -80,7 +80,7 @@ def test_table_objects_reproduce_reference():
     table = rng.uniform(-8.0, 0.0, size=(12, 3))
     table[4, 0] = table[4, 2]          # forced tie against the outlier
     objects = table_objects(table, (3, 4))
-    got = orm_pass(objects, (3, 4), no_order=True)[0].reshape(-1).tolist()
+    got = orm_pass(objects, (3, 4))[0].reshape(-1).tolist()
     assert got == perpixel_owner_reference(table)
 
     with pytest.raises(ValidationError):

@@ -75,21 +75,21 @@ def test_detect_conflicts_geometry():
     # the conflict set is the box overlap, found at each box's own offset:
     # the 2x2 block of two 3x3 boxes, and nothing for boxes that only touch
     a, b = _two_object_scene()
-    _, edges = orm_pass([a, b], (4, 4), no_order=True)
+    _, edges, _ = orm_pass([a, b], (4, 4))
     assert [e.conflict_size for e in edges] == [4]
 
     far = _object(2, BoundingBox(0, 0, 2, 2), np.full((2, 2), -1.0))
     far2 = _object(3, BoundingBox(2, 2, 4, 4), np.full((2, 2), -1.0))
-    assert orm_pass([far, far2], (4, 4), no_order=True)[1] == ()
+    assert orm_pass([far, far2], (4, 4))[1] == ()
 
 
 def test_pixel_competition_hand_values():
     a, b = _two_object_scene()
-    free, _ = orm_pass([a, b], (4, 4), no_order=True)
+    free, _, _ = orm_pass([a, b], (4, 4))
     assert free[1, 1] == 0
     assert free[2, 2] == 1
     a2, b2 = _two_object_scene(outlier_pixel=True)
-    free, _ = orm_pass([a2, b2], (4, 4), no_order=True)
+    free, _, _ = orm_pass([a2, b2], (4, 4))
     assert free[1, 1] == 2             # the outlier: one past the last object
 
 
@@ -103,16 +103,16 @@ def test_reassign_all_or_nothing():
     b_fg[1, 1] = -0.5                   # scene (2,2)
     a = _object(0, BoundingBox(0, 0, 3, 3), a_fg)
     b = _object(1, BoundingBox(1, 1, 4, 4), b_fg)
-    free, _ = orm_pass([a, b], (4, 4), no_order=True)
+    free, _, _ = orm_pass([a, b], (4, 4))
     assert free[1:3, 1:3].tolist() == [[2, 0], [0, 1]]
-    owners, edges = orm_pass([a, b], (4, 4))
+    _, edges, owners = orm_pass([a, b], (4, 4))
     assert list(edges) == [(0, 1, 2, 1, 4)]
     assert owners[1:3, 1:3].tolist() == [[2, 0], [0, 0]]
 
 
 def test_orm_pass_hand_case():
     a, b = _two_object_scene()
-    owners, edges = orm_pass([a, b], (4, 4))
+    _, edges, owners = orm_pass([a, b], (4, 4))
     assert len(edges) == 1
     e = edges[0]
     assert (e.front, e.back, e.votes_front, e.votes_back, e.conflict_size) == (0, 1, 3, 1, 4)
@@ -130,14 +130,14 @@ def test_orm_pass_hand_case():
     assert owners.dtype == np.int16
 
     # without reassignment B keeps its one won pixel
-    free, _ = orm_pass([a, b], (4, 4), no_order=True)
+    free, _, _ = orm_pass([a, b], (4, 4))
     assert free[2, 2] == 1
     assert free[1, 1] == 0
 
 
 def test_orm_pass_outlier_survives_reassignment():
     a, b = _two_object_scene(outlier_pixel=True)
-    owners, edges = orm_pass([a, b], (4, 4))
+    _, edges, owners = orm_pass([a, b], (4, 4))
     e = edges[0]
     assert (e.front, e.back) == (0, 1)
     assert (e.votes_front, e.votes_back) == (2, 1)
@@ -156,9 +156,9 @@ def test_orm_pass_front_claimant_takes_multiply_claimed_pixels():
         _object(1, box, [[-2.0, -2.0, -2.0]]),
         _object(2, box, [[-3.0, -3.0, -0.5]]),
     ]
-    free, _ = orm_pass(objs, (1, 3), no_order=True)
+    free, _, _ = orm_pass(objs, (1, 3))
     assert free.tolist() == [[0, 0, 2]]
-    owners, edges = orm_pass(objs, (1, 3))
+    _, edges, owners = orm_pass(objs, (1, 3))
     assert list(edges) == [
         (0, 1, 3, 0, 3), (0, 2, 2, 1, 3), (1, 2, 2, 1, 3)
     ]
@@ -178,7 +178,7 @@ def test_conflict_outside_amodal_neither_votes_nor_moves():
     a = _object(0, BoundingBox(0, 0, 3, 3), a_fg, amodal=a_amodal)
     b = _object(1, BoundingBox(1, 1, 4, 4), b_fg)
 
-    owners, edges = orm_pass([a, b], (4, 4))
+    _, edges, owners = orm_pass([a, b], (4, 4))
     assert list(edges) == [(0, 1, 3, 0, 3)]
     assert owners[2, 2] == 1
     assert owners[1, 2] == owners[2, 1] == 0
@@ -193,9 +193,9 @@ def test_tied_pair_reassigns_nothing():
     b_fg[1, 1] = b_fg[1, 0] = -0.5      # scene (2,2) and (2,1)
     a = _object(0, BoundingBox(0, 0, 3, 3), a_fg)
     b = _object(1, BoundingBox(1, 1, 4, 4), b_fg)
-    owners, edges = orm_pass([a, b], (4, 4))
+    _, edges, owners = orm_pass([a, b], (4, 4))
     assert list(edges) == [(1, 0, 2, 2, 4)]
-    free, _ = orm_pass([a, b], (4, 4), no_order=True)
+    free, _, _ = orm_pass([a, b], (4, 4))
     assert np.array_equal(owners, free)
     assert owners[1:3, 1:3].tolist() == [[0, 0], [1, 1]]
 
@@ -205,7 +205,7 @@ def test_context_pixels_stay_unowned():
     fg = np.full((2, 2), -30.0)
     a = _object(0, BoundingBox(0, 0, 2, 2), fg, ctx_fill=-1.0, occ_fill=-5.0)
     assert not (a.labels == LABEL_FG).any()
-    owners, edges = orm_pass([a], (3, 3))
+    _, edges, owners = orm_pass([a], (3, 3))
     assert edges == ()
     assert np.all(owners[:2, :2] == OWNER_NONE)
     assert np.all(owners[2, :] == OWNER_OUTSIDE)
@@ -224,7 +224,7 @@ def test_foreground_pixel_with_no_finite_map_goes_to_the_outlier():
         labels=segment_single(maps), amodal=np.ones(box.shape, dtype=np.bool_),
     )
     assert (a.labels == LABEL_FG).all()
-    owners, edges = orm_pass([a], (1, 2))
+    _, edges, owners = orm_pass([a], (1, 2))
     assert owners.tolist() == [[1, 0]]
     assert edges == ()
 
@@ -358,9 +358,10 @@ def _exactly_k_passes(scene, boxes, bundle, iters, no_order):
     owners, edges = None, ()
     prev_vis = [obj.labels != LABEL_OCC for obj in objects]
     for _ in range(iters):
-        owners, edges = orm_pass(objects, scene.shape, no_order)
+        competed, edges, reassigned = orm_pass(objects, scene.shape)
+        owners = competed if no_order else reassigned
         for idx, obj in enumerate(objects):
-            vis = orm._visibility_from_owners(idx, obj, owners)
+            vis = orm._visibility(idx, obj, owners)
             if np.array_equal(vis, prev_vis[idx]):
                 continue
             prev_vis[idx] = vis
