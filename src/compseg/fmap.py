@@ -4,7 +4,8 @@ A feature map is an H x W grid of D-dimensional unit vectors stored as
 float32, matching the on-disk FMAP layout. A crop is a read-only view of its
 map under a box, so cropping copies nothing. Masks are plain boolean numpy
 arrays on the same lattice; boxes use half-open pixel coordinates with
-x = column and y = row.
+x = column and y = row. An object's masks live on its box's lattice; `place`
+puts one on a scene lattice where objects' masks are combined.
 """
 from __future__ import annotations
 
@@ -171,6 +172,21 @@ def crop(fm: FeatureMap, box: BoundingBox) -> FeatureMap:
             f"box {box.as_tuple()} does not fit map of shape {fm.shape}"
         )
     return FeatureMap._trusted(fm.data[box.slices])
+
+
+def place(mask: np.ndarray, box: BoundingBox, shape: tuple[int, int]) -> np.ndarray:
+    """A box-lattice boolean `mask` placed on a `shape` lattice, False outside the box.
+
+    The one way objects' masks meet on a shared lattice. The mask must have
+    the box's shape, and the box must fit the lattice.
+    """
+    if np.shape(mask) != box.shape:
+        raise ValidationError(f"mask {np.shape(mask)} does not cover box {box.shape}")
+    if not box.fits_in(*shape):
+        raise ValidationError(f"box {box.as_tuple()} does not fit lattice {shape[0]}x{shape[1]}")
+    out = np.zeros(shape, dtype=np.bool_)
+    out[box.slices] = mask
+    return out
 
 
 def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:

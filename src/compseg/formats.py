@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .fmap import BoundingBox, FeatureMap, atomic_write_bytes, load_feature_map
+from .fmap import BoundingBox, FeatureMap, atomic_write_bytes, load_feature_map, place
 from .models import ClassModel, MixtureModel, OccluderModel
 from .vmf import VmfDictionary
 
@@ -288,6 +288,12 @@ def decode_rle(text: str, shape: tuple[int, int]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # scene annotations (ground truth and predictions share the object layout)
+#
+# An object's masks never leave its box, so in memory a record holds them on
+# the box's lattice. On disk each is a run-length string over the whole scene
+# lattice: the writer places the mask there, and the reader keeps the box
+# window of what it decodes, refusing a box that does not fit the lattice and
+# a mask pixel outside the box.
 
 
 @dataclass
@@ -299,9 +305,18 @@ class ObjectRecord:
     depth: int                   # depth rank, 0 = frontmost; -1 in predictions
     occlusion: float             # ground-truth fraction; predicted: -1.0
     level: str                   # L0..L3 or "over90"
-    amodal: np.ndarray           # full-lattice boolean mask
-    modal: np.ndarray
+    amodal: np.ndarray           # bool on the box's lattice, box.shape; full-lattice RLE on disk
+    modal: np.ndarray            # the same, inside amodal
     score: float = 0.0
+
+    def __post_init__(self):
+        for name in ("amodal", "modal"):
+            shape = np.shape(getattr(self, name))
+            if shape != self.box.shape:
+                raise ValidationError(
+                    f"object {self.oid}: {name} mask {shape} is not on its box's lattice "
+                    f"{self.box.shape}"
+                )
 
 
 @dataclass
@@ -317,6 +332,7 @@ class SceneAnnotation:
 
 
 def annotation_to_json(ann: SceneAnnotation) -> str:
+    """`ann` as canonical JSON text, each mask a run-length string over the scene lattice."""
     objs = []
     for o in ann.objects:
         objs.append(
@@ -329,8 +345,8 @@ def annotation_to_json(ann: SceneAnnotation) -> str:
                 "occlusion": round(float(o.occlusion), 9),
                 "level": o.level,
                 "score": round(float(o.score), 9),
-                "amodal_rle": encode_rle(o.amodal),
-                "modal_rle": encode_rle(o.modal),
+                "amodal_rle": encode_rle(place(o.amodal, o.box, ann.shape)),
+                "modal_rle": encode_rle(place(o.modal, o.box, ann.shape)),
             }
         )
     doc = {
@@ -402,8 +418,22 @@ def _check_order_graph(objects: list[ObjectRecord], edges: list[tuple]) -> None:
         pairs.add(pair)
 
 
+def _box_window(text: str, shape: tuple[int, int], box: BoundingBox, what: str) -> np.ndarray:
+    """The box window of a full-lattice RLE mask, as its own array; a mask
+    pixel outside the box raises FormatError."""
+    mask = decode_rle(text, shape)
+    window = mask[box.slices].copy()  # a copy, so the full plane is freed
+    if np.count_nonzero(window) != np.count_nonzero(mask):
+        raise FormatError(f"{what} mask has a pixel outside box {list(box.as_tuple())}")
+    return window
+
+
 def annotation_from_json(text: str) -> SceneAnnotation:
-    """A scene annotation; a malformed record or order graph raises FormatError."""
+    """A scene annotation, each object's masks cut to its box's lattice.
+
+    A malformed record or order graph, a box that does not fit the lattice
+    and a mask pixel outside its object's box raise FormatError.
+    """
     doc = _parse_json(text, "bad annotation JSON")
     try:
         _check_finite(doc)
@@ -411,17 +441,24 @@ def annotation_from_json(text: str) -> SceneAnnotation:
         _check_lattice(shape)
         objects = []
         for o in _field(doc["objects"], (list,), "objects"):
+            oid = _field(o["id"], (int,), "id")
+            box = BoundingBox(*_integers(o["box"], (4,), "box"))
+            if not box.fits_in(*shape):
+                raise FormatError(
+                    f"object {oid}: box {list(box.as_tuple())} does not fit lattice "
+                    f"{shape[0]}x{shape[1]}"
+                )
             objects.append(
                 ObjectRecord(
-                    oid=_field(o["id"], (int,), "id"),
+                    oid=oid,
                     label=_field(o["class"], (str,), "class"),
                     template=_field(o["template"], (int,), "template"),
-                    box=BoundingBox(*_integers(o["box"], (4,), "box")),
+                    box=box,
                     depth=_field(o["depth"], (int,), "depth"),
                     occlusion=float(_field(o["occlusion"], (int, float), "occlusion")),
                     level=_field(o["level"], (str,), "level"),
-                    amodal=decode_rle(o["amodal_rle"], shape),
-                    modal=decode_rle(o["modal_rle"], shape),
+                    amodal=_box_window(o["amodal_rle"], shape, box, f"object {oid}: amodal"),
+                    modal=_box_window(o["modal_rle"], shape, box, f"object {oid}: modal"),
                     score=float(_field(o.get("score", 0.0), (int, float), "score")),
                 )
             )
@@ -503,6 +540,7 @@ def load_manifest(path: str) -> Manifest:
         raise FormatError(f"{path}: unsupported manifest version {version!r}")
     entries = []
     try:
+        _check_finite(doc)
         for s in _field(doc["scenes"], (list,), "scenes"):
             entries.append(
                 ManifestEntry(

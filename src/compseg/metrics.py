@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .fmap import FeatureMap, iou
+from .fmap import FeatureMap, iou, place
 from .formats import ModelBundle, ObjectRecord, SceneAnnotation
 from .orm import SceneResult, _chain, feed_forward, orm_pass, segment_scene
 from .synth import LEVELS, OVER_LIMIT, level_of
@@ -55,9 +55,9 @@ class MiouTable:
 
 
 def _index_predictions(predictions: Iterable[SceneAnnotation]):
-    table: dict[str, dict[int, ObjectRecord]] = {}
+    table: dict[str, tuple[tuple[int, int], dict[int, ObjectRecord]]] = {}
     for ann in predictions:
-        table[ann.scene_id] = {rec.oid: rec for rec in ann.objects}
+        table[ann.scene_id] = (ann.shape, {rec.oid: rec for rec in ann.objects})
     return table
 
 
@@ -70,6 +70,10 @@ def miou_by_level(
 
     Objects are matched by scene id and object id. A truth object with no
     matching prediction scores zero; extra predicted objects are ignored.
+    Records hold their masks on their boxes' lattices (files hold them as
+    full-lattice RLE): a matched pair is compared on the box when the two
+    boxes agree, and on the scene lattice otherwise, so each IoU is the one
+    the full-lattice masks give.
     """
     if mode not in ("modal", "amodal"):
         raise ValidationError(f"mode must be modal or amodal, got {mode!r}")
@@ -78,7 +82,7 @@ def miou_by_level(
     sums = {name: 0.0 for name in LEVELS}
     counts = {name: 0 for name in LEVELS}
     for ann in sorted(truths, key=lambda a: a.scene_id):
-        scene_pred = pred.get(ann.scene_id, {})
+        pred_shape, scene_pred = pred.get(ann.scene_id, (ann.shape, {}))
         for rec in ann.objects:
             name = level_of(rec.occlusion)
             if name == OVER_LIMIT:
@@ -89,6 +93,9 @@ def miou_by_level(
             else:
                 want = rec.modal if mode == "modal" else rec.amodal
                 got = match.modal if mode == "modal" else match.amodal
+                if match.box != rec.box or pred_shape != ann.shape:
+                    # `iou` refuses masks placed on two different lattices
+                    got, want = place(got, match.box, pred_shape), place(want, rec.box, ann.shape)
                 score = iou(got, want)
             sums[name] += score
             counts[name] += 1
@@ -167,13 +174,14 @@ def _annotation(
 
     The record deliberately carries no run configuration: depth and
     occlusion are sentinels, level is blank, and only the masks, the class
-    decision, and the recovered order edges describe the output. The masks
-    are derived here, so only states that become records build them.
+    decision, and the recovered order edges describe the output. The masks,
+    on each box's lattice, are derived here, so only states that become
+    records build them.
     """
     objects = []
     for idx, rec in enumerate(truth.objects):
         pick = result.objects[idx].pick
-        amodal, modal = result.masks(idx, truth.shape)
+        amodal, modal = result.masks(idx)
         objects.append(
             ObjectRecord(
                 oid=rec.oid,
@@ -261,20 +269,32 @@ def _variant_results(
 ) -> list[tuple[SceneAnnotation, SceneResult]]:
     """`predict_scene` under each of `VARIANTS`, in order, from one feed-forward.
 
-    Each variant is the last of its own chain's `iters + 1` states, as in
-    `segment_scene`. Every chain's first pass is the same `orm_pass` of the
-    feed-forward objects, so it runs once; the chains never write those
-    objects, so all start from the same list.
+    Variants that share the `no_order` flag read one chain, run as deep as
+    the deepest of them needs: a variant is its state at `min(iters, last)`,
+    the state `segment_scene` returns. Every chain's first pass is the same
+    `orm_pass` of the feed-forward objects, so it runs once; the chains never
+    write those objects, so all start from the same list. A state read by
+    several variants becomes one record that they share.
     """
     boxes = [(rec.oid, rec.box) for rec in truth.objects]
     objects = feed_forward(fm, boxes, bundle)
     first = orm_pass(objects, fm.shape)
+    depth: dict[bool, int] = {}
+    for _, kwargs in VARIANTS:
+        flag = kwargs.get("no_order", False)
+        depth[flag] = max(depth.get(flag, 0), kwargs["iters"])
+    chains = {
+        flag: list(islice(_chain(objects, fm.shape, bundle, flag, first), iters + 1))
+        for flag, iters in depth.items()
+    }
+    records: dict[tuple[bool, int], SceneAnnotation] = {}
     out = []
     for _, kwargs in VARIANTS:
-        chain = _chain(objects, fm.shape, bundle, kwargs.get("no_order", False), first)
-        for state in islice(chain, kwargs["iters"] + 1):
-            pass
-        out.append((_annotation(truth, bundle, state), state))
+        flag = kwargs.get("no_order", False)
+        at = min(kwargs["iters"], len(chains[flag]) - 1)
+        if (flag, at) not in records:
+            records[flag, at] = _annotation(truth, bundle, chains[flag][at])
+        out.append((records[flag, at], chains[flag][at]))
     return out
 
 
@@ -310,11 +330,10 @@ def unknown_outlier_stats(
     if truth.unknown is None:
         return 0, 0
     region = np.zeros(truth.shape, dtype=np.bool_)
-    recs = truth.objects
-    for i in range(len(recs)):
-        for j in range(i + 1, len(recs)):
-            both = recs[i].amodal & recs[j].amodal
-            region |= both
+    amodal = [place(rec.amodal, rec.box, truth.shape) for rec in truth.objects]
+    for i in range(len(amodal)):
+        for j in range(i + 1, len(amodal)):
+            region |= amodal[i] & amodal[j]
     sel = truth.unknown & region
     total = int(sel.sum())
     if total == 0:

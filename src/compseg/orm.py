@@ -36,8 +36,8 @@ that one returns what it does.
 
 A state of the chain, before or after a pass, is a `SceneResult`: the
 objects, the grid step 4 read and the edges; the chain keeps nothing else.
-An object's full-lattice masks are derived from it by `SceneResult.masks`
-only when a record is written.
+An object's masks, on its box's lattice, are derived from it by
+`SceneResult.masks` only when a record is written.
 """
 from __future__ import annotations
 
@@ -115,18 +115,16 @@ class SceneResult:
     owners: np.ndarray | None  # (H, W) int16 codes as above; None before the first pass
     edges: tuple[OrderEdge, ...]
 
-    def masks(self, idx: int, scene_shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """Object `idx`'s full-lattice (amodal, modal) masks: modal is amodal
-        where the owners grid gives the pixel to the object or, before the
-        first pass, where the object labels it F."""
+    def masks(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """Object `idx`'s (amodal, modal) masks on its box's lattice, new
+        arrays of shape `box.shape`: modal is amodal where the owners grid
+        gives the pixel to the object or, before the first pass, where the
+        object labels it F. `fmap.place` puts them on the scene lattice, as
+        `annotation_to_json` does to write them as full-lattice RLE."""
         obj = self.objects[idx]
         sl = obj.box.slices
         visible = obj.labels == LABEL_FG if self.owners is None else self.owners[sl] == idx
-        amodal = np.zeros(scene_shape, dtype=np.bool_)
-        modal = np.zeros(scene_shape, dtype=np.bool_)
-        amodal[sl] = obj.amodal
-        modal[sl] = obj.amodal & visible
-        return amodal, modal
+        return obj.amodal.copy(), obj.amodal & visible
 
 
 def compete_pixels(fg_values: np.ndarray, occ_values: np.ndarray) -> np.ndarray:

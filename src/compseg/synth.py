@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CompsegError, ValidationError
-from .fmap import BoundingBox, FeatureMap, save_feature_map
+from .fmap import BoundingBox, FeatureMap, place, save_feature_map
 from .formats import (
     Manifest,
     ManifestEntry,
@@ -323,7 +323,7 @@ class PlacedObject:
         return _part_grid(self.class_index, self.template_id, self.box.shape)
 
     def lattice_mask(self, shape: tuple[int, int]) -> np.ndarray:
-        return _placed_at(shape, self.part_grid >= 0, self.box.y0, self.box.x0)
+        return place(self.part_grid >= 0, self.box, shape)
 
 
 # Builders place and `_build_scene` renders, so a scene's stream gives its
@@ -338,14 +338,6 @@ class PlacedObject:
 # (`make_train_scene`). Elsewhere, what is cut is the work around the draws:
 # overlap is counted on the box window, and a full-lattice mask is placed
 # only where a veto reads one.
-
-
-def _placed_at(shape, mask, y0: int, x0: int) -> np.ndarray:
-    """`mask` placed on the lattice with its corner at (y0, x0); it must fit."""
-    h, w = mask.shape
-    out = np.zeros(shape, dtype=np.bool_)
-    out[y0 : y0 + h, x0 : x0 + w] = mask
-    return out
 
 
 def _coverage(target: np.ndarray, front: np.ndarray) -> float:
@@ -415,8 +407,9 @@ def _approach_search(
                 f = frac_at_corner(y0, x0)
                 if f < 0.0 or not lo_f <= f < hi_f:
                     continue
-                if veto is None or not veto(_placed_at(shape, mask, y0, x0)):
-                    return BoundingBox(x0, y0, x0 + w, y0 + h)
+                box = BoundingBox(x0, y0, x0 + w, y0 + h)
+                if veto is None or not veto(place(mask, box, shape)):
+                    return box
     return None
 
 
@@ -514,15 +507,17 @@ def _scene(
     """Render `placed` (index 0 frontmost) and annotate it.
 
     Object ids are shuffled so id order carries no depth information. Every
-    pair whose amodal masks overlap gets an order edge (front, back).
+    pair whose amodal masks overlap gets an order edge (front, back). Each
+    record's masks are on its box's lattice: the template raster and the
+    owner grid's box window.
     """
     fm, owner = render_composition(shape, placed, blob, space, rng)
     oids = [int(k) for k in rng.permutation(len(placed))]
-    amodal = [p.lattice_mask(shape) for p in placed]
     objects = [None] * len(placed)
     for i, obj in enumerate(placed):
-        modal = owner == i  # owners are painted only inside their own masks
-        fraction = 1.0 - int(modal.sum()) / int(amodal[i].sum())
+        amodal = obj.part_grid >= 0
+        modal = owner[obj.box.slices] == i  # owners are painted only inside their own masks
+        fraction = 1.0 - int(modal.sum()) / int(amodal.sum())
         objects[oids[i]] = ObjectRecord(
             oid=oids[i],
             label=obj.label,
@@ -531,14 +526,15 @@ def _scene(
             depth=i,
             occlusion=fraction,
             level=level_of(fraction),
-            amodal=amodal[i],
+            amodal=amodal,
             modal=modal,
         )
+    lattice = [p.lattice_mask(shape) for p in placed]
     edges = [
         (oids[i], oids[j])
         for i in range(len(placed))
         for j in range(i + 1, len(placed))
-        if np.any(amodal[i] & amodal[j])
+        if np.any(lattice[i] & lattice[j])
     ]
     return fm, SceneAnnotation(
         scene_id=scene_id,
@@ -658,7 +654,7 @@ def make_unknown_scene(rng, level: str):
     if blob_box is None:
         raise ValidationError(f"no room for the unknown blob at {level}: search exhausted")
 
-    blob_lattice = _placed_at(shape, blob, blob_box.y0, blob_box.x0)
+    blob_lattice = place(blob, blob_box, shape)
     blob_dirs = np.zeros(shape, dtype=np.int64)
     pick = rng.integers(N_UNKNOWN, size=2)
     blob_dirs[blob_lattice] = rng.choice(pick, size=int(blob_lattice.sum()))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from compseg import metrics, orm
-from compseg.fmap import crop
+from compseg.fmap import crop, place
 from compseg.formats import annotation_to_json, load_scene
 from compseg.learning import TrainConfig, train
 from compseg.metrics import (
@@ -192,10 +192,13 @@ def _scenes_with_blind_edge(truths):
     blind = 0
     for truth in truths:
         by_oid = {rec.oid: rec for rec in truth.objects}
-        for edge in truth.order_edges:
-            front, back = by_oid[edge[0]], by_oid[edge[1]]
-            overlap = front.amodal & back.amodal
-            if not (overlap & (front.modal | back.modal)).any():
+
+        def on_lattice(oid, mask):
+            return place(getattr(by_oid[oid], mask), by_oid[oid].box, truth.shape)
+
+        for front, back, *_ in truth.order_edges:
+            overlap = on_lattice(front, "amodal") & on_lattice(back, "amodal")
+            if not (overlap & (on_lattice(front, "modal") | on_lattice(back, "modal"))).any():
                 blind += 1
                 break
     return blind
@@ -273,7 +276,8 @@ def test_criterion_09_structural_invariants(predictions, desk_bundle, desk_chall
             assert np.array_equal(owners != OWNER_OUTSIDE, covered)
             stack = np.zeros(truth.shape, dtype=np.int64)
             for idx in range(n):
-                amodal, modal = result.masks(idx, truth.shape)
+                box = result.objects[idx].box
+                amodal, modal = (place(m, box, truth.shape) for m in result.masks(idx))
                 assert not (modal & ~amodal).any()
                 assert not (modal & (owners != idx)).any()
                 stack += modal

@@ -14,7 +14,14 @@ from test_formats import _json_mutations, _model_layout, _model_mutations
 
 from compseg import cli, synth
 from compseg.errors import ValidationError
-from compseg.formats import annotation_from_json, annotation_to_json, load_model, read_scene
+from compseg.formats import (
+    annotation_from_json,
+    annotation_to_json,
+    decode_rle,
+    encode_rle,
+    load_model,
+    read_scene,
+)
 from compseg.metrics import predict_scene
 
 
@@ -535,6 +542,30 @@ def test_prediction_on_another_lattice_is_one_invalid_line(pipeline, tmp_path, c
     assert code == 2 and out == ""
     assert err == (f"compseg: error code=INVALID msg={sid}: prediction lattice "
                    f"{shape[0]}x{shape[1]} != truth lattice {synth.TWO_SIZE}x{synth.TWO_SIZE}\n")
+    assert not (tmp_path / "e.txt").exists()
+
+
+def test_mask_pixel_outside_its_box_is_one_format_line(pipeline, tmp_path, capsys):
+    """A record's masks never leave its box; a file whose mask does is refused
+    on load, not scored."""
+    root, data, model = pipeline
+    sid = "four-L2-0000"
+    pred = json.loads((data / "annotations" / f"{sid}.json").read_text())
+    obj = pred["objects"][0]
+    x0, y0, x1, y1 = obj["box"]
+    modal = decode_rle(obj["modal_rle"], tuple(pred["shape"]))
+    assert (x0, y0) != (0, 0)
+    modal[0, 0] = True
+    obj["modal_rle"] = encode_rle(modal)
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / f"{sid}.json").write_text(json.dumps(pred))
+    code = cli.main(["evaluate", "--pred", str(preds), "--truth", str(data / "annotations"),
+                     "--out", str(tmp_path / "e.txt")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"compseg: error code=FORMAT msg=object {obj['id']}: modal mask has a "
+                   f"pixel outside box {[x0, y0, x1, y1]}\n")
     assert not (tmp_path / "e.txt").exists()
 
 

@@ -84,16 +84,18 @@ def test_rle_decode_rejects_text_the_encoder_would_rewrite():
 def _tiny_annotation():
     rng = np.random.default_rng(3)
     shape = (6, 7)
+    box = BoundingBox(1, 1, 5, 6)
     objects = []
     for oid in range(2):
-        amodal = rng.random(shape) < 0.5
-        modal = amodal & (rng.random(shape) < 0.8)
+        # masks live on the box's lattice
+        amodal = rng.random(box.shape) < 0.5
+        modal = amodal & (rng.random(box.shape) < 0.8)
         objects.append(
             ObjectRecord(
                 oid=oid,
                 label=f"cls{oid}",
                 template=oid,
-                box=BoundingBox(1, 1, 5, 6),
+                box=box,
                 depth=oid,
                 occlusion=0.25 * oid,
                 level="L1",
@@ -135,6 +137,47 @@ def test_annotation_roundtrip():
         assert np.array_equal(a.modal, b.modal)
     # serialization is canonical: re-encode reproduces the same text
     assert annotation_to_json(back) == text
+
+
+def test_annotation_masks_are_box_lattice_in_memory_and_full_lattice_on_disk():
+    ann = _tiny_annotation()
+    doc = json.loads(annotation_to_json(ann))
+    for rec, obj in zip(ann.objects, doc["objects"]):
+        full = decode_rle(obj["amodal_rle"], ann.shape)
+        assert np.array_equal(full[rec.box.slices], rec.amodal)
+        assert full.sum() == rec.amodal.sum()
+    for rec in annotation_from_json(json.dumps(doc)).objects:
+        assert rec.amodal.shape == rec.modal.shape == rec.box.shape == (5, 4)
+
+
+def test_record_masks_must_cover_their_box():
+    rec = _tiny_annotation().objects[0]
+    for field in ("amodal", "modal"):
+        with pytest.raises(ValidationError, match=f"{field} mask .* box's lattice"):
+            dataclasses.replace(rec, **{field: np.zeros((6, 7), dtype=np.bool_)})
+
+
+def _out_of_box_doc():
+    """The tiny annotation with object 1's amodal mask holding scene pixel
+    (0, 0), outside its box: the refusal case."""
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    full = decode_rle(doc["objects"][1]["amodal_rle"], (6, 7))
+    full[0, 0] = True
+    doc["objects"][1]["amodal_rle"] = encode_rle(full)
+    return doc
+
+
+def test_annotation_refuses_a_mask_pixel_outside_its_box():
+    want = r"object 1: amodal mask has a pixel outside box \[1, 1, 5, 6\]"
+    with pytest.raises(FormatError, match=want):
+        annotation_from_json(json.dumps(_out_of_box_doc()))
+
+
+def test_annotation_refuses_a_box_off_the_lattice():
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    doc["objects"][0]["box"] = [1, 1, 8, 6]
+    with pytest.raises(FormatError, match=r"object 0: box \[1, 1, 8, 6\] does not fit lattice"):
+        annotation_from_json(json.dumps(doc))
 
 
 def test_annotation_bad_json():
@@ -555,6 +598,16 @@ def test_readers_refuse_nan_and_infinity_tokens(tmp_path, token):
         load_manifest(str(path))
 
 
+def test_manifest_overflowing_number_is_a_format_error(tmp_path):
+    # JSON reads 1e400 as inf, a number `save_manifest` refuses, so a manifest
+    # holding one could be loaded but never saved again
+    path = tmp_path / "manifest.json"
+    for literal in ("1e400", "-1e999"):
+        path.write_text(json.dumps(_manifest_doc()).replace('"seed": 7', f'"x": {literal}'))
+        with pytest.raises(FormatError, match="bad manifest entry: -?inf is not a finite number"):
+            load_manifest(str(path))
+
+
 def test_manifest_bad_version(tmp_path):
     p = str(tmp_path / "manifest.json")
     with open(p, "w") as fh:
@@ -746,7 +799,7 @@ def test_annotation_survives_seeded_mutations():
             continue
         loaded += 1
         for rec in ann.objects:
-            assert rec.amodal.shape == rec.modal.shape == ann.shape
+            assert rec.amodal.shape == rec.modal.shape == rec.box.shape
         again = annotation_to_json(ann)
         assert _fields_kept(json.loads(text), json.loads(again)) == [], text
         assert annotation_to_json(annotation_from_json(again)) == again

@@ -36,12 +36,12 @@ def _mask(*rows):
     return m
 
 
-def _rec(oid, occlusion, modal, amodal=None):
+def _rec(oid, occlusion, modal, amodal=None, box=BoundingBox(0, 0, 6, 6)):
     return ObjectRecord(
         oid=oid,
         label="a",
         template=0,
-        box=BoundingBox(0, 0, 6, 6),
+        box=box,
         depth=oid,
         occlusion=occlusion,
         level="",
@@ -123,6 +123,16 @@ def test_mode_validation_and_amodal():
         miou_by_level(pred, truth, mode="visible")
     assert miou_by_level(pred, truth, "amodal").rows["L0"] == 100.0
     assert miou_by_level(pred, truth, "modal").rows["L0"] == 0.0
+
+
+def test_masks_on_different_boxes_are_compared_on_the_scene_lattice():
+    # the truth's box is the lattice, the prediction's its lower-right 3x3
+    # corner: the prediction's 3 pixels meet 3 of the truth's 6
+    truth = [_ann("s0", [_rec(0, 0.0, _mask((4, 0, 6)))])]
+    corner = BoundingBox(3, 3, 6, 6)
+    pred = [_ann("s0", [_rec(0, -1.0, _mask((4, 3, 6))[corner.slices], box=corner)])]
+    assert miou_by_level(pred, truth, "modal").rows["L0"] == 50.0
+    assert miou_by_level(pred, truth, "amodal").rows["L0"] == 50.0
 
 
 def test_mean_is_object_weighted():
@@ -276,6 +286,52 @@ def test_shared_sweep_matches_per_variant_prediction(tiny_challenge, tiny_bundle
         want = tabulate(reference, [t for _, t in pairs], scenario)
         # repr spells every float exactly and matches the NaN of empty buckets.
         assert repr(run_ablation(pairs, tiny_bundle, scenario)) == repr(want)
+
+
+def test_sweep_predictions_hold_masks_on_their_boxes(tiny_challenge, tiny_bundle):
+    """Each kept prediction owns two box-lattice masks: a sweep's mask bytes
+    are twice the summed box areas, with no scene plane behind a view."""
+    mask_bytes = box_area = 0
+    for entry in tiny_challenge.select(split="test"):
+        fm, truth = load_scene(tiny_challenge, entry)
+        for _, kwargs in VARIANTS:
+            ann, _ = predict_scene(fm, truth, tiny_bundle, **kwargs)
+            for rec in ann.objects:
+                assert rec.amodal.shape == rec.modal.shape == rec.box.shape
+                assert rec.amodal.base is None and rec.modal.base is None
+                mask_bytes += rec.amodal.nbytes + rec.modal.nbytes
+                box_area += rec.box.height * rec.box.width
+    assert mask_bytes == 2 * box_area
+
+
+def test_shared_sweep_rescores_each_chain_state_once(tiny_challenge, tiny_bundle, monkeypatch):
+    """`ordered-1` and `ordered-2` read one ordered chain, so the shared sweep
+    re-scores exactly what a no-order chain of one pass and an ordered chain
+    of two do, fewer times than a `predict_scene` call per variant."""
+    calls = []
+    real = orm.rescore
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orm, "rescore", counting)
+    counts = {"shared": 0, "chains": 0, "per_variant": 0}
+    for entry in tiny_challenge.select(split="test"):
+        fm, truth = load_scene(tiny_challenge, entry)
+        boxes = [(rec.oid, rec.box) for rec in truth.objects]
+        runs = {
+            "shared": lambda: _variant_results(fm, truth, tiny_bundle),
+            "chains": lambda: [orm.segment_scene(fm, boxes, tiny_bundle, iters=1, no_order=True),
+                               orm.segment_scene(fm, boxes, tiny_bundle, iters=2)],
+            "per_variant": lambda: [predict_scene(fm, truth, tiny_bundle, **kwargs)
+                                    for _, kwargs in VARIANTS],
+        }
+        for name, run in runs.items():
+            calls.clear()
+            run()
+            counts[name] += len(calls)
+    assert counts["shared"] == counts["chains"] < counts["per_variant"]
 
 
 def test_shared_sweep_runs_one_first_pass_per_scene(tiny_challenge, tiny_bundle, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 import compseg.orm as orm
 from compseg.errors import ValidationError
-from compseg.fmap import BoundingBox
+from compseg.fmap import BoundingBox, place
 from compseg.formats import load_scene
 from compseg.models import (
     LABEL_FG,
@@ -260,7 +260,8 @@ def test_scene_invariants(segmented):
 
         union = np.zeros(fm.shape, dtype=np.int64)
         for idx in range(n):
-            amodal, modal = result.masks(idx, fm.shape)
+            box = result.objects[idx].box
+            amodal, modal = (place(m, box, fm.shape) for m in result.masks(idx))
             assert not (modal & ~amodal).any()          # modal inside amodal
             assert not (modal & (owners != idx)).any()  # modal on owned pixels
             union += modal
@@ -275,7 +276,7 @@ def test_segment_scene_deterministic(tiny_challenge, tiny_bundle):
     assert np.array_equal(a.owners, b.owners)
     assert a.edges == b.edges
     for idx in range(len(a.objects)):
-        assert a.masks(idx, fm.shape)[1].tobytes() == b.masks(idx, fm.shape)[1].tobytes()
+        assert a.masks(idx)[1].tobytes() == b.masks(idx)[1].tobytes()
     assert [o.pick.score for o in a.objects] == [o.pick.score for o in b.objects]
 
 
@@ -287,8 +288,9 @@ def test_iters_zero_is_feed_forward(tiny_challenge, tiny_bundle):
     assert result.edges == ()
     for idx, obj in enumerate(result.objects):
         visible = obj.labels == LABEL_FG
-        inside = result.masks(idx, fm.shape)[1][obj.box.slices]
-        assert not (inside & ~visible).any()
+        amodal, modal = result.masks(idx)
+        assert amodal.shape == modal.shape == obj.box.shape
+        assert not (modal & ~visible).any()
     with pytest.raises(ValidationError):
         segment_scene(fm, boxes, tiny_bundle, iters=-1)
 
@@ -398,7 +400,7 @@ def test_fixed_point_stop_is_exact(tiny_challenge, tiny_bundle):
                 assert got.edges == want.edges, where
                 assert len(got.objects) == len(want.objects), where
                 for idx in range(len(got.objects)):
-                    for a, b in zip(got.masks(idx, fm.shape), want.masks(idx, fm.shape)):
+                    for a, b in zip(got.masks(idx), want.masks(idx)):
                         assert a.tobytes() == b.tobytes(), where
     assert scenarios == {"two", "four", "unknown"}
 

@@ -11,7 +11,7 @@ import pytest
 
 from compseg import synth
 from compseg.errors import ValidationError
-from compseg.fmap import BoundingBox
+from compseg.fmap import BoundingBox, place
 from compseg.formats import load_scene
 from compseg.synth import (
     LEVEL_EDGES,
@@ -248,19 +248,24 @@ def test_occlusion_buckets_exact(mini_challenge):
                 assert rec.occlusion < OCCLUSION_CAP, (entry.scene_id, rec.occlusion)
 
 
+def _on_lattice(ann, rec, mask="amodal"):
+    """`rec`'s box-lattice mask placed on its scene's lattice."""
+    return place(getattr(rec, mask), rec.box, ann.shape)
+
+
 def test_order_edges_match_depth_and_overlap(mini_challenge):
     for entry, ann in _annotations(mini_challenge, split="test"):
         by_oid = {r.oid: r for r in ann.objects}
         seen = set()
         for front, back in ann.order_edges:
             assert by_oid[front].depth < by_oid[back].depth
-            assert (by_oid[front].amodal & by_oid[back].amodal).any()
+            assert (_on_lattice(ann, by_oid[front]) & _on_lattice(ann, by_oid[back])).any()
             seen.add(frozenset((front, back)))
         # an edge exists for every amodal overlap, and only for those
         want = set()
         for i, a in enumerate(ann.objects):
             for b in ann.objects[i + 1 :]:
-                if (a.amodal & b.amodal).any():
+                if (_on_lattice(ann, a) & _on_lattice(ann, b)).any():
                     want.add(frozenset((a.oid, b.oid)))
         assert seen == want
 
@@ -280,13 +285,13 @@ def test_scene_structure(mini_challenge):
         assert ann.unknown is not None and ann.unknown.any()
         # unknown pixels belong to no annotated object's visible matter
         for rec in ann.objects:
-            assert not (rec.modal & ann.unknown).any()
-        zone = ann.objects[0].amodal & ann.objects[1].amodal
+            assert not (_on_lattice(ann, rec, "modal") & ann.unknown).any()
+        zone = _on_lattice(ann, ann.objects[0]) & _on_lattice(ann, ann.objects[1])
         if entry.level == "L0":
             # knowns disjoint, blob clear of both
             assert not zone.any()
             for rec in ann.objects:
-                assert not (rec.amodal & ann.unknown).any()
+                assert not (_on_lattice(ann, rec) & ann.unknown).any()
         else:
             # the blob lands on the contested zone
             assert (zone & ann.unknown).any()
@@ -298,15 +303,38 @@ def test_scene_structure(mini_challenge):
         assert ann.objects == [] and ann.split == "background"
 
 
+def test_generated_records_hold_box_lattice_masks(tmp_path, monkeypatch):
+    """Every record the generator builds, and every record loaded back, holds
+    its masks on its box's lattice. The check runs in the forked workers,
+    which inherit the patched writer; a failure there re-raises here."""
+    write = synth.annotation_to_json
+
+    def checked(ann):
+        for rec in ann.objects:
+            if not rec.amodal.shape == rec.modal.shape == rec.box.shape:
+                raise AssertionError(f"{ann.scene_id}: object {rec.oid} masks off its box")
+        return write(ann)
+
+    monkeypatch.setattr(synth, "annotation_to_json", checked)
+    manifest = generate_challenge(str(tmp_path), MINI)
+    loaded = 0
+    for entry, ann in _annotations(manifest):
+        for rec in ann.objects:
+            assert rec.amodal.shape == rec.modal.shape == rec.box.shape, entry.scene_id
+            loaded += 1
+    assert loaded == 2 * MINI.train_scenes + MINI.per_level * len(LEVELS) * (2 + 4 + 2)
+
+
 def test_masks_consistent_with_depth(mini_challenge):
     for entry, ann in _annotations(mini_challenge, split="test", scenario="four"):
         recs = sorted(ann.objects, key=lambda r: r.depth)
         claimed = np.zeros(ann.shape, dtype=np.bool_)
         for rec in recs:
-            assert not (rec.modal & ~rec.amodal).any()
-            assert not (rec.modal & claimed).any()
-            assert np.array_equal(rec.modal, rec.amodal & ~claimed)
-            claimed |= rec.amodal
+            modal, amodal = _on_lattice(ann, rec, "modal"), _on_lattice(ann, rec)
+            assert not (modal & ~amodal).any()
+            assert not (modal & claimed).any()
+            assert np.array_equal(modal, amodal & ~claimed)
+            claimed |= amodal
 
 
 def test_object_ids_carry_no_depth_information(mini_challenge):
