@@ -71,9 +71,9 @@ def miou_by_level(
     Objects are matched by scene id and object id. A truth object with no
     matching prediction scores zero; extra predicted objects are ignored.
     Records hold their masks on their boxes' lattices (files hold them as
-    full-lattice RLE): a matched pair is compared on the box when the two
-    boxes agree, and on the scene lattice otherwise, so each IoU is the one
-    the full-lattice masks give.
+    full-lattice RLE): each mask of a matched pair is placed on its scene's
+    lattice before the two are compared, so each IoU is the one the
+    full-lattice masks give, whatever boxes the two records carry.
     """
     if mode not in ("modal", "amodal"):
         raise ValidationError(f"mode must be modal or amodal, got {mode!r}")
@@ -93,10 +93,8 @@ def miou_by_level(
             else:
                 want = rec.modal if mode == "modal" else rec.amodal
                 got = match.modal if mode == "modal" else match.amodal
-                if match.box != rec.box or pred_shape != ann.shape:
-                    # `iou` refuses masks placed on two different lattices
-                    got, want = place(got, match.box, pred_shape), place(want, rec.box, ann.shape)
-                score = iou(got, want)
+                # `iou` refuses masks placed on two different lattices
+                score = iou(place(got, match.box, pred_shape), place(want, rec.box, ann.shape))
             sums[name] += score
             counts[name] += 1
 
@@ -273,8 +271,7 @@ def _variant_results(
     the deepest of them needs: a variant is its state at `min(iters, last)`,
     the state `segment_scene` returns. Every chain's first pass is the same
     `orm_pass` of the feed-forward objects, so it runs once; the chains never
-    write those objects, so all start from the same list. A state read by
-    several variants becomes one record that they share.
+    write those objects, so all start from the same list.
     """
     boxes = [(rec.oid, rec.box) for rec in truth.objects]
     objects = feed_forward(fm, boxes, bundle)
@@ -287,14 +284,11 @@ def _variant_results(
         flag: list(islice(_chain(objects, fm.shape, bundle, flag, first), iters + 1))
         for flag, iters in depth.items()
     }
-    records: dict[tuple[bool, int], SceneAnnotation] = {}
     out = []
     for _, kwargs in VARIANTS:
         flag = kwargs.get("no_order", False)
-        at = min(kwargs["iters"], len(chains[flag]) - 1)
-        if (flag, at) not in records:
-            records[flag, at] = _annotation(truth, bundle, chains[flag][at])
-        out.append((records[flag, at], chains[flag][at]))
+        state = chains[flag][min(kwargs["iters"], len(chains[flag]) - 1)]
+        out.append((_annotation(truth, bundle, state), state))
     return out
 
 
