@@ -21,7 +21,6 @@ from . import oracle
 from .errors import CompsegError, FormatError, ValidationError
 from .formats import (
     SceneAnnotation,
-    annotation_from_json,
     annotation_to_json,
     atomic_write_text,
     json_text,
@@ -29,8 +28,8 @@ from .formats import (
     load_model,
     load_scene,
     order_graph_lines,
+    read_annotation,
     read_scene,
-    read_text,
     save_model,
 )
 from .learning import MAX_ITER, TrainConfig, train
@@ -194,7 +193,7 @@ def _load_annotation_dir(path: str) -> dict[str, SceneAnnotation]:
     for name in sorted(os.listdir(path)):
         if not name.endswith(".json") or name == "manifest.json":
             continue
-        ann = annotation_from_json(read_text(os.path.join(path, name)))
+        ann = read_annotation(os.path.join(path, name))
         if ann.scene_id in names:
             raise FormatError(
                 f"{path}: duplicate scene id {ann.scene_id!r} in {names[ann.scene_id]} and {name}"

@@ -563,10 +563,19 @@ def load_manifest(path: str) -> Manifest:
     return Manifest(os.path.dirname(os.path.abspath(path)), entries, config)
 
 
+def read_annotation(path: str) -> SceneAnnotation:
+    """The annotation file at `path`; its FormatError names the file."""
+    text = read_text(path)
+    try:
+        return annotation_from_json(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def read_scene(fmap_path: str, annotation_path: str) -> tuple[FeatureMap, SceneAnnotation]:
     """A scene's feature map and annotation; differing lattices raise FormatError."""
     fmap = load_feature_map(fmap_path)
-    ann = annotation_from_json(read_text(annotation_path))
+    ann = read_annotation(annotation_path)
     if ann.shape != fmap.shape:
         raise FormatError(
             f"{ann.scene_id}: annotation lattice {ann.shape} != feature map {fmap.shape}"

@@ -281,7 +281,7 @@ def _variant_results(
         flag = kwargs.get("no_order", False)
         depth[flag] = max(depth.get(flag, 0), kwargs["iters"])
     chains = {
-        flag: list(islice(_chain(objects, fm.shape, bundle, flag, first), iters + 1))
+        flag: list(islice(_chain(objects, fm.shape, flag, first), iters + 1))
         for flag, iters in depth.items()
     }
     out = []

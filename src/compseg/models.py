@@ -31,7 +31,9 @@ logsumexp of `_kernels`.
 Classification is split in two. `classify` builds every (class, mixture)
 candidate's maps for a crop once and picks the best; `rescore` re-picks over
 those same candidates under a visibility grid, as the ORM does for an
-occluded object, without touching the crop again.
+occluded object, without touching the crop again. Each candidate also
+carries its amodal mask, the mixture's foreground prior at or above 0.5 on
+the same lattice, so a pick alone gives an object's labels and masks.
 
 Inputs are validated where they enter. The model dataclasses, the maps
 included, check their arrays when built, `crop_evidence` checks the crop
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .fmap import BoundingBox, FeatureMap, resample_nearest
+from .fmap import FeatureMap, resample_nearest
 from .vmf import VmfDictionary, shifted_densities
 
 PRIOR_CLAMP = 1e-6
@@ -153,19 +155,24 @@ class OccluderModel:
 
 @dataclass(frozen=True)
 class LikelihoodMaps:
-    """The three per-pixel log maps on one lattice."""
+    """One candidate on one lattice: the three per-pixel log maps and the
+    bool amodal mask, the mixture's foreground prior thresholded at 0.5."""
 
     fg: np.ndarray
     ctx: np.ndarray
     occ: np.ndarray
+    amodal: np.ndarray
 
     def __post_init__(self):
         fg = np.asarray(self.fg, dtype=np.float64)
         ctx = np.asarray(self.ctx, dtype=np.float64)
         occ = np.asarray(self.occ, dtype=np.float64)
+        amodal = np.asarray(self.amodal)
         if fg.shape != ctx.shape or fg.shape != occ.shape or fg.ndim != 2:
             raise ValidationError("likelihood maps must share one 2-d shape")
-        for name, arr in (("fg", fg), ("ctx", ctx), ("occ", occ)):
+        if amodal.shape != fg.shape or amodal.dtype != np.bool_:
+            raise ValidationError(f"amodal mask must be a bool plane of shape {fg.shape}")
+        for name, arr in (("fg", fg), ("ctx", ctx), ("occ", occ), ("amodal", amodal)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -262,7 +269,7 @@ def _plane_index(src: tuple[int, int], dst: tuple[int, int]) -> np.ndarray:
 
 
 def likelihood_maps(evidence: CropEvidence, mixture: MixtureModel) -> LikelihoodMaps:
-    """The three log maps of one mixture on the evidence's lattice.
+    """The three log maps and amodal mask of one mixture on the evidence's lattice.
 
     The mixture's planes are aligned to that lattice by nearest neighbour,
     as `resample_nearest` would, through one flat index into each plane.
@@ -279,6 +286,7 @@ def likelihood_maps(evidence: CropEvidence, mixture: MixtureModel) -> Likelihood
         (log_p + fg_ll).reshape(h, w),
         (log_1mp + ctx_ll).reshape(h, w),
         (log_p + evidence.occ).reshape(h, w),
+        (mixture.fg_prior.reshape(-1)[idx] >= 0.5).reshape(h, w),
     )
 
 
@@ -372,8 +380,3 @@ def segment_single(maps: LikelihoodMaps) -> np.ndarray:
     out[fg_wins] = LABEL_FG
     return out
 
-
-def amodal_mask(mixture: MixtureModel, box: BoundingBox) -> np.ndarray:
-    """Thresholded foreground prior (>= 0.5), resampled to the box lattice."""
-    idx = _plane_index(mixture.shape, box.shape)
-    return (mixture.fg_prior.reshape(-1)[idx] >= 0.5).reshape(box.shape)

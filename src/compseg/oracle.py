@@ -197,10 +197,10 @@ def table_objects(logliks: np.ndarray, shape: tuple[int, int]):
     anything else, and all objects share the outlier column as their
     occluder map, so pixel competition sees exactly the table: an object
     labels a pixel foreground iff its column is at least the outlier's
-    there. Each amodal mask covers the whole box.
+    there. Each candidate's amodal mask covers the whole box.
     """
     from .fmap import BoundingBox
-    from .models import ClassifyResult, LikelihoodMaps, segment_single
+    from .models import ClassifyResult, LikelihoodMaps
     from .orm import SceneObject
 
     arr = np.asarray(logliks, dtype=np.float64)
@@ -213,11 +213,9 @@ def table_objects(logliks: np.ndarray, shape: tuple[int, int]):
     occ = arr[:, n].reshape(h, w)
     objects = []
     for k in range(n):
-        maps = LikelihoodMaps(
-            fg=arr[:, k].reshape(h, w).copy(), ctx=ctx.copy(), occ=occ.copy()
-        )
-        pick = ClassifyResult(0, 0, 0.0, ((maps,),))
-        objects.append(SceneObject(k, box, pick, segment_single(maps), np.ones((h, w), np.bool_)))
+        maps = LikelihoodMaps(arr[:, k].reshape(h, w).copy(), ctx.copy(), occ.copy(),
+                              np.ones((h, w), np.bool_))
+        objects.append(SceneObject(k, box, ClassifyResult(0, 0, 0.0, ((maps,),))))
     return objects
 
 
@@ -287,9 +285,9 @@ def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int,
             x1 = int(rng.integers(x0 + 1, w + 1))
             box = BoundingBox(x0, y0, x1, y1)
             sl = box.slices
-            maps = LikelihoodMaps(obj.maps.fg[sl], obj.maps.ctx[sl], obj.maps.occ[sl])
-            pick = ClassifyResult(0, 0, 0.0, ((maps,),))
-            objects.append(SceneObject(k, box, pick, obj.labels[sl], amodal[k].reshape(h, w)[sl]))
+            maps = LikelihoodMaps(obj.maps.fg[sl], obj.maps.ctx[sl], obj.maps.occ[sl],
+                                  amodal[k].reshape(h, w)[sl])
+            objects.append(SceneObject(k, box, ClassifyResult(0, 0, 0.0, ((maps,),))))
             inside[k].reshape(h, w)[sl] = True
         boxed = [
             [table[p, k] if inside[k, p] else -math.inf for k in range(n)] + [table[p, n]]

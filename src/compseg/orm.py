@@ -1,10 +1,11 @@
 """Occlusion reasoning over multi-object scenes.
 
 Pipeline per scene: classify each boxed object independently, keep the
-winner's three likelihood maps in scene coordinates, then resolve the scene
-jointly. `orm_pass` lays every object's foreground map (where it labels F),
-its occluder map and its claims on the scene lattice once, as one plane per
-object (-inf or False elsewhere), and runs steps 1-3 from those planes:
+pick, whose candidate maps and amodal masks lie on the object's box, then
+resolve the scene jointly. `orm_pass` lays every object's foreground map
+(where it labels F), its occluder map and its claims on the scene lattice
+once, as one plane per object (-inf or False elsewhere), and runs steps 1-3
+from those planes:
 
   1. pixel competition: per covered pixel some object labels foreground,
      the best of those foreground likelihoods against the occluder value
@@ -25,14 +26,15 @@ object (-inf or False elsewhere), and runs steps 1-3 from those planes:
      re-pick (`rescore`) over the candidate maps feed-forward built, with
      no new crop or map
 
-Steps 1-4 repeat up to the requested iteration count; re-scored objects
-take the maps of their (possibly new) mixture from those candidates, so
-later passes reason over corrected predictions. The passes stop early at
-the first one that re-picks no object's (class, mixture): a pass reads each
-object's maps, labels, amodal mask, box and id but never its score, so the
-next pass would give the same owners and edges, every visibility grid would
-equal the one before it, and nothing would be re-scored. Every pass after
-that one returns what it does.
+Steps 1-4 repeat up to the requested iteration count. An object is its
+pick: its maps and amodal mask are the picked candidate's and its labels
+follow from those maps, so a re-scored object is the old one with the new
+pick, and later passes reason over corrected predictions. The passes stop
+early at the first one that re-picks no object's (class, mixture): a pass
+reads each object's maps, labels, amodal mask, box and id but never its
+score, so the next pass would give the same owners and edges, every
+visibility grid would equal the one before it, and nothing would be
+re-scored. Every pass after that one returns what it does.
 
 A state of the chain, before or after a pass, is a `SceneResult`: the
 objects, the grid step 4 read and the edges; the chain keeps nothing else.
@@ -41,7 +43,7 @@ An object's masks, on its box's lattice, are derived from it by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
@@ -55,7 +57,6 @@ from .models import (
     LABEL_OCC,
     ClassifyResult,
     LikelihoodMaps,
-    amodal_mask,
     classify,
     likelihood_maps,  # noqa: F401  unused; perfbench/test_perfbench.py deletes orm.likelihood_maps
     rescore,
@@ -71,28 +72,31 @@ OWNER_OUTSIDE = -2
 
 @dataclass
 class SceneObject:
-    """One boxed object: the pick that chose it, with that pick's labels and amodal mask."""
+    """One boxed object, which is its pick: the maps and amodal mask are the
+    picked candidate's, and the labels, derived from those maps once at
+    construction, are `segment_single`'s. `replace(obj, pick=...)` is the
+    object under another pick, its labels derived again."""
 
     oid: int
     box: BoundingBox
-    pick: ClassifyResult      # its maps are the object's, in scene coordinates
-    labels: np.ndarray        # box-shaped int8 per-pixel F/C/O
-    amodal: np.ndarray        # box-shaped bool, the picked mixture's amodal mask
+    pick: ClassifyResult      # its candidates lie on the box's lattice
+    labels: np.ndarray = field(init=False)  # box-shaped int8 per-pixel F/C/O
 
     @property
     def maps(self) -> LikelihoodMaps:
         return self.pick.candidates[self.pick.class_index][self.pick.mixture_index]
+
+    @property
+    def amodal(self) -> np.ndarray:
+        """Box-shaped bool, the picked mixture's amodal mask."""
+        return self.maps.amodal
 
     def __post_init__(self):
         if self.maps.shape != self.box.shape:
             raise ValidationError(
                 f"object {self.oid}: maps {self.maps.shape} do not cover box {self.box.shape}"
             )
-        if self.amodal.shape != self.box.shape:
-            raise ValidationError(
-                f"object {self.oid}: amodal mask {self.amodal.shape} does not cover box "
-                f"{self.box.shape}"
-            )
+        self.labels = segment_single(self.maps)
 
 
 class OrderEdge(NamedTuple):
@@ -263,34 +267,24 @@ def _visibility(idx: int, obj: SceneObject, owners: np.ndarray | None) -> np.nda
     return (window < 0) | (window == idx)
 
 
-def _scene_object(
-    oid: int, box: BoundingBox, result: ClassifyResult, bundle: ModelBundle
-) -> SceneObject:
-    """The object as `classify` or `rescore` decided it."""
-    mixture = bundle.classes[result.class_index].mixtures[result.mixture_index]
-    maps = result.candidates[result.class_index][result.mixture_index]
-    return SceneObject(oid, box, result, segment_single(maps), amodal_mask(mixture, box))
-
-
 def feed_forward(
     scene: FeatureMap,
     boxes: Sequence[tuple[int, BoundingBox]],
     bundle: ModelBundle,
 ) -> list[SceneObject]:
-    """Independent per-object classification and scene-aligned maps."""
+    """Independent per-object classification: each object is its `classify` pick."""
     objects = []
     for oid, box in boxes:
         if not box.fits_in(scene.height, scene.width):
             raise ValidationError(f"object {oid}: box {box.as_tuple()} outside scene")
         result = classify(crop(scene, box), bundle.classes, bundle.dictionary, bundle.occluder)
-        objects.append(_scene_object(oid, box, result, bundle))
+        objects.append(SceneObject(oid, box, result))
     return objects
 
 
 def _chain(
     objects: list[SceneObject],
     scene_shape: tuple[int, int],
-    bundle: ModelBundle,
     no_order: bool = False,
     first: tuple[np.ndarray, tuple[OrderEdge, ...], np.ndarray] | None = None,
 ) -> Iterator[SceneResult]:
@@ -303,10 +297,8 @@ def _chain(
     reassigned grid, or with `no_order` its competition grid. It re-scores
     exactly the objects whose visibility there differs from the state before
     (the occluded ones) by re-picking over the candidate maps feed-forward
-    built; a re-scored object takes the maps of the mixture it now wins, so
-    after a label flip the next pass sees corrected predictions. One that
-    keeps its (class, mixture) keeps its maps, labels and amodal mask and
-    takes the new result as its pick, whose score is the new one.
+    built; a re-scored object is the old one with the new result as its
+    pick, so after a label flip the next pass sees corrected predictions.
 
     The passes end after the first one that re-picks no object, whose state
     every later pass would repeat (see the module docstring); while picks
@@ -328,12 +320,9 @@ def _chain(
                 continue
             pick = obj.pick
             result = rescore(pick.candidates, vis)
-            if (result.class_index, result.mixture_index) == (pick.class_index, pick.mixture_index):
-                # Same pick: same maps, labels and amodal mask; the score moves with it.
-                objects[idx] = replace(obj, pick=result)
-            else:
-                objects[idx] = _scene_object(obj.oid, obj.box, result, bundle)
+            if (result.class_index, result.mixture_index) != (pick.class_index, pick.mixture_index):
                 repicked = True
+            objects[idx] = replace(obj, pick=result)
         state = SceneResult(objects, grid, edges)
         yield state
         if not repicked:
@@ -359,6 +348,6 @@ def segment_scene(
     if iters < 0:
         raise ValidationError(f"iteration count must be non-negative, got {iters}")
     objects = feed_forward(scene, boxes, bundle)
-    for state in islice(_chain(objects, scene.shape, bundle, no_order), iters + 1):
+    for state in islice(_chain(objects, scene.shape, no_order), iters + 1):
         pass
     return state

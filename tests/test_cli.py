@@ -336,7 +336,9 @@ def test_annotation_field_of_another_type_is_a_format_error(pipeline, tmp_path):
     r = run_cli("evaluate", "--pred", preds, "--truth", data / "annotations",
                 "--out", tmp_path / "e.txt")
     _assert_format_error(r)
-    assert "field 'id' must be int, got float" in r.stderr
+    # the line names the file to fix
+    assert (f"msg={preds / f'{sid}.json'}: bad annotation record: "
+            "field 'id' must be int, got float") in r.stderr
     assert not (tmp_path / "e.txt").exists()
 
 
@@ -564,8 +566,8 @@ def test_mask_pixel_outside_its_box_is_one_format_line(pipeline, tmp_path, capsy
                      "--out", str(tmp_path / "e.txt")])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err == (f"compseg: error code=FORMAT msg=object {obj['id']}: modal mask has a "
-                   f"pixel outside box {[x0, y0, x1, y1]}\n")
+    assert err == (f"compseg: error code=FORMAT msg={preds / f'{sid}.json'}: object {obj['id']}: "
+                   f"modal mask has a pixel outside box {[x0, y0, x1, y1]}\n")
     assert not (tmp_path / "e.txt").exists()
 
 

@@ -29,6 +29,7 @@ from compseg.formats import (
     load_scene,
     order_graph_lines,
     quantize_bundle,
+    read_annotation,
     read_scene,
     save_manifest,
     save_model,
@@ -553,6 +554,26 @@ def test_scene_lattices_must_agree(tiny_challenge):
         read_scene(fmap_path, os.path.join(tiny_challenge.root, four.annotation_path))
     fmap, ann = read_scene(fmap_path, os.path.join(tiny_challenge.root, two.annotation_path))
     assert ann.scene_id == two.scene_id and fmap.shape == ann.shape
+
+
+def test_bad_annotation_record_names_its_file(tiny_challenge, tmp_path):
+    entry = tiny_challenge.select(split="test", scenario="two")[0]
+    doc = json.loads(Path(tiny_challenge.root, entry.annotation_path).read_text())
+    doc["objects"][0]["id"] = 1.7
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    want = f"{bad}: bad annotation record: field 'id' must be int, got float"
+    with pytest.raises(FormatError) as caught:
+        read_annotation(str(bad))
+    assert str(caught.value) == want
+    with pytest.raises(FormatError) as caught:
+        read_scene(os.path.join(tiny_challenge.root, entry.fmap_path), str(bad))
+    assert str(caught.value) == want
+    # text that is not UTF-8 is named once
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    with pytest.raises(FormatError, match=r"not UTF-8") as caught:
+        read_annotation(str(bad))
+    assert str(caught.value).count(str(bad)) == 1
 
 
 def test_integer_longer_than_int_converts_is_a_format_error(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from compseg import _kernels
 from compseg.errors import ValidationError
-from compseg.fmap import BoundingBox, FeatureMap, resample_nearest
+from compseg.fmap import FeatureMap, resample_nearest
 from compseg.models import (
     LABEL_CTX,
     LABEL_FG,
@@ -13,7 +13,6 @@ from compseg.models import (
     LikelihoodMaps,
     MixtureModel,
     OccluderModel,
-    amodal_mask,
     classify,
     crop_evidence,
     image_loglik,
@@ -47,6 +46,12 @@ def tiny_setup(seed=0, h=3, w=4, k=4, d=5, crop_shape=None):
         sample_uniform_sphere(rng, ch * cw, d).reshape(ch, cw, d).astype(np.float32)
     )
     return rng, dictionary, mixture, occluder, fm
+
+
+def _maps(fg, ctx, occ):
+    """Candidate maps whose amodal mask covers the lattice, for tests that read no mask."""
+    fg = np.asarray(fg, dtype=np.float64)
+    return LikelihoodMaps(fg, ctx, occ, np.ones(fg.shape, dtype=np.bool_))
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +100,16 @@ def test_class_model_rejects_empty_and_mixed_k():
 
 
 def test_likelihood_maps_shape_checks():
-    with pytest.raises(ValidationError):
-        LikelihoodMaps(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)))
-    maps = LikelihoodMaps(np.zeros((2, 2)), np.ones((2, 2)), np.full((2, 2), 2.0))
-    assert maps.shape == (2, 2)
+    zeros, mask = np.zeros((2, 2)), np.ones((2, 2), dtype=np.bool_)
+    with pytest.raises(ValidationError, match="share one 2-d shape"):
+        LikelihoodMaps(zeros, zeros, np.zeros((2, 3)), mask)
+    maps = LikelihoodMaps(zeros, np.ones((2, 2)), np.full((2, 2), 2.0), mask)
+    assert maps.shape == maps.amodal.shape == (2, 2)
+    # the amodal plane is a bool plane on the maps' lattice
+    for amodal in (np.ones((2, 3), dtype=np.bool_), np.ones((1, 2, 2), dtype=np.bool_),
+                   np.ones((2, 2)), np.ones((2, 2), dtype=np.uint8)):
+        with pytest.raises(ValidationError, match="amodal mask must be a bool plane"):
+            LikelihoodMaps(zeros, zeros, zeros, amodal)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +241,7 @@ def test_image_loglik_modes_and_visibility():
     fg = np.array([[0.0, -2.0], [-1.0, -5.0]])
     ctx = np.array([[-1.0, -1.0], [-4.0, -4.0]])
     occ = np.array([[-3.0, -3.0], [0.0, -1.0]])
-    maps = LikelihoodMaps(fg, ctx, occ)
+    maps = _maps(fg, ctx, occ)
 
     want_max = 0.0 + -1.0 + 0.0 + -1.0
     assert image_loglik(maps) == pytest.approx(want_max)
@@ -308,7 +319,7 @@ def test_rescore_matches_per_candidate_image_loglik():
         candidates = classify(crop, classes, dictionary, occluder).candidates
         evidence = crop_evidence(crop, dictionary, occluder)
         wide = tuple(
-            LikelihoodMaps(*rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=(3, h, w)))
+            _maps(*rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=(3, h, w)))
             for _ in range(3)
         )
         grids = [np.zeros((h, w), dtype=np.int8), np.ones((h, w), dtype=np.int8)]
@@ -339,9 +350,9 @@ def test_rescore_matches_per_candidate_image_loglik():
 
 def test_rescore_ties_go_to_the_lowest_indices():
     occ = np.full((2, 2), -1.0)
-    low = LikelihoodMaps(np.full((2, 2), -9.0), np.zeros((2, 2)), occ)
-    high = LikelihoodMaps(np.array([[-9.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2)), occ)
-    twin = LikelihoodMaps(np.array([[-5.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2)), occ)
+    low = _maps(np.full((2, 2), -9.0), np.zeros((2, 2)), occ)
+    high = _maps(np.array([[-9.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2)), occ)
+    twin = _maps(np.array([[-5.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2)), occ)
     candidates = ((low, high), (twin,))
     # (0, 1) and (1, 0) differ only where the object is hidden: a tie
     vis = np.array([[0, 1], [1, 1]])
@@ -361,7 +372,7 @@ def test_rescore_ties_go_to_the_lowest_indices():
 
 def test_rescore_checks_the_grid_once_per_call():
     occ = np.full((2, 2), -1.0)
-    maps = LikelihoodMaps(np.zeros((2, 2)), np.zeros((2, 2)), occ)
+    maps = _maps(np.zeros((2, 2)), np.zeros((2, 2)), occ)
     candidates = ((maps, maps), (maps,))
     with pytest.raises(ValidationError, match="binary"):
         rescore(candidates, np.array([[1, 0], [2, 1]]))
@@ -389,7 +400,8 @@ def test_classify_returns_the_winners_maps():
         want = likelihood_maps(evidence, winner)
         maps = got.candidates[got.class_index][got.mixture_index]
         for got_map, want_map in zip(
-            (maps.fg, maps.ctx, maps.occ), (want.fg, want.ctx, want.occ)
+            (maps.fg, maps.ctx, maps.occ, maps.amodal),
+            (want.fg, want.ctx, want.occ, want.amodal),
         ):
             assert np.array_equal(got_map, want_map)
         if visibility is None:
@@ -402,27 +414,35 @@ def test_segment_single_tie_preferences():
     fg = np.array([[0.0, -1.0, -5.0]])
     ctx = np.array([[0.0, -1.0, -2.0]])
     occ = np.array([[0.0, -1.0, -2.0]])
-    labels = segment_single(LikelihoodMaps(fg, ctx, occ))
+    labels = segment_single(_maps(fg, ctx, occ))
     # all equal -> FG; occ == ctx above fg -> OCC
     assert labels[0, 0] == LABEL_FG
     assert labels[0, 1] == LABEL_FG
     assert labels[0, 2] == LABEL_OCC
     assert segment_single(
-        LikelihoodMaps(np.array([[-9.0]]), np.array([[1.0]]), np.array([[0.0]]))
+        _maps(np.array([[-9.0]]), np.array([[1.0]]), np.array([[0.0]]))
     )[0, 0] == LABEL_CTX
 
 
 def test_amodal_mask_thresholds_and_resamples():
+    # each candidate's amodal mask is its mixture's prior at or above 0.5,
+    # on the crop's lattice
     rng = np.random.default_rng(7)
     prior = np.array([[0.9, 0.2], [0.5, 0.49]])
     mixture = MixtureModel(prior, simplex(rng, (2, 2, 3)), simplex(rng, (2, 2, 3)))
-    box = BoundingBox(0, 0, 4, 4)
-    mask = amodal_mask(mixture, box)
-    assert mask.shape == (4, 4)
+    dictionary = VmfDictionary(sample_uniform_sphere(rng, 3, 5), rng.uniform(1.0, 15.0, size=3))
+    occluder = OccluderModel(simplex(rng, (3,)))
+
+    def amodal(shape):
+        crop = FeatureMap(sample_uniform_sphere(rng, shape[0] * shape[1], 5)
+                          .reshape(*shape, 5).astype(np.float32))
+        return likelihood_maps(crop_evidence(crop, dictionary, occluder), mixture).amodal
+
+    mask = amodal((4, 4))
+    assert mask.shape == (4, 4) and mask.dtype == np.bool_
     assert mask[0, 0] and not mask[0, 3]
     assert mask[2, 0]        # 0.5 is inclusive
     assert not mask[2, 2]    # 0.49 misses the threshold
     # the cached plane index lands the prior where resample_nearest does
     for shape in ((1, 1), (3, 5), (7, 2), (2, 2)):
-        got = amodal_mask(mixture, BoundingBox(1, 2, 1 + shape[1], 2 + shape[0]))
-        assert np.array_equal(got, resample_nearest(prior, shape) >= 0.5)
+        assert np.array_equal(amodal(shape), resample_nearest(prior, shape) >= 0.5)

@@ -1,16 +1,18 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 import compseg.orm as orm
 from compseg.errors import ValidationError
-from compseg.fmap import BoundingBox, place
+from compseg.fmap import BoundingBox, place, resample_nearest
 from compseg.formats import load_scene
 from compseg.models import (
+    LABEL_CTX,
     LABEL_FG,
     LABEL_OCC,
     ClassifyResult,
     LikelihoodMaps,
-    amodal_mask,
     segment_single,
 )
 from compseg.orm import (
@@ -42,15 +44,12 @@ def test_recover_order_tie_breaks_backward():
 
 def _object(oid, box, fg, ctx_fill=-20.0, occ_fill=-10.0, amodal=None):
     fg = np.asarray(fg, dtype=np.float64)
-    maps = LikelihoodMaps(
-        fg, np.full(box.shape, ctx_fill), np.full(box.shape, occ_fill)
-    )
     if amodal is None:
         amodal = np.ones(box.shape, dtype=np.bool_)
-    return SceneObject(
-        oid=oid, box=box, pick=ClassifyResult(0, 0, 0.0, ((maps,),)),
-        labels=segment_single(maps), amodal=amodal,
+    maps = LikelihoodMaps(
+        fg, np.full(box.shape, ctx_fill), np.full(box.shape, occ_fill), amodal
     )
+    return SceneObject(oid=oid, box=box, pick=ClassifyResult(0, 0, 0.0, ((maps,),)))
 
 
 def _two_object_scene(outlier_pixel=False):
@@ -217,12 +216,10 @@ def test_foreground_pixel_with_no_finite_map_goes_to_the_outlier():
     # competes, and the outlier wins the all -inf tie; a claimed grid read off
     # a finite fg would leave it unowned
     fg = np.array([[-np.inf, -1.0]])
-    maps = LikelihoodMaps(fg, np.array([[-np.inf, -20.0]]), np.array([[-np.inf, -10.0]]))
     box = BoundingBox(0, 0, 2, 1)
-    a = SceneObject(
-        oid=0, box=box, pick=ClassifyResult(0, 0, 0.0, ((maps,),)),
-        labels=segment_single(maps), amodal=np.ones(box.shape, dtype=np.bool_),
-    )
+    maps = LikelihoodMaps(fg, np.array([[-np.inf, -20.0]]), np.array([[-np.inf, -10.0]]),
+                          np.ones(box.shape, dtype=np.bool_))
+    a = SceneObject(oid=0, box=box, pick=ClassifyResult(0, 0, 0.0, ((maps,),)))
     assert (a.labels == LABEL_FG).all()
     _, edges, owners = orm_pass([a], (1, 2))
     assert owners.tolist() == [[1, 0]]
@@ -232,6 +229,10 @@ def test_foreground_pixel_with_no_finite_map_goes_to_the_outlier():
 def _scene_pairs(challenge, scenario, count):
     entries = challenge.select(split="test", scenario=scenario)[:count]
     return [load_scene(challenge, e) for e in entries]
+
+
+def _test_scenes(challenge):
+    return [load_scene(challenge, e) for e in challenge.select(split="test")]
 
 
 @pytest.fixture(scope="module")
@@ -316,41 +317,58 @@ def test_reclassification_skipped_when_visibility_static(
     assert calls
 
 
-def test_rescore_rebuilds_an_object_only_when_its_pick_changes(
-    tiny_challenge, tiny_bundle, monkeypatch
-):
-    # A re-score that keeps its (class, mixture) replaces the pick alone; the
-    # maps, labels and amodal mask it keeps are what a rebuild would give.
-    picks, results, built, changed = {}, {}, [], []
-    real_build, real_rescore = orm._scene_object, orm.rescore
+def test_an_object_is_its_last_pick(tiny_challenge, tiny_bundle, monkeypatch):
+    # Whether a re-score keeps its (class, mixture) or not, the object holds
+    # the last result, of `classify` or of `rescore`, as its pick, and its
+    # maps, labels and amodal mask are that pick's.
+    results, changed = {}, []
+    real_classify, real_rescore = orm.classify, orm.rescore
 
-    def build(oid, box, result, bundle):
-        built.append(oid)
-        picks[id(result.candidates)] = (result.class_index, result.mixture_index)
-        return real_build(oid, box, result, bundle)
+    def classify(*args):
+        result = real_classify(*args)
+        results[id(result.candidates)] = result
+        return result
 
     def rescore(candidates, visibility=None):
         result = real_rescore(candidates, visibility)
-        changed.append((result.class_index, result.mixture_index) != picks[id(candidates)])
+        before = results[id(candidates)]
+        changed.append((result.class_index, result.mixture_index)
+                       != (before.class_index, before.mixture_index))
         results[id(candidates)] = result
         return result
 
-    monkeypatch.setattr(orm, "_scene_object", build)
+    monkeypatch.setattr(orm, "classify", classify)
     monkeypatch.setattr(orm, "rescore", rescore)
-    n_objects = 0
-    for fm, ann in _scene_pairs(tiny_challenge, "four", 2):
+    for fm, ann in _test_scenes(tiny_challenge):
         boxes = [(rec.oid, rec.box) for rec in ann.objects]
         result = segment_scene(fm, boxes, tiny_bundle, iters=2)
-        n_objects += len(ann.objects)
         for obj in result.objects:
             pick = obj.pick
-            mixture = tiny_bundle.classes[pick.class_index].mixtures[pick.mixture_index]
+            prior = tiny_bundle.classes[pick.class_index].mixtures[pick.mixture_index].fg_prior
             assert obj.maps is pick.candidates[pick.class_index][pick.mixture_index]
             assert np.array_equal(obj.labels, segment_single(obj.maps))
-            assert np.array_equal(obj.amodal, amodal_mask(mixture, obj.box))
-            assert pick is results.get(id(pick.candidates), pick)
-    assert changed.count(False) > 0
-    assert len(built) == n_objects + changed.count(True)
+            assert np.array_equal(obj.amodal, resample_nearest(prior, obj.box.shape) >= 0.5)
+            assert pick is results[id(pick.candidates)]
+    assert changed.count(False) > 0 and changed.count(True) > 0
+
+
+def test_replacing_the_pick_rederives_labels_and_amodal_mask():
+    box = BoundingBox(0, 0, 2, 1)
+    occ = np.full(box.shape, -10.0)
+    seen = LikelihoodMaps(np.array([[-1.0, -1.0]]), np.full(box.shape, -20.0), occ,
+                          np.array([[True, False]]))
+    hidden = LikelihoodMaps(np.array([[-30.0, -1.0]]), np.full(box.shape, -5.0), occ,
+                            np.array([[False, True]]))
+    candidates = ((seen,), (hidden,))
+    assert [f.name for f in fields(SceneObject) if f.init] == ["oid", "box", "pick"]
+    obj = SceneObject(0, box, ClassifyResult(0, 0, 0.0, candidates))
+    assert obj.labels.tolist() == [[LABEL_FG, LABEL_FG]]
+    other = replace(obj, pick=ClassifyResult(1, 0, 0.0, candidates))
+    assert other.maps is hidden
+    assert np.array_equal(other.labels, segment_single(hidden))
+    assert other.labels.tolist() == [[LABEL_CTX, LABEL_FG]]
+    assert other.amodal.tolist() == [[False, True]]
+    assert obj.amodal.tolist() == [[True, False]]
 
 
 def _exactly_k_passes(scene, boxes, bundle, iters, no_order):
@@ -368,16 +386,12 @@ def _exactly_k_passes(scene, boxes, bundle, iters, no_order):
                 continue
             prev_vis[idx] = vis
             result = orm.rescore(obj.pick.candidates, vis)
-            objects[idx] = orm._scene_object(obj.oid, obj.box, result, bundle)
+            objects[idx] = SceneObject(obj.oid, obj.box, result)
     return orm.SceneResult(objects, owners, edges)
 
 
 def _pick_figures(obj):
     return obj.pick.class_index, obj.pick.mixture_index, obj.pick.score
-
-
-def _test_scenes(challenge):
-    return [load_scene(challenge, e) for e in challenge.select(split="test")]
 
 
 def test_fixed_point_stop_is_exact(tiny_challenge, tiny_bundle):
