@@ -14,7 +14,7 @@ class CompsegError(Exception):
 
 
 class FormatError(CompsegError):
-    """Malformed or truncated file content (bad magic, dims, payload size)."""
+    """Malformed or truncated file content (bad magic, dims, payload size or values)."""
 
     code = "FORMAT"
 

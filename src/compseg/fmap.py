@@ -244,4 +244,7 @@ def load_feature_map(path: str) -> FeatureMap:
             f"{path}: payload size mismatch, expected {expected} bytes, got {len(blob)}"
         )
     data = np.frombuffer(blob, dtype="<f4", offset=18).reshape(height, width, dim)
-    return FeatureMap(data)
+    try:
+        return FeatureMap(data)
+    except ValidationError as exc:  # a non-finite or zero-norm payload row
+        raise FormatError(f"{path}: {exc}") from exc

@@ -23,6 +23,11 @@ MODEL_MAGIC = b"CNMO"
 MODEL_VERSION = 1
 
 
+def _atom_dtype(dim: int) -> np.dtype:
+    """A MODEL dictionary atom: a float32 mean of length `dim`, then a float64 concentration."""
+    return np.dtype([("mean", "<f4", (dim,)), ("conc", "<f8")])
+
+
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
@@ -48,15 +53,27 @@ def _reject_constant(token: str):
     raise ValueError(f"{token} is not a JSON number")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):  # an overflowing literal like 1e400
+        raise ValueError(f"{literal} is not a finite number")
+    return value
+
+
 def _parse_json(text: str, what: str):
-    """`json.loads(text)`; bad JSON, NaN and Infinity included, raise FormatError."""
+    """`json.loads(text)`; bad JSON and NaN, Infinity or 1e400 raise FormatError."""
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:
-        # ValueError: JSONDecodeError, a NaN or Infinity token, or an integer
-        # with more digits than `int` converts; RecursionError: arrays or
-        # objects nested deeper than the parser recurses
+        # ValueError: JSONDecodeError, a number that is not finite, or an
+        # integer with more digits than `int` converts; RecursionError: arrays
+        # or objects nested deeper than the parser recurses
         raise FormatError(f"{what}: {exc}") from exc
+
+
+# A parsed document that is not a valid record: a missing key, a wrong type, a
+# value a record type refuses, or an integer too large for float() (10**400).
+_BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError, ValidationError)
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +148,9 @@ def save_model(bundle: ModelBundle, path: str) -> None:
     parts = [MODEL_MAGIC, struct.pack("<H", MODEL_VERSION)]
     dic = bundle.dictionary
     parts.append(struct.pack("<II", dic.size, dic.dim))
-    means32 = dic.means.astype("<f4")
-    for k in range(dic.size):
-        parts.append(means32[k].tobytes())
-        parts.append(struct.pack("<d", float(dic.concentrations[k])))
+    atoms = np.empty(dic.size, dtype=_atom_dtype(dic.dim))
+    atoms["mean"], atoms["conc"] = dic.means, dic.concentrations
+    parts.append(atoms.tobytes())
     parts.append(bundle.occluder.coeffs.astype("<f8").tobytes())
     parts.append(struct.pack("<I", len(bundle.classes)))
     for cls in bundle.classes:
@@ -196,10 +212,9 @@ def load_model(path: str) -> ModelBundle:
     k, dim = r.unpack("<II")
     if k < 1 or dim < 2:
         raise FormatError(f"{path}: bad dictionary dims K={k}, D={dim}")
-    # `take` checks the block's size before anything of size K x D exists.
-    atoms = np.frombuffer(
-        r.take(k * (4 * dim + 8)), dtype=[("mean", "<f4", (dim,)), ("conc", "<f8")]
-    )
+    # `take` checks the block's size before anything of size K x D exists,
+    # the atom dtype included: numpy refuses a D past a C int.
+    atoms = np.frombuffer(r.take(k * (4 * dim + 8)), dtype=_atom_dtype(dim))
     means = _widen(atoms["mean"])
     conc = atoms["conc"].astype(np.float64)
     beta = r.array("<f8", k)
@@ -374,21 +389,6 @@ def _field(value, kinds: tuple[type, ...], name: str):
     return value
 
 
-def _check_finite(doc) -> None:
-    """A ValueError when a number anywhere in parsed JSON is NaN or infinite:
-    `json.loads` reads an overflowing literal like 1e400 as inf. The walk
-    keeps its own stack, so nesting the parser accepts cannot overflow it."""
-    stack = [doc]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, dict):
-            stack.extend(value.values())
-        elif isinstance(value, list):
-            stack.extend(value)
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{value} is not a finite number")
-
-
 def _integers(value, lengths: tuple[int, ...], name: str) -> tuple[int, ...]:
     if len(_field(value, (list,), name)) not in lengths:
         raise TypeError(f"field {name!r} must hold {' or '.join(map(str, lengths))} integers")
@@ -436,7 +436,6 @@ def annotation_from_json(text: str) -> SceneAnnotation:
     """
     doc = _parse_json(text, "bad annotation JSON")
     try:
-        _check_finite(doc)
         shape = _integers(doc["shape"], (2,), "shape")
         _check_lattice(shape)
         objects = []
@@ -478,8 +477,7 @@ def annotation_from_json(text: str) -> SceneAnnotation:
             unknown=None if unknown_rle is None else decode_rle(unknown_rle, shape),
             extra=dict(_field(doc.get("extra", {}), (dict,), "extra")),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an integer field holding a JSON number like 1e400
+    except _BAD_RECORD as exc:
         raise FormatError(f"bad annotation record: {exc}") from exc
 
 
@@ -540,7 +538,6 @@ def load_manifest(path: str) -> Manifest:
         raise FormatError(f"{path}: unsupported manifest version {version!r}")
     entries = []
     try:
-        _check_finite(doc)
         for s in _field(doc["scenes"], (list,), "scenes"):
             entries.append(
                 ManifestEntry(
@@ -553,7 +550,7 @@ def load_manifest(path: str) -> Manifest:
                 )
             )
         config = dict(_field(doc.get("config", {}), (dict,), "config"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_RECORD as exc:
         raise FormatError(f"{path}: bad manifest entry: {exc}") from exc
     seen: set[str] = set()
     for e in entries:

@@ -5,6 +5,7 @@ exists."""
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
 import subprocess
 import sys
@@ -91,7 +92,9 @@ def test_runtime_imports_load_no_scipy():
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
     )
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["[]", "[]"]
 

@@ -25,11 +25,17 @@ from compseg.formats import (
 from compseg.metrics import predict_scene
 
 
+# `python -m compseg` runs this checkout's package, installed or not.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "compseg", *map(str, args)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -422,9 +428,44 @@ def test_signalling_nan_payloads_are_one_error_line(pipeline, tmp_path):
     r = run_cli("segment", "--model", model, "--scene", solo / f"{sid}.fmap",
                 "--out", tmp_path / "seg")
     assert r.returncode == 2
-    assert r.stderr.startswith("compseg: error code=INVALID msg=")
+    assert r.stderr.startswith(f"compseg: error code=FORMAT msg={solo / f'{sid}.fmap'}: ")
     assert r.stderr.count("\n") == 1 and "non-finite" in r.stderr
     assert not (tmp_path / "seg").exists()
+
+
+@pytest.mark.parametrize("value, reason", [(np.nan, "non-finite values"),
+                                           (0.0, "a zero-norm vector")])
+def test_segment_fmap_row_the_map_refuses_is_one_format_line(pipeline, tmp_path, value, reason):
+    root, data, model = pipeline
+    sid = "two-L0-0000"
+    blob = (data / "scenes" / f"{sid}.fmap").read_bytes()
+    (dim,) = struct.unpack("<I", blob[14:18])
+    solo = tmp_path / "solo"
+    solo.mkdir()
+    scene = solo / f"{sid}.fmap"
+    scene.write_bytes(blob[:18] + np.full(dim, value, dtype="<f4").tobytes() + blob[18 + 4 * dim:])
+    shutil.copy(data / "annotations" / f"{sid}.json", solo / f"{sid}.json")
+    r = run_cli("segment", "--model", model, "--scene", scene, "--out", tmp_path / "seg")
+    _assert_format_error(r)
+    assert r.stderr == f"compseg: error code=FORMAT msg={scene}: feature map contains {reason}\n"
+    assert not (tmp_path / "seg").exists()
+
+
+@pytest.mark.parametrize("box", [[5, 5, 2, 2], [-1, 0, 3, 3]])
+def test_evaluate_box_that_boundingbox_refuses_is_one_format_line(pipeline, tmp_path, box):
+    root, data, model = pipeline
+    sid = "two-L1-0000"
+    doc = json.loads((data / "annotations" / f"{sid}.json").read_text())
+    doc["objects"][0]["box"] = box
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    bad = preds / f"{sid}.json"
+    bad.write_text(json.dumps(doc))
+    r = run_cli("evaluate", "--pred", preds, "--truth", data / "annotations",
+                "--out", tmp_path / "e.txt")
+    _assert_format_error(r)
+    assert r.stderr.startswith(f"compseg: error code=FORMAT msg={bad}: bad annotation record: box")
+    assert not (tmp_path / "e.txt").exists()
 
 
 def test_segment_lattice_mismatch_is_one_format_line(pipeline, tmp_path, capsys):

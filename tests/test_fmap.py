@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -259,8 +260,26 @@ def test_load_rejects_signalling_nan_without_a_warning(tmp_path):
     blob = path.read_bytes()
     # float32 bits of a signalling NaN as the first payload value
     path.write_bytes(blob[:18] + struct.pack("<I", 0x7F800001) + blob[22:])
-    with pytest.raises(ValidationError, match="non-finite"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*non-finite"):
         load_feature_map(str(path))
+
+
+@pytest.mark.parametrize("row, reason", [
+    ([np.nan, 0.0, 0.0, 0.0], "feature map contains non-finite values"),
+    ([np.inf, 1.0, 0.0, 0.0], "feature map contains non-finite values"),
+    ([0.0, 0.0, 0.0, 0.0], "feature map contains a zero-norm vector"),
+])
+def test_load_rejects_a_payload_row_the_map_refuses_naming_the_file(tmp_path, row, reason):
+    """A payload row that `FeatureMap` refuses is malformed file content."""
+    rng = np.random.default_rng(6)
+    path = tmp_path / "scene.fmap"
+    save_feature_map(FeatureMap(unit_grid(rng, 3, 3, 4)), str(path))
+    blob = path.read_bytes()
+    at = 18 + 4 * 4 * 4  # row (1, 1) of the 3x3x4 payload
+    path.write_bytes(blob[:at] + np.asarray(row, dtype="<f4").tobytes() + blob[at + 16:])
+    with pytest.raises(FormatError) as caught:
+        load_feature_map(str(path))
+    assert str(caught.value) == f"{path}: {reason}"
 
 
 def _mutations(blob: bytes, rng: np.random.Generator, count: int):

@@ -197,28 +197,30 @@ def test_annotation_shape_needs_two_entries():
 
 
 def test_annotation_integer_field_overflow_is_a_format_error():
-    # JSON reads 1e400 as an infinite float, which int() cannot convert
+    # a literal like 1e400 overflows a float; the parser refuses it
     doc = json.loads(annotation_to_json(_tiny_annotation()))
     obj = doc["objects"][0]
     for where, field in ((doc, "shape"), (obj, "box"), (obj, "id")):
         kept = where[field]
         where[field] = ["INF", *kept[1:]] if isinstance(kept, list) else "INF"
-        with pytest.raises(FormatError, match="bad annotation record"):
+        with pytest.raises(FormatError, match="bad annotation JSON: 1e400 is not a finite number"):
             annotation_from_json(json.dumps(doc).replace('"INF"', "1e400"))
         where[field] = kept
 
 
 def test_annotation_overflowing_number_is_a_format_error():
-    # JSON reads 1e400 as inf, a number the writer refuses, so a record
+    # 1e400 would read as inf, a number the writer refuses, so a record
     # holding one anywhere could be loaded but never saved again
     doc = json.loads(annotation_to_json(_tiny_annotation()))
     obj = doc["objects"][0]
-    for where, field, literal in (
-        (obj, "occlusion", "1e400"), (obj, "score", "-1e400"), (doc, "extra", '{"x": -1e999}'),
+    for where, field, literal, number in (
+        (obj, "occlusion", "1e400", "1e400"), (obj, "score", "-1e400", "-1e400"),
+        (doc, "extra", '{"x": -1e999}', "-1e999"), (doc, "extra", '{"x": [1, 2e308]}', "2e308"),
     ):
         kept = where[field]
         where[field] = "INF"
-        with pytest.raises(FormatError, match="bad annotation record"):
+        with pytest.raises(FormatError,
+                           match=f"bad annotation JSON: {number} is not a finite number"):
             annotation_from_json(json.dumps(doc).replace('"INF"', literal))
         where[field] = kept
 
@@ -576,6 +578,35 @@ def test_bad_annotation_record_names_its_file(tiny_challenge, tmp_path):
     assert str(caught.value).count(str(bad)) == 1
 
 
+@pytest.mark.parametrize("box, reason", [
+    ([5, 5, 2, 2], r"box must have positive area: \(5, 5, 2, 2\)"),
+    ([-1, 0, 3, 3], r"box must not have negative corners: \(-1, 0, 3, 3\)"),
+])
+def test_box_that_boundingbox_refuses_is_a_format_error_naming_its_file(tmp_path, box, reason):
+    """A value that a record type refuses is a bad record, like a bad field."""
+    doc = json.loads(annotation_to_json(_tiny_annotation()))
+    doc["objects"][0]["box"] = box
+    with pytest.raises(FormatError, match=f"^bad annotation record: {reason}$"):
+        annotation_from_json(json.dumps(doc))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: bad annotation record: {reason}$"):
+        read_annotation(str(bad))
+
+
+def test_integer_too_large_for_a_float_field_is_a_format_error():
+    """An integer literal is exact in JSON, but float() cannot hold 10**400."""
+    text = annotation_to_json(_tiny_annotation())
+    with pytest.raises(FormatError, match="bad annotation record: int too large"):
+        annotation_from_json(text.replace('"occlusion": 0.25', f'"occlusion": {10**400}'))
+
+
+def test_underflowing_number_is_finite_and_reads_as_zero():
+    text = annotation_to_json(_tiny_annotation())
+    ann = annotation_from_json(text.replace('"occlusion": 0.25', '"occlusion": 1e-400'))
+    assert [o.occlusion for o in ann.objects] == [0.0, 0.0]
+
+
 def test_integer_longer_than_int_converts_is_a_format_error(tmp_path):
     """Python refuses to convert an integer of more than 4,300 digits, and
     `json.loads` raises that as a bare ValueError."""
@@ -620,13 +651,15 @@ def test_readers_refuse_nan_and_infinity_tokens(tmp_path, token):
 
 
 def test_manifest_overflowing_number_is_a_format_error(tmp_path):
-    # JSON reads 1e400 as inf, a number `save_manifest` refuses, so a manifest
+    # 1e400 would read as inf, a number `save_manifest` refuses, so a manifest
     # holding one could be loaded but never saved again
     path = tmp_path / "manifest.json"
     for literal in ("1e400", "-1e999"):
-        path.write_text(json.dumps(_manifest_doc()).replace('"seed": 7', f'"x": {literal}'))
-        with pytest.raises(FormatError, match="bad manifest entry: -?inf is not a finite number"):
-            load_manifest(str(path))
+        for kept, bad in (('"seed": 7', f'"x": {literal}'), ('"level": "L1"', f'"level": {literal}')):
+            path.write_text(json.dumps(_manifest_doc()).replace(kept, bad))
+            want = re.escape(f"{path}: bad manifest JSON: {literal} is not a finite number")
+            with pytest.raises(FormatError, match=want):
+                load_manifest(str(path))
 
 
 def test_manifest_bad_version(tmp_path):
