@@ -1,4 +1,8 @@
-"""Segmentation metrics and the variant-comparison driver.
+"""Segmentation metrics, and the variant comparison they score.
+
+This module scores predictions; it runs no reasoning itself. A prediction
+comes from `orm.segment_scene`, and the variant sweep from one
+`orm.segment_variants` call per scene over every variant.
 
 Objects are scored by mask IoU and bucketed by their ground-truth occlusion
 fraction with `synth.level_of`, the generator's own bucketing, so the
@@ -12,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,7 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .fmap import FeatureMap, iou, place
 from .formats import ModelBundle, ObjectRecord, SceneAnnotation
-from .orm import SceneResult, _chain, feed_forward, orm_pass, segment_scene
+from .orm import SceneResult, segment_scene, segment_variants
 from .synth import LEVELS, OVER_LIMIT, level_of
 
 __all__ = [
@@ -265,31 +268,12 @@ def tabulate(
 def _variant_results(
     fm: FeatureMap, truth: SceneAnnotation, bundle: ModelBundle
 ) -> list[tuple[SceneAnnotation, SceneResult]]:
-    """`predict_scene` under each of `VARIANTS`, in order, from one feed-forward.
-
-    Variants that share the `no_order` flag read one chain, run as deep as
-    the deepest of them needs: a variant is its state at `min(iters, last)`,
-    the state `segment_scene` returns. Every chain's first pass is the same
-    `orm_pass` of the feed-forward objects, so it runs once; the chains never
-    write those objects, so all start from the same list.
-    """
+    """`predict_scene` under each of `VARIANTS`, in order, from one
+    `segment_variants` call, so from one feed-forward and one first pass."""
     boxes = [(rec.oid, rec.box) for rec in truth.objects]
-    objects = feed_forward(fm, boxes, bundle)
-    first = orm_pass(objects, fm.shape)
-    depth: dict[bool, int] = {}
-    for _, kwargs in VARIANTS:
-        flag = kwargs.get("no_order", False)
-        depth[flag] = max(depth.get(flag, 0), kwargs["iters"])
-    chains = {
-        flag: list(islice(_chain(objects, fm.shape, flag, first), iters + 1))
-        for flag, iters in depth.items()
-    }
-    out = []
-    for _, kwargs in VARIANTS:
-        flag = kwargs.get("no_order", False)
-        state = chains[flag][min(kwargs["iters"], len(chains[flag]) - 1)]
-        out.append((_annotation(truth, bundle, state), state))
-    return out
+    pairs = [(kwargs["iters"], kwargs.get("no_order", False)) for _, kwargs in VARIANTS]
+    states = segment_variants(fm, boxes, bundle, pairs)
+    return [(_annotation(truth, bundle, state), state) for state in states]
 
 
 def run_ablation(

@@ -206,20 +206,21 @@ class CropEvidence:
 
 
 def _factored_loglik(
-    peak: np.ndarray, total: np.ndarray, kernel, features: np.ndarray,
+    peak: np.ndarray, total: np.ndarray, features: np.ndarray,
     dictionary: VmfDictionary, coeffs: np.ndarray,
 ) -> np.ndarray:
-    """peak + log(total). Rows whose total is not a normal float come from the
-    exact `kernel`, fed their cosines (the product `crop_evidence` takes) and
-    the log of `coeffs`: one (K,) row every position shares, or (P, K)."""
+    """peak + log(total). Rows whose total is not a normal float come from
+    `_kernels.mixture_loglik`, fed their cosines (the product `crop_evidence`
+    takes) and the log of `coeffs`: one (K,) row every position shares, or (P, K)."""
     if total.min() >= _TINY:
         return peak + np.log(total)
     low = np.flatnonzero(total < _TINY)
     out = peak + np.log(np.maximum(total, _TINY))
     with np.errstate(divide="ignore"):
         log_coeffs = np.log(coeffs if coeffs.ndim == 1 else coeffs[low])
-    out[low] = kernel((features @ dictionary.means.T)[low], dictionary.concentrations,
-                      dictionary.log_normalizers, log_coeffs)
+    cos = (features @ dictionary.means.T)[low]
+    out[low] = _kernels.mixture_loglik(cos, dictionary.concentrations,
+                                       dictionary.log_normalizers, log_coeffs)
     return out
 
 
@@ -248,16 +249,16 @@ def crop_evidence(
     # a process whose heap is still small, page faults; the rare exact
     # fallback takes the same product again.
     peak, scaled = shifted_densities(features, dictionary)
-    occ = _factored_loglik(peak, scaled @ occluder.coeffs, _kernels.shared_mixture_loglik,
-                           features, dictionary, occluder.coeffs)
+    occ = _factored_loglik(peak, scaled @ occluder.coeffs, features, dictionary,
+                           occluder.coeffs)
     return CropEvidence(crop.shape, dictionary, features, peak, scaled, occ)
 
 
 def _mixture_loglik(evidence: CropEvidence, coeffs: np.ndarray) -> np.ndarray:
     """Per-position log-likelihood under (P, K) linear coefficients."""
     total = np.einsum("ik,ik->i", coeffs, evidence.scaled)
-    return _factored_loglik(evidence.peak, total, _kernels.mixture_loglik,
-                            evidence.features, evidence.dictionary, coeffs)
+    return _factored_loglik(evidence.peak, total, evidence.features, evidence.dictionary,
+                            coeffs)
 
 
 @functools.lru_cache(maxsize=1024)

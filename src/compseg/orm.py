@@ -30,22 +30,27 @@ Steps 1-4 repeat up to the requested iteration count. An object is its
 pick: its maps and amodal mask are the picked candidate's and its labels
 follow from those maps, so a re-scored object is the old one with the new
 pick, and later passes reason over corrected predictions. The passes stop
-early at the first one that re-picks no object's (class, mixture): a pass
-reads each object's maps, labels, amodal mask, box and id but never its
-score, so the next pass would give the same owners and edges, every
-visibility grid would equal the one before it, and nothing would be
-re-scored. Every pass after that one returns what it does.
+early, at the fixed point: the first pass that re-picks no object's (class,
+mixture). That stop is exact: a pass reads each object's maps, labels,
+amodal mask, box and id but never its score, so the next pass would give the
+same owners and edges, every visibility grid would equal the one before it,
+and nothing would be re-scored. Every pass after that one returns what it does.
 
 A state of the chain, before or after a pass, is a `SceneResult`: the
 objects, the grid step 4 read and the edges; the chain keeps nothing else.
 An object's masks, on its box's lattice, are derived from it by
 `SceneResult.masks` only when a record is written.
+
+`segment_variants` is the one driver of chains. Over `(iters, no_order)`
+pairs it runs one feed-forward, the first pass once (not at all when every
+pair asks for 0 passes) and one chain per `no_order` flag, as deep as that
+flag's deepest pair; each pair gets its chain's state at `min(iters, last)`.
+`segment_scene` is its one-pair case, the variant sweep of `metrics` one call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import islice
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -285,12 +290,14 @@ def feed_forward(
 def _chain(
     objects: list[SceneObject],
     scene_shape: tuple[int, int],
-    no_order: bool = False,
-    first: tuple[np.ndarray, tuple[OrderEdge, ...], np.ndarray] | None = None,
-) -> Iterator[SceneResult]:
+    no_order: bool,
+    iters: int,
+    first: tuple[np.ndarray, tuple[OrderEdge, ...], np.ndarray] | None,
+) -> list[SceneResult]:
     """The states of the reasoning chain from the feed-forward `objects`, each
     a `SceneResult`: first the feed-forward state itself, then one state
-    after each pass.
+    after each of up to `iters` passes, ending early at the fixed point (see
+    the module docstring).
 
     Each pass recomputes ownership and order from the current maps (`first`,
     when given, is the first pass, already run on `objects`) and reads its
@@ -299,16 +306,13 @@ def _chain(
     (the occluded ones) by re-picking over the candidate maps feed-forward
     built; a re-scored object is the old one with the new result as its
     pick, so after a label flip the next pass sees corrected predictions.
-
-    The passes end after the first one that re-picks no object, whose state
-    every later pass would repeat (see the module docstring); while picks
-    keep changing they go on, so callers bound the count. Each state
-    holds its own object list, and `objects` is never written, so one
-    feed-forward can start several chains.
+    Each state holds its own object list, and `objects` is never written, so
+    one feed-forward can start several chains.
     """
-    state = SceneResult(objects, None, ())
-    yield state
-    while True:
+    states = [SceneResult(objects, None, ())]
+    repicked = True
+    while repicked and len(states) <= iters:
+        state = states[-1]
         competed, edges, owners = first or orm_pass(state.objects, scene_shape)
         first = None
         grid = competed if no_order else owners
@@ -323,10 +327,29 @@ def _chain(
             if (result.class_index, result.mixture_index) != (pick.class_index, pick.mixture_index):
                 repicked = True
             objects[idx] = replace(obj, pick=result)
-        state = SceneResult(objects, grid, edges)
-        yield state
-        if not repicked:
-            return
+        states.append(SceneResult(objects, grid, edges))
+    return states
+
+
+def segment_variants(
+    scene: FeatureMap,
+    boxes: Sequence[tuple[int, BoundingBox]],
+    bundle: ModelBundle,
+    variants: Sequence[tuple[int, bool]],
+) -> list[SceneResult]:
+    """Scene inference under each `(iters, no_order)` pair, in input order,
+    from one feed-forward, one first pass and one chain per `no_order` flag
+    (see the module docstring). Each result is the state `segment_scene`
+    returns for its pair; it holds no masks."""
+    for iters, _ in variants:
+        if iters < 0:
+            raise ValidationError(f"iteration count must be non-negative, got {iters}")
+    objects = feed_forward(scene, boxes, bundle)
+    depth = {flag: max(i for i, f in variants if f == flag) for _, flag in variants}
+    first = orm_pass(objects, scene.shape) if any(depth.values()) else None
+    chains = {flag: _chain(objects, scene.shape, flag, iters, first)
+              for flag, iters in depth.items()}
+    return [chains[flag][min(iters, len(chains[flag]) - 1)] for iters, flag in variants]
 
 
 def segment_scene(
@@ -336,18 +359,8 @@ def segment_scene(
     iters: int = 1,
     no_order: bool = False,
 ) -> SceneResult:
-    """Full scene inference: feed-forward, then up to `iters` reasoning passes.
-
-    iters=0 returns the independent per-object baseline. The passes stop
-    after the first one that re-picks no object's (class, mixture). That
-    stop is exact: a pass never reads a score, so once no pick changes the
-    next pass gives the same owners and edges, every visibility grid equals
-    its predecessor and nothing is re-scored; the result is the one `iters`
-    full passes give. The result is the chain's last state; it holds no masks.
-    """
-    if iters < 0:
-        raise ValidationError(f"iteration count must be non-negative, got {iters}")
-    objects = feed_forward(scene, boxes, bundle)
-    for state in islice(_chain(objects, scene.shape, no_order), iters + 1):
-        pass
-    return state
+    """Full scene inference: feed-forward, then up to `iters` reasoning passes,
+    stopping at the fixed point (see the module docstring). iters=0 returns the
+    independent per-object baseline. The result is the state `iters` full
+    passes give; it holds no masks."""
+    return segment_variants(scene, boxes, bundle, [(iters, no_order)])[0]

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from compseg import metrics, orm
+from compseg import orm
 from compseg.fmap import crop, place
 from compseg.formats import annotation_to_json, load_scene
 from compseg.learning import TrainConfig, train
@@ -89,10 +89,8 @@ def predictions(desk_challenge, desk_bundle):
     out = {}
     t0 = time.perf_counter()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "feed_forward", counted(metrics, "feed_forward"))
-        # `_chain` calls `orm.orm_pass`, `_variant_results` the name it imports
+        mp.setattr(orm, "feed_forward", counted(orm, "feed_forward"))
         mp.setattr(orm, "orm_pass", counted(orm, "orm_pass"))
-        mp.setattr(metrics, "orm_pass", counted(metrics, "orm_pass"))
         for scenario in SCENARIOS:
             out[scenario] = {name: [] for name, _ in VARIANTS}
             for entry in desk_challenge.select(split="test", scenario=scenario):

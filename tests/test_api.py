@@ -1,7 +1,7 @@
 """The package's surface: `compseg.__all__` is exact and `import *` resolves it,
-run-time imports stay light, no module imports a name it never reads, no
-top-level name is left unread, and every compseg name the benchmark reaches
-exists."""
+run-time imports stay light, no module imports a name it never reads or a
+sibling's private name, no top-level name is left unread, and every compseg
+name the benchmark reaches exists."""
 import ast
 import importlib
 import importlib.util
@@ -135,6 +135,27 @@ def test_every_imported_name_is_read():
     assert len(files) > 20
     unused = [hit for path in files for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _private_imports(path: pathlib.Path) -> list[str]:
+    """Underscore names `path` imports from a sibling module, as "file:line
+    module.name". `from . import _kernels` imports a module, not a name of
+    one, and is not counted."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+            node.level or node.module.startswith("compseg.")
+        ):
+            hits += [f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+                     for alias in node.names if alias.name.startswith("_")]
+    return hits
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    """A private name is its own module's to change; a sibling that imported
+    one would restate that module's work in a second home."""
+    files = sorted((ROOT / "src" / "compseg").glob("*.py"))
+    assert [hit for path in files for hit in _private_imports(path)] == []
 
 
 def _benchmark_names() -> set[tuple[str, str]]:

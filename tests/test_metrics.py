@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import compseg.metrics as metrics
 import compseg.orm as orm
 from compseg.errors import ValidationError
 from compseg.fmap import BoundingBox, iou
@@ -346,7 +345,6 @@ def test_shared_sweep_runs_one_first_pass_per_scene(tiny_challenge, tiny_bundle,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(orm, "orm_pass", counting)
-    monkeypatch.setattr(metrics, "orm_pass", counting)
     names = [name for name, _ in VARIANTS]
     entries = tiny_challenge.select(split="test")
     repicked = 0

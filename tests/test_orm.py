@@ -23,6 +23,7 @@ from compseg.orm import (
     orm_pass,
     recover_order,
     segment_scene,
+    segment_variants,
 )
 
 
@@ -235,6 +236,19 @@ def _test_scenes(challenge):
     return [load_scene(challenge, e) for e in challenge.select(split="test")]
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of `orm.<name>` in a list that the caller reads."""
+    calls = []
+    real = getattr(orm, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orm, name, counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def segmented(tiny_challenge, tiny_bundle):
     out = []
@@ -302,14 +316,7 @@ def test_reclassification_skipped_when_visibility_static(
     # single object: the ownership pass reproduces its own labels, so it is
     # never re-scored after feed-forward
     fm, ann = _scene_pairs(tiny_challenge, "two", 1)[0]
-    calls = []
-    real = orm.rescore
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(orm, "rescore", counting)
+    calls = _counting(monkeypatch, "rescore")
     segment_scene(fm, [(0, ann.objects[0].box)], tiny_bundle, iters=2)
     assert calls == []
     # the counter does see re-scoring: with both objects one loses pixels
@@ -394,6 +401,22 @@ def _pick_figures(obj):
     return obj.pick.class_index, obj.pick.mixture_index, obj.pick.score
 
 
+def _assert_same_state(got, want, where):
+    """Same picks, owner bytes, edges and masks."""
+    assert [_pick_figures(o) for o in got.objects] == [
+        _pick_figures(o) for o in want.objects
+    ], where
+    if want.owners is None:
+        assert got.owners is None, where
+    else:
+        assert got.owners.tobytes() == want.owners.tobytes(), where
+    assert got.edges == want.edges, where
+    assert len(got.objects) == len(want.objects), where
+    for idx in range(len(got.objects)):
+        for a, b in zip(got.masks(idx), want.masks(idx)):
+            assert a.tobytes() == b.tobytes(), where
+
+
 def test_fixed_point_stop_is_exact(tiny_challenge, tiny_bundle):
     scenarios = set()
     for fm, ann in _test_scenes(tiny_challenge):
@@ -404,30 +427,55 @@ def test_fixed_point_stop_is_exact(tiny_challenge, tiny_bundle):
                 got = segment_scene(fm, boxes, tiny_bundle, iters=iters, no_order=no_order)
                 want = _exactly_k_passes(fm, boxes, tiny_bundle, iters, no_order)
                 where = (ann.scene_id, iters, no_order)
-                assert [_pick_figures(o) for o in got.objects] == [
-                    _pick_figures(o) for o in want.objects
-                ], where
                 if iters == 0:
-                    assert got.owners is None and want.owners is None, where
-                else:
-                    assert got.owners.tobytes() == want.owners.tobytes(), where
-                assert got.edges == want.edges, where
-                assert len(got.objects) == len(want.objects), where
-                for idx in range(len(got.objects)):
-                    for a, b in zip(got.masks(idx), want.masks(idx)):
-                        assert a.tobytes() == b.tobytes(), where
+                    assert want.owners is None, where
+                _assert_same_state(got, want, where)
     assert scenarios == {"two", "four", "unknown"}
 
 
+# unordered, with repeats, and both flags at every depth
+_VARIANT_PAIRS = [(2, False), (0, True), (1, True), (0, False), (2, False), (1, False)]
+
+
+def test_segment_variants_gives_each_pair_its_segment_scene_result(tiny_challenge, tiny_bundle):
+    scenarios = set()
+    for fm, ann in _test_scenes(tiny_challenge):
+        scenarios.add(ann.scenario)
+        boxes = [(rec.oid, rec.box) for rec in ann.objects]
+        got = segment_variants(fm, boxes, tiny_bundle, _VARIANT_PAIRS)
+        assert len(got) == len(_VARIANT_PAIRS)
+        for (iters, no_order), state in zip(_VARIANT_PAIRS, got):
+            want = segment_scene(fm, boxes, tiny_bundle, iters=iters, no_order=no_order)
+            _assert_same_state(state, want, (ann.scene_id, iters, no_order))
+    assert scenarios == {"two", "four", "unknown"}
+
+
+def test_zero_passes_run_no_orm_pass(tiny_challenge, tiny_bundle, monkeypatch):
+    calls = _counting(monkeypatch, "orm_pass")
+    fm, ann = _scene_pairs(tiny_challenge, "four", 1)[0]
+    boxes = [(rec.oid, rec.box) for rec in ann.objects]
+    assert segment_scene(fm, boxes, tiny_bundle, iters=0).owners is None
+    states = segment_variants(fm, boxes, tiny_bundle, [(0, False), (0, True), (0, False)])
+    assert [state.owners for state in states] == [None] * 3
+    assert calls == []
+    segment_variants(fm, boxes, tiny_bundle, [(0, False), (1, True)])
+    assert calls == [1]
+
+
+def test_negative_iters_anywhere_fail_before_any_work(tiny_challenge, tiny_bundle, monkeypatch):
+    calls = _counting(monkeypatch, "classify")
+    fm, ann = _scene_pairs(tiny_challenge, "two", 1)[0]
+    boxes = [(rec.oid, rec.box) for rec in ann.objects]
+    for variants in ([(-1, False)], [(1, False), (0, True), (-1, True)], [(2, True), (-3, False)]):
+        with pytest.raises(ValidationError, match="non-negative"):
+            segment_variants(fm, boxes, tiny_bundle, variants)
+    with pytest.raises(ValidationError, match="non-negative"):
+        segment_scene(fm, boxes, tiny_bundle, iters=-1, no_order=True)
+    assert calls == []
+
+
 def test_passes_stop_after_a_pass_that_repicks_nothing(tiny_challenge, tiny_bundle, monkeypatch):
-    calls = []
-    real = orm.orm_pass
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(orm, "orm_pass", counting)
+    calls = _counting(monkeypatch, "orm_pass")
     seen = set()
     for fm, ann in _test_scenes(tiny_challenge):
         boxes = [(rec.oid, rec.box) for rec in ann.objects]
