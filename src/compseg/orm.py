@@ -339,8 +339,8 @@ def segment_variants(
 ) -> list[SceneResult]:
     """Scene inference under each `(iters, no_order)` pair, in input order,
     from one feed-forward, one first pass and one chain per `no_order` flag
-    (see the module docstring). Each result is the state `segment_scene`
-    returns for its pair; it holds no masks."""
+    (see the module docstring). Each result is the state that `iters` full
+    passes with that flag give; it holds no masks."""
     for iters, _ in variants:
         if iters < 0:
             raise ValidationError(f"iteration count must be non-negative, got {iters}")
