@@ -33,6 +33,7 @@ from .metrics import (
     run_ablation,
 )
 from .models import (
+    CandidateMaps,
     ClassModel,
     LikelihoodMaps,
     MixtureModel,
@@ -85,6 +86,7 @@ __all__ = [
     "order_accuracy",
     "predict_scene",
     "run_ablation",
+    "CandidateMaps",
     "ClassModel",
     "LikelihoodMaps",
     "MixtureModel",

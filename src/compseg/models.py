@@ -22,28 +22,34 @@ s[i,k] = sigma_k cos(f_i, mu_k) - log Z_k and peak[i] = max_k s[i,k],
 None of s, peak and E depends on the mixture, so `crop_evidence` takes peak
 and E once per crop from `vmf.shifted_densities`, the step that also gives
 training its responsibilities, together with the occluder sum (one
-matrix-vector product). `likelihood_maps` then builds a mixture's fg and ctx
-maps with one multiply-reduce each, with no exp. The peak component has E = 1, so a sum is
-small only where the coefficients put (almost) no weight on it; a row whose
-sum is below the smallest normal float is recomputed by the exact shifted
-logsumexp of `_kernels`.
+matrix-vector product). `likelihood_maps` then builds all of a crop's
+candidates into one (C, 3, h, w) table, a `CandidateMaps`: per mixture, each
+of its fg and ctx coefficient planes is gathered onto the crop's lattice
+and multiplied into E with one multiply-reduce, with no exp. The rest runs
+once for all planes: one underflow check, one log, the peak, the occluder
+row and the aligned priors. The peak component has E = 1, so a sum is small
+only where the coefficients put (almost) no weight on it; a row whose sum is
+below the smallest normal float is recomputed from its own plane's
+coefficients by the exact shifted logsumexp of `_kernels`.
 
 Classification is split in two. `classify` builds every (class, mixture)
 candidate's maps for a crop once and picks the best; `rescore` re-picks over
 those same candidates under a visibility grid, as the ORM does for an
-occluded object, without touching the crop again. Each candidate also
-carries its amodal mask, the mixture's foreground prior at or above 0.5 on
-the same lattice, so a pick alone gives an object's labels and masks.
+occluded object, without touching the crop again. Both score every
+candidate in one reduction over the table and take the first maximum. Each
+candidate also carries its amodal mask, the mixture's foreground prior at or
+above 0.5 on the same lattice, so a pick alone gives an object's labels and
+masks: a `ClassifyResult` holds the table and its pick's maps as views into it.
 
-Inputs are validated where they enter. The model dataclasses, the maps
-included, check their arrays when built, `crop_evidence` checks the crop
-against the dictionary and `likelihood_maps` checks K. `rescore` checks its
-visibility grid once per call against the candidates' shared crop shape.
+Inputs are validated where they enter. The model dataclasses, the maps and
+tables included, check their arrays when built, `crop_evidence` checks the
+crop against the dictionary and `likelihood_maps` checks K. `rescore` checks
+its visibility grid once per call against the candidates' shared crop shape.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +57,7 @@ import numpy as np
 from . import _kernels
 from .errors import ValidationError
 from .fmap import FeatureMap, resample_nearest
-from .vmf import VmfDictionary, shifted_densities
+from .vmf import VmfDictionary, component_cosines, shifted_densities
 
 PRIOR_CLAMP = 1e-6
 SIMPLEX_TOL = 1e-6
@@ -100,14 +106,18 @@ class MixtureModel:
             )
         if fg.shape[2] != ctx.shape[2]:
             raise ValidationError("fg and ctx coefficient grids disagree on K")
-        clamped = np.clip(prior, PRIOR_CLAMP, 1.0 - PRIOR_CLAMP)
+        clamped = np.clip(prior, PRIOR_CLAMP, 1.0 - PRIOR_CLAMP).reshape(-1)
+        log_p = np.log(clamped)
+        # Per flat position, the prior terms of the fg, ctx and occ maps and
+        # the amodal mask, each gathered onto a crop's lattice in one take.
+        log_priors = np.stack([log_p, np.log1p(-clamped), log_p])
+        amodal = prior.reshape(-1) >= 0.5
         for name, arr in (
             ("fg_prior", prior), ("fg_coeffs", fg), ("ctx_coeffs", ctx),
+            ("_log_priors", log_priors), ("_amodal", amodal),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_log_p", np.log(clamped))
-        object.__setattr__(self, "_log_1mp", np.log1p(-clamped))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -205,23 +215,36 @@ class CropEvidence:
     occ: np.ndarray       # (P,)
 
 
-def _factored_loglik(
-    peak: np.ndarray, total: np.ndarray, features: np.ndarray,
-    dictionary: VmfDictionary, coeffs: np.ndarray,
+def _exact_loglik(
+    features: np.ndarray, dictionary: VmfDictionary, coeffs: np.ndarray, low: np.ndarray
 ) -> np.ndarray:
-    """peak + log(total). Rows whose total is not a normal float come from
-    `_kernels.mixture_loglik`, fed their cosines (the product `crop_evidence`
-    takes) and the log of `coeffs`: one (K,) row every position shares, or (P, K)."""
-    if total.min() >= _TINY:
-        return peak + np.log(total)
-    low = np.flatnonzero(total < _TINY)
-    out = peak + np.log(np.maximum(total, _TINY))
+    """The exact log-likelihood at rows `low` from `_kernels.mixture_loglik`,
+    fed their cosines (the product `crop_evidence` takes) and the log of
+    `coeffs`: one (K,) row every position shares, or (P, K) aligned rows."""
     with np.errstate(divide="ignore"):
         log_coeffs = np.log(coeffs if coeffs.ndim == 1 else coeffs[low])
-    cos = (features @ dictionary.means.T)[low]
-    out[low] = _kernels.mixture_loglik(cos, dictionary.concentrations,
-                                       dictionary.log_normalizers, log_coeffs)
-    return out
+    cos = component_cosines(features, dictionary)[low]
+    return _kernels.mixture_loglik(cos, dictionary.concentrations,
+                                   dictionary.log_normalizers, log_coeffs)
+
+
+def _log_factored(sums: np.ndarray, peak: np.ndarray, exact_rows) -> None:
+    """Factored sums, planes of P positions, to peak + log(sum) in place.
+
+    A sum below the smallest normal float has lost precision (or is 0), so
+    those positions of a plane take `exact_rows(plane, low)` instead: the
+    exact logsumexp at positions `low` of the plane at index `plane`.
+    """
+    lost = []
+    if sums.size and sums.min() < _TINY:
+        for plane in zip(*np.nonzero((sums < _TINY).any(axis=-1))):
+            low = np.flatnonzero(sums[plane] < _TINY)
+            lost.append((plane, low, exact_rows(plane, low)))
+        np.maximum(sums, _TINY, out=sums)
+    np.log(sums, out=sums)
+    sums += peak
+    for plane, low, exact in lost:
+        sums[plane][low] = exact
 
 
 def crop_evidence(
@@ -249,16 +272,10 @@ def crop_evidence(
     # a process whose heap is still small, page faults; the rare exact
     # fallback takes the same product again.
     peak, scaled = shifted_densities(features, dictionary)
-    occ = _factored_loglik(peak, scaled @ occluder.coeffs, features, dictionary,
-                           occluder.coeffs)
+    occ = scaled @ occluder.coeffs
+    _log_factored(occ[None], peak, lambda plane, low: _exact_loglik(
+        features, dictionary, occluder.coeffs, low))
     return CropEvidence(crop.shape, dictionary, features, peak, scaled, occ)
-
-
-def _mixture_loglik(evidence: CropEvidence, coeffs: np.ndarray) -> np.ndarray:
-    """Per-position log-likelihood under (P, K) linear coefficients."""
-    total = np.einsum("ik,ik->i", coeffs, evidence.scaled)
-    return _factored_loglik(evidence.peak, total, evidence.features, evidence.dictionary,
-                            coeffs)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -269,26 +286,93 @@ def _plane_index(src: tuple[int, int], dst: tuple[int, int]) -> np.ndarray:
     return idx
 
 
-def likelihood_maps(evidence: CropEvidence, mixture: MixtureModel) -> LikelihoodMaps:
-    """The three log maps and amodal mask of one mixture on the evidence's lattice.
+@dataclass(frozen=True)
+class CandidateMaps:
+    """Every (class, mixture) candidate of one crop on the crop's (h, w)
+    lattice, stacked class by class with each class's mixtures in order:
+    `table[c]` holds candidate c's fg, ctx and occ log maps and `amodal[c]`
+    its amodal mask, both read-only, and `per_class` counts each class's
+    candidates. `candidates[c]` is candidate c as `LikelihoodMaps` views."""
 
-    The mixture's planes are aligned to that lattice by nearest neighbour,
+    table: np.ndarray   # (C, 3, h, w) float64
+    amodal: np.ndarray  # (C, h, w) bool
+    per_class: tuple[int, ...]
+
+    def __post_init__(self):
+        table = np.asarray(self.table, dtype=np.float64)
+        amodal = np.asarray(self.amodal)
+        per_class = tuple(self.per_class)
+        if not per_class or min(per_class) < 1:
+            raise ValidationError(
+                f"candidates need at least one class of at least one mixture, got {per_class}"
+            )
+        if table.ndim != 4 or table.shape[:2] != (sum(per_class), 3):
+            raise ValidationError(
+                f"candidate table {table.shape} is not (C, 3, h, w) for C = sum{per_class}"
+            )
+        if amodal.shape != (len(table), *table.shape[2:]) or amodal.dtype != np.bool_:
+            raise ValidationError(f"amodal masks must be a bool stack of shape "
+                                  f"{(len(table), *table.shape[2:])}")
+        for name, arr in (("table", table), ("amodal", amodal)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "per_class", per_class)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.table.shape[2:]
+
+    def __len__(self) -> int:
+        return self.table.shape[0]
+
+    def __getitem__(self, c: int) -> LikelihoodMaps:
+        fg, ctx, occ = self.table[c]
+        return LikelihoodMaps(fg, ctx, occ, self.amodal[c])
+
+
+def likelihood_maps(
+    evidence: CropEvidence, mixtures: Sequence[Sequence[MixtureModel]]
+) -> CandidateMaps:
+    """The three log maps and amodal mask of each mixture on the evidence's
+    lattice, stacked: `mixtures` gives each class's mixtures, class by class.
+
+    Each mixture's planes are aligned to that lattice by nearest neighbour,
     as `resample_nearest` would, through one flat index into each plane.
+    Each coefficient plane costs one gather and one multiply-reduce; the
+    logs, the peak and the priors are then added for all planes at once.
     """
-    _check_k(evidence.dictionary, mixture.n_components, "mixture")
+    per_class = tuple(len(row) for row in mixtures)
+    mixtures = [mixture for row in mixtures for mixture in row]
+    scaled = evidence.scaled
+    p, k = scaled.shape
+    c = len(mixtures)
+    table = np.empty((c, 3, p))
+    priors = np.empty((c, 3, p))
+    amodal = np.empty((c, p), dtype=np.bool_)
+    # One gather buffer serves every plane. With `out=`, mode="raise" makes
+    # NumPy buffer the take; the index is in range, so "clip" is the same take.
+    rows = np.empty((p, k))
+    for m, mixture in enumerate(mixtures):
+        _check_k(evidence.dictionary, mixture.n_components, "mixture")
+        idx = _plane_index(mixture.shape, evidence.shape)
+        for plane, coeffs in zip(table[m], (mixture.fg_coeffs, mixture.ctx_coeffs)):
+            coeffs.reshape(-1, k).take(idx, axis=0, out=rows, mode="clip")
+            np.einsum("ik,ik->i", rows, scaled, out=plane)
+        mixture._log_priors.take(idx, axis=1, out=priors[m], mode="clip")
+        mixture._amodal.take(idx, out=amodal[m], mode="clip")
+
+    def exact_rows(plane, low):
+        # the shared gather buffer has moved on: gather this plane's rows again
+        mixture = mixtures[plane[0]]
+        coeffs = (mixture.fg_coeffs, mixture.ctx_coeffs)[plane[1]].reshape(-1, k)
+        aligned = coeffs[_plane_index(mixture.shape, evidence.shape)]
+        return _exact_loglik(evidence.features, evidence.dictionary, aligned, low)
+
+    _log_factored(table[:, :2], evidence.peak, exact_rows)
+    table[:, 2] = evidence.occ
+    table += priors
     h, w = evidence.shape
-    k = mixture.n_components
-    idx = _plane_index(mixture.shape, evidence.shape)
-    log_p = mixture._log_p.reshape(-1)[idx]
-    log_1mp = mixture._log_1mp.reshape(-1)[idx]
-    fg_ll = _mixture_loglik(evidence, np.take(mixture.fg_coeffs.reshape(-1, k), idx, axis=0))
-    ctx_ll = _mixture_loglik(evidence, np.take(mixture.ctx_coeffs.reshape(-1, k), idx, axis=0))
-    return LikelihoodMaps(
-        (log_p + fg_ll).reshape(h, w),
-        (log_1mp + ctx_ll).reshape(h, w),
-        (log_p + evidence.occ).reshape(h, w),
-        (mixture.fg_prior.reshape(-1)[idx] >= 0.5).reshape(h, w),
-    )
+    return CandidateMaps(table.reshape(c, 3, h, w), amodal.reshape(c, h, w), per_class)
 
 
 def _check_visibility(visibility, shape: tuple[int, int]) -> np.ndarray:
@@ -308,12 +392,22 @@ def image_loglik(maps: LikelihoodMaps) -> float:
 
 @dataclass(frozen=True)
 class ClassifyResult:
-    """The pick; its maps are `candidates[class_index][mixture_index]`."""
+    """The pick among a crop's candidates; `maps` are its views into the table."""
 
     class_index: int
     mixture_index: int
     score: float
-    candidates: tuple[tuple[LikelihoodMaps, ...], ...]  # per class, per mixture
+    candidates: CandidateMaps
+    maps: LikelihoodMaps = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        per_class = self.candidates.per_class
+        if not (0 <= self.class_index < len(per_class)
+                and 0 <= self.mixture_index < per_class[self.class_index]):
+            raise ValidationError(f"no candidate ({self.class_index}, {self.mixture_index}) "
+                                  f"among classes of {per_class} mixtures")
+        index = sum(per_class[:self.class_index]) + self.mixture_index
+        object.__setattr__(self, "maps", self.candidates[index])
 
 
 def classify(
@@ -326,49 +420,50 @@ def classify(
 
     Every candidate is mapped on the crop's own lattice, so totals stay
     comparable across mixtures whose canonical shapes differ; the crop's
-    evidence is computed once and shared by all of them.
+    evidence is computed once and one `likelihood_maps` call stacks every
+    candidate into one table.
     """
     evidence = crop_evidence(crop, dictionary, occluder)
-    candidates = tuple(
-        tuple(likelihood_maps(evidence, mixture) for mixture in cls.mixtures)
-        for cls in classes
-    )
-    return rescore(candidates)
+    return rescore(likelihood_maps(evidence, [cls.mixtures for cls in classes]))
 
 
-def rescore(
-    candidates: tuple[tuple[LikelihoodMaps, ...], ...],
-    visibility: np.ndarray | None = None,
-) -> ClassifyResult:
+def _scores(candidates: CandidateMaps, visible: np.ndarray | None) -> np.ndarray:
+    """Every candidate's score in one reduction: `image_loglik`, or with a
+    bool grid the sum of fg where it is True and occ elsewhere.
+
+    Each candidate's maps are contiguous in the table, so each row of the
+    (C, h*w) reduction is summed as `np.sum` sums that candidate's plane,
+    to the same bits."""
+    fg, ctx, occ = candidates.table.reshape(len(candidates), 3, -1).transpose(1, 0, 2)
+    if visible is None:
+        per_pixel = np.maximum(np.maximum(fg, ctx), occ)
+    else:
+        per_pixel = np.where(visible.reshape(-1), fg, occ)
+    return per_pixel.sum(axis=1)
+
+
+def rescore(candidates: CandidateMaps, visibility: np.ndarray | None = None) -> ClassifyResult:
     """Best of `classify`'s candidate maps; ties go to the lowest indices.
 
     Without a visibility grid a candidate scores `image_loglik`. A binary
     visibility grid, in crop coordinates, scores the foreground map where it
     is 1 and the occluder map where it is 0. The maps do not depend on it,
     so re-scoring an occluded object needs neither its crop nor new maps.
-    The candidates share the crop's lattice, so the grid is checked once,
-    against the first candidate's shape, and taken as a bool grid that
-    `np.where` reads for every candidate: each element is the one
-    z*fg + (1-z)*occ gives for finite maps, so the sums are the same bits.
+    The grid is checked once, against the candidates' shared lattice, and
+    taken as a bool grid that one `np.where` reads for every candidate: each
+    element is the one z*fg + (1-z)*occ gives for finite maps, and each
+    candidate's sum is `np.sum(np.where(visible, fg, occ))` to the bit.
     """
-    if not candidates:
-        raise ValidationError("classify needs at least one class model")
-    if visibility is None:
-        score_of = image_loglik
-    else:
-        visible = _check_visibility(visibility, candidates[0][0].shape)
-
-        def score_of(maps: LikelihoodMaps) -> float:
-            return float(np.sum(np.where(visible, maps.fg, maps.occ)))
-
-    best = None
-    for ci, row_maps in enumerate(candidates):
-        for mi, maps in enumerate(row_maps):
-            score = score_of(maps)
-            if best is None or score > best[0]:
-                best = (score, ci, mi)
-    score, ci, mi = best
-    return ClassifyResult(ci, mi, score, candidates)
+    visible = None
+    if visibility is not None:
+        visible = _check_visibility(visibility, candidates.shape)
+    scores = _scores(candidates, visible)
+    best = int(np.argmax(scores))  # the first maximum
+    class_index, mixture_index = 0, best
+    while mixture_index >= candidates.per_class[class_index]:
+        mixture_index -= candidates.per_class[class_index]
+        class_index += 1
+    return ClassifyResult(class_index, mixture_index, float(scores[best]), candidates)
 
 
 def segment_single(maps: LikelihoodMaps) -> np.ndarray:

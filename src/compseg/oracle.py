@@ -200,7 +200,6 @@ def table_objects(logliks: np.ndarray, shape: tuple[int, int]):
     there. Each candidate's amodal mask covers the whole box.
     """
     from .fmap import BoundingBox
-    from .models import ClassifyResult, LikelihoodMaps
     from .orm import SceneObject
 
     arr = np.asarray(logliks, dtype=np.float64)
@@ -211,12 +210,19 @@ def table_objects(logliks: np.ndarray, shape: tuple[int, int]):
     box = BoundingBox(0, 0, w, h)
     ctx = np.full((h, w), _CTX_PIN)
     occ = arr[:, n].reshape(h, w)
-    objects = []
-    for k in range(n):
-        maps = LikelihoodMaps(arr[:, k].reshape(h, w).copy(), ctx.copy(), occ.copy(),
-                              np.ones((h, w), np.bool_))
-        objects.append(SceneObject(k, box, ClassifyResult(0, 0, 0.0, ((maps,),))))
-    return objects
+    return [
+        SceneObject(k, box, _sole_pick(arr[:, k].reshape(h, w), ctx, occ,
+                                       np.ones((h, w), np.bool_)))
+        for k in range(n)
+    ]
+
+
+def _sole_pick(fg: np.ndarray, ctx: np.ndarray, occ: np.ndarray, amodal: np.ndarray):
+    """A one-candidate pick with these maps (copied) and amodal mask."""
+    from .models import CandidateMaps, ClassifyResult
+
+    candidates = CandidateMaps(np.stack([fg, ctx, occ])[None], amodal[None], (1,))
+    return ClassifyResult(0, 0, 0.0, candidates)
 
 
 def _random_table(rng: np.random.Generator, pixels: int, n: int) -> np.ndarray:
@@ -266,7 +272,6 @@ def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int,
     any grid pixel or any edge differs.
     """
     from .fmap import BoundingBox
-    from .models import ClassifyResult, LikelihoodMaps
     from .orm import OWNER_OUTSIDE, SceneObject, orm_pass
 
     mismatches = 0
@@ -285,9 +290,9 @@ def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int,
             x1 = int(rng.integers(x0 + 1, w + 1))
             box = BoundingBox(x0, y0, x1, y1)
             sl = box.slices
-            maps = LikelihoodMaps(obj.maps.fg[sl], obj.maps.ctx[sl], obj.maps.occ[sl],
-                                  amodal[k].reshape(h, w)[sl])
-            objects.append(SceneObject(k, box, ClassifyResult(0, 0, 0.0, ((maps,),))))
+            pick = _sole_pick(obj.maps.fg[sl], obj.maps.ctx[sl], obj.maps.occ[sl],
+                              amodal[k].reshape(h, w)[sl])
+            objects.append(SceneObject(k, box, pick))
             inside[k].reshape(h, w)[sl] = True
         boxed = [
             [table[p, k] if inside[k, p] else -math.inf for k in range(n)] + [table[p, n]]
@@ -444,7 +449,8 @@ def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, in
         occluder = OccluderModel(coeffs=_random_simplex(rng, k))
         grid = sample_uniform_sphere(rng, h * w, dictionary.dim).reshape(h, w, -1)
         fm = FeatureMap(grid.astype(np.float32))
-        got: LikelihoodMaps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
+        got: LikelihoodMaps = likelihood_maps(crop_evidence(fm, dictionary, occluder),
+                                              [[mixture]])[0]
         want = perpixel_maps_reference(
             fm.data.astype(np.float64),
             mixture.fg_prior,

@@ -89,7 +89,7 @@ class SceneObject:
 
     @property
     def maps(self) -> LikelihoodMaps:
-        return self.pick.candidates[self.pick.class_index][self.pick.mixture_index]
+        return self.pick.maps
 
     @property
     def amodal(self) -> np.ndarray:

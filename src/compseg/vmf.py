@@ -178,12 +178,14 @@ class VmfDictionary:
         if np.any(~np.isfinite(conc)) or np.any(conc < 0):
             raise ValidationError("concentrations must be finite and >= 0")
         log_z = np.array([log_normalizer(s, means.shape[1]) for s in conc])
-        means.setflags(write=False)
-        conc.setflags(write=False)
-        log_z.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "concentrations", conc)
-        object.__setattr__(self, "_log_z", log_z)
+        # The cosine product's right operand, C-contiguous: BLAS multiplies
+        # by it about twice as fast as by the transposed view of `means`.
+        # The bits are the view's: the pinned model and predictions hold.
+        means_t = np.ascontiguousarray(means.T)
+        for name, arr in (("means", means), ("concentrations", conc),
+                          ("_log_z", log_z), ("_means_t", means_t)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
@@ -198,14 +200,19 @@ class VmfDictionary:
         return self._log_z
 
 
-def component_logliks(features: np.ndarray, dictionary: VmfDictionary) -> np.ndarray:
-    """(P, K) table of per-component log densities for a batch of unit rows."""
+def component_cosines(features: np.ndarray, dictionary: VmfDictionary) -> np.ndarray:
+    """(P, K) cosines of a (P, D) batch of unit rows against the component means."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != dictionary.dim:
         raise ValidationError(
             f"features {feats.shape} are not (P, D) with D = dictionary dim {dictionary.dim}"
         )
-    table = feats @ dictionary.means.T
+    return feats @ dictionary._means_t
+
+
+def component_logliks(features: np.ndarray, dictionary: VmfDictionary) -> np.ndarray:
+    """(P, K) table of per-component log densities for a batch of unit rows."""
+    table = component_cosines(features, dictionary)
     table *= dictionary.concentrations
     table -= dictionary.log_normalizers
     return table

@@ -1,13 +1,22 @@
+import numpy as np
 import pytest
 
 from compseg.formats import load_scene
 from compseg.learning import TrainConfig, train
+from compseg.models import CandidateMaps
 from compseg.synth import ChallengeConfig, generate_challenge
 
 # Small shared dataset: big enough to exercise every scenario and bucket,
 # small enough that the whole unit suite stays fast. The acceptance tests
 # build their own desk-scale challenge.
 TINY = ChallengeConfig(per_level=2, train_scenes=24, backgrounds=6, seed=11)
+
+
+def candidates_of(rows) -> CandidateMaps:
+    """A candidate table of hand-made `LikelihoodMaps`, given class by class."""
+    flat = [m for row in rows for m in row]
+    return CandidateMaps(np.stack([np.stack([m.fg, m.ctx, m.occ]) for m in flat]),
+                         np.stack([m.amodal for m in flat]), [len(row) for row in rows])
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ import compseg
 PUBLIC = (
     "AblationReport",
     "BoundingBox",
+    "CandidateMaps",
     "ChallengeConfig",
     "ClassModel",
     "CompsegError",

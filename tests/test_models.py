@@ -4,11 +4,14 @@ import pytest
 from compseg import _kernels
 from compseg.errors import ValidationError
 from compseg.fmap import FeatureMap, resample_nearest
+from compseg import models
 from compseg.models import (
     LABEL_CTX,
     LABEL_FG,
     LABEL_OCC,
     PRIOR_CLAMP,
+    CandidateMaps,
+    ClassifyResult,
     ClassModel,
     LikelihoodMaps,
     MixtureModel,
@@ -21,6 +24,7 @@ from compseg.models import (
     segment_single,
 )
 from compseg.oracle import perpixel_maps_reference
+from conftest import candidates_of
 from compseg.vmf import VmfDictionary, log_normalizer, sample_uniform_sphere
 
 
@@ -52,6 +56,11 @@ def _maps(fg, ctx, occ):
     """Candidate maps whose amodal mask covers the lattice, for tests that read no mask."""
     fg = np.asarray(fg, dtype=np.float64)
     return LikelihoodMaps(fg, ctx, occ, np.ones(fg.shape, dtype=np.bool_))
+
+
+def _one(evidence, mixture) -> LikelihoodMaps:
+    """One mixture's maps: the only candidate of a one-mixture table."""
+    return likelihood_maps(evidence, [[mixture]])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +119,21 @@ def test_likelihood_maps_shape_checks():
                    np.ones((2, 2)), np.ones((2, 2), dtype=np.uint8)):
         with pytest.raises(ValidationError, match="amodal mask must be a bool plane"):
             LikelihoodMaps(zeros, zeros, zeros, amodal)
+    # a candidate table is a (C, 3, h, w) stack with a (C, h, w) bool stack,
+    # C the sum of `per_class`, and a pick names one of its candidates
+    candidates = candidates_of(((maps, maps), (maps,)))
+    assert candidates.shape == (2, 2) and len(candidates) == 3
+    assert candidates.per_class == (2, 1) and not candidates.table.flags.writeable
+    table, stack = candidates.table, candidates.amodal
+    for bad in ((table[:, :2], stack, (2, 1)), (table[0], stack, (2, 1)),
+                (table, stack[:2], (2, 1)), (table, stack.astype(np.uint8), (2, 1)),
+                (table, stack, (2, 2)), (table, stack, (3, 0)), (table[:0], stack[:0], ())):
+        with pytest.raises(ValidationError):
+            CandidateMaps(*bad)
+    for ci, mi in ((0, 2), (1, 1), (2, 0), (-1, 0)):
+        with pytest.raises(ValidationError, match="no candidate"):
+            ClassifyResult(ci, mi, 0.0, candidates)
+    assert ClassifyResult(1, 0, 0.0, candidates).maps.shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +142,7 @@ def test_likelihood_maps_shape_checks():
 
 def test_maps_decompose_into_prior_and_pointwise_logliks():
     _, dictionary, mixture, occluder, fm = tiny_setup()
-    maps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
+    maps = _one(crop_evidence(fm, dictionary, occluder), mixture)
     h, w = mixture.shape
     for r in range(h):
         for c in range(w):
@@ -154,7 +178,7 @@ def _reference_maps(fm, mixture, occluder, dictionary, shape):
 
 def test_maps_match_perpixel_reference():
     _, dictionary, mixture, occluder, fm = tiny_setup(seed=4)
-    maps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
+    maps = _one(crop_evidence(fm, dictionary, occluder), mixture)
     want = _reference_maps(fm, mixture, occluder, dictionary, mixture.shape)
     for got_map, want_map in zip((maps.fg, maps.ctx, maps.occ), want):
         np.testing.assert_allclose(got_map, want_map, rtol=0, atol=1e-10)
@@ -167,7 +191,7 @@ def test_maps_on_another_lattice_resample_crop_and_planes(shape):
     # puts them there
     _, dictionary, mixture, occluder, fm = tiny_setup(seed=8, h=3, w=4, crop_shape=shape)
     assert mixture.shape == (3, 4)
-    maps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
+    maps = _one(crop_evidence(fm, dictionary, occluder), mixture)
     assert maps.shape == shape
     for arr in (maps.fg, maps.ctx, maps.occ):
         assert arr.dtype == np.float64 and not arr.flags.writeable
@@ -190,7 +214,7 @@ def test_underflowing_factored_sums_fall_back_to_exact_logsumexp():
     fm = FeatureMap(np.array([[means[0], means[1]]], dtype=np.float32))
     evidence = crop_evidence(fm, dictionary, occluder)
     assert evidence.scaled[0] @ off_peak == 0.0
-    maps = likelihood_maps(evidence, mixture)
+    maps = _one(evidence, mixture)
     for arr in (maps.fg, maps.ctx, maps.occ):
         assert np.all(np.isfinite(arr))
 
@@ -211,6 +235,46 @@ def test_underflowing_factored_sums_fall_back_to_exact_logsumexp():
     assert maps.occ[0, 1] == pytest.approx(log_half + exact_occ[1], abs=1e-10)
 
 
+def test_one_underflowing_candidate_falls_back_inside_the_stacked_table():
+    # The set-up above with three candidates, of which only the middle one
+    # underflows: its fg plane at position 0 and its ctx plane at position 1
+    # put all their weight on the component that is exp(-1400) away. The
+    # other planes, gathered into the same buffer after it, are mixed.
+    means = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    dictionary = VmfDictionary(means, np.full(2, 700.0))
+    half = np.full((1, 2, 2), 0.5)
+    fg = np.array([[[0.0, 1.0], [0.5, 0.5]]])
+    ctx = np.array([[[0.5, 0.5], [1.0, 0.0]]])
+    mixtures = [
+        MixtureModel(np.full((1, 2), 0.5), half, half.copy()),
+        MixtureModel(np.array([[0.3, 0.8]]), fg, ctx),
+        MixtureModel(np.full((2, 3), 0.6), np.full((2, 3, 2), 0.5), np.full((2, 3, 2), 0.5)),
+    ]
+    classes = [ClassModel("a", tuple(mixtures[:2])), ClassModel("b", (mixtures[2],))]
+    occluder = OccluderModel(np.array([0.5, 0.5]))
+    fm = FeatureMap(np.array([[means[0], means[1]]], dtype=np.float32))
+    evidence = crop_evidence(fm, dictionary, occluder)
+    sums = [evidence.scaled @ c.reshape(2, 2).T for c in (fg, ctx)]
+    assert (sums[0][0, 0], sums[1][1, 1]) == (0.0, 0.0)
+
+    candidates = classify(fm, classes, dictionary, occluder).candidates
+    assert len(candidates) == 3 and np.all(np.isfinite(candidates.table))
+    for c, mixture in enumerate(mixtures):
+        want = _one(evidence, mixture)
+        assert np.array_equal(candidates.table[c], np.stack([want.fg, want.ctx, want.occ]))
+        assert np.array_equal(candidates.amodal[c], want.amodal)
+    cos = fm.data.reshape(2, 3).astype(np.float64) @ means.T
+    sig, lz = dictionary.concentrations, dictionary.log_normalizers
+    with np.errstate(divide="ignore"):
+        exact_fg = _kernels.mixture_loglik(cos, sig, lz, np.log(fg.reshape(2, 2)))
+        exact_ctx = _kernels.mixture_loglik(cos, sig, lz, np.log(ctx.reshape(2, 2)))
+    prior = np.array([0.3, 0.8])
+    maps = candidates[1]
+    assert maps.fg[0, 0] == np.log(prior)[0] + exact_fg[0]
+    assert maps.ctx[0, 1] == np.log1p(-prior)[1] + exact_ctx[1]
+    assert maps.fg[0, 0] == pytest.approx(np.log(0.3) - 700.0 - lz[1], abs=1e-9)
+
+
 def test_prior_clamp_keeps_extreme_priors_finite():
     rng = np.random.default_rng(5)
     k, d = 3, 4
@@ -219,7 +283,7 @@ def test_prior_clamp_keeps_extreme_priors_finite():
     mixture = MixtureModel(prior, simplex(rng, (1, 2, k)), simplex(rng, (1, 2, k)))
     occluder = OccluderModel(simplex(rng, (k,)))
     fm = FeatureMap(sample_uniform_sphere(rng, 2, d).reshape(1, 2, d).astype(np.float32))
-    maps = likelihood_maps(crop_evidence(fm, dictionary, occluder), mixture)
+    maps = _one(crop_evidence(fm, dictionary, occluder), mixture)
     assert np.all(np.isfinite(maps.fg))
     assert np.all(np.isfinite(maps.ctx))
     assert np.all(np.isfinite(maps.occ))
@@ -249,13 +313,13 @@ def test_image_loglik_modes_and_visibility():
     # a visibility grid is scored by `rescore`, the one place that takes one
     vis = np.array([[1, 0], [1, 0]])
     want_vis = fg[0, 0] + occ[0, 1] + fg[1, 0] + occ[1, 1]
-    assert rescore(((maps,),), visibility=vis).score == pytest.approx(want_vis)
-    assert rescore(((maps,),), visibility=vis).score == _visible_loglik(maps, vis)
+    assert rescore(candidates_of(((maps,),)), visibility=vis).score == pytest.approx(want_vis)
+    assert rescore(candidates_of(((maps,),)), visibility=vis).score == _visible_loglik(maps, vis)
 
     with pytest.raises(ValidationError):
-        rescore(((maps,),), visibility=np.array([[2, 0], [1, 0]]))
+        rescore(candidates_of(((maps,),)), visibility=np.array([[2, 0], [1, 0]]))
     with pytest.raises(ValidationError):
-        rescore(((maps,),), visibility=np.ones((1, 2)))
+        rescore(candidates_of(((maps,),)), visibility=np.ones((1, 2)))
 
 
 def test_classify_prefers_matching_component_mixture():
@@ -281,7 +345,7 @@ def test_classify_prefers_matching_component_mixture():
     assert got.class_index == 1
     assert got.mixture_index == 0
     assert len(got.candidates) == 2
-    assert image_loglik(got.candidates[1][0]) == got.score
+    assert image_loglik(got.candidates[1]) == got.score
 
     # fully occluded visibility makes every candidate score by the occluder
     # alone, so the tie breaks to the first class and mixture
@@ -304,76 +368,86 @@ def _random_classes(rng, k):
 
 
 def _bits(x) -> bytes:
-    return np.float64(x).tobytes()
+    return np.asarray(x, dtype=np.float64).tobytes()
 
 
 def test_rescore_matches_per_candidate_image_loglik():
-    # rescore reads a bool grid with np.where; a bool grid, a 0/1 int grid
-    # and the float formula z*fg + (1-z)*occ give the same bits
+    # Every candidate's score from the stacked reduction is, to the bit,
+    # `image_loglik` of its maps without a grid and np.sum(np.where(vis, fg,
+    # occ)) with one. rescore reads a bool grid with np.where; a bool grid, a
+    # 0/1 int grid and the float formula z*fg + (1-z)*occ give the same bits.
     rng, dictionary, _, occluder, _ = tiny_setup(seed=12, k=4, d=5)
     classes = _random_classes(rng, dictionary.size)
-    for h, w in ((4, 6), (3, 3), (7, 2)):
+    for h, w in ((4, 6), (3, 3), (7, 2), (23, 31)):
         crop = FeatureMap(
             sample_uniform_sphere(rng, h * w, 5).reshape(h, w, 5).astype(np.float32)
         )
-        candidates = classify(crop, classes, dictionary, occluder).candidates
+        fed = classify(crop, classes, dictionary, occluder)
+        candidates = fed.candidates
         evidence = crop_evidence(crop, dictionary, occluder)
-        wide = tuple(
+        wide = candidates_of([[
             _maps(*rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=(3, h, w)))
             for _ in range(3)
-        )
+        ]])
+        for table in (candidates, wide):
+            assert _bits(models._scores(table, None)) == _bits(
+                [image_loglik(table[c]) for c in range(len(table))])
+        assert _bits(fed.score) == _bits(max(image_loglik(candidates[c]) for c in range(4)))
         grids = [np.zeros((h, w), dtype=np.int8), np.ones((h, w), dtype=np.int8)]
         grids += [rng.integers(0, 2, size=(h, w)) for _ in range(4)]
         for vis in grids:
-            got = rescore(candidates, vis)
-            want = [
-                np.array([
-                    _visible_loglik(likelihood_maps(evidence, m), vis) for m in cls.mixtures
-                ])
-                for cls in classes
-            ]
-            for got_row, want_row in zip(got.candidates, want, strict=True):
-                assert np.array_equal([_visible_loglik(m, vis) for m in got_row], want_row)
-            flat = np.concatenate(want)
-            first = int(np.flatnonzero(flat == flat.max())[0])
-            assert (got.class_index, got.mixture_index) == divmod(first, 2)
-            assert _bits(got.score) == _bits(flat.max())
-            assert got.candidates is candidates
-            for maps in (m for row in candidates + (wide,) for m in row):
-                formula = _bits(_visible_loglik(maps, vis))
-                for grid in (vis, vis.astype(bool)):
-                    assert _bits(rescore(((maps,),), grid).score) == formula
-            again = rescore(candidates, vis.astype(bool))
-            assert (again.class_index, again.mixture_index) == (got.class_index, got.mixture_index)
-            assert _bits(again.score) == _bits(got.score)
+            visible = vis.astype(bool)
+            for table in (candidates, wide):
+                maps = [table[c] for c in range(len(table))]
+                want = [float(np.sum(np.where(visible, m.fg, m.occ))) for m in maps]
+                assert _bits(models._scores(table, visible)) == _bits(want)
+                assert _bits(want) == _bits([_visible_loglik(m, vis) for m in maps])
+            want = np.array([
+                _visible_loglik(_one(evidence, m), vis) for cls in classes for m in cls.mixtures
+            ])
+            first = int(np.flatnonzero(want == want.max())[0])
+            for grid in (vis, visible):
+                got = rescore(candidates, grid)
+                assert (got.class_index, got.mixture_index) == divmod(first, 2)
+                assert _bits(got.score) == _bits(want.max())
+                assert got.candidates is candidates
 
 
 def test_rescore_ties_go_to_the_lowest_indices():
     occ = np.full((2, 2), -1.0)
-    low = _maps(np.full((2, 2), -9.0), np.zeros((2, 2)), occ)
+    low = _maps(np.full((2, 2), -9.0), np.full((2, 2), -2.0), occ)
     high = _maps(np.array([[-9.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2)), occ)
     twin = _maps(np.array([[-5.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2)), occ)
-    candidates = ((low, high), (twin,))
+    candidates = candidates_of(((low, high), (twin,)))
     # (0, 1) and (1, 0) differ only where the object is hidden: a tie
     vis = np.array([[0, 1], [1, 1]])
     got = rescore(candidates, vis)
     assert _visible_loglik(high, vis) == _visible_loglik(twin, vis) == got.score == -1.0
+    assert _bits(models._scores(candidates, vis.astype(bool))) == _bits([
+        _visible_loglik(m, vis) for m in (low, high, twin)])
     assert (got.class_index, got.mixture_index) == (0, 1)
-    assert got.candidates[got.class_index][got.mixture_index] is high
+    for arr, want in zip((got.maps.fg, got.maps.ctx, got.maps.occ, got.maps.amodal),
+                         (high.fg, high.ctx, high.occ, high.amodal)):
+        assert np.array_equal(arr, want)
     # fully hidden, all three tie on the occluder value
     got = rescore(candidates, np.zeros((2, 2)))
     assert (got.class_index, got.mixture_index) == (0, 0)
     # fully visible, the twin's -5 beats the -9
     got = rescore(candidates, np.ones((2, 2)))
     assert (got.class_index, got.mixture_index) == (1, 0)
-    with pytest.raises(ValidationError):
-        rescore((), vis)
+    # without a grid, high and twin tie on their best branches
+    got = rescore(candidates)
+    assert image_loglik(high) == image_loglik(twin) == got.score == 0.0
+    assert (got.class_index, got.mixture_index) == (0, 1)
+    _, dictionary, _, occluder, fm = tiny_setup()
+    with pytest.raises(ValidationError, match="at least one class"):
+        classify(fm, [], dictionary, occluder)
 
 
 def test_rescore_checks_the_grid_once_per_call():
     occ = np.full((2, 2), -1.0)
     maps = _maps(np.zeros((2, 2)), np.zeros((2, 2)), occ)
-    candidates = ((maps, maps), (maps,))
+    candidates = candidates_of(((maps, maps), (maps,)))
     with pytest.raises(ValidationError, match="binary"):
         rescore(candidates, np.array([[1, 0], [2, 1]]))
     with pytest.raises(ValidationError, match="binary"):
@@ -397,13 +471,14 @@ def test_classify_returns_the_winners_maps():
     for visibility in (None, rng.integers(0, 2, size=(4, 6))):
         got = rescore(fed.candidates, visibility)
         winner = classes[got.class_index].mixtures[got.mixture_index]
-        want = likelihood_maps(evidence, winner)
-        maps = got.candidates[got.class_index][got.mixture_index]
+        want = _one(evidence, winner)
+        maps = got.maps
         for got_map, want_map in zip(
             (maps.fg, maps.ctx, maps.occ, maps.amodal),
             (want.fg, want.ctx, want.occ, want.amodal),
         ):
             assert np.array_equal(got_map, want_map)
+            assert not got_map.flags.writeable
         if visibility is None:
             assert got.score == image_loglik(want)
         else:
@@ -436,7 +511,7 @@ def test_amodal_mask_thresholds_and_resamples():
     def amodal(shape):
         crop = FeatureMap(sample_uniform_sphere(rng, shape[0] * shape[1], 5)
                           .reshape(*shape, 5).astype(np.float32))
-        return likelihood_maps(crop_evidence(crop, dictionary, occluder), mixture).amodal
+        return _one(crop_evidence(crop, dictionary, occluder), mixture).amodal
 
     mask = amodal((4, 4))
     assert mask.shape == (4, 4) and mask.dtype == np.bool_

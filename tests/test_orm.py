@@ -25,6 +25,7 @@ from compseg.orm import (
     segment_scene,
     segment_variants,
 )
+from conftest import candidates_of
 
 
 def test_compete_pixels_ties():
@@ -50,7 +51,7 @@ def _object(oid, box, fg, ctx_fill=-20.0, occ_fill=-10.0, amodal=None):
     maps = LikelihoodMaps(
         fg, np.full(box.shape, ctx_fill), np.full(box.shape, occ_fill), amodal
     )
-    return SceneObject(oid=oid, box=box, pick=ClassifyResult(0, 0, 0.0, ((maps,),)))
+    return SceneObject(oid=oid, box=box, pick=ClassifyResult(0, 0, 0.0, candidates_of(((maps,),))))
 
 
 def _two_object_scene(outlier_pixel=False):
@@ -220,7 +221,7 @@ def test_foreground_pixel_with_no_finite_map_goes_to_the_outlier():
     box = BoundingBox(0, 0, 2, 1)
     maps = LikelihoodMaps(fg, np.array([[-np.inf, -20.0]]), np.array([[-np.inf, -10.0]]),
                           np.ones(box.shape, dtype=np.bool_))
-    a = SceneObject(oid=0, box=box, pick=ClassifyResult(0, 0, 0.0, ((maps,),)))
+    a = SceneObject(oid=0, box=box, pick=ClassifyResult(0, 0, 0.0, candidates_of(((maps,),))))
     assert (a.labels == LABEL_FG).all()
     _, edges, owners = orm_pass([a], (1, 2))
     assert owners.tolist() == [[1, 0]]
@@ -352,7 +353,9 @@ def test_an_object_is_its_last_pick(tiny_challenge, tiny_bundle, monkeypatch):
         for obj in result.objects:
             pick = obj.pick
             prior = tiny_bundle.classes[pick.class_index].mixtures[pick.mixture_index].fg_prior
-            assert obj.maps is pick.candidates[pick.class_index][pick.mixture_index]
+            assert obj.maps is pick.maps
+            index = sum(pick.candidates.per_class[:pick.class_index]) + pick.mixture_index
+            assert np.shares_memory(obj.maps.fg, pick.candidates.table[index])
             assert np.array_equal(obj.labels, segment_single(obj.maps))
             assert np.array_equal(obj.amodal, resample_nearest(prior, obj.box.shape) >= 0.5)
             assert pick is results[id(pick.candidates)]
@@ -366,12 +369,14 @@ def test_replacing_the_pick_rederives_labels_and_amodal_mask():
                           np.array([[True, False]]))
     hidden = LikelihoodMaps(np.array([[-30.0, -1.0]]), np.full(box.shape, -5.0), occ,
                             np.array([[False, True]]))
-    candidates = ((seen,), (hidden,))
+    candidates = candidates_of(((seen,), (hidden,)))
     assert [f.name for f in fields(SceneObject) if f.init] == ["oid", "box", "pick"]
     obj = SceneObject(0, box, ClassifyResult(0, 0, 0.0, candidates))
     assert obj.labels.tolist() == [[LABEL_FG, LABEL_FG]]
     other = replace(obj, pick=ClassifyResult(1, 0, 0.0, candidates))
-    assert other.maps is hidden
+    for got, want in zip((other.maps.fg, other.maps.ctx, other.maps.occ, other.maps.amodal),
+                         (hidden.fg, hidden.ctx, hidden.occ, hidden.amodal)):
+        assert np.array_equal(got, want)
     assert np.array_equal(other.labels, segment_single(hidden))
     assert other.labels.tolist() == [[LABEL_CTX, LABEL_FG]]
     assert other.amodal.tolist() == [[False, True]]
