@@ -39,7 +39,6 @@ from .models import (
     MixtureModel,
     OccluderModel,
     classify,
-    crop_evidence,
     likelihood_maps,
     segment_single,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "MixtureModel",
     "OccluderModel",
     "classify",
-    "crop_evidence",
     "likelihood_maps",
     "segment_single",
     "OrderEdge",

@@ -26,22 +26,6 @@ from .formats import ModelBundle, ObjectRecord, SceneAnnotation
 from .orm import SceneResult, segment_scene, segment_variants
 from .synth import LEVELS, OVER_LIMIT, level_of
 
-__all__ = [
-    "MiouTable",
-    "miou_by_level",
-    "order_accuracy",
-    "dataset_order_accuracy",
-    "full_graph_accuracy",
-    "predict_scene",
-    "run_ablation",
-    "tabulate",
-    "AblationReport",
-    "unknown_outlier_stats",
-    "format_level_table",
-    "format_ablation_report",
-    "VARIANTS",
-]
-
 
 # ---------------------------------------------------------------------------
 # per-object scoring

@@ -19,18 +19,18 @@ s[i,k] = sigma_k cos(f_i, mu_k) - log Z_k and peak[i] = max_k s[i,k],
     log sum_k a[i,k] pdf_k(f_i) = peak[i] + log sum_k a[i,k] E[i,k],
     E = exp(s - peak)
 
-None of s, peak and E depends on the mixture, so `crop_evidence` takes peak
-and E once per crop from `vmf.shifted_densities`, the step that also gives
-training its responsibilities, together with the occluder sum (one
-matrix-vector product). `likelihood_maps` then builds all of a crop's
-candidates into one (C, 3, h, w) table, a `CandidateMaps`: per mixture, each
-of its fg and ctx coefficient planes is gathered onto the crop's lattice
-and multiplied into E with one multiply-reduce, with no exp. The rest runs
-once for all planes: one underflow check, one log, the peak, the occluder
-row and the aligned priors. The peak component has E = 1, so a sum is small
-only where the coefficients put (almost) no weight on it; a row whose sum is
-below the smallest normal float is recomputed from its own plane's
-coefficients by the exact shifted logsumexp of `_kernels`.
+None of s, peak and E depends on the mixture, so `likelihood_maps` takes
+peak and E once per crop from `vmf.shifted_densities`, the step that also
+gives training its responsibilities, together with the occluder sum (one
+matrix-vector product). It builds all of a crop's candidates into one
+(C, 3, h, w) table, a `CandidateMaps`: per mixture, each of its fg and ctx
+coefficient planes is gathered onto the crop's lattice and multiplied into
+E with one multiply-reduce, with no exp. The rest runs once for all planes:
+one underflow check, one log, the peak, the occluder row and the aligned
+priors. The peak component has E = 1, so a sum is small only where the
+coefficients put (almost) no weight on it; a row whose sum is below the
+smallest normal float is recomputed from its own plane's coefficients by
+the exact shifted logsumexp of `_kernels`.
 
 Classification is split in two. `classify` builds every (class, mixture)
 candidate's maps for a crop once and picks the best; `rescore` re-picks over
@@ -42,9 +42,10 @@ above 0.5 on the same lattice, so a pick alone gives an object's labels and
 masks: a `ClassifyResult` holds the table and its pick's maps as views into it.
 
 Inputs are validated where they enter. The model dataclasses, the maps and
-tables included, check their arrays when built, `crop_evidence` checks the
-crop against the dictionary and `likelihood_maps` checks K. `rescore` checks
-its visibility grid once per call against the candidates' shared crop shape.
+tables included, check their arrays when built; `likelihood_maps` checks the
+crop's D and the occluder's and each mixture's K against the dictionary.
+`rescore` checks its visibility grid once per call against the candidates'
+shared crop shape.
 """
 from __future__ import annotations
 
@@ -198,29 +199,12 @@ def _check_k(dictionary: VmfDictionary, k: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CropEvidence:
-    """The mixture-independent terms of one crop, on the crop's lattice.
-
-    Per position i: `peak` = max_k s[i,k], `scaled` = exp(s - peak) and `occ`
-    the occluder log-likelihood without its prior term. The crop's float64
-    rows are kept for the exact fallback, which recomputes its cosines.
-    """
-
-    shape: tuple[int, int]
-    dictionary: VmfDictionary
-    features: np.ndarray  # (P, D)
-    peak: np.ndarray      # (P,)
-    scaled: np.ndarray    # (P, K)
-    occ: np.ndarray       # (P,)
-
-
 def _exact_loglik(
     features: np.ndarray, dictionary: VmfDictionary, coeffs: np.ndarray, low: np.ndarray
 ) -> np.ndarray:
     """The exact log-likelihood at rows `low` from `_kernels.mixture_loglik`,
-    fed their cosines (the product `crop_evidence` takes) and the log of
-    `coeffs`: one (K,) row every position shares, or (P, K) aligned rows."""
+    fed their cosines (the product `shifted_densities` takes) and the log
+    of `coeffs`: one (K,) row every position shares, or (P, K) aligned rows."""
     with np.errstate(divide="ignore"):
         log_coeffs = np.log(coeffs if coeffs.ndim == 1 else coeffs[low])
     cos = component_cosines(features, dictionary)[low]
@@ -245,37 +229,6 @@ def _log_factored(sums: np.ndarray, peak: np.ndarray, exact_rows) -> None:
     sums += peak
     for plane, low, exact in lost:
         sums[plane][low] = exact
-
-
-def crop_evidence(
-    crop: FeatureMap, dictionary: VmfDictionary, occluder: OccluderModel
-) -> CropEvidence:
-    """Per-crop terms that the maps of every mixture share, on the crop's lattice.
-
-    The peak and E come from `vmf.shifted_densities` over the crop's rows,
-    the same step training takes for its responsibilities. The crop may be a
-    strided view of its scene (`fmap.crop`).
-
-    Scoring every mixture on the crop's own lattice aligns the coefficient
-    planes to the data (one nearest-neighbour step in total rather than one
-    on the way in and one on the way back out, which matters once part
-    layouts vary at a few-pixel scale).
-    """
-    _check_k(dictionary, occluder.n_components, "occluder")
-    if crop.dim != dictionary.dim:
-        raise ValidationError(
-            f"crop dim {crop.dim} does not match dictionary dim {dictionary.dim}"
-        )
-    features = crop.flat()
-    # One (P, K) buffer goes from the cosines to s to E in place. The cosines
-    # are not kept, since every fresh (P, K) array is memory traffic and, in
-    # a process whose heap is still small, page faults; the rare exact
-    # fallback takes the same product again.
-    peak, scaled = shifted_densities(features, dictionary)
-    occ = scaled @ occluder.coeffs
-    _log_factored(occ[None], peak, lambda plane, low: _exact_loglik(
-        features, dictionary, occluder.coeffs, low))
-    return CropEvidence(crop.shape, dictionary, features, peak, scaled, occ)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -331,19 +284,39 @@ class CandidateMaps:
 
 
 def likelihood_maps(
-    evidence: CropEvidence, mixtures: Sequence[Sequence[MixtureModel]]
+    crop: FeatureMap,
+    mixtures: Sequence[Sequence[MixtureModel]],
+    dictionary: VmfDictionary,
+    occluder: OccluderModel,
 ) -> CandidateMaps:
-    """The three log maps and amodal mask of each mixture on the evidence's
+    """The three log maps and amodal mask of each mixture on the crop's own
     lattice, stacked: `mixtures` gives each class's mixtures, class by class.
+    The crop may be a strided view of its scene (`fmap.crop`).
 
-    Each mixture's planes are aligned to that lattice by nearest neighbour,
-    as `resample_nearest` would, through one flat index into each plane.
+    Each mixture's planes are aligned to the crop's lattice by nearest
+    neighbour, as `resample_nearest` would, through one flat index into each
+    plane: one nearest-neighbour step in total, not one on the way in and one
+    back out, which matters once part layouts vary at a few-pixel scale.
     Each coefficient plane costs one gather and one multiply-reduce; the
     logs, the peak and the priors are then added for all planes at once.
     """
+    _check_k(dictionary, occluder.n_components, "occluder")
+    if crop.dim != dictionary.dim:
+        raise ValidationError(
+            f"crop dim {crop.dim} does not match dictionary dim {dictionary.dim}"
+        )
+    features = crop.flat()
+    # One (P, K) buffer goes from the cosines to s to E in place. The cosines
+    # are not kept, since every fresh (P, K) array is memory traffic and, in
+    # a process whose heap is still small, page faults; the rare exact
+    # fallback takes the same product again.
+    peak, scaled = shifted_densities(features, dictionary)
+    occ = scaled @ occluder.coeffs
+    _log_factored(occ[None], peak, lambda plane, low: _exact_loglik(
+        features, dictionary, occluder.coeffs, low))
+
     per_class = tuple(len(row) for row in mixtures)
     mixtures = [mixture for row in mixtures for mixture in row]
-    scaled = evidence.scaled
     p, k = scaled.shape
     c = len(mixtures)
     table = np.empty((c, 3, p))
@@ -353,8 +326,8 @@ def likelihood_maps(
     # NumPy buffer the take; the index is in range, so "clip" is the same take.
     rows = np.empty((p, k))
     for m, mixture in enumerate(mixtures):
-        _check_k(evidence.dictionary, mixture.n_components, "mixture")
-        idx = _plane_index(mixture.shape, evidence.shape)
+        _check_k(dictionary, mixture.n_components, "mixture")
+        idx = _plane_index(mixture.shape, crop.shape)
         for plane, coeffs in zip(table[m], (mixture.fg_coeffs, mixture.ctx_coeffs)):
             coeffs.reshape(-1, k).take(idx, axis=0, out=rows, mode="clip")
             np.einsum("ik,ik->i", rows, scaled, out=plane)
@@ -365,13 +338,13 @@ def likelihood_maps(
         # the shared gather buffer has moved on: gather this plane's rows again
         mixture = mixtures[plane[0]]
         coeffs = (mixture.fg_coeffs, mixture.ctx_coeffs)[plane[1]].reshape(-1, k)
-        aligned = coeffs[_plane_index(mixture.shape, evidence.shape)]
-        return _exact_loglik(evidence.features, evidence.dictionary, aligned, low)
+        aligned = coeffs[_plane_index(mixture.shape, crop.shape)]
+        return _exact_loglik(features, dictionary, aligned, low)
 
-    _log_factored(table[:, :2], evidence.peak, exact_rows)
-    table[:, 2] = evidence.occ
+    _log_factored(table[:, :2], peak, exact_rows)
+    table[:, 2] = occ
     table += priors
-    h, w = evidence.shape
+    h, w = crop.shape
     return CandidateMaps(table.reshape(c, 3, h, w), amodal.reshape(c, h, w), per_class)
 
 
@@ -383,11 +356,6 @@ def _check_visibility(visibility, shape: tuple[int, int]) -> np.ndarray:
     if z.dtype != np.bool_ and not np.all((z == 0) | (z == 1)):
         raise ValidationError("visibility grid must be binary")
     return z.astype(np.bool_, copy=False)
-
-
-def image_loglik(maps: LikelihoodMaps) -> float:
-    """Total log-likelihood of a crop from its maps: every pixel takes its best branch."""
-    return float(np.sum(np.maximum(np.maximum(maps.fg, maps.ctx), maps.occ)))
 
 
 @dataclass(frozen=True)
@@ -419,17 +387,17 @@ def classify(
     """Best (class, mixture) for a crop, picked by `rescore` from its candidate maps.
 
     Every candidate is mapped on the crop's own lattice, so totals stay
-    comparable across mixtures whose canonical shapes differ; the crop's
-    evidence is computed once and one `likelihood_maps` call stacks every
-    candidate into one table.
+    comparable across mixtures whose canonical shapes differ; one
+    `likelihood_maps` call stacks every candidate into one table.
     """
-    evidence = crop_evidence(crop, dictionary, occluder)
-    return rescore(likelihood_maps(evidence, [cls.mixtures for cls in classes]))
+    return rescore(likelihood_maps(crop, [cls.mixtures for cls in classes],
+                                   dictionary, occluder))
 
 
 def _scores(candidates: CandidateMaps, visible: np.ndarray | None) -> np.ndarray:
-    """Every candidate's score in one reduction: `image_loglik`, or with a
-    bool grid the sum of fg where it is True and occ elsewhere.
+    """Every candidate's score in one reduction, the one statement of both
+    score rules: without a grid the sum over pixels of max(fg, ctx, occ),
+    with a bool grid the sum of fg where it is True and occ elsewhere.
 
     Each candidate's maps are contiguous in the table, so each row of the
     (C, h*w) reduction is summed as `np.sum` sums that candidate's plane,
@@ -445,7 +413,8 @@ def _scores(candidates: CandidateMaps, visible: np.ndarray | None) -> np.ndarray
 def rescore(candidates: CandidateMaps, visibility: np.ndarray | None = None) -> ClassifyResult:
     """Best of `classify`'s candidate maps; ties go to the lowest indices.
 
-    Without a visibility grid a candidate scores `image_loglik`. A binary
+    Without a visibility grid a candidate scores the sum over pixels of its
+    best branch, max(fg, ctx, occ): the crop's total log-likelihood. A binary
     visibility grid, in crop coordinates, scores the foreground map where it
     is 1 and the occluder map where it is 0. The maps do not depend on it,
     so re-scoring an occluded object needs neither its crop nor new maps.

@@ -19,6 +19,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .fmap import BoundingBox, FeatureMap, resample_nearest
+from .models import (
+    CandidateMaps,
+    ClassifyResult,
+    ClassModel,
+    MixtureModel,
+    OccluderModel,
+    classify,
+    likelihood_maps,
+    rescore,
+)
+from .orm import OWNER_OUTSIDE, SceneObject, orm_pass, recover_order
+from .vmf import VmfDictionary, log_normalizer, log_sphere_area, sample_uniform_sphere
 
 _MAX_TABLE_PIXELS = 64
 _MAX_JOINT_STATES = 2_000_000
@@ -199,9 +212,6 @@ def table_objects(logliks: np.ndarray, shape: tuple[int, int]):
     labels a pixel foreground iff its column is at least the outlier's
     there. Each candidate's amodal mask covers the whole box.
     """
-    from .fmap import BoundingBox
-    from .orm import SceneObject
-
     arr = np.asarray(logliks, dtype=np.float64)
     h, w = shape
     n = arr.shape[1] - 1
@@ -219,8 +229,6 @@ def table_objects(logliks: np.ndarray, shape: tuple[int, int]):
 
 def _sole_pick(fg: np.ndarray, ctx: np.ndarray, occ: np.ndarray, amodal: np.ndarray):
     """A one-candidate pick with these maps (copied) and amodal mask."""
-    from .models import CandidateMaps, ClassifyResult
-
     candidates = CandidateMaps(np.stack([fg, ctx, occ])[None], amodal[None], (1,))
     return ClassifyResult(0, 0, 0.0, candidates)
 
@@ -241,8 +249,6 @@ def check_pixel_competition(rng: np.random.Generator, cases: int) -> tuple[int, 
 
     Returns (mismatching pixels, pixels compared).
     """
-    from .orm import orm_pass
-
     mismatches = total = 0
     for _ in range(cases):
         h = int(rng.integers(1, 9))
@@ -271,9 +277,6 @@ def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int,
     those edges. Returns (mismatching cases, cases): a case mismatches when
     any grid pixel or any edge differs.
     """
-    from .fmap import BoundingBox
-    from .orm import OWNER_OUTSIDE, SceneObject, orm_pass
-
     mismatches = 0
     for _ in range(cases):
         h = int(rng.integers(1, 9))
@@ -333,8 +336,6 @@ def check_order_reassignment(rng: np.random.Generator, cases: int) -> tuple[int,
 
 def check_order_votes(rng: np.random.Generator, cases: int) -> tuple[int, int]:
     """recover_order vs the counting reference on random conflict owners."""
-    from .orm import recover_order
-
     mismatches = 0
     for _ in range(cases):
         size = int(rng.integers(1, 65))
@@ -373,8 +374,6 @@ def closed_form_log_normalizer_3d(sigma: float) -> float:
 
 def check_normalizer_closed_form(points: int = 200) -> tuple[int, int]:
     """Implemented log normalizer vs the D=3 closed form on a log grid."""
-    from .vmf import log_normalizer
-
     sigmas = np.logspace(-6.0, math.log10(50.0), points)
     bad = 0
     for sigma in sigmas:
@@ -392,8 +391,6 @@ def check_monte_carlo_mass(
     tolerance: float = 0.02,
 ) -> tuple[int, int]:
     """Unit-mass check: sphere area times the mean density must be ~1."""
-    from .vmf import log_normalizer, log_sphere_area, sample_uniform_sphere
-
     bad = 0
     for dim in dims:
         for sigma in (0.5, 2.0, 5.0):
@@ -415,8 +412,6 @@ def _random_simplex(rng: np.random.Generator, shape) -> np.ndarray:
 def _random_crop_and_dictionary(rng: np.random.Generator):
     """A crop lattice (h, w) and a dictionary of 2-4 random atoms in 3-6
     dimensions, drawn in that order: the opening of both map suites."""
-    from .vmf import VmfDictionary, sample_uniform_sphere
-
     h = int(rng.integers(1, 5))
     w = int(rng.integers(1, 5))
     d = int(rng.integers(3, 7))
@@ -427,16 +422,6 @@ def _random_crop_and_dictionary(rng: np.random.Generator):
 
 def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, int]:
     """Factored maps vs the scalar fsum recomputation."""
-    from .fmap import FeatureMap
-    from .models import (
-        LikelihoodMaps,
-        MixtureModel,
-        OccluderModel,
-        crop_evidence,
-        likelihood_maps,
-    )
-    from .vmf import sample_uniform_sphere
-
     mismatches = 0
     for _ in range(cases):
         h, w, dictionary = _random_crop_and_dictionary(rng)
@@ -449,8 +434,7 @@ def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, in
         occluder = OccluderModel(coeffs=_random_simplex(rng, k))
         grid = sample_uniform_sphere(rng, h * w, dictionary.dim).reshape(h, w, -1)
         fm = FeatureMap(grid.astype(np.float32))
-        got: LikelihoodMaps = likelihood_maps(crop_evidence(fm, dictionary, occluder),
-                                              [[mixture]])[0]
+        got = likelihood_maps(fm, [[mixture]], dictionary, occluder)[0]
         want = perpixel_maps_reference(
             fm.data.astype(np.float64),
             mixture.fg_prior,
@@ -485,10 +469,6 @@ def check_rescore(rng: np.random.Generator, cases: int) -> tuple[int, int]:
     mismatches when the pick differs from the reference's, or when the picked
     score is more than `_RESCORE_TOL` per pixel from its reference score.
     """
-    from .fmap import FeatureMap, resample_nearest
-    from .models import ClassModel, MixtureModel, OccluderModel, classify, rescore
-    from .vmf import sample_uniform_sphere
-
     mismatches = 0
     for _ in range(cases):
         h, w, dictionary = _random_crop_and_dictionary(rng)

@@ -18,7 +18,7 @@ redrawing that sample. No tolerance constant is involved.
 One step turns features into evidence for both learning and inference:
 `shifted_densities` gives each row's peak component log density and the
 shifted densities E = exp(s - peak). `responsibilities` normalises E for
-training; `models.crop_evidence` keeps peak and E for the likelihood maps.
+training; `models.likelihood_maps` builds the likelihood maps from peak and E.
 
 The normaliser needs one exponentially scaled Bessel value, computed here in
 float64 with the standard library (see `log_normalizer`), so the package

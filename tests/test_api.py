@@ -43,7 +43,6 @@ PUBLIC = (
     "annotation_to_json",
     "classify",
     "crop",
-    "crop_evidence",
     "dataset_order_accuracy",
     "feed_forward",
     "full_graph_accuracy",
@@ -79,6 +78,18 @@ def test_star_import_resolves_every_public_name():
     assert sorted(namespace) == sorted(PUBLIC)
     for name in PUBLIC:
         assert namespace[name] is getattr(compseg, name)
+
+
+def test_only_the_package_lists_public_names():
+    """`compseg.__all__` is the one list of public names; a module's own
+    `__all__` would be a second list that nothing checks."""
+    defining = [
+        path.name for path in sorted((ROOT / "src" / "compseg").glob("*.py"))
+        if any(isinstance(node, ast.Name) and node.id == "__all__"
+               and isinstance(node.ctx, ast.Store)
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    ]
+    assert defining == ["__init__.py"]
 
 
 def test_runtime_imports_load_no_scipy():

@@ -17,7 +17,7 @@ from compseg.fmap import (
     resample_nearest,
     save_feature_map,
 )
-from compseg.models import OccluderModel, crop_evidence
+from compseg.models import MixtureModel, OccluderModel, likelihood_maps
 from compseg.vmf import VmfDictionary, sample_uniform_sphere
 
 
@@ -149,6 +149,13 @@ def test_crop_is_a_readonly_view_without_renormalising(monkeypatch):
     dictionary = VmfDictionary(sample_uniform_sphere(rng, 5, 4), rng.uniform(1.0, 30.0, size=5))
     occluder = OccluderModel(np.full(5, 0.2))
 
+    def mixture(h, w):
+        fg, ctx = (raw / raw.sum(axis=-1, keepdims=True)
+                   for raw in rng.uniform(0.1, 1.0, size=(2, h, w, 5)))
+        return MixtureModel(rng.uniform(0.0, 1.0, size=(h, w)), fg, ctx)
+
+    mixtures = [[mixture(3, 3), mixture(6, 2)], [mixture(4, 5)]]
+
     def must_not_run(data):
         raise AssertionError("crop renormalised rows of an already-validated map")
 
@@ -161,12 +168,13 @@ def test_crop_is_a_readonly_view_without_renormalising(monkeypatch):
         assert patch.data.tobytes() == want.tobytes()
         assert np.shares_memory(patch.data, fm.data)
         assert not patch.data.flags.writeable
-        # the evidence of the view is that of a contiguous copy, bit for bit
+        # the candidate maps of the view are those of a contiguous copy, bit
+        # for bit: the evidence and every gather onto the crop's lattice
         copy = FeatureMap._trusted(np.ascontiguousarray(want))
-        got = crop_evidence(patch, dictionary, occluder)
-        ref = crop_evidence(copy, dictionary, occluder)
-        for name in ("peak", "scaled", "occ"):
-            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        got = likelihood_maps(patch, mixtures, dictionary, occluder)
+        ref = likelihood_maps(copy, mixtures, dictionary, occluder)
+        assert got.table.tobytes() == ref.table.tobytes()
+        assert got.amodal.tobytes() == ref.amodal.tobytes()
     assert not crop(fm, BoundingBox(3, 1, 7, 6)).data.flags.c_contiguous
 
 

@@ -17,15 +17,13 @@ from compseg.models import (
     MixtureModel,
     OccluderModel,
     classify,
-    crop_evidence,
-    image_loglik,
     likelihood_maps,
     rescore,
     segment_single,
 )
 from compseg.oracle import perpixel_maps_reference
 from conftest import candidates_of
-from compseg.vmf import VmfDictionary, log_normalizer, sample_uniform_sphere
+from compseg.vmf import VmfDictionary, log_normalizer, sample_uniform_sphere, shifted_densities
 
 
 def simplex(rng, shape):
@@ -58,9 +56,9 @@ def _maps(fg, ctx, occ):
     return LikelihoodMaps(fg, ctx, occ, np.ones(fg.shape, dtype=np.bool_))
 
 
-def _one(evidence, mixture) -> LikelihoodMaps:
+def _one(crop, mixture, dictionary, occluder) -> LikelihoodMaps:
     """One mixture's maps: the only candidate of a one-mixture table."""
-    return likelihood_maps(evidence, [[mixture]])[0]
+    return likelihood_maps(crop, [[mixture]], dictionary, occluder)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +140,7 @@ def test_likelihood_maps_shape_checks():
 
 def test_maps_decompose_into_prior_and_pointwise_logliks():
     _, dictionary, mixture, occluder, fm = tiny_setup()
-    maps = _one(crop_evidence(fm, dictionary, occluder), mixture)
+    maps = _one(fm, mixture, dictionary, occluder)
     h, w = mixture.shape
     for r in range(h):
         for c in range(w):
@@ -176,9 +174,22 @@ def _reference_maps(fm, mixture, occluder, dictionary, shape):
     )
 
 
+def test_likelihood_maps_refuses_a_crop_or_model_off_the_dictionary():
+    rng, dictionary, mixture, occluder, fm = tiny_setup(k=4, d=5)
+    short = FeatureMap(sample_uniform_sphere(rng, 12, 4).reshape(3, 4, 4).astype(np.float32))
+    with pytest.raises(ValidationError, match="crop dim 4 does not match dictionary dim 5"):
+        likelihood_maps(short, [[mixture]], dictionary, occluder)
+    with pytest.raises(ValidationError,
+                       match="occluder has K=3 but dictionary has 4 components"):
+        likelihood_maps(fm, [[mixture]], dictionary, OccluderModel(simplex(rng, (3,))))
+    three = MixtureModel(np.full((3, 4), 0.5), simplex(rng, (3, 4, 3)), simplex(rng, (3, 4, 3)))
+    with pytest.raises(ValidationError, match="mixture has K=3 but dictionary has 4 components"):
+        likelihood_maps(fm, [[mixture], [three]], dictionary, occluder)
+
+
 def test_maps_match_perpixel_reference():
     _, dictionary, mixture, occluder, fm = tiny_setup(seed=4)
-    maps = _one(crop_evidence(fm, dictionary, occluder), mixture)
+    maps = _one(fm, mixture, dictionary, occluder)
     want = _reference_maps(fm, mixture, occluder, dictionary, mixture.shape)
     for got_map, want_map in zip((maps.fg, maps.ctx, maps.occ), want):
         np.testing.assert_allclose(got_map, want_map, rtol=0, atol=1e-10)
@@ -191,7 +202,7 @@ def test_maps_on_another_lattice_resample_crop_and_planes(shape):
     # puts them there
     _, dictionary, mixture, occluder, fm = tiny_setup(seed=8, h=3, w=4, crop_shape=shape)
     assert mixture.shape == (3, 4)
-    maps = _one(crop_evidence(fm, dictionary, occluder), mixture)
+    maps = _one(fm, mixture, dictionary, occluder)
     assert maps.shape == shape
     for arr in (maps.fg, maps.ctx, maps.occ):
         assert arr.dtype == np.float64 and not arr.flags.writeable
@@ -212,9 +223,8 @@ def test_underflowing_factored_sums_fall_back_to_exact_logsumexp():
     mixture = MixtureModel(np.full((1, 2), 0.5), coeffs, coeffs.copy())
     occluder = OccluderModel(off_peak)
     fm = FeatureMap(np.array([[means[0], means[1]]], dtype=np.float32))
-    evidence = crop_evidence(fm, dictionary, occluder)
-    assert evidence.scaled[0] @ off_peak == 0.0
-    maps = _one(evidence, mixture)
+    assert shifted_densities(fm.flat(), dictionary)[1][0] @ off_peak == 0.0
+    maps = _one(fm, mixture, dictionary, occluder)
     for arr in (maps.fg, maps.ctx, maps.occ):
         assert np.all(np.isfinite(arr))
 
@@ -253,14 +263,14 @@ def test_one_underflowing_candidate_falls_back_inside_the_stacked_table():
     classes = [ClassModel("a", tuple(mixtures[:2])), ClassModel("b", (mixtures[2],))]
     occluder = OccluderModel(np.array([0.5, 0.5]))
     fm = FeatureMap(np.array([[means[0], means[1]]], dtype=np.float32))
-    evidence = crop_evidence(fm, dictionary, occluder)
-    sums = [evidence.scaled @ c.reshape(2, 2).T for c in (fg, ctx)]
+    scaled = shifted_densities(fm.flat(), dictionary)[1]
+    sums = [scaled @ c.reshape(2, 2).T for c in (fg, ctx)]
     assert (sums[0][0, 0], sums[1][1, 1]) == (0.0, 0.0)
 
     candidates = classify(fm, classes, dictionary, occluder).candidates
     assert len(candidates) == 3 and np.all(np.isfinite(candidates.table))
     for c, mixture in enumerate(mixtures):
-        want = _one(evidence, mixture)
+        want = _one(fm, mixture, dictionary, occluder)
         assert np.array_equal(candidates.table[c], np.stack([want.fg, want.ctx, want.occ]))
         assert np.array_equal(candidates.amodal[c], want.amodal)
     cos = fm.data.reshape(2, 3).astype(np.float64) @ means.T
@@ -283,7 +293,7 @@ def test_prior_clamp_keeps_extreme_priors_finite():
     mixture = MixtureModel(prior, simplex(rng, (1, 2, k)), simplex(rng, (1, 2, k)))
     occluder = OccluderModel(simplex(rng, (k,)))
     fm = FeatureMap(sample_uniform_sphere(rng, 2, d).reshape(1, 2, d).astype(np.float32))
-    maps = _one(crop_evidence(fm, dictionary, occluder), mixture)
+    maps = _one(fm, mixture, dictionary, occluder)
     assert np.all(np.isfinite(maps.fg))
     assert np.all(np.isfinite(maps.ctx))
     assert np.all(np.isfinite(maps.occ))
@@ -293,6 +303,11 @@ def test_prior_clamp_keeps_extreme_priors_finite():
 
 # ---------------------------------------------------------------------------
 # scoring
+
+
+def _best_loglik(maps: LikelihoodMaps) -> float:
+    """The score without a grid: every pixel takes its best branch."""
+    return float(np.sum(np.maximum(np.maximum(maps.fg, maps.ctx), maps.occ)))
 
 
 def _visible_loglik(maps: LikelihoodMaps, visibility) -> float:
@@ -308,7 +323,7 @@ def test_image_loglik_modes_and_visibility():
     maps = _maps(fg, ctx, occ)
 
     want_max = 0.0 + -1.0 + 0.0 + -1.0
-    assert image_loglik(maps) == pytest.approx(want_max)
+    assert _best_loglik(maps) == pytest.approx(want_max)
 
     # a visibility grid is scored by `rescore`, the one place that takes one
     vis = np.array([[1, 0], [1, 0]])
@@ -345,7 +360,7 @@ def test_classify_prefers_matching_component_mixture():
     assert got.class_index == 1
     assert got.mixture_index == 0
     assert len(got.candidates) == 2
-    assert image_loglik(got.candidates[1]) == got.score
+    assert _best_loglik(got.candidates[1]) == got.score
 
     # fully occluded visibility makes every candidate score by the occluder
     # alone, so the tie breaks to the first class and mixture
@@ -373,7 +388,7 @@ def _bits(x) -> bytes:
 
 def test_rescore_matches_per_candidate_image_loglik():
     # Every candidate's score from the stacked reduction is, to the bit,
-    # `image_loglik` of its maps without a grid and np.sum(np.where(vis, fg,
+    # `_best_loglik` of its maps without a grid and np.sum(np.where(vis, fg,
     # occ)) with one. rescore reads a bool grid with np.where; a bool grid, a
     # 0/1 int grid and the float formula z*fg + (1-z)*occ give the same bits.
     rng, dictionary, _, occluder, _ = tiny_setup(seed=12, k=4, d=5)
@@ -384,15 +399,14 @@ def test_rescore_matches_per_candidate_image_loglik():
         )
         fed = classify(crop, classes, dictionary, occluder)
         candidates = fed.candidates
-        evidence = crop_evidence(crop, dictionary, occluder)
         wide = candidates_of([[
             _maps(*rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=(3, h, w)))
             for _ in range(3)
         ]])
         for table in (candidates, wide):
             assert _bits(models._scores(table, None)) == _bits(
-                [image_loglik(table[c]) for c in range(len(table))])
-        assert _bits(fed.score) == _bits(max(image_loglik(candidates[c]) for c in range(4)))
+                [_best_loglik(table[c]) for c in range(len(table))])
+        assert _bits(fed.score) == _bits(max(_best_loglik(candidates[c]) for c in range(4)))
         grids = [np.zeros((h, w), dtype=np.int8), np.ones((h, w), dtype=np.int8)]
         grids += [rng.integers(0, 2, size=(h, w)) for _ in range(4)]
         for vis in grids:
@@ -403,7 +417,8 @@ def test_rescore_matches_per_candidate_image_loglik():
                 assert _bits(models._scores(table, visible)) == _bits(want)
                 assert _bits(want) == _bits([_visible_loglik(m, vis) for m in maps])
             want = np.array([
-                _visible_loglik(_one(evidence, m), vis) for cls in classes for m in cls.mixtures
+                _visible_loglik(_one(crop, m, dictionary, occluder), vis)
+                for cls in classes for m in cls.mixtures
             ])
             first = int(np.flatnonzero(want == want.max())[0])
             for grid in (vis, visible):
@@ -437,7 +452,7 @@ def test_rescore_ties_go_to_the_lowest_indices():
     assert (got.class_index, got.mixture_index) == (1, 0)
     # without a grid, high and twin tie on their best branches
     got = rescore(candidates)
-    assert image_loglik(high) == image_loglik(twin) == got.score == 0.0
+    assert _best_loglik(high) == _best_loglik(twin) == got.score == 0.0
     assert (got.class_index, got.mixture_index) == (0, 1)
     _, dictionary, _, occluder, fm = tiny_setup()
     with pytest.raises(ValidationError, match="at least one class"):
@@ -466,12 +481,11 @@ def test_classify_returns_the_winners_maps():
     crop = FeatureMap(
         sample_uniform_sphere(rng, 4 * 6, 5).reshape(4, 6, 5).astype(np.float32)
     )
-    evidence = crop_evidence(crop, dictionary, occluder)
     fed = classify(crop, classes, dictionary, occluder)
     for visibility in (None, rng.integers(0, 2, size=(4, 6))):
         got = rescore(fed.candidates, visibility)
         winner = classes[got.class_index].mixtures[got.mixture_index]
-        want = _one(evidence, winner)
+        want = _one(crop, winner, dictionary, occluder)
         maps = got.maps
         for got_map, want_map in zip(
             (maps.fg, maps.ctx, maps.occ, maps.amodal),
@@ -480,7 +494,7 @@ def test_classify_returns_the_winners_maps():
             assert np.array_equal(got_map, want_map)
             assert not got_map.flags.writeable
         if visibility is None:
-            assert got.score == image_loglik(want)
+            assert got.score == _best_loglik(want)
         else:
             assert got.score == _visible_loglik(want, visibility)
 
@@ -511,7 +525,7 @@ def test_amodal_mask_thresholds_and_resamples():
     def amodal(shape):
         crop = FeatureMap(sample_uniform_sphere(rng, shape[0] * shape[1], 5)
                           .reshape(*shape, 5).astype(np.float32))
-        return _one(crop_evidence(crop, dictionary, occluder), mixture).amodal
+        return _one(crop, mixture, dictionary, occluder).amodal
 
     mask = amodal((4, 4))
     assert mask.shape == (4, 4) and mask.dtype == np.bool_
