@@ -2,7 +2,7 @@
 
 For every lattice position i `mixture_loglik` computes
 
-    out[i] = log sum_k exp( sigma[k] * cos[i, k] - log_z[k] + log w[i, k] )
+    out[i] = log sum_k exp( sigma * cos[i, k] - log_z + log w[i, k] )
 
 shifted by the row maximum of the summed scores, so it stays finite for any
 finite row with at least one nonzero weight. `models.likelihood_maps`
@@ -29,13 +29,13 @@ def mixture_loglik(cos, sigma, log_z, log_coeffs):
     """Per-row log-likelihood under a mixture.
 
     cos: (P, K) cosines of the feature rows against the component means.
-    sigma, log_z: (K,) per-component concentration and log normaliser.
+    sigma, log_z: the one concentration and log normaliser of all K components.
     log_coeffs: (P, K) log mixture coefficients per position, or one (K,)
-    row that every position shares (broadcast like sigma and log_z).
+    row that every position shares.
     Returns (P,) float64.
     """
     cos, sigma, log_z, log_coeffs = _as_f64(cos, sigma, log_z, log_coeffs)
-    return _logsumexp_rows(cos * sigma[None, :] - log_z[None, :] + log_coeffs)
+    return _logsumexp_rows(cos * sigma - log_z + log_coeffs)
 
 
 # One kernel serves both coefficient shapes. The name stays because

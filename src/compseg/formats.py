@@ -24,7 +24,7 @@ MODEL_VERSION = 1
 
 
 def _atom_dtype(dim: int) -> np.dtype:
-    """A MODEL dictionary atom: a float32 mean of length `dim`, then a float64 concentration."""
+    """A MODEL dictionary atom: a float32 mean of length `dim`, then the shared float64 sigma."""
     return np.dtype([("mean", "<f4", (dim,)), ("conc", "<f8")])
 
 
@@ -128,7 +128,7 @@ def quantize_bundle(bundle: ModelBundle) -> ModelBundle:
         flat[idx, top] = fixed.astype(np.float32).astype(np.float64)
         return flat.reshape(a.shape)
 
-    dictionary = VmfDictionary(f32(bundle.dictionary.means), bundle.dictionary.concentrations)
+    dictionary = VmfDictionary(f32(bundle.dictionary.means), bundle.dictionary.concentration)
     classes = tuple(
         ClassModel(
             cls.label,
@@ -149,7 +149,7 @@ def save_model(bundle: ModelBundle, path: str) -> None:
     dic = bundle.dictionary
     parts.append(struct.pack("<II", dic.size, dic.dim))
     atoms = np.empty(dic.size, dtype=_atom_dtype(dic.dim))
-    atoms["mean"], atoms["conc"] = dic.means, dic.concentrations
+    atoms["mean"], atoms["conc"] = dic.means, dic.concentration
     parts.append(atoms.tobytes())
     parts.append(bundle.occluder.coeffs.astype("<f8").tobytes())
     parts.append(struct.pack("<I", len(bundle.classes)))
@@ -216,7 +216,9 @@ def load_model(path: str) -> ModelBundle:
     # the atom dtype included: numpy refuses a D past a C int.
     atoms = np.frombuffer(r.take(k * (4 * dim + 8)), dtype=_atom_dtype(dim))
     means = _widen(atoms["mean"])
-    conc = atoms["conc"].astype(np.float64)
+    # one sigma, bit for bit in every atom: the model saves back to its bytes
+    if np.any(atoms["conc"].view("<u8") != atoms["conc"][:1].view("<u8")):
+        raise FormatError(f"{path}: dictionary atoms disagree on the concentration")
     beta = r.array("<f8", k)
     (n_classes,) = r.unpack("<I")
     classes = []  # (label, [(prior, fg, ctx) per mixture]), validated below
@@ -240,7 +242,7 @@ def load_model(path: str) -> ModelBundle:
     if r.pos != len(blob):
         raise FormatError(f"{path}: {len(blob) - r.pos} trailing bytes")
     try:
-        dictionary = VmfDictionary(means, conc)
+        dictionary = VmfDictionary(means, atoms["conc"][0])
         occluder = OccluderModel(beta)
         models = tuple(
             ClassModel(label, tuple(MixtureModel(*planes) for planes in mixtures))

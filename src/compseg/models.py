@@ -14,7 +14,7 @@ All map math happens in the log domain. The three per-pixel maps are
 with the prior clamped away from {0, 1} so both logs stay finite.
 
 They are evaluated in factored form. With the component log densities
-s[i,k] = sigma_k cos(f_i, mu_k) - log Z_k and peak[i] = max_k s[i,k],
+s[i,k] = sigma cos(f_i, mu_k) - log Z and peak[i] = max_k s[i,k],
 
     log sum_k a[i,k] pdf_k(f_i) = peak[i] + log sum_k a[i,k] E[i,k],
     E = exp(s - peak)
@@ -208,8 +208,7 @@ def _exact_loglik(
     with np.errstate(divide="ignore"):
         log_coeffs = np.log(coeffs if coeffs.ndim == 1 else coeffs[low])
     cos = component_cosines(features, dictionary)[low]
-    return _kernels.mixture_loglik(cos, dictionary.concentrations,
-                                   dictionary.log_normalizers, log_coeffs)
+    return _kernels.mixture_loglik(cos, dictionary.concentration, dictionary.log_z, log_coeffs)
 
 
 def _log_factored(sums: np.ndarray, peak: np.ndarray, exact_rows) -> None:

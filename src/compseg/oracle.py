@@ -162,18 +162,18 @@ def perpixel_maps_reference(
     ctx_coeffs: np.ndarray,
     occ_coeffs: np.ndarray,
     means: np.ndarray,
-    concentrations: np.ndarray,
+    sigma: float,
     prior_clamp: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scalar-loop recomputation of the three per-pixel log maps.
 
     features (H, W, D) unit rows, coefficients per position or shared for the
-    occluder. Densities are accumulated in linear space with fsum, so this
-    checks the factored maps against the direct definition.
+    occluder, one sigma for the K means. Densities are accumulated in linear
+    space with fsum, so this checks the factored maps against the definition.
     """
     h, w, d = features.shape
     k = means.shape[0]
-    log_z = [_log_normalizer_ref(float(concentrations[j]), d) for j in range(k)]
+    log_z = _log_normalizer_ref(float(sigma), d)
     fg = np.zeros((h, w))
     ctx = np.zeros((h, w))
     occ = np.zeros((h, w))
@@ -182,7 +182,7 @@ def perpixel_maps_reference(
             dens = []
             for j in range(k):
                 cos = math.fsum(float(features[y, x, t]) * float(means[j, t]) for t in range(d))
-                dens.append(math.exp(float(concentrations[j]) * cos - log_z[j]))
+                dens.append(math.exp(sigma * cos - log_z))
             p = min(max(float(fg_prior[y, x]), prior_clamp), 1.0 - prior_clamp)
             fg_mix = math.fsum(float(fg_coeffs[y, x, j]) * dens[j] for j in range(k))
             ctx_mix = math.fsum(float(ctx_coeffs[y, x, j]) * dens[j] for j in range(k))
@@ -411,13 +411,13 @@ def _random_simplex(rng: np.random.Generator, shape) -> np.ndarray:
 
 def _random_crop_and_dictionary(rng: np.random.Generator):
     """A crop lattice (h, w) and a dictionary of 2-4 random atoms in 3-6
-    dimensions, drawn in that order: the opening of both map suites."""
+    dimensions and one sigma, drawn in that order: the opening of both map suites."""
     h = int(rng.integers(1, 5))
     w = int(rng.integers(1, 5))
     d = int(rng.integers(3, 7))
     k = int(rng.integers(2, 5))
     means = sample_uniform_sphere(rng, k, d)
-    return h, w, VmfDictionary(means, rng.uniform(0.5, 20.0, size=k))
+    return h, w, VmfDictionary(means, rng.uniform(0.5, 20.0))
 
 
 def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, int]:
@@ -442,7 +442,7 @@ def check_likelihood_maps(rng: np.random.Generator, cases: int) -> tuple[int, in
             mixture.ctx_coeffs,
             occluder.coeffs,
             dictionary.means,
-            dictionary.concentrations,
+            dictionary.concentration,
         )
         for got_map, want_map in zip((got.fg, got.ctx, got.occ), want):
             if not np.allclose(got_map, want_map, rtol=1e-7, atol=1e-7):
@@ -507,7 +507,7 @@ def check_rescore(rng: np.random.Generator, cases: int) -> tuple[int, int]:
                     resample_nearest(m.ctx_coeffs, (h, w)),
                     occluder.coeffs,
                     dictionary.means,
-                    dictionary.concentrations,
+                    dictionary.concentration,
                 )
                 score = math.fsum(
                     float(fg[y, x]) if visibility[y, x] == 1 else float(occ[y, x])

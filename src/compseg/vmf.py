@@ -1,19 +1,18 @@
 """von Mises-Fisher dictionaries and spherical k-means fitting.
 
 Directions live on the unit sphere in R^D. A dictionary is a bank of K vMF
-components, a unit mean and a concentration each, over one feature
-dimensionality; all likelihood math runs in float64 and is pure, so a fitted
-dictionary can be shared across threads.
+components over one feature dimensionality that share one concentration
+sigma, as the kernels of CompositionalNets do. All likelihood math runs in
+float64 and is pure, so a fitted dictionary can be shared across threads.
 
-A fitted dictionary gives every component one shared concentration sigma,
-as the kernels of CompositionalNets share theirs; training passes it in. The
-k-means fit assigns in row blocks, sums cluster members with one scatter per
-row block and reads its objective, sum_j ||r_j|| / n, off those sums. It stops
-at the first iteration whose objective gain is below the standard error of the
-objective, std(own) / sqrt(n) over the iteration's assignment cosines: the
-objective is a mean over a sample of feature vectors (training fits a random
-subsample of its feature pool), so a smaller gain cannot be told apart from
-redrawing that sample. No tolerance constant is involved.
+Training passes sigma in. The k-means fit assigns in row blocks, sums cluster
+members with one scatter per row block and reads its objective,
+sum_j ||r_j|| / n, off those sums. It stops at the first iteration whose
+objective gain is below the standard error of the objective, std(own) /
+sqrt(n) over the iteration's assignment cosines: the objective is a mean over
+a sample of feature vectors (training fits a random subsample of its feature
+pool), so a smaller gain cannot be told apart from redrawing that sample. No
+tolerance constant is involved.
 
 One step turns features into evidence for both learning and inference:
 `shifted_densities` gives each row's peak component log density and the
@@ -115,6 +114,16 @@ def _log_ive(order: float, x: float) -> float:
     return log_peak + math.log(_add_terms_after(total, 1.0, peak, order, q))
 
 
+def _concentration(value) -> np.float64:
+    """`value` as one float64 concentration sigma, finite and >= 0."""
+    sigma = np.asarray(value, dtype=np.float64)
+    if sigma.ndim != 0:
+        raise ValidationError(f"concentration must be one number, got shape {sigma.shape}")
+    if not 0 <= sigma < np.inf:
+        raise ValidationError("concentrations must be finite and >= 0")
+    return sigma[()]
+
+
 def log_normalizer(sigma: float, dim: int) -> float:
     """log of the vMF normalising constant Z(sigma) on S^(dim-1).
 
@@ -132,8 +141,7 @@ def log_normalizer(sigma: float, dim: int) -> float:
     """
     if dim < 2 or int(dim) != dim:
         raise ValidationError(f"dimension must be an integer >= 2, got {dim}")
-    if not np.isfinite(sigma) or sigma < 0:
-        raise ValidationError(f"concentration must be finite and >= 0, got {sigma}")
+    sigma = _concentration(sigma)
     if sigma < _SIGMA_ANALYTIC_LIMIT:
         return log_sphere_area(int(dim))
     order = dim / 2.0 - 1.0
@@ -157,35 +165,31 @@ def _check_unit(vec: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VmfDictionary:
-    """Bank of K vMF components over a shared feature dimension."""
+    """Bank of K vMF components over a shared feature dimension and concentration."""
 
-    means: np.ndarray            # (K, D) unit rows, float64
-    concentrations: np.ndarray   # (K,) float64
+    means: np.ndarray       # (K, D) unit rows, float64
+    concentration: float    # sigma of every component, a float64 scalar
 
     def __post_init__(self):
         means = np.ascontiguousarray(self.means, dtype=np.float64)
-        conc = np.ascontiguousarray(self.concentrations, dtype=np.float64)
         if means.ndim != 2 or means.shape[0] < 1:
             raise ValidationError(f"means must be (K, D) with K >= 1, got {means.shape}")
-        if conc.shape != (means.shape[0],):
-            raise ValidationError(
-                f"concentrations shape {conc.shape} does not match K={means.shape[0]}"
-            )
         norms = np.linalg.norm(means, axis=1)
         # written so that a NaN norm fails too
         if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
             raise ValidationError("dictionary means must be unit-norm")
-        if np.any(~np.isfinite(conc)) or np.any(conc < 0):
-            raise ValidationError("concentrations must be finite and >= 0")
-        log_z = np.array([log_normalizer(s, means.shape[1]) for s in conc])
+        sigma = _concentration(self.concentration)
+        # sigma's log normaliser on S^(D-1), the one every component shares
+        log_z = np.float64(log_normalizer(sigma, means.shape[1]))
         # The cosine product's right operand, C-contiguous: BLAS multiplies
         # by it about twice as fast as by the transposed view of `means`.
         # The bits are the view's: the pinned model and predictions hold.
         means_t = np.ascontiguousarray(means.T)
-        for name, arr in (("means", means), ("concentrations", conc),
-                          ("_log_z", log_z), ("_means_t", means_t)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        means.setflags(write=False)
+        means_t.setflags(write=False)
+        for name, value in (("means", means), ("concentration", sigma),
+                            ("log_z", log_z), ("_means_t", means_t)):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -194,10 +198,6 @@ class VmfDictionary:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    @property
-    def log_normalizers(self) -> np.ndarray:
-        return self._log_z
 
 
 def component_cosines(features: np.ndarray, dictionary: VmfDictionary) -> np.ndarray:
@@ -213,8 +213,8 @@ def component_cosines(features: np.ndarray, dictionary: VmfDictionary) -> np.nda
 def component_logliks(features: np.ndarray, dictionary: VmfDictionary) -> np.ndarray:
     """(P, K) table of per-component log densities for a batch of unit rows."""
     table = component_cosines(features, dictionary)
-    table *= dictionary.concentrations
-    table -= dictionary.log_normalizers
+    table *= dictionary.concentration
+    table -= dictionary.log_z
     return table
 
 
@@ -392,8 +392,7 @@ def fit_dictionary_traced(
         raise ValidationError(f"component count must be >= 1, got {k}")
     if n < k:
         raise ValidationError(f"need at least k={k} feature vectors, got {n}")
-    if not 0 <= shared_concentration < np.inf:
-        raise ValidationError("concentrations must be finite and >= 0")
+    sigma = _concentration(shared_concentration)
     if any(
         np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > _UNIT_TOL)
         for _, rows in _blocks(feats)
@@ -446,7 +445,7 @@ def fit_dictionary_traced(
     _nearest(feats, centers, new_assign, own)
     objective.append(float(np.mean(own)))
 
-    dictionary = VmfDictionary(centers, np.full(k, float(shared_concentration)))
+    dictionary = VmfDictionary(centers, sigma)
     trace = {
         "objective": objective,
         "standard_error": standard_error,
@@ -477,12 +476,10 @@ def sample_vmf(
     """Draw n samples from vMF(mean, concentration) by Wood's rejection method."""
     mu = _check_unit(mean, "vMF mean")
     dim = mu.shape[0]
-    if concentration < 0 or not np.isfinite(concentration):
-        raise ValidationError(f"concentration must be finite and >= 0, got {concentration}")
-    if concentration < _SIGMA_ANALYTIC_LIMIT:
+    kappa = float(_concentration(concentration))
+    if kappa < _SIGMA_ANALYTIC_LIMIT:
         return sample_uniform_sphere(rng, n, dim)
 
-    kappa = float(concentration)
     b, x0, c = _wood_constants(kappa, dim)
     half = (dim - 1.0) / 2.0
 

@@ -433,6 +433,23 @@ def test_signalling_nan_payloads_are_one_error_line(pipeline, tmp_path):
     assert not (tmp_path / "seg").exists()
 
 
+def test_model_atoms_that_disagree_on_the_concentration_are_one_format_line(pipeline, tmp_path):
+    root, data, model = pipeline
+    raw = model.read_bytes()
+    k, dim = struct.unpack("<II", raw[6:14])
+    last_conc_at = 14 + k * (4 * dim + 8) - 8
+    (sigma,) = struct.unpack("<d", raw[last_conc_at : last_conc_at + 8])
+    bad_model = tmp_path / "sigma.bin"
+    bad_model.write_bytes(raw[:last_conc_at] + struct.pack("<d", sigma / 2)
+                          + raw[last_conc_at + 8 :])
+    r = run_cli("segment", "--model", bad_model, "--scene",
+                data / "scenes" / "two-L0-0000.fmap", "--out", tmp_path / "seg")
+    _assert_format_error(r)
+    assert r.stderr == (f"compseg: error code=FORMAT msg={bad_model}: "
+                        "dictionary atoms disagree on the concentration\n")
+    assert not (tmp_path / "seg").exists()
+
+
 @pytest.mark.parametrize("value, reason", [(np.nan, "non-finite values"),
                                            (0.0, "a zero-norm vector")])
 def test_segment_fmap_row_the_map_refuses_is_one_format_line(pipeline, tmp_path, value, reason):

@@ -146,7 +146,7 @@ def test_crop_matches_slices():
 def test_crop_is_a_readonly_view_without_renormalising(monkeypatch):
     rng = np.random.default_rng(3)
     fm = FeatureMap(unit_grid(rng, 8, 9, 4))
-    dictionary = VmfDictionary(sample_uniform_sphere(rng, 5, 4), rng.uniform(1.0, 30.0, size=5))
+    dictionary = VmfDictionary(sample_uniform_sphere(rng, 5, 4), rng.uniform(1.0, 30.0))
     occluder = OccluderModel(np.full(5, 0.2))
 
     def mixture(h, w):

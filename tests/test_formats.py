@@ -380,8 +380,7 @@ def test_model_roundtrip_bit_exact(tiny_bundle, tmp_path):
     back = load_model(path)
 
     assert np.array_equal(back.dictionary.means, tiny_bundle.dictionary.means)
-    assert np.array_equal(
-        back.dictionary.concentrations, tiny_bundle.dictionary.concentrations)
+    assert back.dictionary.concentration == tiny_bundle.dictionary.concentration
     assert np.array_equal(back.occluder.coeffs, tiny_bundle.occluder.coeffs)
     assert back.labels == tiny_bundle.labels
     for ca, cb in zip(tiny_bundle.classes, back.classes):
@@ -456,6 +455,37 @@ def test_model_signalling_nan_is_a_format_error_without_a_warning(tiny_bundle, t
     for at in (14, prior_at):
         with pytest.raises(FormatError, match="invalid model"):
             load_model_bytes(tmp_path, raw[:at] + SIGNALLING_NAN + raw[at + 4:])
+
+
+def test_model_atoms_must_share_one_concentration(tiny_bundle, tmp_path):
+    """Every atom of a MODEL file carries the dictionary's one concentration.
+    A file whose atoms disagree, by so much as a bit, is a FormatError that
+    names it; one whose atoms all carry another value loads with it."""
+    path = str(tmp_path / "model.bin")
+    save_model(tiny_bundle, path)
+    raw = Path(path).read_bytes()
+    dic = tiny_bundle.dictionary
+    atom = 4 * dic.dim + 8
+    conc_at = [14 + j * atom + 4 * dic.dim for j in range(dic.size)]
+    sigma = float(dic.concentration)
+    assert all(raw[at : at + 8] == struct.pack("<d", sigma) for at in conc_at)
+
+    def with_conc(values):
+        out = bytearray(raw)
+        for at, value in zip(conc_at, values):
+            out[at : at + 8] = struct.pack("<d", value)
+        return bytes(out)
+
+    last = [sigma] * (dic.size - 1)
+    for other in (sigma + 1.0, np.nextafter(sigma, np.inf), float("nan")):
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / "garbled.bin"))
+                           + ": dictionary atoms disagree on the concentration"):
+            load_model_bytes(tmp_path, with_conc([*last, other]))
+    with pytest.raises(FormatError, match="disagree"):
+        load_model_bytes(tmp_path, with_conc([0.0] * (dic.size - 1) + [-0.0]))
+    back = load_model_bytes(tmp_path, with_conc([12.5] * dic.size))
+    assert type(back.dictionary.concentration) is np.float64
+    assert back.dictionary.concentration == 12.5
 
 
 def load_model_bytes(tmp_path, blob):
@@ -905,7 +935,7 @@ def _small_bundle() -> ModelBundle:
     classes = (ClassModel("disc", (mixture(2, 3),)),
                ClassModel("brick", (mixture(3, 2), mixture(2, 2))))
     occluder = OccluderModel(np.array([0.5, 0.25, 0.25]))
-    return quantize_bundle(ModelBundle(VmfDictionary(means, np.full(k, 2.0)), classes, occluder))
+    return quantize_bundle(ModelBundle(VmfDictionary(means, 2.0), classes, occluder))
 
 
 def _model_layout(bundle: ModelBundle, size: int):

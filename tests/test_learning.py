@@ -189,7 +189,7 @@ def _axis_dictionary(k=3, d=4):
     means = np.zeros((k, d))
     for i in range(k):
         means[i, i] = 1.0
-    return VmfDictionary(means, np.full(k, 12.0))
+    return VmfDictionary(means, 12.0)
 
 
 def test_learn_occluder_matches_planted_mix():

@@ -34,9 +34,7 @@ def simplex(rng, shape):
 def tiny_setup(seed=0, h=3, w=4, k=4, d=5, crop_shape=None):
     """A dictionary, an (h, w) mixture, an occluder and a crop (of `crop_shape`, else (h, w))."""
     rng = np.random.default_rng(seed)
-    dictionary = VmfDictionary(
-        sample_uniform_sphere(rng, k, d), rng.uniform(1.0, 15.0, size=k)
-    )
+    dictionary = VmfDictionary(sample_uniform_sphere(rng, k, d), rng.uniform(1.0, 15.0))
     mixture = MixtureModel(
         fg_prior=rng.uniform(0.05, 0.95, size=(h, w)),
         fg_coeffs=simplex(rng, (h, w, k)),
@@ -145,9 +143,10 @@ def test_maps_decompose_into_prior_and_pointwise_logliks():
     for r in range(h):
         for c in range(w):
             f = fm.data[r, c].astype(np.float64)
+            sigma = dictionary.concentration
             dens = np.array([
                 sigma * float(f @ mean) - log_normalizer(sigma, dictionary.dim)
-                for mean, sigma in zip(dictionary.means, dictionary.concentrations)
+                for mean in dictionary.means
             ])
 
             def mix(weights):
@@ -170,7 +169,7 @@ def _reference_maps(fm, mixture, occluder, dictionary, shape):
         resample_nearest(mixture.ctx_coeffs, shape),
         occluder.coeffs,
         dictionary.means,
-        dictionary.concentrations,
+        dictionary.concentration,
     )
 
 
@@ -217,7 +216,7 @@ def test_underflowing_factored_sums_fall_back_to_exact_logsumexp():
     # fg, ctx and occluder weights are all on the second component, so the
     # factored sum there is exactly 0. Position 1 sits on the second mean.
     means = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    dictionary = VmfDictionary(means, np.full(2, 700.0))
+    dictionary = VmfDictionary(means, 700.0)
     off_peak = np.array([0.0, 1.0])
     coeffs = np.array([[off_peak, [0.5, 0.5]]])
     mixture = MixtureModel(np.full((1, 2), 0.5), coeffs, coeffs.copy())
@@ -229,7 +228,7 @@ def test_underflowing_factored_sums_fall_back_to_exact_logsumexp():
         assert np.all(np.isfinite(arr))
 
     cos = fm.data.reshape(2, 3).astype(np.float64) @ means.T
-    sig, lz = dictionary.concentrations, dictionary.log_normalizers
+    sig, lz = dictionary.concentration, dictionary.log_z
     with np.errstate(divide="ignore"):
         log_coeffs = np.log(coeffs.reshape(2, 2))
         log_occ = np.log(off_peak)
@@ -239,7 +238,7 @@ def test_underflowing_factored_sums_fall_back_to_exact_logsumexp():
     assert maps.fg[0, 0] == log_half + exact[0]
     assert maps.ctx[0, 0] == np.log1p(-0.5) + exact[0]
     assert maps.occ[0, 0] == log_half + exact_occ[0]
-    assert maps.fg[0, 0] == pytest.approx(log_half - 700.0 - lz[1], abs=1e-9)
+    assert maps.fg[0, 0] == pytest.approx(log_half - 700.0 - lz, abs=1e-9)
     # the rows that did not underflow keep the factored value
     assert maps.fg[0, 1] == pytest.approx(log_half + exact[1], abs=1e-10)
     assert maps.occ[0, 1] == pytest.approx(log_half + exact_occ[1], abs=1e-10)
@@ -251,7 +250,7 @@ def test_one_underflowing_candidate_falls_back_inside_the_stacked_table():
     # put all their weight on the component that is exp(-1400) away. The
     # other planes, gathered into the same buffer after it, are mixed.
     means = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    dictionary = VmfDictionary(means, np.full(2, 700.0))
+    dictionary = VmfDictionary(means, 700.0)
     half = np.full((1, 2, 2), 0.5)
     fg = np.array([[[0.0, 1.0], [0.5, 0.5]]])
     ctx = np.array([[[0.5, 0.5], [1.0, 0.0]]])
@@ -274,7 +273,7 @@ def test_one_underflowing_candidate_falls_back_inside_the_stacked_table():
         assert np.array_equal(candidates.table[c], np.stack([want.fg, want.ctx, want.occ]))
         assert np.array_equal(candidates.amodal[c], want.amodal)
     cos = fm.data.reshape(2, 3).astype(np.float64) @ means.T
-    sig, lz = dictionary.concentrations, dictionary.log_normalizers
+    sig, lz = dictionary.concentration, dictionary.log_z
     with np.errstate(divide="ignore"):
         exact_fg = _kernels.mixture_loglik(cos, sig, lz, np.log(fg.reshape(2, 2)))
         exact_ctx = _kernels.mixture_loglik(cos, sig, lz, np.log(ctx.reshape(2, 2)))
@@ -282,13 +281,13 @@ def test_one_underflowing_candidate_falls_back_inside_the_stacked_table():
     maps = candidates[1]
     assert maps.fg[0, 0] == np.log(prior)[0] + exact_fg[0]
     assert maps.ctx[0, 1] == np.log1p(-prior)[1] + exact_ctx[1]
-    assert maps.fg[0, 0] == pytest.approx(np.log(0.3) - 700.0 - lz[1], abs=1e-9)
+    assert maps.fg[0, 0] == pytest.approx(np.log(0.3) - 700.0 - lz, abs=1e-9)
 
 
 def test_prior_clamp_keeps_extreme_priors_finite():
     rng = np.random.default_rng(5)
     k, d = 3, 4
-    dictionary = VmfDictionary(sample_uniform_sphere(rng, k, d), np.full(k, 5.0))
+    dictionary = VmfDictionary(sample_uniform_sphere(rng, k, d), 5.0)
     prior = np.array([[0.0, 1.0]])
     mixture = MixtureModel(prior, simplex(rng, (1, 2, k)), simplex(rng, (1, 2, k)))
     occluder = OccluderModel(simplex(rng, (k,)))
@@ -343,7 +342,7 @@ def test_classify_prefers_matching_component_mixture():
     means = sample_uniform_sphere(rng, k, d)
     while abs(float(means[0] @ means[1])) > 0.2:
         means = sample_uniform_sphere(rng, k, d)
-    dictionary = VmfDictionary(means, np.full(k, 25.0))
+    dictionary = VmfDictionary(means, 25.0)
 
     def pure(idx):
         coeffs = np.full((h, w, k), 1e-4)
@@ -519,7 +518,7 @@ def test_amodal_mask_thresholds_and_resamples():
     rng = np.random.default_rng(7)
     prior = np.array([[0.9, 0.2], [0.5, 0.49]])
     mixture = MixtureModel(prior, simplex(rng, (2, 2, 3)), simplex(rng, (2, 2, 3)))
-    dictionary = VmfDictionary(sample_uniform_sphere(rng, 3, 5), rng.uniform(1.0, 15.0, size=3))
+    dictionary = VmfDictionary(sample_uniform_sphere(rng, 3, 5), rng.uniform(1.0, 15.0))
     occluder = OccluderModel(simplex(rng, (3,)))
 
     def amodal(shape):

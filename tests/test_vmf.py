@@ -14,6 +14,7 @@ from compseg.errors import ValidationError
 from compseg.oracle import closed_form_log_normalizer_3d
 from compseg.vmf import (
     VmfDictionary,
+    component_cosines,
     component_logliks,
     fit_dictionary_traced,
     log_normalizer,
@@ -101,7 +102,7 @@ def test_log_normalizer_monotone_in_sigma():
 
 def test_component_logliks_frozen_value_at_mode():
     mean = np.array([[0.0, 0.0, 1.0]])
-    dictionary = VmfDictionary(mean, np.array([1.0]))
+    dictionary = VmfDictionary(mean, 1.0)
     table = component_logliks(mean, dictionary)
     assert table.shape == (1, 1)
     assert table[0, 0] == pytest.approx(LOGPDF_MODE_SIGMA1_D3, abs=1e-12)
@@ -133,7 +134,7 @@ def test_sample_vmf_bits_pinned():
 def test_responsibilities_gap5_frozen_pair():
     # two components whose log densities at the query differ by exactly 5
     means = np.stack([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
-    dictionary = VmfDictionary(means, np.array([2.5, 2.5]))
+    dictionary = VmfDictionary(means, 2.5)
     got = responsibilities(np.array([[1.0, 0.0]]), dictionary)
     assert got.shape == (1, 2)
     assert got[0] == pytest.approx(GAP5_PAIR, abs=1e-12)
@@ -145,9 +146,7 @@ def test_responsibilities_gap5_frozen_pair():
 def test_responsibilities_rows_are_simplex(seed):
     rng = np.random.default_rng(seed)
     k, d, p = 5, 4, 7
-    dictionary = VmfDictionary(
-        sample_uniform_sphere(rng, k, d), rng.uniform(0.0, 25.0, size=k)
-    )
+    dictionary = VmfDictionary(sample_uniform_sphere(rng, k, d), rng.uniform(0.0, 25.0))
     rows = responsibilities(sample_uniform_sphere(rng, p, d), dictionary)
     assert rows.shape == (p, k)
     assert np.all(rows >= 0)
@@ -157,15 +156,15 @@ def test_responsibilities_rows_are_simplex(seed):
 def test_component_logliks_match_the_scalar_density():
     rng = np.random.default_rng(5)
     means = sample_uniform_sphere(rng, 3, 6)
-    sigmas = [0.5, 4.0, 11.0]
-    dictionary = VmfDictionary(means, np.array(sigmas))
     feats = sample_uniform_sphere(rng, 4, 6)
-    table = component_logliks(feats, dictionary)
-    assert table.shape == (4, 3)
-    for i in range(4):
-        for j, sigma in enumerate(sigmas):
-            want = sigma * float(feats[i] @ means[j]) - log_normalizer(sigma, 6)
-            assert table[i, j] == pytest.approx(want, abs=1e-12)
+    for sigma in (0.5, 4.0, 11.0):
+        dictionary = VmfDictionary(means, sigma)
+        table = component_logliks(feats, dictionary)
+        assert table.shape == (4, 3)
+        for i in range(4):
+            for j in range(3):
+                want = sigma * float(feats[i] @ means[j]) - log_normalizer(sigma, 6)
+                assert table[i, j] == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValidationError):
         component_logliks(feats[0], dictionary)  # one vector is not a (P, D) batch
 
@@ -209,7 +208,7 @@ def test_fit_dictionary_recovers_planted_components():
     rng = np.random.default_rng(9)
     means, feats = planted_features(rng, 4, 8, 400)
     dictionary, _ = fit_dictionary_traced(feats, 4, seed=3, shared_concentration=30.0, max_iter=100)
-    assert np.array_equal(dictionary.concentrations, np.full(4, 30.0))
+    assert type(dictionary.concentration) is np.float64 and dictionary.concentration == 30.0
     # best-match cosine per planted mean, greedy over fitted components
     sims = dictionary.means @ means.T
     assert sims.max(axis=0).min() > 0.98
@@ -221,7 +220,7 @@ def test_fit_dictionary_objective_monotone_and_deterministic():
     d1, trace1 = fit_dictionary_traced(feats, 3, seed=5, shared_concentration=30.0, max_iter=100)
     d2, trace2 = fit_dictionary_traced(feats, 3, seed=5, shared_concentration=30.0, max_iter=100)
     assert np.array_equal(d1.means, d2.means)
-    assert np.array_equal(d1.concentrations, d2.concentrations)
+    assert d1.concentration == d2.concentration
     assert trace1["objective"] == trace2["objective"]
     obj = trace1["objective"]
     assert all(b >= a - 1e-9 for a, b in zip(obj, obj[1:]))
@@ -244,6 +243,44 @@ def test_fit_dictionary_rejects_bad_shared_concentration_before_fitting(monkeypa
     for sigma in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="concentrations must be finite and >= 0"):
             fit_dictionary_traced(feats, 3, seed=0, shared_concentration=sigma, max_iter=100)
+    with pytest.raises(ValidationError, match="one number"):
+        fit_dictionary_traced(feats, 3, seed=0, shared_concentration=np.full(3, 30.0),
+                              max_iter=100)
+
+
+def test_dictionary_refuses_a_bad_concentration():
+    means = sample_uniform_sphere(np.random.default_rng(13), 3, 4)
+    for sigma in (-1.0, float("nan"), float("inf"), -np.inf):
+        with pytest.raises(ValidationError, match="^concentrations must be finite and >= 0$"):
+            VmfDictionary(means, sigma)
+    for sigma in (np.full(3, 2.0), [2.0], np.zeros((0,))):
+        with pytest.raises(ValidationError, match="concentration must be one number"):
+            VmfDictionary(means, sigma)
+    rng = np.random.default_rng(14)
+    for sigma in (-1.0, float("nan"), np.ones(2)):
+        with pytest.raises(ValidationError, match="^concentration"):
+            log_normalizer(sigma, 4)
+        with pytest.raises(ValidationError, match="^concentration"):
+            sample_vmf(rng, means[0], sigma, 2)
+    one = VmfDictionary(means, np.array(2.0))
+    assert type(one.concentration) is type(one.log_z) is np.float64
+    assert one.log_z == log_normalizer(2.0, 4)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_scalar_component_logliks_match_the_broadcast_rows(seed):
+    """One shared sigma and log Z give the bits of the per-component rows
+    that every component of a dictionary once carried."""
+    rng = np.random.default_rng(seed)
+    k, d = int(rng.integers(1, 40)), int(rng.integers(2, 64))
+    sigma = float(rng.choice([0.0, rng.uniform(0.0, 1e-6), rng.uniform(0.0, 100.0),
+                              rng.uniform(100.0, 1e4)]))
+    dictionary = VmfDictionary(sample_uniform_sphere(rng, k, d), sigma)
+    feats = sample_uniform_sphere(rng, int(rng.integers(1, 50)), d)
+    cos = component_cosines(feats, dictionary)
+    want = cos * np.full(k, sigma) - np.full(k, log_normalizer(sigma, d))
+    assert component_logliks(feats, dictionary).tobytes() == want.tobytes()
 
 
 def cosine_sq_dist(feats, center):
@@ -337,7 +374,7 @@ def straightforward_fit(feats, k, seed, shared_concentration, max_iter):
             break
     objective.append(float(np.mean(np.max(feats @ centers.T, axis=1))))
     trace = {"objective": objective, "iterations": n_iter, "stop": stop}
-    return VmfDictionary(centers, np.full(k, shared_concentration)), trace, hits
+    return VmfDictionary(centers, shared_concentration), trace, hits
 
 
 def _circle(angles):
@@ -357,7 +394,7 @@ def _fit_matches_reference(feats, k, seed, sigma, max_iter=100):
         feats, k, seed, shared_concentration=sigma, max_iter=max_iter
     )
     assert got_dict.means.tobytes() == want_dict.means.tobytes()
-    assert got_dict.concentrations.tobytes() == want_dict.concentrations.tobytes()
+    assert got_dict.concentration.tobytes() == want_dict.concentration.tobytes()
     assert (got["stop"], got["iterations"]) == (want["stop"], want["iterations"])
     assert got["objective"][-1] == want["objective"][-1]
     assert len(got["objective"]) == len(want["objective"])
