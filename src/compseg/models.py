@@ -24,13 +24,16 @@ peak and E once per crop from `vmf.shifted_densities`, the step that also
 gives training its responsibilities, together with the occluder sum (one
 matrix-vector product). It builds all of a crop's candidates into one
 (C, 3, h, w) table, a `CandidateMaps`: per mixture, each of its fg and ctx
-coefficient planes is gathered onto the crop's lattice and multiplied into
-E with one multiply-reduce, with no exp. The rest runs once for all planes:
-one underflow check, one log, the peak, the occluder row and the aligned
-priors. The peak component has E = 1, so a sum is small only where the
-coefficients put (almost) no weight on it; a row whose sum is below the
-smallest normal float is recomputed from its own plane's coefficients by
-the exact shifted logsumexp of `_kernels`.
+coefficient planes, already aligned to the crop's lattice, is multiplied
+into E with one multiply-reduce, with no exp. A mixture keeps its planes,
+log-prior rows and amodal mask aligned to each crop shape it has met, up to
+`_ALIGNED_SHAPES` shapes, so a crop whose shape recurs gathers nothing. The
+rest runs once for all planes: one underflow check, one log, the peak and
+the occluder row; then each mixture's aligned prior rows are added. The
+peak component has E = 1, so a sum is small only where the coefficients
+put (almost) no weight on it; a row whose sum is below the smallest normal
+float is recomputed from its own aligned plane by the exact shifted
+logsumexp of `_kernels`.
 
 Classification is split in two. `classify` builds every (class, mixture)
 candidate's maps for a crop once and picks the best; `rescore` re-picks over
@@ -49,7 +52,6 @@ shared crop shape.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -64,6 +66,9 @@ PRIOR_CLAMP = 1e-6
 SIMPLEX_TOL = 1e-6
 # Below this a factored mixture sum has lost precision (or is 0).
 _TINY = np.finfo(np.float64).tiny
+# Crop shapes whose aligned planes a mixture keeps; the desk generator's
+# boxes come in 6.
+_ALIGNED_SHAPES = 16
 
 # Per-pixel segmentation labels.
 LABEL_FG = 0
@@ -87,7 +92,16 @@ def _validate_simplex_rows(arr: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixtureModel:
-    """One mixture: canonical-lattice prior and coefficient grids."""
+    """One mixture: canonical-lattice prior and coefficient grids.
+
+    A mixture also keeps its planes aligned to the lattice of each crop shape
+    it is mapped on (`_aligned_planes`), for the last `_ALIGNED_SHAPES` shapes.
+    A shape of P positions holds the fg and ctx coefficient planes, three
+    log-prior rows and the amodal mask: (2K + 3) * 8 + 1 bytes a position,
+    1,049 at K = 64. The worst case at K = 64 is 16 shapes of the largest
+    crop, 16 * 1,049 * P bytes a mixture: 10.5 MB for P = 25 x 25, the desk
+    generator's largest box.
+    """
 
     fg_prior: np.ndarray    # (H, W) in [0, 1]
     fg_coeffs: np.ndarray   # (H, W, K), rows on the simplex
@@ -119,6 +133,29 @@ class MixtureModel:
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_aligned", {})
+
+    def _aligned_planes(self, shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
+        """The (P, K) fg and ctx coefficient planes, the (3, P) log-prior rows
+        and the (P,) amodal mask on a `shape` lattice, read-only, each placed
+        as `resample_nearest` puts it: built on a shape's first use and kept.
+        When full, the cache drops its oldest shape."""
+        cache = self._aligned
+        planes = cache.get(shape)
+        if planes is None:
+            idx = resample_nearest(np.arange(self._amodal.size).reshape(self.shape),
+                                   shape).reshape(-1)
+            k = self.n_components
+            planes = (self.fg_coeffs.reshape(-1, k)[idx], self.ctx_coeffs.reshape(-1, k)[idx],
+                      self._log_priors[:, idx], self._amodal[idx])
+            for arr in planes:
+                arr.setflags(write=False)
+            if len(cache) >= _ALIGNED_SHAPES:
+                # the oldest shape; `tuple` reads the keys in one step, so
+                # threads sharing the mixture at worst build a shape twice
+                cache.pop(tuple(cache)[0], None)
+            cache[shape] = planes
+        return planes
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -230,14 +267,6 @@ def _log_factored(sums: np.ndarray, peak: np.ndarray, exact_rows) -> None:
         sums[plane][low] = exact
 
 
-@functools.lru_cache(maxsize=1024)
-def _plane_index(src: tuple[int, int], dst: tuple[int, int]) -> np.ndarray:
-    """Flat `src`-plane index of the position `resample_nearest` puts at each `dst` one."""
-    idx = resample_nearest(np.arange(src[0] * src[1]).reshape(src), dst).reshape(-1)
-    idx.setflags(write=False)
-    return idx
-
-
 @dataclass(frozen=True)
 class CandidateMaps:
     """Every (class, mixture) candidate of one crop on the crop's (h, w)
@@ -293,11 +322,12 @@ def likelihood_maps(
     The crop may be a strided view of its scene (`fmap.crop`).
 
     Each mixture's planes are aligned to the crop's lattice by nearest
-    neighbour, as `resample_nearest` would, through one flat index into each
-    plane: one nearest-neighbour step in total, not one on the way in and one
-    back out, which matters once part layouts vary at a few-pixel scale.
-    Each coefficient plane costs one gather and one multiply-reduce; the
-    logs, the peak and the priors are then added for all planes at once.
+    neighbour, as `resample_nearest` would: one nearest-neighbour step in
+    total, not one on the way in and one back out, which matters once part
+    layouts vary at a few-pixel scale. The mixture keeps them per crop shape
+    (`MixtureModel`), so each coefficient plane costs one multiply-reduce and
+    a recurring shape gathers nothing; the logs and the peak are then taken
+    for all planes at once, and each mixture's aligned prior rows added.
     """
     _check_k(dictionary, occluder.n_components, "occluder")
     if crop.dim != dictionary.dim:
@@ -316,33 +346,21 @@ def likelihood_maps(
 
     per_class = tuple(len(row) for row in mixtures)
     mixtures = [mixture for row in mixtures for mixture in row]
-    p, k = scaled.shape
-    c = len(mixtures)
-    table = np.empty((c, 3, p))
-    priors = np.empty((c, 3, p))
-    amodal = np.empty((c, p), dtype=np.bool_)
-    # One gather buffer serves every plane. With `out=`, mode="raise" makes
-    # NumPy buffer the take; the index is in range, so "clip" is the same take.
-    rows = np.empty((p, k))
-    for m, mixture in enumerate(mixtures):
+    for mixture in mixtures:
         _check_k(dictionary, mixture.n_components, "mixture")
-        idx = _plane_index(mixture.shape, crop.shape)
-        for plane, coeffs in zip(table[m], (mixture.fg_coeffs, mixture.ctx_coeffs)):
-            coeffs.reshape(-1, k).take(idx, axis=0, out=rows, mode="clip")
-            np.einsum("ik,ik->i", rows, scaled, out=plane)
-        mixture._log_priors.take(idx, axis=1, out=priors[m], mode="clip")
-        mixture._amodal.take(idx, out=amodal[m], mode="clip")
-
-    def exact_rows(plane, low):
-        # the shared gather buffer has moved on: gather this plane's rows again
-        mixture = mixtures[plane[0]]
-        coeffs = (mixture.fg_coeffs, mixture.ctx_coeffs)[plane[1]].reshape(-1, k)
-        aligned = coeffs[_plane_index(mixture.shape, crop.shape)]
-        return _exact_loglik(features, dictionary, aligned, low)
-
-    _log_factored(table[:, :2], peak, exact_rows)
+    aligned = [mixture._aligned_planes(crop.shape) for mixture in mixtures]
+    c, p = len(mixtures), len(features)
+    table = np.empty((c, 3, p))
+    amodal = np.empty((c, p), dtype=np.bool_)
+    for planes, mask, (fg, ctx, _, aligned_mask) in zip(table, amodal, aligned):
+        np.einsum("ik,ik->i", fg, scaled, out=planes[0])
+        np.einsum("ik,ik->i", ctx, scaled, out=planes[1])
+        mask[:] = aligned_mask
+    _log_factored(table[:, :2], peak, lambda plane, low: _exact_loglik(
+        features, dictionary, aligned[plane[0]][plane[1]], low))
     table[:, 2] = occ
-    table += priors
+    for planes, (_, _, log_priors, _) in zip(table, aligned):
+        planes += log_priors
     h, w = crop.shape
     return CandidateMaps(table.reshape(c, 3, h, w), amodal.reshape(c, h, w), per_class)
 

@@ -183,7 +183,8 @@ class VmfDictionary:
         log_z = np.float64(log_normalizer(sigma, means.shape[1]))
         # The cosine product's right operand, C-contiguous: BLAS multiplies
         # by it about twice as fast as by the transposed view of `means`.
-        # The bits are the view's: the pinned model and predictions hold.
+        # Its bits can differ from the view's in the last place, so every
+        # cosine, in production and in the tests, is `component_cosines`.
         means_t = np.ascontiguousarray(means.T)
         means.setflags(write=False)
         means_t.setflags(write=False)

@@ -23,7 +23,13 @@ from compseg.models import (
 )
 from compseg.oracle import perpixel_maps_reference
 from conftest import candidates_of
-from compseg.vmf import VmfDictionary, log_normalizer, sample_uniform_sphere, shifted_densities
+from compseg.vmf import (
+    VmfDictionary,
+    component_cosines,
+    log_normalizer,
+    sample_uniform_sphere,
+    shifted_densities,
+)
 
 
 def simplex(rng, shape):
@@ -227,7 +233,7 @@ def test_underflowing_factored_sums_fall_back_to_exact_logsumexp():
     for arr in (maps.fg, maps.ctx, maps.occ):
         assert np.all(np.isfinite(arr))
 
-    cos = fm.data.reshape(2, 3).astype(np.float64) @ means.T
+    cos = component_cosines(fm.flat(), dictionary)
     sig, lz = dictionary.concentration, dictionary.log_z
     with np.errstate(divide="ignore"):
         log_coeffs = np.log(coeffs.reshape(2, 2))
@@ -248,7 +254,8 @@ def test_one_underflowing_candidate_falls_back_inside_the_stacked_table():
     # The set-up above with three candidates, of which only the middle one
     # underflows: its fg plane at position 0 and its ctx plane at position 1
     # put all their weight on the component that is exp(-1400) away. The
-    # other planes, gathered into the same buffer after it, are mixed.
+    # other planes, mapped before and after it in the same table, are mixed,
+    # so the fallback must read the underflowing plane's own coefficients.
     means = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     dictionary = VmfDictionary(means, 700.0)
     half = np.full((1, 2, 2), 0.5)
@@ -272,7 +279,7 @@ def test_one_underflowing_candidate_falls_back_inside_the_stacked_table():
         want = _one(fm, mixture, dictionary, occluder)
         assert np.array_equal(candidates.table[c], np.stack([want.fg, want.ctx, want.occ]))
         assert np.array_equal(candidates.amodal[c], want.amodal)
-    cos = fm.data.reshape(2, 3).astype(np.float64) @ means.T
+    cos = component_cosines(fm.flat(), dictionary)
     sig, lz = dictionary.concentration, dictionary.log_z
     with np.errstate(divide="ignore"):
         exact_fg = _kernels.mixture_loglik(cos, sig, lz, np.log(fg.reshape(2, 2)))
@@ -383,6 +390,77 @@ def _random_classes(rng, k):
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _gathered_table(crop, mixtures, dictionary, occluder) -> np.ndarray:
+    """The (C, 3, h, w) candidate table of `likelihood_maps`, computed in
+    the same order from planes that `resample_nearest` gathers afresh."""
+    features = crop.flat()
+    peak, scaled = shifted_densities(features, dictionary)
+    occ = np.log(scaled @ occluder.coeffs) + peak
+    rows = []
+    for mixture in mixtures:
+        clamped = np.clip(mixture.fg_prior, PRIOR_CLAMP, 1.0 - PRIOR_CLAMP)
+        log_p = resample_nearest(np.log(clamped), crop.shape).reshape(-1)
+        log_q = resample_nearest(np.log1p(-clamped), crop.shape).reshape(-1)
+        fg, ctx = (resample_nearest(c, crop.shape).reshape(len(features), -1)
+                   for c in (mixture.fg_coeffs, mixture.ctx_coeffs))
+        rows.append([np.log(np.einsum("ik,ik->i", fg, scaled)) + peak + log_p,
+                     np.log(np.einsum("ik,ik->i", ctx, scaled)) + peak + log_q,
+                     occ + log_p])
+    return np.array(rows).reshape(len(mixtures), 3, *crop.shape)
+
+
+# Smaller than, equal to and larger than the (3, 4) and (5, 5) lattices,
+# square and not.
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (5, 5), (4, 7), (9, 9)])
+def test_cached_aligned_planes_give_the_gathered_bits(shape):
+    rng, dictionary, _, occluder, _ = tiny_setup(seed=21, k=4, d=5)
+    classes = _random_classes(rng, dictionary.size)
+    mixtures = [m for cls in classes for m in cls.mixtures]
+    crop = FeatureMap(sample_uniform_sphere(rng, shape[0] * shape[1], 5)
+                      .reshape(*shape, 5).astype(np.float32))
+    want = _gathered_table(crop, mixtures, dictionary, occluder)
+    for mixture in mixtures:
+        assert shape not in mixture._aligned
+    first = classify(crop, classes, dictionary, occluder).candidates
+    cached = [mixture._aligned[shape] for mixture in mixtures]
+    second = classify(crop, classes, dictionary, occluder).candidates
+    for got in (first, second):
+        assert _bits(got.table) == _bits(want)
+        assert np.array_equal(got.amodal, np.stack(
+            [resample_nearest(m.fg_prior, shape) >= 0.5 for m in mixtures]))
+    # the second call read the planes the first one built
+    for mixture, planes in zip(mixtures, cached):
+        assert mixture._aligned[shape] is planes
+
+
+def test_cached_aligned_planes_refuse_writes():
+    _, dictionary, mixture, occluder, fm = tiny_setup(seed=22, crop_shape=(5, 2))
+    _one(fm, mixture, dictionary, occluder)
+    (planes,) = mixture._aligned.values()
+    assert [arr.shape for arr in planes] == [(10, 4), (10, 4), (3, 10), (10,)]
+    for arr in planes:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_aligned_plane_cache_keeps_at_most_its_bound_of_shapes():
+    rng, dictionary, mixture, occluder, _ = tiny_setup(seed=23, k=4, d=5)
+    bound = models._ALIGNED_SHAPES
+    shapes = [(1 + i % 5, 1 + i // 5) for i in range(bound + 1)]
+    crops = [FeatureMap(sample_uniform_sphere(rng, h * w, 5).reshape(h, w, 5)
+                        .astype(np.float32)) for h, w in shapes]
+    for crop in crops:
+        _one(crop, mixture, dictionary, occluder)
+    assert len(mixture._aligned) == bound
+    assert shapes[0] not in mixture._aligned and shapes[-1] in mixture._aligned
+    # a dropped shape is built again, to the gathered bits
+    for crop in crops:
+        got = likelihood_maps(crop, [[mixture]], dictionary, occluder)
+        assert _bits(got.table) == _bits(_gathered_table(crop, [mixture], dictionary, occluder))
+        assert len(mixture._aligned) == bound
 
 
 def test_rescore_matches_per_candidate_image_loglik():
@@ -531,6 +609,6 @@ def test_amodal_mask_thresholds_and_resamples():
     assert mask[0, 0] and not mask[0, 3]
     assert mask[2, 0]        # 0.5 is inclusive
     assert not mask[2, 2]    # 0.49 misses the threshold
-    # the cached plane index lands the prior where resample_nearest does
+    # the mixture's cached mask lands the prior where resample_nearest does
     for shape in ((1, 1), (3, 5), (7, 2), (2, 2)):
         assert np.array_equal(amodal(shape), resample_nearest(prior, shape) >= 0.5)
